@@ -15,9 +15,10 @@ Conventions used throughout:
   the trial streams come from ``ensembles.trial_rng(seed, trial)``.
 """
 
+import importlib
+
 from . import (
     channel,
-    cli,
     commuting,
     cuntz,
     ensembles,
@@ -30,6 +31,7 @@ from .channel import (
     GapReport,
     KrausFamily,
     PerturbationResult,
+    SpectralCore,
     SquareClosureReport,
     SubspaceBasis,
     Superoperator,
@@ -41,6 +43,7 @@ from .channel import (
     fixed_space,
     gap_report,
     solve_perturbation,
+    spectral_core,
     subspace_distance,
     superoperator,
     unital_tol,
@@ -69,6 +72,15 @@ from .tracelab import ApproxTrace, NearFixedReport, extract_trace, near_fixed_fr
 
 __version__ = "0.1.0"
 
+
+def __getattr__(name):
+    # ``cli`` loads on first use: importing it here would put it in
+    # sys.modules before ``python -m krauslab.cli`` runs it as __main__.
+    if name == "cli":
+        return importlib.import_module(f"{__name__}.cli")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 __all__ = [
     "__version__",
     "opcore",
@@ -82,6 +94,7 @@ __all__ = [
     "cli",
     "KrausFamily",
     "Superoperator",
+    "SpectralCore",
     "SubspaceBasis",
     "GapReport",
     "PerturbationResult",
@@ -89,6 +102,7 @@ __all__ = [
     "apply",
     "apply_predual",
     "superoperator",
+    "spectral_core",
     "fixed_space",
     "commutant",
     "subspace_distance",

@@ -5,6 +5,10 @@ positive map ``psi(x) = sum_j a_j* x a_j`` and its predual
 ``psi_*(t) = sum_j a_j t a_j*``.  This module builds the superoperator matrix
 of ``psi``, extracts numerical fixed-point spaces and commutants, reports the
 spectral gap, and solves for perturbations that repair near-fixed elements.
+
+The fixed space, the gap and the perturbation solve all read one
+:class:`SpectralCore` per family: S is built once and ``S - I`` is factorized
+once, then cached on the family (whose operators are frozen copies).
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from . import opcore
 __all__ = [
     "KrausFamily",
     "Superoperator",
+    "SpectralCore",
     "SubspaceBasis",
     "GapReport",
     "PerturbationResult",
@@ -29,6 +34,7 @@ __all__ = [
     "apply",
     "apply_predual",
     "superoperator",
+    "spectral_core",
     "fixed_space",
     "commutant",
     "subspace_distance",
@@ -54,7 +60,9 @@ class KrausFamily:
     On construction the unital defect ``||sum a_j* a_j - 1||_op`` and the
     counital defect ``||sum a_j a_j* - 1||_op`` are computed once; the family
     is flagged unital (resp. trace-preserving) when the corresponding defect
-    is at most ``1e-9 * dim``.
+    is at most ``1e-9 * dim``.  Each operator is copied and frozen, so later
+    writes to the caller's arrays cannot reach the family or its cached
+    spectral core.
     """
 
     def __init__(self, ops):
@@ -63,7 +71,7 @@ class KrausFamily:
             raise ValueError("a Kraus family needs at least one operator")
         mats = []
         for j, a in enumerate(ops):
-            m = opcore.as_matrix(a, name=f"kraus[{j}]")
+            m = opcore.as_matrix(a, name=f"kraus[{j}]").copy()
             if m.shape[0] != m.shape[1]:
                 raise ValueError(f"kraus[{j}] must be square, got shape {m.shape}")
             mats.append(m)
@@ -79,6 +87,7 @@ class KrausFamily:
         gram_right = sum(a @ a.conj().T for a in mats)
         self.unital_defect = opcore.op_norm(gram_left - eye)
         self.counital_defect = opcore.op_norm(gram_right - eye)
+        self._spectral_core = None
 
     def __len__(self) -> int:
         return len(self.ops)
@@ -170,9 +179,15 @@ def superoperator(family: KrausFamily) -> Superoperator:
     fixed pseudorandom matrix before the result is returned.
     """
     d = family.dim
-    s = np.zeros((d * d, d * d), dtype=np.complex128)
+    s = np.zeros((d, d, d, d), dtype=np.complex128)
+    term = np.empty_like(s)
     for a in family.ops:
-        s += np.kron(a.T, a.conj().T)
+        # term[i, k, j, l] = a.T[i, j] * a*[k, l], which is kron(a.T, a*)
+        # with its row and column indices split; the sum is bitwise the
+        # same as summing the kron products.
+        np.multiply(a.T[:, None, :, None], a.conj().T[None, :, None, :], out=term)
+        s += term
+    s = s.reshape(d * d, d * d)
     rng = np.random.default_rng(0x5EED)
     probe = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     lhs = s @ opcore.vectorize(probe)
@@ -181,6 +196,76 @@ def superoperator(family: KrausFamily) -> Superoperator:
     if float(np.linalg.norm(lhs - rhs)) > 1e-10 * scale:
         raise ValueError("superoperator build violated the vectorization convention")
     return Superoperator(dim=d, matrix=s)
+
+
+def _vec_times(v: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """``v @ m`` for a complex vector, without casting a real ``m`` to complex."""
+    if np.iscomplexobj(m):
+        return v @ m
+    return v.real @ m + 1j * (v.imag @ m)
+
+
+@dataclass(frozen=True, eq=False)
+class SpectralCore:
+    """S together with one SVD-shaped factorization ``S - I = U diag(sv) V*``.
+
+    ``sv`` is descending, as ``np.linalg.svd`` returns it, and ``right_h``
+    holds the rows of V*.  When S is exactly real and symmetric, ``S - I`` is
+    factorized by the real ``eigh``: ``sv`` holds the absolute eigenvalues,
+    V the eigenvectors and U the eigenvectors times the eigenvalue signs, all
+    real.  Any other S gets one complex SVD.
+    """
+
+    superop: Superoperator
+    left: np.ndarray
+    sv: np.ndarray
+    right_h: np.ndarray
+
+    def kernel(self, tol: float) -> np.ndarray:
+        """Orthonormal columns of V whose singular value is at most ``tol``."""
+        keep = np.flatnonzero(self.sv <= tol)
+        return self.right_h[keep].conj().T
+
+    def solve(self, b: np.ndarray, tol: float) -> np.ndarray:
+        """Least-squares solution of ``(S - I) z = b`` by the pseudo-inverse.
+
+        Components along singular values at most ``tol`` are dropped rather
+        than amplified.
+        """
+        inv = np.zeros_like(self.sv)
+        np.divide(1.0, self.sv, out=inv, where=self.sv > tol)
+        # U* b = conj(conj(b) U) and V c = conj(conj(c) V*): row-vector
+        # products, so no d^2 x d^2 factor is conjugated or cast to complex.
+        coef = inv * _vec_times(b.conj(), self.left).conj()
+        return _vec_times(coef.conj(), self.right_h).conj()
+
+
+def _factorize(superop: Superoperator) -> SpectralCore:
+    s = superop.matrix
+    n = s.shape[0]
+    if not s.imag.any():
+        m = s.real - np.eye(n)
+        if np.array_equal(m, m.T):
+            w, q = np.linalg.eigh(m)
+            del m
+            order = np.argsort(-np.abs(w), kind="stable")
+            q, w = q[:, order], w[order]
+            left = q * np.where(w < 0.0, -1.0, 1.0)
+            return SpectralCore(superop=superop, left=left, sv=np.abs(w), right_h=q.T)
+    u, sv, vh = np.linalg.svd(s - np.eye(n))
+    return SpectralCore(superop=superop, left=u, sv=sv, right_h=vh)
+
+
+def spectral_core(family: KrausFamily) -> SpectralCore:
+    """The family's S and factorization of ``S - I``, computed on first use.
+
+    The result is cached on the family, so every later query on it reads
+    the same factorization; the path (real ``eigh`` or complex SVD) is
+    chosen from S alone.
+    """
+    if family._spectral_core is None:
+        family._spectral_core = _factorize(superoperator(family))
+    return family._spectral_core
 
 
 @dataclass(frozen=True, eq=False)
@@ -282,8 +367,7 @@ def fixed_space(family: KrausFamily, tol: float | None = None) -> SubspaceBasis:
             "fixed_space of a non-unital family may be trivial", stacklevel=2
         )
     d = family.dim
-    s = superoperator(family).matrix
-    kernel = opcore.null_space_basis(s - np.eye(d * d), tol)
+    kernel = spectral_core(family).kernel(tol)
     basis = _hermitian_basis(kernel, d)
     return SubspaceBasis(rows=d, cols=d, basis=tuple(basis), kind="fixed-space")
 
@@ -330,9 +414,7 @@ def gap_report(family: KrausFamily, tol: float | None = None) -> GapReport:
     """Report sigma_min, the restricted gap and the numerical fixed dimension."""
     if tol is None:
         tol = fix_tol(family.dim)
-    d = family.dim
-    s = superoperator(family).matrix
-    sv = np.sort(np.linalg.svd(s - np.eye(d * d), compute_uv=False))
+    sv = np.sort(spectral_core(family).sv)
     fix_dim = int(np.sum(sv <= tol))
     restricted = float(sv[fix_dim]) if fix_dim < sv.size else math.inf
     return GapReport(sigma_min=float(sv[0]), restricted_gap=restricted, fix_dim=fix_dim)
@@ -351,22 +433,19 @@ def solve_perturbation(family: KrausFamily, y, tol: float | None = None) -> Pert
 
     When the residual vanishes, x = y + z is exactly fixed; in general
     ``||psi(x) - x||_2`` equals the reported residual up to rounding.  The
-    pseudo-inverse of ``I - S`` uses an absolute singular-value cutoff equal
-    to the fixed-space tolerance, so components of the defect lying along the
-    fixed directions are dropped rather than amplified.
+    pseudo-inverse of ``S - I`` read from the family's spectral core uses an
+    absolute singular-value cutoff equal to the fixed-space tolerance, so
+    components of the defect lying along the fixed directions are dropped
+    rather than amplified.
     """
     if tol is None:
         tol = fix_tol(family.dim)
     d = family.dim
     m = _check_input(family, y, "y")
-    s = superoperator(family).matrix
-    a = np.eye(d * d) - s
-    b = opcore.vectorize(apply(family, m) - m)
-    u, sv, vh = np.linalg.svd(a)
-    inv = np.zeros_like(sv)
-    np.divide(1.0, sv, out=inv, where=sv > tol)
-    z_vec = vh.conj().T @ (inv * (u.conj().T @ b))
-    residual = float(np.linalg.norm(a @ z_vec - b))
+    core = spectral_core(family)
+    b = opcore.vectorize(m - apply(family, m))
+    z_vec = core.solve(b, tol)
+    residual = float(np.linalg.norm(core.superop.matrix @ z_vec - z_vec - b))
     return PerturbationResult(z=opcore.devectorize(z_vec, d, d), residual=residual)
 
 

@@ -193,7 +193,8 @@ def _run_commuting(cfg: RunConfig) -> tuple:
         "failures": failures,
         "worst_hausdorff": worst_hausdorff,
         "worst_subspace_distance": worst_distance,
-        "worst_min_real": worst_min_real,
+        # the minimum over an empty sweep has no value (and inf is not JSON)
+        "worst_min_real": worst_min_real if trials else None,
         "worst_max_imag": worst_max_imag,
     }
     return results, header, tuple(rows)
@@ -250,7 +251,7 @@ def _run_fuzz(cfg: RunConfig) -> tuple:
         "trials": trials,
         "checks_per_trial": 4,
         "failures": failures,
-        "min_slack": min_slack,
+        "min_slack": min_slack if trials else None,
         "empirical_gamma_max": gamma_ratio_max,
         "gamma": inequalities.GAMMA,
     }
@@ -310,6 +311,8 @@ def run(cfg: RunConfig) -> Report:
     """Execute one configuration and package the deterministic report."""
     if cfg.command not in _RUNNERS:
         raise ValueError(f"unknown command {cfg.command!r}")
+    if cfg.trials is not None and cfg.trials < 0:
+        raise ValueError(f"--trials must be >= 0, got {cfg.trials}")
     start = time.perf_counter()
     results, header, rows = _RUNNERS[cfg.command](cfg)
     elapsed_ms = int((time.perf_counter() - start) * 1000)

@@ -177,10 +177,12 @@ def null_space_basis(a: np.ndarray, tol: float) -> np.ndarray:
 
     Right singular vectors whose singular value is at most ``tol`` are kept;
     columns beyond the rank of a wide matrix count as exact null directions.
+    The economy SVD already holds every right singular vector of a tall
+    matrix and skips its full left factor; only a wide matrix needs full V.
     """
     m = as_matrix(a, "a")
-    _, sv, vh = np.linalg.svd(m)
     n = m.shape[1]
+    _, sv, vh = np.linalg.svd(m, full_matrices=m.shape[0] < n)
     keep = [i for i in range(n) if (sv[i] if i < sv.size else 0.0) <= tol]
     if not keep:
         return np.zeros((n, 0), dtype=np.complex128)

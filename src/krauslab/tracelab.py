@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import opcore
-from .channel import KrausFamily, apply, fixed_space, superoperator
+from .channel import KrausFamily, apply, fixed_space, spectral_core
 from .inequalities import GAMMA
 
 __all__ = [
@@ -103,8 +103,7 @@ def extract_trace(family: KrausFamily) -> ApproxTrace:
     for h in fs.basis:
         x += opcore.hs_inner(h, target).real * h
     if float(np.linalg.norm(x)) <= 1e-12:
-        s = superoperator(family).matrix
-        _, _, vh = np.linalg.svd(s - np.eye(d * d))
+        vh = spectral_core(family).right_h
         b = opcore.devectorize(vh[-1].conj(), d, d)
         h = (b + b.conj().T) / 2.0
         if float(np.linalg.norm(h)) ** 2 < 1e-14:

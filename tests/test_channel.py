@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import krauslab as kl
-from krauslab import opcore
+from krauslab import channel, cuntz, opcore, tracelab
 from krauslab.ensembles import ginibre, mixed_unitary_family, trial_rng
 
 E11 = np.diag([1.0, 0.0]).astype(complex)
@@ -41,6 +41,20 @@ def test_family_validation():
     fam = pinching()
     assert len(fam) == 2 and fam.dim == 2
     assert not fam.ops[0].flags.writeable
+
+
+def test_family_copies_its_operators():
+    a = E11.copy()
+    view = a[:]
+    fam = kl.KrausFamily([a, E22])
+    before = kl.gap_report(fam)
+    # the caller's array stays writable, and writing to it reaches nothing
+    assert a.flags.writeable
+    view[0, 1] = 5.0
+    a[1, 1] = 2.0
+    np.testing.assert_array_equal(fam.ops[0], E11)
+    assert kl.gap_report(fam) == before
+    assert kl.gap_report(kl.KrausFamily(fam.ops)) == before
 
 
 def test_defect_flags():
@@ -92,6 +106,100 @@ def test_superoperator_matches_apply():
     # independent oracle: assemble the matrix column by column
     direct = opcore.linear_map_matrix(lambda m: kl.apply(fam, m), 3, 3)
     np.testing.assert_allclose(s, direct, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: cuntz.luders_family(8), lambda: mixed_unitary_family(trial_rng(21, 6), 5, 3)],
+    ids=["luders8", "mixed_unitary5"],
+)
+def test_superoperator_is_the_kron_sum(make):
+    fam = make()
+    expected = sum(np.kron(a.T, a.conj().T) for a in fam.ops)
+    assert np.array_equal(kl.superoperator(fam).matrix, expected)
+
+
+@pytest.mark.parametrize(
+    "make, real",
+    [
+        # S - I = diag(0.44, 0.08, -0.4, ...): eigenvalues of both signs
+        (lambda: kl.KrausFamily([np.diag([1.2, 0.5, 0.9])]), True),
+        (lambda: witness_family(), False),
+        (lambda: mixed_unitary_family(trial_rng(21, 9), 3, 2), False),
+    ],
+    ids=["diag-mixed-signs", "witness", "mixed_unitary3"],
+)
+def test_spectral_core_factorizes_s_minus_identity(make, real):
+    fam = make()
+    core = kl.spectral_core(fam)
+    assert kl.spectral_core(fam) is core
+    assert np.isrealobj(core.left) == real
+    a = core.superop.matrix - np.eye(fam.dim**2)
+    np.testing.assert_allclose((core.left * core.sv) @ core.right_h, a, atol=1e-12)
+    np.testing.assert_allclose(core.sv, np.linalg.svd(a, compute_uv=False), atol=1e-12)
+
+
+def test_real_symmetric_core_matches_explicit_svd():
+    fam = cuntz.luders_family(16)
+    core = kl.spectral_core(fam)
+    assert np.isrealobj(core.left) and np.isrealobj(core.right_h)
+    d = fam.dim
+    tol = kl.fix_tol(d)
+    s = kl.superoperator(fam).matrix
+    u, sv, vh = np.linalg.svd(s - np.eye(d * d))
+    np.testing.assert_allclose(core.sv, sv, rtol=0.0, atol=1e-10)
+    fix_dim = int(np.sum(sv <= tol))
+    rep = kl.gap_report(fam)
+    assert rep.fix_dim == fix_dim == len(kl.fixed_space(fam))
+    assert rep.sigma_min == pytest.approx(sv[-1], abs=1e-10)
+    assert rep.restricted_gap == pytest.approx(sv[-1 - fix_dim], abs=1e-10)
+    y = np.diag(cuntz.t_sequence(d).values).astype(complex)
+    b = opcore.vectorize(y - kl.apply(fam, y))
+    inv = np.zeros_like(sv)
+    np.divide(1.0, sv, out=inv, where=sv > tol)
+    z = vh.conj().T @ (inv * (u.conj().T @ b))
+    residual = float(np.linalg.norm((s - np.eye(d * d)) @ z - b))
+    res = kl.solve_perturbation(fam, y)
+    np.testing.assert_allclose(res.z, opcore.devectorize(z, d, d), rtol=0.0, atol=1e-10)
+    assert res.residual == pytest.approx(residual, abs=1e-10)
+
+
+@pytest.mark.parametrize(
+    "make, path",
+    [
+        (lambda: mixed_unitary_family(trial_rng(21, 7), 4, 3), "svd"),
+        # contraction with trivial fixed space: extract_trace falls back to
+        # the least singular vector of S - I, which is e33
+        (lambda: kl.KrausFamily([np.diag([0.5, 0.6, 0.75])]), "eigh"),
+    ],
+    ids=["complex-svd", "real-eigh"],
+)
+def test_family_queries_build_and_factorize_once(make, path, monkeypatch):
+    fam = make()
+    n = fam.dim * fam.dim
+    calls = {"superoperator": 0, "svd": 0, "eigh": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            if name == "superoperator" or np.shape(args[0]) == (n, n):
+                calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(channel, "superoperator", counting("superoperator", channel.superoperator))
+    monkeypatch.setattr(np.linalg, "svd", counting("svd", np.linalg.svd))
+    monkeypatch.setattr(np.linalg, "eigh", counting("eigh", np.linalg.eigh))
+    y = ginibre(trial_rng(21, 8), fam.dim)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        kl.fixed_space(fam)
+        kl.gap_report(fam)
+        kl.solve_perturbation(fam, y)
+        trace = tracelab.extract_trace(fam)
+    assert calls == {"superoperator": 1, "svd": int(path == "svd"), "eigh": int(path == "eigh")}
+    if path == "eigh":
+        np.testing.assert_allclose(trace.density, np.diag([0.0, 0.0, 1.0]), atol=1e-12)
 
 
 def test_fixed_space_pinching():

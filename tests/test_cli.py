@@ -171,6 +171,25 @@ def test_exit_code_on_input_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command, key", [("fuzz", "min_slack"), ("commuting", "worst_min_real")])
+def test_empty_sweep_report_is_valid_json(command, key, capsys):
+    def reject(name):
+        raise ValueError(f"{name} is not valid JSON")
+
+    assert cli.main([command, "--trials", "0"]) == 0
+    obj = json.loads(capsys.readouterr().out, parse_constant=reject)
+    assert obj["results"]["trials"] == 0
+    assert obj["results"][key] is None
+
+
+@pytest.mark.parametrize("command", ["fuzz", "commuting"])
+def test_negative_trials_rejected(command, capsys):
+    assert cli.main([command, "--trials", "-3"]) == 2
+    captured = capsys.readouterr()
+    assert "--trials must be >= 0" in captured.err
+    assert captured.out == ""
+
+
 def test_wrong_payload_kind_rejected(tmp_path, capsys):
     path = tmp_path / "odd.json"
     path.write_text(json.dumps({"something": 1}))
@@ -200,6 +219,7 @@ def test_console_script_runs(pinching_file):
     )
     # module execution path mirrors the console script
     assert proc.returncode in (0, 1)
+    assert "RuntimeWarning" not in proc.stderr
 
 
 def test_run_rejects_unknown_command():

@@ -130,6 +130,15 @@ def test_null_space_basis():
     np.testing.assert_allclose(kw.conj().T @ kw, np.eye(2), atol=1e-12)
     full = opcore.null_space_basis(np.eye(3), 1e-12)
     assert full.shape == (3, 0)
+    # tall matrix whose third column is the sum of the first two
+    c = np.random.default_rng(3).standard_normal((6, 2))
+    tall = np.column_stack([c, c[:, 0] + c[:, 1]])
+    kt = opcore.null_space_basis(tall, 1e-10)
+    assert kt.shape == (3, 1)
+    np.testing.assert_allclose(
+        np.abs(kt[:, 0]), np.array([1.0, 1.0, 1.0]) / np.sqrt(3.0), atol=1e-12
+    )
+    np.testing.assert_allclose(tall @ kt, 0.0, atol=1e-12)
 
 
 def test_linear_map_matrix_transpose_oracle():
