@@ -66,22 +66,10 @@ class KrausFamily:
     """
 
     def __init__(self, ops):
-        ops = list(ops)
-        if not ops:
-            raise ValueError("a Kraus family needs at least one operator")
-        mats = []
-        for j, a in enumerate(ops):
-            m = opcore.as_matrix(a, name=f"kraus[{j}]").copy()
-            if m.shape[0] != m.shape[1]:
-                raise ValueError(f"kraus[{j}] must be square, got shape {m.shape}")
-            mats.append(m)
+        mats = opcore.square_family(ops, "kraus")
         d = mats[0].shape[0]
-        if any(m.shape != (d, d) for m in mats):
-            raise ValueError("all Kraus operators must share one dimension")
-        for m in mats:
-            m.setflags(write=False)
         self.dim = d
-        self.ops = tuple(mats)
+        self.ops = mats
         eye = np.eye(d)
         gram_left = sum(a.conj().T @ a for a in mats)
         gram_right = sum(a @ a.conj().T for a in mats)
@@ -175,19 +163,12 @@ class Superoperator:
 def superoperator(family: KrausFamily) -> Superoperator:
     """Build S = sum_j kron(a_j.T, a_j*) so that S @ vec(x) = vec(psi(x)).
 
-    The convention is spot-checked against a direct evaluation on one
+    S is :func:`opcore.kron_sum` of the pairs ``(a_j*, a_j)``; the
+    convention is spot-checked against a direct evaluation on one
     fixed pseudorandom matrix before the result is returned.
     """
     d = family.dim
-    s = np.zeros((d, d, d, d), dtype=np.complex128)
-    term = np.empty_like(s)
-    for a in family.ops:
-        # term[i, k, j, l] = a.T[i, j] * a*[k, l], which is kron(a.T, a*)
-        # with its row and column indices split; the sum is bitwise the
-        # same as summing the kron products.
-        np.multiply(a.T[:, None, :, None], a.conj().T[None, :, None, :], out=term)
-        s += term
-    s = s.reshape(d * d, d * d)
+    s = opcore.kron_sum([a.conj().T for a in family.ops], family.ops)
     rng = np.random.default_rng(0x5EED)
     probe = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     lhs = s @ opcore.vectorize(probe)
@@ -375,25 +356,15 @@ def fixed_space(family: KrausFamily, tol: float | None = None) -> SubspaceBasis:
 def commutant(mats, tol: float | None = None) -> SubspaceBasis:
     """Joint commutant {x : a_j x = x a_j for all j} as a numerical null space.
 
-    The blocks ``kron(I, a_j) - kron(a_j.T, I)`` are stacked and the right
-    singular vectors below ``tol`` are returned.  Always contains the
+    It is :func:`opcore.sylvester_null_space` of the pairs ``(a_j, a_j)``,
+    with right singular vectors below ``tol`` kept.  Always contains the
     normalized identity.
     """
-    mats = list(mats)
-    if not mats:
-        raise ValueError("commutant of an empty family is undefined")
-    sq = [opcore._square(a, name=f"mats[{j}]") for j, a in enumerate(mats)]
+    sq = opcore.square_family(mats, "mats")
     d = sq[0].shape[0]
-    if any(a.shape != (d, d) for a in sq):
-        raise ValueError("all matrices must share one dimension")
     if tol is None:
         tol = fix_tol(d)
-    eye = np.eye(d)
-    stacked = np.vstack([np.kron(eye, a) - np.kron(a.T, eye) for a in sq])
-    kernel = opcore.null_space_basis(stacked, tol)
-    basis = tuple(
-        opcore.devectorize(kernel[:, i], d, d) for i in range(kernel.shape[1])
-    )
+    basis = opcore.sylvester_null_space(sq, sq, tol)
     return SubspaceBasis(rows=d, cols=d, basis=basis, kind="commutant")
 
 

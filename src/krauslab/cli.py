@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import commuting, cuntz, inequalities, schur
-from .channel import KrausFamily, gap_report
+from .channel import KrausFamily, gap_report, unital_tol
 from .ensembles import (
     commuting_normal_family,
     ginibre,
@@ -91,6 +91,13 @@ class Report:
         return int(self.results.get("failures", 0))
 
 
+def _at_least(flag: str, value: int, low: int) -> int:
+    """Return ``value``, raising an input error that names ``flag`` if it is below ``low``."""
+    if value < low:
+        raise ValueError(f"{flag} must be >= {low}, got {value}")
+    return value
+
+
 def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -125,15 +132,23 @@ def _run_analyze(cfg: RunConfig) -> tuple:
 
 
 def _run_cuntz(cfg: RunConfig) -> tuple:
-    n = cfg.dim if cfg.dim is not None else 16
-    results = cuntz.experiment(n).to_json()
-    results["failures"] = 0
+    n = _at_least("--dim", cfg.dim if cfg.dim is not None else 16, 4)
+    rep = cuntz.experiment(n)
+    tol = unital_tol(n)
+    checks = (
+        rep.v2_comm == 0.0,
+        rep.v1_comm_sq <= rep.tail_bound,
+        rep.unital_defect <= tol,
+        rep.counital_defect <= tol,
+    )
+    results = rep.to_json()
+    results["failures"] = sum(1 for ok in checks if not ok)
     return results, (), ()
 
 
 def _run_commuting(cfg: RunConfig) -> tuple:
-    dim = cfg.dim if cfg.dim is not None else 6
-    ops = cfg.ops if cfg.ops is not None else 3
+    dim = _at_least("--dim", cfg.dim if cfg.dim is not None else 6, 1)
+    ops = _at_least("--ops", cfg.ops if cfg.ops is not None else 3, 1)
     trials = cfg.trials if cfg.trials is not None else 20
     tol = cfg.tol if cfg.tol is not None else 1e-7
     header = (
@@ -225,8 +240,9 @@ def _fuzz_reports(rng: np.random.Generator, dim: int, ops: int) -> list:
 
 
 def _run_fuzz(cfg: RunConfig) -> tuple:
-    dim = cfg.dim if cfg.dim is not None else 8
-    ops = cfg.ops if cfg.ops is not None else 6
+    # each trial draws its dimension from [2, dim] and its family size from [1, ops]
+    dim = _at_least("--dim", cfg.dim if cfg.dim is not None else 8, 2)
+    ops = _at_least("--ops", cfg.ops if cfg.ops is not None else 6, 1)
     trials = cfg.trials if cfg.trials is not None else 200
     header = ("trial", "lhs", "rhs", "slack", "digest")
     rows = []
@@ -261,6 +277,8 @@ def _run_fuzz(cfg: RunConfig) -> tuple:
 def _run_schur(cfg: RunConfig) -> tuple:
     if not cfg.input_path:
         raise ValueError("schur needs an input symbol or measure JSON file")
+    if cfg.dim is not None:
+        _at_least("--dim", cfg.dim, 1)
     obj = _load_json(cfg.input_path)
     if isinstance(obj, dict) and "coeffs" in obj:
         sym = schur.symbol_from_json(obj)
@@ -311,8 +329,8 @@ def run(cfg: RunConfig) -> Report:
     """Execute one configuration and package the deterministic report."""
     if cfg.command not in _RUNNERS:
         raise ValueError(f"unknown command {cfg.command!r}")
-    if cfg.trials is not None and cfg.trials < 0:
-        raise ValueError(f"--trials must be >= 0, got {cfg.trials}")
+    if cfg.trials is not None:
+        _at_least("--trials", cfg.trials, 0)
     start = time.perf_counter()
     results, header, rows = _RUNNERS[cfg.command](cfg)
     elapsed_ms = int((time.perf_counter() - start) * 1000)

@@ -45,28 +45,20 @@ class CommutingFamily:
 
     ``accepted`` requires the normality defect ``max_j ||c_j c_j* - c_j* c_j||_2``
     and the commutation defect ``max_{j,k} ||c_j c_k - c_k c_j||_2`` to both be
-    at most 1e-9.  Row and column completeness defects (distance of
-    ``sum c_j c_j*`` resp. ``sum c_j* c_j`` from the identity in operator norm)
-    are recorded but not gated.
+    at most ``defect_gate = 1e-9 * max(1, max_j ||c_j||_op)^2``.  Both defects
+    are quadratic in the generators, so the gate scales with them, and it is
+    exactly 1e-9 for families of operator norm at most 1.  Row and column
+    completeness defects (distance of ``sum c_j c_j*`` resp. ``sum c_j* c_j``
+    from the identity in operator norm) are recorded but not gated.
     """
 
     def __init__(self, mats):
-        mats = list(mats)
-        if not mats:
-            raise ValueError("a commuting family needs at least one matrix")
-        sq = []
-        for j, c in enumerate(mats):
-            m = opcore.as_matrix(c, name=f"mats[{j}]")
-            if m.shape[0] != m.shape[1]:
-                raise ValueError(f"mats[{j}] must be square, got shape {m.shape}")
-            sq.append(m)
+        sq = opcore.square_family(mats, "mats")
         d = sq[0].shape[0]
-        if any(m.shape != (d, d) for m in sq):
-            raise ValueError("all matrices must share one dimension")
-        for m in sq:
-            m.setflags(write=False)
         self.dim = d
-        self.mats = tuple(sq)
+        self.mats = sq
+        scale = max(1.0, max(opcore.op_norm(c) for c in sq))
+        self.defect_gate = DEFECT_GATE * scale * scale
         self.normality_defect = max(
             float(np.linalg.norm(c @ c.conj().T - c.conj().T @ c)) for c in sq
         )
@@ -98,8 +90,8 @@ class CommutingFamily:
     @property
     def accepted(self) -> bool:
         return (
-            self.normality_defect <= DEFECT_GATE
-            and self.commutation_defect <= DEFECT_GATE
+            self.normality_defect <= self.defect_gate
+            and self.commutation_defect <= self.defect_gate
         )
 
     def require_accepted(self) -> None:
@@ -107,7 +99,8 @@ class CommutingFamily:
             raise ValueError(
                 "family fails the commuting-normal gates: "
                 f"normality {self.normality_defect:.3e}, "
-                f"commutation {self.commutation_defect:.3e}"
+                f"commutation {self.commutation_defect:.3e}, "
+                f"gate {self.defect_gate:.3e}"
             )
 
 
@@ -115,13 +108,16 @@ def _family_mats(obj, name: str) -> tuple:
     """Accept a CommutingFamily or a plain sequence of square matrices."""
     if isinstance(obj, CommutingFamily):
         return obj.mats
-    mats = [opcore.as_matrix(x, name=f"{name}[{j}]") for j, x in enumerate(list(obj))]
-    if not mats:
-        raise ValueError(f"{name} must be a non-empty family")
-    n = mats[0].shape[0]
-    if any(m.shape != (n, n) for m in mats):
-        raise ValueError(f"{name} matrices must be square and share one dimension")
-    return tuple(mats)
+    return opcore.square_family(obj, name)
+
+
+def _family_pair(a, b, names: str) -> tuple:
+    """Both families as matrix tuples with equally many generators."""
+    am = _family_mats(a, names[0])
+    bm = _family_mats(b, names[1])
+    if len(am) != len(bm):
+        raise ValueError(f"families have {len(am)} vs {len(bm)} generators")
+    return am, bm
 
 
 @dataclass(frozen=True, eq=False)
@@ -237,10 +233,7 @@ def joint_spectrum(family: CommutingFamily, dedupe_tol: float = 1e-8) -> JointSp
 
 def theta_apply(c, d, x) -> np.ndarray:
     """Evaluate theta(x) = sum_j c_j x d_j for equal-length families."""
-    cm = _family_mats(c, "c")
-    dm = _family_mats(d, "d")
-    if len(cm) != len(dm):
-        raise ValueError(f"families have {len(cm)} vs {len(dm)} generators")
+    cm, dm = _family_pair(c, d, "cd")
     m = opcore.as_matrix(x, "x")
     if m.shape != (cm[0].shape[0], dm[0].shape[0]):
         raise ValueError(
@@ -254,15 +247,8 @@ def theta_apply(c, d, x) -> np.ndarray:
 
 def theta_superoperator(c, d) -> np.ndarray:
     """Matrix sum_j kron(d_j.T, c_j) of theta on column-stacked input."""
-    cm = _family_mats(c, "c")
-    dm = _family_mats(d, "d")
-    if len(cm) != len(dm):
-        raise ValueError(f"families have {len(cm)} vs {len(dm)} generators")
-    nc, nd = cm[0].shape[0], dm[0].shape[0]
-    s = np.zeros((nc * nd, nc * nd), dtype=np.complex128)
-    for cj, dj in zip(cm, dm):
-        s += np.kron(dj.T, cj)
-    return s
+    cm, dm = _family_pair(c, d, "cd")
+    return opcore.kron_sum(cm, dm)
 
 
 def _sorted_complex(vals: np.ndarray) -> np.ndarray:
@@ -336,10 +322,7 @@ def intertwiner_space(a, b, tol: float | None = None) -> SubspaceBasis:
     ``sum b_j* b_j = 1`` column-wise for ``b``) is checked to 1e-9 and only
     warned about, since the solver itself does not need it.
     """
-    am = _family_mats(a, "a")
-    bm = _family_mats(b, "b")
-    if len(am) != len(bm):
-        raise ValueError(f"families have {len(am)} vs {len(bm)} generators")
+    am, bm = _family_pair(a, b, "ab")
     na, nb = am[0].shape[0], bm[0].shape[0]
     if tol is None:
         tol = 1e-8 * max(na, nb)
@@ -353,14 +336,7 @@ def intertwiner_space(a, b, tol: float | None = None) -> SubspaceBasis:
         warnings.warn(
             f"b is not column-complete (defect {col_defect:.3e})", stacklevel=2
         )
-    blocks = [
-        np.kron(np.eye(nb), aj) - np.kron(bj.conj(), np.eye(na))
-        for aj, bj in zip(am, bm)
-    ]
-    kernel = opcore.null_space_basis(np.vstack(blocks), tol)
-    basis = tuple(
-        opcore.devectorize(kernel[:, i], na, nb) for i in range(kernel.shape[1])
-    )
+    basis = opcore.sylvester_null_space(am, [bj.conj().T for bj in bm], tol)
     return SubspaceBasis(rows=na, cols=nb, basis=basis, kind="intertwiner")
 
 
@@ -381,17 +357,13 @@ def intertwiner_fixed_point_check(a, b, tol: float = 1e-7) -> IntertwinerFixedRe
     check passes when the dimensions agree and the mutual subspace distance is
     at most ``tol``.
     """
-    am = _family_mats(a, "a")
-    bm = _family_mats(b, "b")
+    am, bm = _family_pair(a, b, "ab")
     s = theta_superoperator(am, bm)
     na, nb = am[0].shape[0], bm[0].shape[0]
-    kernel = opcore.null_space_basis(s - np.eye(na * nb), tol)
     fixed = SubspaceBasis(
         rows=na,
         cols=nb,
-        basis=tuple(
-            opcore.devectorize(kernel[:, i], na, nb) for i in range(kernel.shape[1])
-        ),
+        basis=opcore.null_space_matrices(s - np.eye(na * nb), na, nb, tol),
         kind="fixed-space",
     )
     inter = intertwiner_space(am, bm, tol)
@@ -422,19 +394,10 @@ def positive_eigenvalue_check(c, d) -> PositiveSpectrumReport:
     solver strays from the real nonnegative axis.  Commutativity is not
     required.  Non-PSD inputs raise.
     """
-    cm = _family_mats(c, "c")
-    dm = _family_mats(d, "d")
-    if len(cm) != len(dm):
-        raise ValueError(f"families have {len(cm)} vs {len(dm)} generators")
+    cm, dm = _family_pair(c, d, "cd")
     for name, mats in (("c", cm), ("d", dm)):
         for j, m in enumerate(mats):
-            sym = opcore.symmetrized(m, name=f"{name}[{j}]")
-            w = np.linalg.eigvalsh(sym)
-            ptol = 1e-10 * (1.0 + float(np.max(np.abs(w))))
-            if float(w[0]) < -ptol:
-                raise ValueError(
-                    f"{name}[{j}] is not PSD: eigenvalue {float(w[0]):.3e}"
-                )
+            opcore.require_psd(m, name=f"{name}[{j}]")
     eigs = _sorted_complex(np.linalg.eigvals(theta_superoperator(cm, dm)))
     return PositiveSpectrumReport(
         eigs=eigs,

@@ -98,19 +98,10 @@ def defect_bounds(family: KrausFamily, x) -> tuple:
     return first, second
 
 
-def _require_psd(m, name: str) -> np.ndarray:
-    sym = opcore.symmetrized(m, name)
-    w = np.linalg.eigvalsh(sym)
-    ptol = 1e-10 * (1.0 + float(np.max(np.abs(w))))
-    if float(w[0]) < -ptol:
-        raise ValueError(f"{name} is not PSD: eigenvalue {float(w[0]):.3e}")
-    return sym
-
-
 def powers_stormer(x, y) -> InequalityReport:
     """Square-difference bound ||x - y||_2^2 <= ||x^2 - y^2||_1 for PSD x, y."""
-    sx = _require_psd(x, "x")
-    sy = _require_psd(y, "y")
+    sx = opcore.require_psd(x, "x")
+    sy = opcore.require_psd(y, "y")
     if sx.shape != sy.shape:
         raise ValueError(f"shape mismatch {sx.shape} vs {sy.shape}")
     lhs = float(np.linalg.norm(sx - sy)) ** 2
@@ -125,8 +116,8 @@ def generalized_powers_stormer(b, x, y) -> InequalityReport:
     size p and ``y`` of size q the matrix ``b`` is p x q and both ``b y - x b``
     and ``b y^2 - x^2 b`` are p x q.
     """
-    sx = _require_psd(x, "x")
-    sy = _require_psd(y, "y")
+    sx = opcore.require_psd(x, "x")
+    sy = opcore.require_psd(y, "y")
     bm = opcore.as_matrix(b, "b")
     if bm.shape != (sx.shape[0], sy.shape[0]):
         raise ValueError(
@@ -145,8 +136,8 @@ def hermitian_embedding(b, x, y) -> tuple:
     for ``(b, x, y)`` exactly.
     """
     bm = opcore.as_matrix(b, "b")
-    sx = _require_psd(x, "x")
-    sy = _require_psd(y, "y")
+    sx = opcore.require_psd(x, "x")
+    sy = opcore.require_psd(y, "y")
     if bm.shape != (sx.shape[0], sy.shape[0]):
         raise ValueError(
             f"b has shape {bm.shape}, expected {(sx.shape[0], sy.shape[0])}"

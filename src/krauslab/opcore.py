@@ -1,8 +1,11 @@
 """Dense complex matrix primitives shared by the rest of the package.
 
 Operators are plain 2-D complex128 numpy arrays.  Vectorization is column
-stacking, so ``vec(A @ X @ B) = kron(B.T, A) @ vec(X)``; every superoperator
-matrix in the package is written against that convention.
+stacking, so ``vec(A @ X @ B) = kron(B.T, A) @ vec(X)``.  This module is the
+one place that convention, the PSD tolerance and the validation of matrix
+families are written down: superoperators come from :func:`kron_sum`,
+solution spaces of ``l_j x = x r_j`` from :func:`sylvester_null_space`, PSD
+inputs pass :func:`require_psd` and families pass :func:`square_family`.
 """
 
 from __future__ import annotations
@@ -24,10 +27,15 @@ __all__ = [
     "hermitian_witness",
     "symmetrized",
     "positive_part",
+    "require_psd",
     "psd_sqrt",
+    "square_family",
     "vectorize",
     "devectorize",
     "null_space_basis",
+    "null_space_matrices",
+    "kron_sum",
+    "sylvester_null_space",
     "linear_map_matrix",
     "matrix_to_json",
     "matrix_from_json",
@@ -142,21 +150,62 @@ def positive_part(h) -> np.ndarray:
     return (out + out.conj().T) / 2.0
 
 
-def psd_sqrt(p) -> np.ndarray:
-    """Positive square root of a PSD matrix.
+def _psd_gate(w: np.ndarray, name: str) -> None:
+    """Raise unless the ascending eigenvalues ``w`` are all at least -psd_tol.
 
-    Eigenvalues in ``[-psd_tol, 0)`` with ``psd_tol = 1e-10 * (1 + ||p||_op)``
-    are clipped to zero; anything more negative raises.
+    ``psd_tol = 1e-10 * (1 + max|w|)``, which is ``1e-10 * (1 + ||m||_op)``
+    for the Hermitian matrix the eigenvalues belong to.
     """
-    sym = symmetrized(p)
-    w, v = np.linalg.eigh(sym)
     ptol = 1e-10 * (1.0 + float(np.max(np.abs(w))))
     if float(w[0]) < -ptol:
         raise ValueError(
-            f"matrix is not PSD: eigenvalue {float(w[0]):.3e} below -{ptol:.3e}"
+            f"{name} is not PSD: eigenvalue {float(w[0]):.3e} below -{ptol:.3e}"
         )
+
+
+def require_psd(m, name: str = "matrix") -> np.ndarray:
+    """Symmetrize ``m`` and raise unless it is PSD up to the PSD tolerance.
+
+    Returns the symmetrized matrix; eigenvalues in ``[-psd_tol, 0)`` with
+    ``psd_tol = 1e-10 * (1 + ||m||_op)`` are accepted as rounding.
+    """
+    sym = symmetrized(m, name)
+    _psd_gate(np.linalg.eigvalsh(sym), name)
+    return sym
+
+
+def psd_sqrt(p) -> np.ndarray:
+    """Positive square root of a PSD matrix.
+
+    The matrix passes the same gate as :func:`require_psd`, read off the one
+    eigendecomposition that also yields the root; eigenvalues in
+    ``[-psd_tol, 0)`` are clipped to zero.
+    """
+    sym = symmetrized(p)
+    w, v = np.linalg.eigh(sym)
+    _psd_gate(w, "matrix")
     out = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
     return (out + out.conj().T) / 2.0
+
+
+def square_family(mats, name: str = "mats") -> tuple:
+    """Validate a non-empty family of same-size square matrices.
+
+    Each matrix is copied and the copy frozen, so the caller's arrays stay
+    writable and later writes to them cannot reach the family.
+    """
+    mats = list(mats)
+    if not mats:
+        raise ValueError(f"{name} must be a non-empty family")
+    out = []
+    for j, x in enumerate(mats):
+        m = _square(x, f"{name}[{j}]").copy()
+        m.setflags(write=False)
+        out.append(m)
+    d = out[0].shape[0]
+    if any(m.shape != (d, d) for m in out):
+        raise ValueError(f"{name} matrices must share one dimension")
+    return tuple(out)
 
 
 def vectorize(x) -> np.ndarray:
@@ -187,6 +236,62 @@ def null_space_basis(a: np.ndarray, tol: float) -> np.ndarray:
     if not keep:
         return np.zeros((n, 0), dtype=np.complex128)
     return vh[keep].conj().T
+
+
+def null_space_matrices(a: np.ndarray, rows: int, cols: int, tol: float) -> tuple:
+    """The numerical null space of ``a`` as devectorized rows x cols matrices.
+
+    ``a`` acts on column-stacked rows x cols input; the matrices are the
+    orthonormal columns of :func:`null_space_basis`, so they are
+    HS-orthonormal.
+    """
+    kernel = null_space_basis(a, tol)
+    return tuple(devectorize(kernel[:, i], rows, cols) for i in range(kernel.shape[1]))
+
+
+def _paired(lefts, rights) -> tuple:
+    """Lists of the two families with their dimensions p (lefts) and q (rights)."""
+    lefts, rights = list(lefts), list(rights)
+    if not lefts or len(lefts) != len(rights):
+        raise ValueError(
+            f"need two equal-length non-empty families, got {len(lefts)} and {len(rights)}"
+        )
+    return lefts, rights, lefts[0].shape[0], rights[0].shape[0]
+
+
+def kron_sum(lefts, rights) -> np.ndarray:
+    """Matrix ``sum_j kron(r_j.T, l_j)`` of ``x -> sum_j l_j x r_j``.
+
+    With p x p matrices ``l_j`` and q x q matrices ``r_j`` it acts on
+    column-stacked p x q input.  Each term is written by one broadcast
+    multiply into a reused (q, p, q, p) buffer and added in order, which is
+    bitwise the same as summing the ``np.kron`` products.
+    """
+    lefts, rights, p, q = _paired(lefts, rights)
+    s = np.zeros((q, p, q, p), dtype=np.complex128)
+    term = np.empty_like(s)
+    for l, r in zip(lefts, rights):
+        # term[i, k, j, m] = r.T[i, j] * l[k, m]: kron(r.T, l) with its row
+        # and column indices split.
+        np.multiply(r.T[:, None, :, None], l[None, :, None, :], out=term)
+        s += term
+    return s.reshape(p * q, p * q)
+
+
+def sylvester_null_space(lefts, rights, tol: float) -> tuple:
+    """Solution space ``{x : l_j x = x r_j for all j}`` as HS-orthonormal matrices.
+
+    With p x p matrices ``l_j`` and q x q matrices ``r_j`` the blocks
+    ``kron(I_q, l_j) - kron(r_j.T, I_p)`` are stacked and their numerical
+    null space (singular values at most ``tol``) is returned as p x q
+    matrices.
+    """
+    lefts, rights, p, q = _paired(lefts, rights)
+    eye_p, eye_q = np.eye(p), np.eye(q)
+    stacked = np.vstack(
+        [np.kron(eye_q, l) - np.kron(r.T, eye_p) for l, r in zip(lefts, rights)]
+    )
+    return null_space_matrices(stacked, p, q, tol)
 
 
 def linear_map_matrix(fn: Callable[[np.ndarray], np.ndarray], rows: int, cols: int) -> np.ndarray:

@@ -47,11 +47,7 @@ class ApproxTrace:
 
 
 def _check_density(rho, name: str = "density") -> np.ndarray:
-    sym = opcore.symmetrized(rho, name)
-    w = np.linalg.eigvalsh(sym)
-    ptol = 1e-10 * (1.0 + float(np.max(np.abs(w))))
-    if float(w[0]) < -ptol:
-        raise ValueError(f"{name} is not PSD: eigenvalue {float(w[0]):.3e}")
+    sym = opcore.require_psd(rho, name)
     tr = float(np.trace(sym).real)
     if abs(tr - 1.0) > 1e-10:
         raise ValueError(f"{name} must have unit trace, got {tr!r}")
@@ -61,16 +57,10 @@ def _check_density(rho, name: str = "density") -> np.ndarray:
 def trace_defect(rho, mats) -> float:
     """Total trace-norm commutation defect sum_j ||a_j rho - rho a_j||_1."""
     sym = _check_density(rho)
-    mats = list(mats)
-    if not mats:
-        raise ValueError("need at least one generator")
-    total = 0.0
-    for j, a in enumerate(mats):
-        m = opcore.as_matrix(a, name=f"mats[{j}]")
-        if m.shape != sym.shape:
-            raise ValueError(f"mats[{j}] has shape {m.shape}, expected {sym.shape}")
-        total += opcore.trace_norm(m @ sym - sym @ m)
-    return total
+    mats = opcore.square_family(mats, "mats")
+    if mats[0].shape != sym.shape:
+        raise ValueError(f"mats have shape {mats[0].shape}, expected {sym.shape}")
+    return sum(opcore.trace_norm(m @ sym - sym @ m) for m in mats)
 
 
 def approx_trace(family: KrausFamily, rho) -> ApproxTrace:

@@ -1,5 +1,6 @@
 """Command-line contract: schemas, determinism, exit codes."""
 
+import dataclasses
 import json
 import re
 import subprocess
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import krauslab as kl
-from krauslab import cli, schur
+from krauslab import cli, cuntz, schur
 
 WALL = re.compile(rb'"wall_time_ms": \d+')
 
@@ -51,6 +52,7 @@ def test_analyze_report(pinching_file, capsys):
 def test_cuntz_report(capsys):
     assert cli.main(["cuntz", "--dim", "8"]) == 0
     obj = json.loads(capsys.readouterr().out)
+    assert obj["results"]["failures"] == 0
     assert obj["results"]["n"] == 8
     assert obj["results"]["fix_dim"] == 1
     assert obj["results"]["v2_comm"] == 0.0
@@ -188,6 +190,42 @@ def test_negative_trials_rejected(command, capsys):
     captured = capsys.readouterr()
     assert "--trials must be >= 0" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["fuzz", "--dim", "1"], "--dim must be >= 2, got 1"),
+        (["fuzz", "--dim", "0"], "--dim must be >= 2, got 0"),
+        (["fuzz", "--ops", "0"], "--ops must be >= 1, got 0"),
+        (["commuting", "--ops", "0"], "--ops must be >= 1, got 0"),
+        (["commuting", "--dim", "0"], "--dim must be >= 1, got 0"),
+        (["cuntz", "--dim", "3"], "--dim must be >= 4, got 3"),
+    ],
+)
+def test_out_of_range_flags_name_the_flag(argv, message, capsys):
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert f"error: {message}" in captured.err
+    assert captured.out == ""
+
+
+def test_schur_rejects_nonpositive_dim(symbol_file, capsys):
+    assert cli.main(["schur", "--input", symbol_file, "--dim", "0"]) == 2
+    assert "--dim must be >= 1, got 0" in capsys.readouterr().err
+
+
+def test_cuntz_counts_failed_checks(monkeypatch, capsys):
+    real = cuntz.commutation_report
+
+    def broken(n):
+        return dataclasses.replace(real(n), v2_comm=1.0)
+
+    monkeypatch.setattr(cuntz, "commutation_report", broken)
+    assert cli.main(["cuntz", "--dim", "8"]) == 1
+    obj = json.loads(capsys.readouterr().out)
+    assert obj["results"]["failures"] == 1
+    assert obj["results"]["v2_comm"] == 1.0
 
 
 def test_wrong_payload_kind_rejected(tmp_path, capsys):

@@ -9,6 +9,7 @@ from krauslab.ensembles import (
     commuting_normal_family,
     ginibre,
     intertwining_pair,
+    mixed_unitary_family,
     random_psd_coefficients,
     trial_rng,
 )
@@ -36,6 +37,32 @@ def test_family_validation():
         kl.CommutingFamily([np.zeros((2, 3))])
     with pytest.raises(ValueError):
         kl.CommutingFamily([np.eye(2), np.eye(3)])
+
+
+def test_family_copies_instead_of_freezing_the_callers_arrays():
+    m = np.diag([1 + 0j, 1j])
+    fam = kl.CommutingFamily([m])
+    assert m.flags.writeable
+    assert not fam.mats[0].flags.writeable
+    m[0, 0] = 5.0
+    np.testing.assert_array_equal(fam.mats[0], np.diag([1 + 0j, 1j]))
+
+
+def test_defect_gate_scales_with_the_generators():
+    base = commuting_normal_family(trial_rng(5, 4), 6, 3)
+    assert base.defect_gate == commuting.DEFECT_GATE
+    big = kl.CommutingFamily([1e5 * c for c in base.mats])
+    # rounding alone puts the scaled defects far above the absolute 1e-9
+    assert big.normality_defect > 1e3 * commuting.DEFECT_GATE
+    assert big.accepted
+    big.require_accepted()
+    # a relative commutator of 1e-6 stays rejected at the same scale
+    nudge = np.array([[0.0, 1e-6], [1e-6, 0.0]])
+    pair = kl.CommutingFamily([1e5 * np.diag([1.0, 2.0]), 1e5 * (np.diag([3.0, 4.0]) + nudge)])
+    assert pair.defect_gate == pytest.approx(commuting.DEFECT_GATE * (4e5) ** 2, rel=1e-6)
+    assert not pair.accepted
+    with pytest.raises(ValueError, match="gate"):
+        pair.require_accepted()
 
 
 def test_simultaneous_diagonalize_random():
@@ -89,6 +116,29 @@ def test_theta_apply_matches_superoperator():
         kl.theta_apply(c, d[:1], np.zeros((3, 4)))
     with pytest.raises(ValueError):
         kl.theta_apply(c, d, np.zeros((4, 3)))
+
+
+def test_theta_superoperator_is_bitwise_the_kron_sum():
+    rng = trial_rng(57, 0)
+    c = [ginibre(rng, 3) for _ in range(2)]
+    d = [ginibre(rng, 2) for _ in range(2)]
+    expected = np.zeros((6, 6), dtype=np.complex128)
+    for cj, dj in zip(c, d):
+        expected += np.kron(dj.T, cj)
+    assert np.array_equal(kl.theta_superoperator(c, d), expected)
+
+
+def test_channel_objects_are_the_product_map_objects():
+    # S of a Kraus family is theta of (a_j*, a_j), and its commutant is the
+    # intertwiner space of (a, a*), bit for bit
+    fam = mixed_unitary_family(trial_rng(57, 1), 3, 2)
+    adj = [a.conj().T for a in fam.ops]
+    assert np.array_equal(kl.superoperator(fam).matrix, kl.theta_superoperator(adj, fam.ops))
+    com = kl.commutant(fam.ops)
+    inter = kl.intertwiner_space(fam.ops, adj)
+    assert len(com) == len(inter) == 1
+    for x, y in zip(com.basis, inter.basis):
+        assert np.array_equal(x, y)
 
 
 def test_product_spectrum_oracle():

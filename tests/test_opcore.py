@@ -182,3 +182,89 @@ def test_matrix_json_roundtrip():
 def test_matrix_from_json_rejects(obj):
     with pytest.raises(ValueError):
         opcore.matrix_from_json(obj)
+
+
+def test_require_psd_gate_and_message():
+    # the gate sits at -1e-10 * (1 + max|lambda|) = -3e-10 here
+    inside = np.diag([2.0, -2.9e-10])
+    np.testing.assert_array_equal(opcore.require_psd(inside), inside)
+    with pytest.raises(ValueError, match=r"rho is not PSD: eigenvalue -3\.100e-10 below -3\.000e-10"):
+        opcore.require_psd(np.diag([2.0, -3.1e-10]), "rho")
+    with pytest.raises(ValueError, match="not Hermitian"):
+        opcore.require_psd([[0.0, 1.0], [0.0, 0.0]])
+
+
+def test_psd_sqrt_gates_on_its_own_eigh(monkeypatch):
+    calls = {"eigh": 0, "eigvalsh": 0}
+    for name in calls:
+        fn = getattr(np.linalg, name)
+
+        def counted(*args, _fn=fn, _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    np.testing.assert_allclose(opcore.psd_sqrt(np.diag([4.0, 0.0])), np.diag([2.0, 0.0]), atol=1e-15)
+    assert calls == {"eigh": 1, "eigvalsh": 0}
+    with pytest.raises(ValueError, match="matrix is not PSD"):
+        opcore.psd_sqrt(np.diag([1.0, -0.5]))
+
+
+def test_square_family_copies_and_freezes():
+    a = np.diag([1.0 + 0j, 1j])  # already complex128, so as_matrix returns it uncopied
+    fam = opcore.square_family([a, np.eye(2)], "ops")
+    assert a.flags.writeable
+    assert all(not m.flags.writeable for m in fam)
+    a[0, 0] = 7.0
+    np.testing.assert_array_equal(fam[0], np.diag([1.0 + 0j, 1j]))
+    with pytest.raises(ValueError, match="ops must be a non-empty family"):
+        opcore.square_family([], "ops")
+    with pytest.raises(ValueError, match=r"ops\[1\] must be square"):
+        opcore.square_family([np.eye(2), np.zeros((2, 3))], "ops")
+    with pytest.raises(ValueError, match="ops matrices must share one dimension"):
+        opcore.square_family([np.eye(2), np.eye(3)], "ops")
+
+
+@pytest.mark.parametrize("p, q", [(3, 3), (3, 2), (1, 4)])
+def test_kron_sum_is_bitwise_the_kron_sum(p, q):
+    rng = np.random.default_rng(41)
+    lefts = [rng.standard_normal((p, p)) + 1j * rng.standard_normal((p, p)) for _ in range(3)]
+    rights = [rng.standard_normal((q, q)) + 1j * rng.standard_normal((q, q)) for _ in range(3)]
+    expected = np.zeros((p * q, p * q), dtype=np.complex128)
+    for l, r in zip(lefts, rights):
+        expected += np.kron(r.T, l)
+    s = opcore.kron_sum(lefts, rights)
+    assert np.array_equal(s, expected)
+    x = rng.standard_normal((p, q)) + 1j * rng.standard_normal((p, q))
+    direct = sum(l @ x @ r for l, r in zip(lefts, rights))
+    np.testing.assert_allclose(s @ opcore.vectorize(x), opcore.vectorize(direct), atol=1e-12)
+    with pytest.raises(ValueError):
+        opcore.kron_sum(lefts, rights[:2])
+
+
+def _explicit_sylvester(lefts, rights, tol):
+    """The stacked-kron null space as each caller wrote it before the fold."""
+    p, q = lefts[0].shape[0], rights[0].shape[0]
+    stacked = np.vstack(
+        [np.kron(np.eye(q), l) - np.kron(r.T, np.eye(p)) for l, r in zip(lefts, rights)]
+    )
+    kernel = opcore.null_space_basis(stacked, tol)
+    return [opcore.devectorize(kernel[:, i], p, q) for i in range(kernel.shape[1])]
+
+
+def test_sylvester_null_space_matches_the_explicit_stack():
+    rng = np.random.default_rng(43)
+    u = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))[0]
+    lam = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
+    # commuting pair on C^3, and b_j* acting on C^2 with two shared joint eigenvalues
+    lefts = [u @ np.diag(lam[j]) @ u.conj().T for j in range(2)]
+    rights = [np.diag(lam[j, :2]) for j in range(2)]
+    for ls, rs, dim in ((lefts, lefts, 3), (lefts, rights, 2)):
+        got = opcore.sylvester_null_space(ls, rs, 1e-8)
+        want = _explicit_sylvester(ls, rs, 1e-8)
+        assert len(got) == len(want) == dim
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+        for x in got:
+            for l, r in zip(ls, rs):
+                np.testing.assert_allclose(l @ x, x @ r, atol=1e-12)
