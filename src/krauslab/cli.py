@@ -3,6 +3,8 @@
 Five subcommands: ``analyze`` (gap report for a Kraus JSON file), ``cuntz``
 (one truncation experiment), ``commuting`` (randomized product-map trials),
 ``fuzz`` (randomized inequality trials) and ``schur`` (symbol/measure report).
+Each subcommand takes only the flags it reads, declared with their defaults and
+lowest accepted values in one table, ``_COMMANDS``.
 
 Reports are JSON with sorted keys; running the same configuration twice
 produces byte-identical output except for the ``wall_time_ms`` field.  All
@@ -20,11 +22,12 @@ import csv
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
-from . import commuting, cuntz, inequalities, schur
+from . import commuting, cuntz, inequalities, opcore, schur
 from .channel import KrausFamily, gap_report, unital_tol
 from .ensembles import (
     commuting_normal_family,
@@ -91,13 +94,6 @@ class Report:
         return int(self.results.get("failures", 0))
 
 
-def _at_least(flag: str, value: int, low: int) -> int:
-    """Return ``value``, raising an input error that names ``flag`` if it is below ``low``."""
-    if value < low:
-        raise ValueError(f"{flag} must be >= {low}, got {value}")
-    return value
-
-
 def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -132,9 +128,8 @@ def _run_analyze(cfg: RunConfig) -> tuple:
 
 
 def _run_cuntz(cfg: RunConfig) -> tuple:
-    n = _at_least("--dim", cfg.dim if cfg.dim is not None else 16, 4)
-    rep = cuntz.experiment(n)
-    tol = unital_tol(n)
+    rep = cuntz.experiment(cfg.dim)
+    tol = unital_tol(cfg.dim)
     checks = (
         rep.v2_comm == 0.0,
         rep.v1_comm_sq <= rep.tail_bound,
@@ -147,10 +142,7 @@ def _run_cuntz(cfg: RunConfig) -> tuple:
 
 
 def _run_commuting(cfg: RunConfig) -> tuple:
-    dim = _at_least("--dim", cfg.dim if cfg.dim is not None else 6, 1)
-    ops = _at_least("--ops", cfg.ops if cfg.ops is not None else 3, 1)
-    trials = cfg.trials if cfg.trials is not None else 20
-    tol = cfg.tol if cfg.tol is not None else 1e-7
+    dim, ops, trials, tol = cfg.dim, cfg.ops, cfg.trials, cfg.tol
     header = (
         "trial",
         "fix_dim",
@@ -241,9 +233,7 @@ def _fuzz_reports(rng: np.random.Generator, dim: int, ops: int) -> list:
 
 def _run_fuzz(cfg: RunConfig) -> tuple:
     # each trial draws its dimension from [2, dim] and its family size from [1, ops]
-    dim = _at_least("--dim", cfg.dim if cfg.dim is not None else 8, 2)
-    ops = _at_least("--ops", cfg.ops if cfg.ops is not None else 6, 1)
-    trials = cfg.trials if cfg.trials is not None else 200
+    dim, ops, trials = cfg.dim, cfg.ops, cfg.trials
     header = ("trial", "lhs", "rhs", "slack", "digest")
     rows = []
     failures = 0
@@ -274,65 +264,152 @@ def _run_fuzz(cfg: RunConfig) -> tuple:
     return results, header, tuple(rows)
 
 
+# truncation size of a measure's report when --dim is absent
+_MEASURE_DIM = 8
+
+
+def _is_positive(mu: schur.CircleMeasure) -> bool:
+    """Real atom weights >= 0 and density values >= 0."""
+    atoms_ok = all(w.imag == 0.0 and w.real >= 0.0 for _, w in mu.atoms)
+    return atoms_ok and (mu.density is None or bool(np.all(mu.density >= 0.0)))
+
+
 def _run_schur(cfg: RunConfig) -> tuple:
     if not cfg.input_path:
         raise ValueError("schur needs an input symbol or measure JSON file")
-    if cfg.dim is not None:
-        _at_least("--dim", cfg.dim, 1)
     obj = _load_json(cfg.input_path)
+    n = cfg.dim
+    positive = False
     if isinstance(obj, dict) and "coeffs" in obj:
         sym = schur.symbol_from_json(obj)
         source = "symbol"
+        if n is None:
+            n = sym.kmax + 1
     elif isinstance(obj, dict) and "atoms" in obj:
-        n_hint = cfg.dim if cfg.dim is not None else 8
-        sym = schur.fourier_coeffs(schur.measure_from_json(obj), n_hint - 1)
+        mu = schur.measure_from_json(obj)
+        if n is None:
+            n = _MEASURE_DIM
+        sym = schur.fourier_coeffs(mu, n - 1)
         source = "measure"
+        positive = _is_positive(mu)
     else:
         raise ValueError("input must contain a 'coeffs' symbol or an 'atoms' measure")
-    n = cfg.dim if cfg.dim is not None else sym.kmax + 1
-    eps = cfg.tol if cfg.tol is not None else 1e-8
     spectrum = schur.truncated_spectrum(sym, n)
+    toeplitz = schur.multiplier_matrix(sym, n)
     hermitian = all(
         abs(sym.coeffs[k] - sym.coeffs[-k].conjugate()) <= 1e-12
         for k in range(sym.kmax + 1)
     )
     toeplitz_min_eig = None
     if hermitian:
-        toeplitz_min_eig = float(
-            np.linalg.eigvalsh(schur.multiplier_matrix(sym, n)).min()
-        )
+        toeplitz_min_eig = float(np.linalg.eigvalsh(toeplitz).min())
+    failures = 0
+    if positive:
+        # a positive measure has a PSD Toeplitz matrix at every truncation
+        try:
+            opcore.require_psd(toeplitz, "Toeplitz matrix")
+        except ValueError:
+            failures = 1
     results = {
         "source": source,
         "kmax": sym.kmax,
         "n": n,
-        "eps": eps,
+        "eps": cfg.tol,
         "spectrum": _pairs(spectrum),
         "min_abs_coeff": schur.min_abs_coeff(sym),
-        "pointwise_invertible": schur.pointwise_invertibility(sym, eps),
+        "pointwise_invertible": schur.pointwise_invertibility(sym, cfg.tol),
         "hermitian_symbol": hermitian,
         "toeplitz_min_eig": toeplitz_min_eig,
-        "failures": 0,
+        "failures": failures,
     }
     return results, (), ()
 
 
-_RUNNERS = {
-    "analyze": _run_analyze,
-    "cuntz": _run_cuntz,
-    "commuting": _run_commuting,
-    "fuzz": _run_fuzz,
-    "schur": _run_schur,
+class Flag(NamedTuple):
+    """One flag of one subcommand: its default and its lowest accepted value.
+
+    A flag without a default says in ``absent`` what leaving it out means.
+    """
+
+    name: str
+    default: object = None
+    low: object = None
+    absent: str = ""
+
+
+# flag -> (RunConfig field, argparse type, help text)
+_FLAG_KINDS = {
+    "--dim": ("dim", int, "matrix dimension / truncation size"),
+    "--ops": ("ops", int, "generators per family"),
+    "--trials": ("trials", int, "number of randomized trials"),
+    "--seed": ("seed", int, "master seed for the Philox streams"),
+    "--tol": ("tol", float, "tolerance/threshold override"),
+    "--input": ("input_path", str, "input JSON file"),
+}
+
+# The whole command line: subcommand -> (runner, help line, the flags it reads).
+# Every subcommand also takes the output paths --json and --csv.
+_COMMANDS = {
+    "analyze": (
+        _run_analyze,
+        "gap report for a Kraus family JSON file",
+        (Flag("--input", absent="required"), Flag("--tol", absent="default 1e-8 * dim")),
+    ),
+    "cuntz": (_run_cuntz, "one truncated-isometry experiment", (Flag("--dim", 16, 4),)),
+    "commuting": (
+        _run_commuting,
+        "randomized product-map spectrum and intertwiner trials",
+        (
+            Flag("--dim", 6, 1),
+            Flag("--ops", 3, 1),
+            Flag("--trials", 20, 0),
+            Flag("--seed", 0),
+            Flag("--tol", 1e-7),
+        ),
+    ),
+    "fuzz": (
+        _run_fuzz,
+        "randomized inequality trials",
+        (Flag("--dim", 8, 2), Flag("--ops", 6, 1), Flag("--trials", 200, 0), Flag("--seed", 0)),
+    ),
+    "schur": (
+        _run_schur,
+        "spectrum and invertibility report for a symbol or measure",
+        (
+            Flag("--input", absent="required"),
+            Flag("--dim", low=1, absent=f"default kmax + 1 (symbol), {_MEASURE_DIM} (measure)"),
+            Flag("--tol", 1e-8),
+        ),
+    ),
 }
 
 
+def _resolved(cfg: RunConfig, flags: tuple) -> RunConfig:
+    """``cfg`` with each absent flag at its default, every flag checked against its lowest value."""
+    values = {}
+    for flag in flags:
+        dest = _FLAG_KINDS[flag.name][0]
+        value = getattr(cfg, dest)
+        if value is None:
+            value = flag.default
+        if flag.low is not None and value is not None and value < flag.low:
+            raise ValueError(f"{flag.name} must be >= {flag.low}, got {value}")
+        values[dest] = value
+    return replace(cfg, **values)
+
+
 def run(cfg: RunConfig) -> Report:
-    """Execute one configuration and package the deterministic report."""
-    if cfg.command not in _RUNNERS:
+    """Execute one configuration and package the deterministic report.
+
+    The report's ``config`` echoes ``cfg`` as given; the runner sees it with
+    the command's defaults filled in.
+    """
+    if cfg.command not in _COMMANDS:
         raise ValueError(f"unknown command {cfg.command!r}")
-    if cfg.trials is not None:
-        _at_least("--trials", cfg.trials, 0)
+    runner, _, flags = _COMMANDS[cfg.command]
+    resolved = _resolved(cfg, flags)
     start = time.perf_counter()
-    results, header, rows = _RUNNERS[cfg.command](cfg)
+    results, header, rows = runner(resolved)
     elapsed_ms = int((time.perf_counter() - start) * 1000)
     return Report(
         schema_version=SCHEMA_VERSION,
@@ -351,39 +428,22 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Fixed-point diagnostics for Kraus-form completely positive maps",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    specs = {
-        "analyze": "gap report for a Kraus family JSON file",
-        "cuntz": "one truncated-isometry experiment",
-        "commuting": "randomized product-map spectrum and intertwiner trials",
-        "fuzz": "randomized inequality trials",
-        "schur": "spectrum and invertibility report for a symbol or measure",
-    }
-    for name, help_text in specs.items():
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--dim", type=int, default=None, help="matrix dimension / truncation size")
-        p.add_argument("--ops", type=int, default=None, help="generators per family")
-        p.add_argument("--trials", type=int, default=None, help="number of randomized trials")
-        p.add_argument("--seed", type=int, default=0, help="master seed for the Philox streams")
-        p.add_argument("--tol", type=float, default=None, help="tolerance/threshold override")
-        p.add_argument("--input", dest="input_path", default=None, help="input JSON file")
-        p.add_argument("--json", dest="json_path", default=None, help="write the JSON report here")
-        p.add_argument("--csv", dest="csv_path", default=None, help="write per-trial CSV rows here")
+    for name, (_, help_text, flags) in _COMMANDS.items():
+        # an absent flag stays out of the namespace, so RunConfig echoes its field default
+        p = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
+        for flag in flags:
+            dest, kind, text = _FLAG_KINDS[flag.name]
+            limits = flag.absent or f"default {flag.default}"
+            if flag.low is not None:
+                limits += f"; lowest {flag.low}"
+            p.add_argument(flag.name, dest=dest, type=kind, help=f"{text} ({limits})")
+        p.add_argument("--json", dest="json_path", help="write the JSON report here")
+        p.add_argument("--csv", dest="csv_path", help="write per-trial CSV rows here")
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    cfg = RunConfig(
-        command=args.command,
-        seed=args.seed,
-        dim=args.dim,
-        ops=args.ops,
-        trials=args.trials,
-        tol=args.tol,
-        input_path=args.input_path,
-        json_path=args.json_path,
-        csv_path=args.csv_path,
-    )
+    cfg = RunConfig(**vars(_build_parser().parse_args(argv)))
     try:
         report = run(cfg)
         payload = report.to_json_bytes()

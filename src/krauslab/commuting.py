@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import opcore
-from .channel import SubspaceBasis, subspace_distance
+from .channel import SubspaceBasis, fix_tol, subspace_distance
 
 __all__ = [
     "CommutingFamily",
@@ -325,7 +325,7 @@ def intertwiner_space(a, b, tol: float | None = None) -> SubspaceBasis:
     am, bm = _family_pair(a, b, "ab")
     na, nb = am[0].shape[0], bm[0].shape[0]
     if tol is None:
-        tol = 1e-8 * max(na, nb)
+        tol = fix_tol(max(na, nb))
     row_defect = opcore.op_norm(sum(x @ x.conj().T for x in am) - np.eye(na))
     col_defect = opcore.op_norm(sum(x.conj().T @ x for x in bm) - np.eye(nb))
     if row_defect > DEFECT_GATE:

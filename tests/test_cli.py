@@ -1,5 +1,6 @@
 """Command-line contract: schemas, determinism, exit codes."""
 
+import argparse
 import dataclasses
 import json
 import re
@@ -263,3 +264,90 @@ def test_console_script_runs(pinching_file):
 def test_run_rejects_unknown_command():
     with pytest.raises(ValueError):
         cli.run(cli.RunConfig(command="nonsense"))
+
+
+REMOVED_FLAGS = [
+    ("analyze", "--dim", "4"),
+    ("analyze", "--ops", "2"),
+    ("analyze", "--trials", "5"),
+    ("analyze", "--seed", "4"),
+    ("cuntz", "--ops", "99"),
+    ("cuntz", "--trials", "5"),
+    ("cuntz", "--seed", "4"),
+    ("cuntz", "--tol", "1e-3"),
+    ("cuntz", "--input", "nothing.json"),
+    ("commuting", "--input", "nothing.json"),
+    ("fuzz", "--tol", "1e-3"),
+    ("fuzz", "--input", "nothing.json"),
+    ("schur", "--ops", "2"),
+    ("schur", "--trials", "5"),
+    ("schur", "--seed", "4"),
+]
+
+KEPT_FLAGS = {
+    "analyze": {"--input", "--tol"},
+    "cuntz": {"--dim"},
+    "commuting": {"--dim", "--ops", "--trials", "--seed", "--tol"},
+    "fuzz": {"--dim", "--ops", "--trials", "--seed"},
+    "schur": {"--input", "--dim", "--tol"},
+}
+
+
+def subparsers() -> dict:
+    parser = cli._build_parser()
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+@pytest.mark.parametrize("command, flag, value", REMOVED_FLAGS)
+def test_removed_flag_is_rejected(command, flag, value, capsys):
+    base = [command, "--input", "in.json"] if command in ("analyze", "schur") else [command]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(base + [flag, value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"unrecognized arguments: {flag} {value}" in err
+
+
+def test_each_subcommand_takes_exactly_its_flags():
+    parsers = subparsers()
+    assert set(parsers) == set(KEPT_FLAGS)
+    for name, p in parsers.items():
+        options = {opt for a in p._actions for opt in a.option_strings}
+        assert options == KEPT_FLAGS[name] | {"--json", "--csv", "-h", "--help"}, name
+
+
+def test_help_states_default_and_lowest():
+    parsers = subparsers()
+    assert "(default 16; lowest 4)" in parsers["cuntz"].format_help()
+    fuzz_help = parsers["fuzz"].format_help()
+    for text in ("(default 8; lowest 2)", "(default 6; lowest 1)", "(default 200; lowest 0)"):
+        assert text in fuzz_help
+
+
+def test_config_echoes_every_field_for_a_one_flag_command(capsys):
+    assert cli.main(["cuntz", "--dim", "8"]) == 0
+    obj = json.loads(capsys.readouterr().out)
+    assert obj["config"] == {
+        "command": "cuntz",
+        "dim": 8,
+        "input_path": None,
+        "ops": None,
+        "seed": 0,
+        "tol": None,
+        "trials": None,
+    }
+
+
+@pytest.mark.parametrize("weight, failures", [(1.0, 1), (-1.0, 0), (1j, 0)])
+def test_schur_gates_the_toeplitz_matrix_of_a_positive_measure(
+    weight, failures, tmp_path, monkeypatch, capsys
+):
+    # only a positive measure (real weights >= 0) promises a PSD Toeplitz matrix
+    path = tmp_path / "measure.json"
+    mu = schur.CircleMeasure.point_mass(1j, weight)
+    path.write_text(json.dumps(schur.measure_to_json(mu)))
+    monkeypatch.setattr(schur, "multiplier_matrix", lambda s, n: np.diag([1.0, -1.0]))
+    assert cli.main(["schur", "--input", str(path), "--dim", "2"]) == failures
+    obj = json.loads(capsys.readouterr().out)
+    assert obj["results"]["failures"] == failures
