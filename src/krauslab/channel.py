@@ -67,14 +67,10 @@ class KrausFamily:
 
     def __init__(self, ops):
         mats = opcore.square_family(ops, "kraus")
-        d = mats[0].shape[0]
-        self.dim = d
+        self.dim = mats[0].shape[0]
         self.ops = mats
-        eye = np.eye(d)
-        gram_left = sum(a.conj().T @ a for a in mats)
-        gram_right = sum(a @ a.conj().T for a in mats)
-        self.unital_defect = opcore.op_norm(gram_left - eye)
-        self.counital_defect = opcore.op_norm(gram_right - eye)
+        self._adjoints = tuple(a.conj().T for a in mats)
+        self.unital_defect, self.counital_defect = opcore.completeness_defects(mats)
         self._spectral_core = None
 
     def __len__(self) -> int:
@@ -121,35 +117,18 @@ class KrausFamily:
         return fam
 
 
-def _check_input(family: KrausFamily, x, name: str = "x") -> np.ndarray:
-    m = opcore.as_matrix(x, name)
-    if m.shape != (family.dim, family.dim):
-        raise ValueError(
-            f"{name} has shape {m.shape}, expected {(family.dim, family.dim)}"
-        )
-    return m
-
-
 def apply(family: KrausFamily, x) -> np.ndarray:
-    """Evaluate psi(x) = sum_j a_j* x a_j."""
-    m = _check_input(family, x)
-    out = np.zeros_like(m)
-    for a in family.ops:
-        out += a.conj().T @ m @ a
-    return out
+    """Evaluate psi(x) = sum_j a_j* x a_j, the product map of ``(a_j*, a_j)``."""
+    return opcore.product_map(family._adjoints, family.ops, x)
 
 
 def apply_predual(family: KrausFamily, t) -> np.ndarray:
-    """Evaluate psi_*(t) = sum_j a_j t a_j*.
+    """Evaluate psi_*(t) = sum_j a_j t a_j*, the product map of ``(a_j, a_j*)``.
 
     Satisfies tr(apply(K, x) @ t) = tr(x @ apply_predual(K, t)); preserves the
     trace of t exactly when the family is unital.
     """
-    m = _check_input(family, t, "t")
-    out = np.zeros_like(m)
-    for a in family.ops:
-        out += a @ m @ a.conj().T
-    return out
+    return opcore.product_map(family.ops, family._adjoints, t, "t")
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,7 +147,7 @@ def superoperator(family: KrausFamily) -> Superoperator:
     fixed pseudorandom matrix before the result is returned.
     """
     d = family.dim
-    s = opcore.kron_sum([a.conj().T for a in family.ops], family.ops)
+    s = opcore.kron_sum(family._adjoints, family.ops)
     rng = np.random.default_rng(0x5EED)
     probe = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     lhs = s @ opcore.vectorize(probe)
@@ -412,9 +391,9 @@ def solve_perturbation(family: KrausFamily, y, tol: float | None = None) -> Pert
     if tol is None:
         tol = fix_tol(family.dim)
     d = family.dim
-    m = _check_input(family, y, "y")
+    m = opcore.as_matrix(y, "y")
+    b = opcore.vectorize(m - opcore.product_map(family._adjoints, family.ops, m, "y"))
     core = spectral_core(family)
-    b = opcore.vectorize(m - apply(family, m))
     z_vec = core.solve(b, tol)
     residual = float(np.linalg.norm(core.superop.matrix @ z_vec - z_vec - b))
     return PerturbationResult(z=opcore.devectorize(z_vec, d, d), residual=residual)

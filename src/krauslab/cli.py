@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 from dataclasses import asdict, dataclass, replace
@@ -122,7 +123,8 @@ def _run_analyze(cfg: RunConfig) -> tuple:
         "fix_dim": rep.fix_dim,
         "unital_defect": fam.unital_defect,
         "counital_defect": fam.counital_defect,
-        "failures": 0,
+        # a unital family fixes the identity, so its fixed space is never trivial
+        "failures": int(fam.is_unital and rep.fix_dim == 0),
     }
     return results, (), ()
 
@@ -385,7 +387,15 @@ _COMMANDS = {
 
 
 def _resolved(cfg: RunConfig, flags: tuple) -> RunConfig:
-    """``cfg`` with each absent flag at its default, every flag checked against its lowest value."""
+    """``cfg`` with each absent flag at its default, every flag checked against its lowest value.
+
+    A field set away from its ``RunConfig`` default must be one of the flags.
+    """
+    taken = {flag.name for flag in flags}
+    unset = RunConfig(cfg.command)
+    for name, (dest, _, _) in _FLAG_KINDS.items():
+        if name not in taken and getattr(cfg, dest) != getattr(unset, dest):
+            raise ValueError(f"{cfg.command} does not take {name}")
     values = {}
     for flag in flags:
         dest = _FLAG_KINDS[flag.name][0]
@@ -394,6 +404,8 @@ def _resolved(cfg: RunConfig, flags: tuple) -> RunConfig:
             value = flag.default
         if flag.low is not None and value is not None and value < flag.low:
             raise ValueError(f"{flag.name} must be >= {flag.low}, got {value}")
+        if flag.name == "--tol" and value is not None and not 0.0 < value < math.inf:
+            raise ValueError(f"--tol must be > 0, got {value}")
         values[dest] = value
     return replace(cfg, **values)
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import opcore
-from .channel import SubspaceBasis, fix_tol, subspace_distance
+from .channel import SubspaceBasis, fix_tol, subspace_distance, unital_tol
 
 __all__ = [
     "CommutingFamily",
@@ -54,8 +54,7 @@ class CommutingFamily:
 
     def __init__(self, mats):
         sq = opcore.square_family(mats, "mats")
-        d = sq[0].shape[0]
-        self.dim = d
+        self.dim = sq[0].shape[0]
         self.mats = sq
         scale = max(1.0, max(opcore.op_norm(c) for c in sq))
         self.defect_gate = DEFECT_GATE * scale * scale
@@ -69,13 +68,8 @@ class CommutingFamily:
                     comm, float(np.linalg.norm(sq[i] @ sq[j] - sq[j] @ sq[i]))
                 )
         self.commutation_defect = comm
-        eye = np.eye(d)
-        self.row_completeness_defect = opcore.op_norm(
-            sum(c @ c.conj().T for c in sq) - eye
-        )
-        self.column_completeness_defect = opcore.op_norm(
-            sum(c.conj().T @ c for c in sq) - eye
-        )
+        col, row = opcore.completeness_defects(sq)
+        self.column_completeness_defect, self.row_completeness_defect = col, row
 
     def __len__(self) -> int:
         return len(self.mats)
@@ -233,16 +227,7 @@ def joint_spectrum(family: CommutingFamily, dedupe_tol: float = 1e-8) -> JointSp
 
 def theta_apply(c, d, x) -> np.ndarray:
     """Evaluate theta(x) = sum_j c_j x d_j for equal-length families."""
-    cm, dm = _family_pair(c, d, "cd")
-    m = opcore.as_matrix(x, "x")
-    if m.shape != (cm[0].shape[0], dm[0].shape[0]):
-        raise ValueError(
-            f"x has shape {m.shape}, expected {(cm[0].shape[0], dm[0].shape[0])}"
-        )
-    out = np.zeros_like(m)
-    for cj, dj in zip(cm, dm):
-        out += cj @ m @ dj
-    return out
+    return opcore.product_map(*_family_pair(c, d, "cd"), x)
 
 
 def theta_superoperator(c, d) -> np.ndarray:
@@ -319,20 +304,20 @@ def intertwiner_space(a, b, tol: float | None = None) -> SubspaceBasis:
     """Numerical solution space of a_j x = x b_j* for all j.
 
     Completeness of the families (``sum a_j a_j* = 1`` row-wise for ``a``,
-    ``sum b_j* b_j = 1`` column-wise for ``b``) is checked to 1e-9 and only
-    warned about, since the solver itself does not need it.
+    ``sum b_j* b_j = 1`` column-wise for ``b``) is checked to ``unital_tol(n)``
+    and only warned about, since the solver itself does not need it.
     """
     am, bm = _family_pair(a, b, "ab")
     na, nb = am[0].shape[0], bm[0].shape[0]
     if tol is None:
         tol = fix_tol(max(na, nb))
-    row_defect = opcore.op_norm(sum(x @ x.conj().T for x in am) - np.eye(na))
-    col_defect = opcore.op_norm(sum(x.conj().T @ x for x in bm) - np.eye(nb))
-    if row_defect > DEFECT_GATE:
+    row_defect = opcore.completeness_defects(am)[1]
+    col_defect = opcore.completeness_defects(bm)[0]
+    if row_defect > unital_tol(na):
         warnings.warn(
             f"a is not row-complete (defect {row_defect:.3e})", stacklevel=2
         )
-    if col_defect > DEFECT_GATE:
+    if col_defect > unital_tol(nb):
         warnings.warn(
             f"b is not column-complete (defect {col_defect:.3e})", stacklevel=2
         )

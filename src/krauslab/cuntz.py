@@ -72,18 +72,12 @@ def build_isometries(n: int) -> CuntzTruncation:
             v1[2 * j, j] = 1.0
         if 2 * j + 1 < n:
             v2[2 * j + 1, j] = 1.0
-    eye = np.eye(n)
-    defects = (
-        opcore.op_norm(v1.conj().T @ v1 - eye),
-        opcore.op_norm(v2.conj().T @ v2 - eye),
-    )
-    completeness = opcore.op_norm(v1 @ v1.conj().T + v2 @ v2.conj().T - eye)
     return CuntzTruncation(
         n=n,
         v1=v1,
         v2=v2,
-        isometry_defects=defects,
-        completeness_defect=completeness,
+        isometry_defects=tuple(opcore.completeness_defects([v])[0] for v in (v1, v2)),
+        completeness_defect=opcore.completeness_defects([v1, v2])[1],
     )
 
 
@@ -182,12 +176,10 @@ class LudersFamily(KrausFamily):
         super().__init__(ops)
         self.n = n
         self.truncation = trunc
-        square_defect = opcore.op_norm(
-            sum(a @ a for a in self.ops) - np.eye(n)
-        )
-        if square_defect > 1e-12:
+        # the generators are Hermitian, so sum a_j* a_j is the sum of squares
+        if self.unital_defect > 1e-12:
             raise ValueError(
-                f"squares fail to resolve the identity: defect {square_defect:.3e}"
+                f"squares fail to resolve the identity: defect {self.unital_defect:.3e}"
             )
 
 

@@ -85,12 +85,11 @@ def defect_bounds(family: KrausFamily, x) -> tuple:
             f"(defects {family.unital_defect:.3e}, {family.counital_defect:.3e})"
         )
     m = opcore.as_matrix(x, "x")
-    if m.shape != (family.dim, family.dim):
-        raise ValueError(f"x has shape {m.shape}, expected square dim {family.dim}")
+    # apply checks the shape of x before the commutators use it
+    fix_defect = float(np.linalg.norm(m - apply(family, m)))
     comm_sq = sum(
         float(np.linalg.norm(a @ m - m @ a)) ** 2 for a in family.ops
     )
-    fix_defect = float(np.linalg.norm(m - apply(family, m)))
     x_norm = float(np.linalg.norm(m))
     dig = digest_inputs(*family.ops, m)
     first = InequalityReport(lhs=comm_sq, rhs=2.0 * fix_defect * x_norm, inputs_digest=dig)

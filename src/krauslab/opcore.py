@@ -3,9 +3,10 @@
 Operators are plain 2-D complex128 numpy arrays.  Vectorization is column
 stacking, so ``vec(A @ X @ B) = kron(B.T, A) @ vec(X)``.  This module is the
 one place that convention, the PSD tolerance and the validation of matrix
-families are written down: superoperators come from :func:`kron_sum`,
-solution spaces of ``l_j x = x r_j`` from :func:`sylvester_null_space`, PSD
-inputs pass :func:`require_psd` and families pass :func:`square_family`.
+families are written down: superoperators come from :func:`kron_sum` (their
+action from :func:`product_map`), solution spaces of ``l_j x = x r_j`` from
+:func:`sylvester_null_space`, PSD inputs pass :func:`require_psd` and families
+pass :func:`square_family` (their defects from :func:`completeness_defects`).
 """
 
 from __future__ import annotations
@@ -30,11 +31,13 @@ __all__ = [
     "require_psd",
     "psd_sqrt",
     "square_family",
+    "completeness_defects",
     "vectorize",
     "devectorize",
     "null_space_basis",
     "null_space_matrices",
     "kron_sum",
+    "product_map",
     "sylvester_null_space",
     "linear_map_matrix",
     "matrix_to_json",
@@ -208,6 +211,15 @@ def square_family(mats, name: str = "mats") -> tuple:
     return tuple(out)
 
 
+def completeness_defects(mats) -> tuple:
+    """Unital and counital defects ``||sum a_j* a_j - 1||_op``, ``||sum a_j a_j* - 1||_op``."""
+    eye = np.eye(mats[0].shape[0])
+    return (
+        op_norm(sum(a.conj().T @ a for a in mats) - eye),
+        op_norm(sum(a @ a.conj().T for a in mats) - eye),
+    )
+
+
 def vectorize(x) -> np.ndarray:
     """Column-stack a rows x cols matrix into a vector of length rows*cols."""
     return as_matrix(x).reshape(-1, order="F").copy()
@@ -276,6 +288,22 @@ def kron_sum(lefts, rights) -> np.ndarray:
         np.multiply(r.T[:, None, :, None], l[None, :, None, :], out=term)
         s += term
     return s.reshape(p * q, p * q)
+
+
+def product_map(lefts, rights, x, name: str = "x") -> np.ndarray:
+    """Evaluate ``sum_j l_j x r_j``, the action of :func:`kron_sum` without its matrix.
+
+    ``x`` must be p x q for p x p matrices ``l_j`` and q x q matrices
+    ``r_j``; the terms are added in order to a zero matrix.
+    """
+    lefts, rights, p, q = _paired(lefts, rights)
+    m = as_matrix(x, name)
+    if m.shape != (p, q):
+        raise ValueError(f"{name} has shape {m.shape}, expected {(p, q)}")
+    out = np.zeros_like(m)
+    for l, r in zip(lefts, rights):
+        out += l @ m @ r
+    return out
 
 
 def sylvester_null_space(lefts, rights, tol: float) -> tuple:

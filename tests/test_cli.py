@@ -351,3 +351,57 @@ def test_schur_gates_the_toeplitz_matrix_of_a_positive_measure(
     assert cli.main(["schur", "--input", str(path), "--dim", "2"]) == failures
     obj = json.loads(capsys.readouterr().out)
     assert obj["results"]["failures"] == failures
+
+
+
+@pytest.mark.parametrize("value, shown", [("-1", "-1.0"), ("0", "0.0"), ("nan", "nan"), ("inf", "inf")])
+@pytest.mark.parametrize("command", ["analyze", "commuting", "schur"])
+def test_tol_must_be_positive_and_finite(command, value, shown, pinching_file, symbol_file, capsys):
+    argv = {
+        "analyze": ["analyze", "--input", pinching_file],
+        "commuting": ["commuting", "--dim", "2", "--trials", "2"],
+        "schur": ["schur", "--input", symbol_file],
+    }[command]
+    assert cli.main(argv + ["--tol", value]) == 2
+    captured = capsys.readouterr()
+    assert f"error: --tol must be > 0, got {shown}" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"command": "cuntz", "dim": 4, "ops": 99, "tol": 1e-3}, "cuntz does not take --ops"),
+        ({"command": "cuntz", "seed": 4}, "cuntz does not take --seed"),
+        ({"command": "fuzz", "input_path": "in.json"}, "fuzz does not take --input"),
+        ({"command": "analyze", "input_path": "in.json", "dim": 3}, "analyze does not take --dim"),
+    ],
+)
+def test_run_rejects_a_field_its_command_does_not_read(fields, message):
+    with pytest.raises(ValueError, match=message):
+        cli.run(cli.RunConfig(**fields))
+
+
+def test_run_accepts_the_default_seed_everywhere():
+    rep = cli.run(cli.RunConfig(command="cuntz", dim=4, seed=0))
+    assert rep.config["seed"] == 0
+    assert rep.failures == 0
+
+
+def test_analyze_counts_a_trivial_fixed_space_of_a_unital_family(
+    pinching_file, tmp_path, monkeypatch, capsys
+):
+    # a unital family fixes the identity, so fix_dim 0 is a failed check
+    real = cli.gap_report
+
+    def trivial(fam, tol):
+        return dataclasses.replace(real(fam, tol), fix_dim=0)
+
+    monkeypatch.setattr(cli, "gap_report", trivial)
+    assert cli.main(["analyze", "--input", pinching_file]) == 1
+    assert json.loads(capsys.readouterr().out)["results"]["failures"] == 1
+    # a non-unital family promises no fixed point
+    shrunk = tmp_path / "shrunk.json"
+    shrunk.write_text(json.dumps(kl.KrausFamily([0.5 * np.eye(2)]).to_json()))
+    assert cli.main(["analyze", "--input", str(shrunk)]) == 0
+    assert json.loads(capsys.readouterr().out)["results"]["failures"] == 0

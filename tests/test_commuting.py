@@ -1,5 +1,7 @@
 """Commuting normal families, joint spectra, product maps, intertwiners."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -189,6 +191,19 @@ def test_intertwiner_space_warns_on_incomplete():
     half = [np.eye(2, dtype=complex) * 0.5]
     with pytest.warns(UserWarning):
         kl.intertwiner_space(half, [np.eye(2, dtype=complex)])
+
+
+@pytest.mark.parametrize("scale, warns", [(1 + 2e-9, False), (1 + 1e-6, True)])
+def test_intertwiner_space_warns_at_the_unital_tolerance(scale, warns):
+    # row defect of (s a) is s^2 - 1: about 4e-9 stays under unital_tol(12) = 1.2e-8
+    a, b = intertwining_pair(trial_rng(61, 0), 12, 3)
+    scaled = [scale * x for x in a.mats]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        kl.intertwiner_space(scaled, b)
+    messages = [str(w.message) for w in caught]
+    assert any("a is not row-complete" in m for m in messages) == warns
+    assert not any("b is not column-complete" in m for m in messages)
 
 
 def test_intertwiner_fixed_point_check_shared_pair():

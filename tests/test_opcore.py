@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from krauslab import opcore
+from krauslab import channel, cuntz, inequalities, opcore
 
 
 def test_norms_oracle_diagonal():
@@ -268,3 +268,61 @@ def test_sylvester_null_space_matches_the_explicit_stack():
         for x in got:
             for l, r in zip(ls, rs):
                 np.testing.assert_allclose(l @ x, x @ r, atol=1e-12)
+
+
+def _family(rng, p, m=3):
+    return [rng.standard_normal((p, p)) + 1j * rng.standard_normal((p, p)) for _ in range(m)]
+
+
+def test_product_map_is_the_explicit_loop():
+    rng = np.random.default_rng(47)
+    lefts, rights = _family(rng, 4), _family(rng, 4)
+    x = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    expected = np.zeros_like(x)
+    for l, r in zip(lefts, rights):
+        expected += l @ x @ r
+    assert np.array_equal(opcore.product_map(lefts, rights, x), expected)
+
+
+def test_product_map_is_the_action_of_kron_sum_on_rectangular_input():
+    rng = np.random.default_rng(53)
+    lefts, rights = _family(rng, 3), _family(rng, 5)
+    x = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
+    np.testing.assert_allclose(
+        opcore.vectorize(opcore.product_map(lefts, rights, x)),
+        opcore.kron_sum(lefts, rights) @ opcore.vectorize(x),
+        atol=1e-12,
+    )
+    with pytest.raises(ValueError, match=r"x has shape \(5, 3\), expected \(3, 5\)"):
+        opcore.product_map(lefts, rights, x.T)
+    with pytest.raises(ValueError):
+        opcore.product_map(lefts, rights[:2], x)
+
+
+def test_completeness_defects_are_the_gram_sums():
+    rng = np.random.default_rng(59)
+    mats = [0.5 * a for a in _family(rng, 5)]
+    eye = np.eye(5)
+    unital, counital = opcore.completeness_defects(mats)
+    assert unital == opcore.op_norm(sum(a.conj().T @ a for a in mats) - eye)
+    assert counital == opcore.op_norm(sum(a @ a.conj().T for a in mats) - eye)
+    assert unital > 0.1 and counital > 0.1
+
+
+def test_completeness_defects_of_the_truncated_cuntz_pair():
+    tr = cuntz.build_isometries(8)
+    unital, counital = opcore.completeness_defects([tr.v1, tr.v2])
+    assert counital == 0.0
+    assert unital == pytest.approx(1.0, abs=1e-15)
+
+
+def test_wrong_shaped_input_names_its_argument():
+    fam = channel.KrausFamily([np.eye(3) / np.sqrt(2), np.eye(3) / np.sqrt(2)])
+    with pytest.raises(ValueError, match=r"^t has shape \(2, 2\), expected \(3, 3\)$"):
+        channel.apply_predual(fam, np.eye(2))
+    with pytest.raises(ValueError, match=r"^y has shape \(3, 2\), expected \(3, 3\)$"):
+        channel.solve_perturbation(fam, np.ones((3, 2)))
+    with pytest.raises(ValueError, match=r"^x has shape \(2, 2\), expected \(3, 3\)$"):
+        channel.apply(fam, np.eye(2))
+    with pytest.raises(ValueError, match=r"^x has shape \(3, 2\), expected \(3, 3\)$"):
+        inequalities.defect_bounds(fam, np.ones((3, 2)))
