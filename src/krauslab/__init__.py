@@ -34,7 +34,6 @@ from .channel import (
     SpectralCore,
     SquareClosureReport,
     SubspaceBasis,
-    Superoperator,
     apply,
     apply_predual,
     commutant,
@@ -93,7 +92,6 @@ __all__ = [
     "schur",
     "cli",
     "KrausFamily",
-    "Superoperator",
     "SpectralCore",
     "SubspaceBasis",
     "GapReport",

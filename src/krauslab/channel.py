@@ -7,8 +7,9 @@ of ``psi``, extracts numerical fixed-point spaces and commutants, reports the
 spectral gap, and solves for perturbations that repair near-fixed elements.
 
 The fixed space, the gap and the perturbation solve all read one
-:class:`SpectralCore` per family: S is built once and ``S - I`` is factorized
-once, then cached on the family (whose operators are frozen copies).
+:class:`SpectralCore` per family: ``S - I`` is factorized once and only its
+factors are cached on the family (whose operators are frozen copies); S itself
+lives only while the factorization runs.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from . import opcore
 
 __all__ = [
     "KrausFamily",
-    "Superoperator",
     "SpectralCore",
     "SubspaceBasis",
     "GapReport",
@@ -131,31 +131,13 @@ def apply_predual(family: KrausFamily, t) -> np.ndarray:
     return opcore.product_map(family.ops, family._adjoints, t, "t")
 
 
-@dataclass(frozen=True, eq=False)
-class Superoperator:
-    """Matrix of psi acting on column-stacked d x d input."""
-
-    dim: int
-    matrix: np.ndarray
-
-
-def superoperator(family: KrausFamily) -> Superoperator:
+def superoperator(family: KrausFamily) -> np.ndarray:
     """Build S = sum_j kron(a_j.T, a_j*) so that S @ vec(x) = vec(psi(x)).
 
-    S is :func:`opcore.kron_sum` of the pairs ``(a_j*, a_j)``; the
-    convention is spot-checked against a direct evaluation on one
-    fixed pseudorandom matrix before the result is returned.
+    S is :func:`opcore.kron_sum` of the pairs ``(a_j*, a_j)``, a fresh array
+    on every call.
     """
-    d = family.dim
-    s = opcore.kron_sum(family._adjoints, family.ops)
-    rng = np.random.default_rng(0x5EED)
-    probe = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    lhs = s @ opcore.vectorize(probe)
-    rhs = opcore.vectorize(apply(family, probe))
-    scale = 1.0 + float(np.linalg.norm(rhs))
-    if float(np.linalg.norm(lhs - rhs)) > 1e-10 * scale:
-        raise ValueError("superoperator build violated the vectorization convention")
-    return Superoperator(dim=d, matrix=s)
+    return opcore.kron_sum(family._adjoints, family.ops)
 
 
 def _vec_times(v: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -167,16 +149,15 @@ def _vec_times(v: np.ndarray, m: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class SpectralCore:
-    """S together with one SVD-shaped factorization ``S - I = U diag(sv) V*``.
+    """One SVD-shaped factorization ``S - I = U diag(sv) V*`` of a family's S.
 
     ``sv`` is descending, as ``np.linalg.svd`` returns it, and ``right_h``
     holds the rows of V*.  When S is exactly real and symmetric, ``S - I`` is
     factorized by the real ``eigh``: ``sv`` holds the absolute eigenvalues,
     V the eigenvectors and U the eigenvectors times the eigenvalue signs, all
-    real.  Any other S gets one complex SVD.
+    real.  Any other S gets one complex SVD.  S itself is not kept.
     """
 
-    superop: Superoperator
     left: np.ndarray
     sv: np.ndarray
     right_h: np.ndarray
@@ -200,31 +181,34 @@ class SpectralCore:
         return _vec_times(coef.conj(), self.right_h).conj()
 
 
-def _factorize(superop: Superoperator) -> SpectralCore:
-    s = superop.matrix
-    n = s.shape[0]
-    if not s.imag.any():
-        m = s.real - np.eye(n)
-        if np.array_equal(m, m.T):
-            w, q = np.linalg.eigh(m)
-            del m
-            order = np.argsort(-np.abs(w), kind="stable")
-            q, w = q[:, order], w[order]
-            left = q * np.where(w < 0.0, -1.0, 1.0)
-            return SpectralCore(superop=superop, left=left, sv=np.abs(w), right_h=q.T)
-    u, sv, vh = np.linalg.svd(s - np.eye(n))
-    return SpectralCore(superop=superop, left=u, sv=sv, right_h=vh)
+def _factorize(family: KrausFamily) -> SpectralCore:
+    # S - I is formed in place on the fresh S, and the real-symmetric path
+    # keeps only a real copy of it: no copy of S outlives this function, and
+    # no complex one is live during ``eigh``.
+    m = superoperator(family)
+    n = m.shape[0]
+    m.flat[:: n + 1] -= 1.0
+    if not m.imag.any() and np.array_equal(m.real, m.real.T):
+        m = m.real.copy()
+        w, q = np.linalg.eigh(m)
+        del m
+        order = np.argsort(-np.abs(w), kind="stable")
+        q, w = q[:, order], w[order]
+        left = q * np.where(w < 0.0, -1.0, 1.0)
+        return SpectralCore(left=left, sv=np.abs(w), right_h=q.T)
+    u, sv, vh = np.linalg.svd(m)
+    return SpectralCore(left=u, sv=sv, right_h=vh)
 
 
 def spectral_core(family: KrausFamily) -> SpectralCore:
-    """The family's S and factorization of ``S - I``, computed on first use.
+    """The factorization of the family's ``S - I``, computed on first use.
 
     The result is cached on the family, so every later query on it reads
-    the same factorization; the path (real ``eigh`` or complex SVD) is
-    chosen from S alone.
+    the same factors; the path (real ``eigh`` or complex SVD) is chosen
+    from S alone.
     """
     if family._spectral_core is None:
-        family._spectral_core = _factorize(superoperator(family))
+        family._spectral_core = _factorize(family)
     return family._spectral_core
 
 
@@ -392,11 +376,10 @@ def solve_perturbation(family: KrausFamily, y, tol: float | None = None) -> Pert
         tol = fix_tol(family.dim)
     d = family.dim
     m = opcore.as_matrix(y, "y")
-    b = opcore.vectorize(m - opcore.product_map(family._adjoints, family.ops, m, "y"))
-    core = spectral_core(family)
-    z_vec = core.solve(b, tol)
-    residual = float(np.linalg.norm(core.superop.matrix @ z_vec - z_vec - b))
-    return PerturbationResult(z=opcore.devectorize(z_vec, d, d), residual=residual)
+    defect = m - opcore.product_map(family._adjoints, family.ops, m, "y")
+    z = opcore.devectorize(spectral_core(family).solve(opcore.vectorize(defect), tol), d, d)
+    residual = float(np.linalg.norm(apply(family, z) - z - defect))
+    return PerturbationResult(z=z, residual=residual)
 
 
 @dataclass(frozen=True, eq=False)

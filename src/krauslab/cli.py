@@ -12,7 +12,7 @@ randomness comes from Philox streams keyed by ``(seed, trial_index)``, so
 trial i of a run is reproducible on its own.
 
 Exit codes: 0 all checks passed, 1 at least one counterexample or failed
-check, 2 input error.
+check, 2 input error (an input too large for memory included).
 """
 
 from __future__ import annotations
@@ -470,7 +470,7 @@ def main(argv=None) -> int:
                 if report.csv_header:
                     writer.writerow(report.csv_header)
                     writer.writerows(report.csv_rows)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 1 if report.failures else 0

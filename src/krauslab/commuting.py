@@ -45,19 +45,20 @@ class CommutingFamily:
 
     ``accepted`` requires the normality defect ``max_j ||c_j c_j* - c_j* c_j||_2``
     and the commutation defect ``max_{j,k} ||c_j c_k - c_k c_j||_2`` to both be
-    at most ``defect_gate = 1e-9 * max(1, max_j ||c_j||_op)^2``.  Both defects
-    are quadratic in the generators, so the gate scales with them, and it is
-    exactly 1e-9 for families of operator norm at most 1.  Row and column
-    completeness defects (distance of ``sum c_j c_j*`` resp. ``sum c_j* c_j``
-    from the identity in operator norm) are recorded but not gated.
+    at most ``defect_gate = 1e-9 * scale^2``, where ``scale = max_j ||c_j||_op``.
+    Both defects are quadratic in the generators, so the gate scales with
+    them at every size: multiplying the family by t > 0 leaves ``accepted``
+    unchanged.  Row and column completeness defects (distance of
+    ``sum c_j c_j*`` resp. ``sum c_j* c_j`` from the identity in operator
+    norm) are recorded but not gated.
     """
 
     def __init__(self, mats):
         sq = opcore.square_family(mats, "mats")
         self.dim = sq[0].shape[0]
         self.mats = sq
-        scale = max(1.0, max(opcore.op_norm(c) for c in sq))
-        self.defect_gate = DEFECT_GATE * scale * scale
+        self.scale = max(opcore.op_norm(c) for c in sq)
+        self.defect_gate = DEFECT_GATE * self.scale * self.scale
         self.normality_defect = max(
             float(np.linalg.norm(c @ c.conj().T - c.conj().T @ c)) for c in sq
         )
@@ -132,7 +133,9 @@ def simultaneous_diagonalize(
     with the Hermitian and anti-Hermitian part of every generator in turn, so
     the refinement terminates with all generators scalar on each block.  The
     off-diagonal residual of every rotated generator is gated at
-    ``residual_tol``.
+    ``residual_tol * family.scale``, and a probe's eigenvalues split into
+    blocks at gaps above ``1e-6 * (family.scale + ||probe||_op)``, so both
+    tests are relative to the size of the family.
     """
     if not isinstance(family, CommutingFamily):
         family = CommutingFamily(family)
@@ -155,7 +158,7 @@ def simultaneous_diagonalize(
     basis = np.eye(d, dtype=np.complex128)
     blocks = [np.arange(d)]
     for probe in probes:
-        gap = 1e-6 * (1.0 + float(np.linalg.norm(probe, 2)))
+        gap = 1e-6 * (family.scale + float(np.linalg.norm(probe, 2)))
         refined = []
         for blk in blocks:
             if blk.size == 1:
@@ -175,13 +178,13 @@ def simultaneous_diagonalize(
         blocks = refined
 
     diags = []
+    limit = residual_tol * family.scale
     for c in mats:
         rotated = basis.conj().T @ c @ basis
-        off = rotated - np.diag(np.diagonal(rotated))
-        if float(np.linalg.norm(off)) > residual_tol:
+        off = float(np.linalg.norm(rotated - np.diag(np.diagonal(rotated))))
+        if off > limit:
             raise ValueError(
-                f"diagonalization residual {float(np.linalg.norm(off)):.3e} "
-                f"above tolerance {residual_tol:.3e}"
+                f"diagonalization residual {off:.3e} above tolerance {limit:.3e}"
             )
         diags.append(np.diagonal(rotated).copy())
     return DiagonalizationResult(unitary=basis, diags=tuple(diags))

@@ -100,7 +100,7 @@ def test_03_fixed_space_oracles():
     fs = kl.fixed_space(pinch)
     ok = ok and len(fs) == 2
     # brute force: null space of S - I, devectorized
-    s = kl.superoperator(pinch).matrix
+    s = kl.superoperator(pinch)
     cols = opcore.null_space_basis(s - np.eye(4), kl.fix_tol(2))
     brute = SubspaceBasis(
         rows=2,

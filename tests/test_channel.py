@@ -89,20 +89,20 @@ def test_apply_predual_duality_and_trace():
 
 
 def test_superoperator_pinching_oracle():
-    s = kl.superoperator(pinching()).matrix
+    s = kl.superoperator(pinching())
     np.testing.assert_array_equal(s, np.diag([1.0, 0.0, 0.0, 1.0]))
 
 
 def test_superoperator_unitary_oracle():
     u = np.diag([1.0, 1j])
-    s = kl.superoperator(kl.KrausFamily([u])).matrix
+    s = kl.superoperator(kl.KrausFamily([u]))
     np.testing.assert_allclose(s, np.diag([1.0, -1j, 1j, 1.0]), atol=1e-15)
 
 
 def test_superoperator_matches_apply():
     rng = trial_rng(21, 1)
     fam = mixed_unitary_family(rng, 3, 2)
-    s = kl.superoperator(fam).matrix
+    s = kl.superoperator(fam)
     # independent oracle: assemble the matrix column by column
     direct = opcore.linear_map_matrix(lambda m: kl.apply(fam, m), 3, 3)
     np.testing.assert_allclose(s, direct, atol=1e-12)
@@ -116,7 +116,26 @@ def test_superoperator_matches_apply():
 def test_superoperator_is_the_kron_sum(make):
     fam = make()
     expected = sum(np.kron(a.T, a.conj().T) for a in fam.ops)
-    assert np.array_equal(kl.superoperator(fam).matrix, expected)
+    assert np.array_equal(kl.superoperator(fam), expected)
+
+
+@pytest.mark.parametrize(
+    "make, real",
+    [
+        (lambda: cuntz.luders_family(8), True),
+        (lambda: mixed_unitary_family(trial_rng(21, 6), 5, 3), False),
+    ],
+    ids=["luders8-eigh", "mixed_unitary5-svd"],
+)
+def test_factorization_leaves_returned_superoperators_alone(make, real):
+    # S - I is formed in place on S; that buffer must be the core's own
+    fam = make()
+    before = kl.superoperator(fam)
+    kept = before.copy()
+    core = kl.spectral_core(fam)
+    assert np.isrealobj(core.left) == real
+    assert np.array_equal(before, kept)
+    assert np.array_equal(before, kl.superoperator(fam))
 
 
 @pytest.mark.parametrize(
@@ -134,7 +153,7 @@ def test_spectral_core_factorizes_s_minus_identity(make, real):
     core = kl.spectral_core(fam)
     assert kl.spectral_core(fam) is core
     assert np.isrealobj(core.left) == real
-    a = core.superop.matrix - np.eye(fam.dim**2)
+    a = kl.superoperator(fam) - np.eye(fam.dim**2)
     np.testing.assert_allclose((core.left * core.sv) @ core.right_h, a, atol=1e-12)
     np.testing.assert_allclose(core.sv, np.linalg.svd(a, compute_uv=False), atol=1e-12)
 
@@ -145,7 +164,7 @@ def test_real_symmetric_core_matches_explicit_svd():
     assert np.isrealobj(core.left) and np.isrealobj(core.right_h)
     d = fam.dim
     tol = kl.fix_tol(d)
-    s = kl.superoperator(fam).matrix
+    s = kl.superoperator(fam)
     u, sv, vh = np.linalg.svd(s - np.eye(d * d))
     np.testing.assert_allclose(core.sv, sv, rtol=0.0, atol=1e-10)
     fix_dim = int(np.sum(sv <= tol))

@@ -174,6 +174,18 @@ def test_exit_code_on_input_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_out_of_memory_exits_2(monkeypatch, capsys):
+    # stands in for numpy failing to allocate S; nothing large is allocated
+    def refuse(n):
+        raise MemoryError(f"Unable to allocate 4.00 GiB for S at n = {n}")
+
+    monkeypatch.setattr(cuntz, "experiment", refuse)
+    assert cli.main(["cuntz", "--dim", "128"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: Unable to allocate 4.00 GiB for S at n = 128\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("command, key", [("fuzz", "min_slack"), ("commuting", "worst_min_real")])
 def test_empty_sweep_report_is_valid_json(command, key, capsys):
     def reject(name):

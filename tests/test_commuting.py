@@ -52,7 +52,8 @@ def test_family_copies_instead_of_freezing_the_callers_arrays():
 
 def test_defect_gate_scales_with_the_generators():
     base = commuting_normal_family(trial_rng(5, 4), 6, 3)
-    assert base.defect_gate == commuting.DEFECT_GATE
+    s = max(np.linalg.norm(c, 2) for c in base.mats)
+    assert base.defect_gate == pytest.approx(commuting.DEFECT_GATE * s * s, rel=1e-12)
     big = kl.CommutingFamily([1e5 * c for c in base.mats])
     # rounding alone puts the scaled defects far above the absolute 1e-9
     assert big.normality_defect > 1e3 * commuting.DEFECT_GATE
@@ -65,6 +66,31 @@ def test_defect_gate_scales_with_the_generators():
     assert not pair.accepted
     with pytest.raises(ValueError, match="gate"):
         pair.require_accepted()
+
+
+def test_small_noncommuting_family_is_rejected():
+    # [diag(1, 2), e12] = -e12: at norm 2e-5 the commutator is 1e-10, far
+    # above a gate that scales with the square of the generators
+    fam = kl.CommutingFamily(
+        [1e-5 * np.diag([1.0, 2.0]), 1e-5 * np.array([[0.0, 1.0], [0.0, 0.0]])]
+    )
+    assert fam.defect_gate == pytest.approx(commuting.DEFECT_GATE * 4e-10, rel=1e-12)
+    assert not fam.accepted
+    with pytest.raises(ValueError, match="gate"):
+        kl.simultaneous_diagonalize(fam)
+
+
+@pytest.mark.parametrize("scale", [1e-5, 1e5])
+def test_scaling_a_family_scales_its_joint_spectrum(scale):
+    for trial in range(80):
+        dim, ops = (6, 12)[trial % 2], 1 + trial % 3
+        base = commuting_normal_family(trial_rng(83, trial), dim, ops)
+        fam = kl.CommutingFamily([scale * c for c in base.mats])
+        assert fam.accepted == base.accepted
+        points = np.array(kl.joint_spectrum(base).points)
+        scaled = np.array(kl.joint_spectrum(fam).points)
+        assert scaled.shape == points.shape
+        np.testing.assert_allclose(scaled, scale * points, rtol=0.0, atol=1e-8 * scale)
 
 
 def test_simultaneous_diagonalize_random():
@@ -135,7 +161,7 @@ def test_channel_objects_are_the_product_map_objects():
     # intertwiner space of (a, a*), bit for bit
     fam = mixed_unitary_family(trial_rng(57, 1), 3, 2)
     adj = [a.conj().T for a in fam.ops]
-    assert np.array_equal(kl.superoperator(fam).matrix, kl.theta_superoperator(adj, fam.ops))
+    assert np.array_equal(kl.superoperator(fam), kl.theta_superoperator(adj, fam.ops))
     com = kl.commutant(fam.ops)
     inter = kl.intertwiner_space(fam.ops, adj)
     assert len(com) == len(inter) == 1

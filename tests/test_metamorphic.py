@@ -55,7 +55,7 @@ def test_kraus_unitary_freedom(kind):
             [sum(u[i, j] * a for j, a in enumerate(fam.ops)) for i in range(len(fam))]
         )
         np.testing.assert_allclose(
-            kl.superoperator(mixed).matrix, kl.superoperator(fam).matrix, atol=1e-12
+            kl.superoperator(mixed), kl.superoperator(fam), atol=1e-12
         )
         fs, fs_mixed = kl.fixed_space(fam), kl.fixed_space(mixed)
         assert len(fs) == len(fs_mixed) == fix_dim
