@@ -45,7 +45,7 @@ __all__ = [
 
 
 def fix_tol(dim: int) -> float:
-    """Default singular-value cutoff for numerical fixed spaces."""
+    """Singular-value cutoff of numerical fixed spaces, commutants and repairs."""
     return 1e-8 * dim
 
 
@@ -110,9 +110,10 @@ class KrausFamily:
             raise ValueError("Kraus object needs a non-empty 'kraus' list")
         mats = [opcore.matrix_from_json(m) for m in obj["kraus"]]
         fam = cls(mats)
-        if "dim" in obj and int(obj["dim"]) != fam.dim:
+        dim = opcore._json_number(obj.get("dim", fam.dim), "dim", integer=True)
+        if dim != fam.dim:
             raise ValueError(
-                f"declared dim {obj['dim']} does not match matrices of dim {fam.dim}"
+                f"declared dim {dim} does not match matrices of dim {fam.dim}"
             )
         return fam
 
@@ -219,7 +220,6 @@ class SubspaceBasis:
     rows: int
     cols: int
     basis: tuple
-    kind: str
 
     def __len__(self) -> int:
         return len(self.basis)
@@ -296,39 +296,34 @@ def _hermitian_basis(vecs: np.ndarray, d: int) -> list:
     return basis
 
 
-def fixed_space(family: KrausFamily, tol: float | None = None) -> SubspaceBasis:
+def fixed_space(family: KrausFamily) -> SubspaceBasis:
     """Numerical fixed-point space of psi, with a Hermitian basis.
 
-    Singular vectors of ``S - I`` at singular value <= tol (default
-    ``1e-8 * dim``) span the space; the basis is rotated to Hermitian matrices,
-    which is possible because the space is closed under adjoints.  For a
-    unital family the normalized identity always lies in the span.
+    Singular vectors of ``S - I`` at singular value <= ``fix_tol(dim)`` span
+    the space; the basis is rotated to Hermitian matrices, which is possible
+    because the space is closed under adjoints.  For a unital family the
+    normalized identity always lies in the span.
     """
-    if tol is None:
-        tol = fix_tol(family.dim)
     if not family.is_unital:
         warnings.warn(
             "fixed_space of a non-unital family may be trivial", stacklevel=2
         )
     d = family.dim
-    kernel = spectral_core(family).kernel(tol)
-    basis = _hermitian_basis(kernel, d)
-    return SubspaceBasis(rows=d, cols=d, basis=tuple(basis), kind="fixed-space")
+    kernel = spectral_core(family).kernel(fix_tol(d))
+    return SubspaceBasis(rows=d, cols=d, basis=tuple(_hermitian_basis(kernel, d)))
 
 
-def commutant(mats, tol: float | None = None) -> SubspaceBasis:
+def commutant(mats) -> SubspaceBasis:
     """Joint commutant {x : a_j x = x a_j for all j} as a numerical null space.
 
     It is :func:`opcore.sylvester_null_space` of the pairs ``(a_j, a_j)``,
-    with right singular vectors below ``tol`` kept.  Always contains the
-    normalized identity.
+    with right singular vectors at most ``fix_tol(d)`` kept.  Always contains
+    the normalized identity.
     """
     sq = opcore.square_family(mats, "mats")
     d = sq[0].shape[0]
-    if tol is None:
-        tol = fix_tol(d)
-    basis = opcore.sylvester_null_space(sq, sq, tol)
-    return SubspaceBasis(rows=d, cols=d, basis=basis, kind="commutant")
+    basis = opcore.sylvester_null_space(sq, sq, fix_tol(d))
+    return SubspaceBasis(rows=d, cols=d, basis=basis)
 
 
 @dataclass(frozen=True)
@@ -362,22 +357,21 @@ class PerturbationResult:
     residual: float
 
 
-def solve_perturbation(family: KrausFamily, y, tol: float | None = None) -> PerturbationResult:
+def solve_perturbation(family: KrausFamily, y) -> PerturbationResult:
     """Solve (psi - 1)(z) = y - psi(y) in the least-squares sense.
 
     When the residual vanishes, x = y + z is exactly fixed; in general
     ``||psi(x) - x||_2`` equals the reported residual up to rounding.  The
-    pseudo-inverse of ``S - I`` read from the family's spectral core uses an
-    absolute singular-value cutoff equal to the fixed-space tolerance, so
+    pseudo-inverse of ``S - I`` read from the family's spectral core drops
+    singular values at most ``fix_tol(dim)``, the fixed-space cutoff, so
     components of the defect lying along the fixed directions are dropped
     rather than amplified.
     """
-    if tol is None:
-        tol = fix_tol(family.dim)
     d = family.dim
     m = opcore.as_matrix(y, "y")
     defect = m - opcore.product_map(family._adjoints, family.ops, m, "y")
-    z = opcore.devectorize(spectral_core(family).solve(opcore.vectorize(defect), tol), d, d)
+    z = spectral_core(family).solve(opcore.vectorize(defect), fix_tol(d))
+    z = opcore.devectorize(z, d, d)
     residual = float(np.linalg.norm(apply(family, z) - z - defect))
     return PerturbationResult(z=z, residual=residual)
 
@@ -393,23 +387,26 @@ class SquareClosureReport:
     subspace_distance: float | None
 
 
-def fix_closed_under_square(family: KrausFamily, tol: float = 1e-8) -> SquareClosureReport:
+SQUARE_TOL = 1e-8
+
+
+def fix_closed_under_square(family: KrausFamily) -> SquareClosureReport:
     """Test closure of the fixed space under squaring its elements.
 
     Squaring a real combination of the Hermitian basis expands into the
     Jordan products ``(h_i h_j + h_j h_i) / 2``, so closure is equivalent to
     every such product staying fixed; the first violating product is returned
-    as a witness when ``||psi(m) - m||_2 > tol``.  When no violation is found,
-    the fixed space must coincide with the commutant of the family, and that
-    equality is asserted (dimension match plus mutual projection residual
-    <= tol).
+    as a witness when ``||psi(m) - m||_2 > SQUARE_TOL = 1e-8``.  When no
+    violation is found, the fixed space must coincide with the commutant of
+    the family, and that equality is asserted (dimension match plus mutual
+    projection residual <= 1e-8).
     """
     fs = fixed_space(family)
     for i, hi in enumerate(fs.basis):
         for hj in fs.basis[i:]:
             m = (hi @ hj + hj @ hi) / 2.0
             defect = float(np.linalg.norm(apply(family, m) - m))
-            if defect > tol:
+            if defect > SQUARE_TOL:
                 return SquareClosureReport(
                     closed=False,
                     witness=m,
@@ -419,7 +416,7 @@ def fix_closed_under_square(family: KrausFamily, tol: float = 1e-8) -> SquareClo
                 )
     com = commutant(list(family.ops))
     dist = subspace_distance(fs, com)
-    if len(fs) != len(com) or dist > tol:
+    if len(fs) != len(com) or dist > SQUARE_TOL:
         raise ValueError(
             "fixed space is closed under squares yet differs from the commutant "
             f"(dims {len(fs)} vs {len(com)}, distance {dist:.3e})"

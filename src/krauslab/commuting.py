@@ -123,9 +123,7 @@ class DiagonalizationResult:
     diags: tuple
 
 
-def simultaneous_diagonalize(
-    family: CommutingFamily, residual_tol: float = 1e-8
-) -> DiagonalizationResult:
+def simultaneous_diagonalize(family: CommutingFamily) -> DiagonalizationResult:
     """Common unitary eigenbasis of an accepted commuting normal family.
 
     A fixed pseudorandom Hermitian combination of the generators splits the
@@ -133,9 +131,9 @@ def simultaneous_diagonalize(
     with the Hermitian and anti-Hermitian part of every generator in turn, so
     the refinement terminates with all generators scalar on each block.  The
     off-diagonal residual of every rotated generator is gated at
-    ``residual_tol * family.scale``, and a probe's eigenvalues split into
-    blocks at gaps above ``1e-6 * (family.scale + ||probe||_op)``, so both
-    tests are relative to the size of the family.
+    ``1e-8 * family.scale``, and a probe's eigenvalues split into blocks at
+    gaps above ``1e-6 * (family.scale + ||probe||_op)``, so both tests are
+    relative to the size of the family.
     """
     if not isinstance(family, CommutingFamily):
         family = CommutingFamily(family)
@@ -178,7 +176,7 @@ def simultaneous_diagonalize(
         blocks = refined
 
     diags = []
-    limit = residual_tol * family.scale
+    limit = 1e-8 * family.scale
     for c in mats:
         rotated = basis.conj().T @ c @ basis
         off = float(np.linalg.norm(rotated - np.diag(np.diagonal(rotated))))
@@ -197,33 +195,40 @@ class JointSpectrum:
     points: tuple
 
 
-def joint_spectrum(family: CommutingFamily, dedupe_tol: float = 1e-8) -> JointSpectrum:
+def _lex_order(rows: np.ndarray) -> np.ndarray:
+    """Indices sorting complex rows by (real, imaginary) part, entry by entry."""
+    # lexsort takes its last key as primary, so entry 0's keys go last.
+    return np.lexsort([part for z in rows.T[::-1] for part in (z.imag, z.real)])
+
+
+def _merge(rows: np.ndarray, radius: float) -> np.ndarray:
+    """Rows in lexicographic order, each kept when farther than ``radius``
+    from every row kept before it."""
+    ordered = rows[_lex_order(rows)]
+    keep = np.zeros(len(ordered), dtype=bool)
+    for i, row in enumerate(ordered):
+        keep[i] = not (np.linalg.norm(ordered[keep] - row, axis=1) <= radius).any()
+    return ordered[keep]
+
+
+def joint_spectrum(family: CommutingFamily) -> JointSpectrum:
     """Joint spectrum as tuples (one entry per generator) at each eigenvector.
 
-    Tuples closer than ``dedupe_tol`` in Euclidean distance are merged; the
-    result is sorted lexicographically by (real, imaginary) parts for
-    reproducibility.  Every tuple's norm is bounded by the family norm
-    ``||sum c_j* c_j||^(1/2)``.
+    With ``s = family.scale``, tuples within ``1e-8 * s`` in Euclidean
+    distance are merged; the result is sorted lexicographically by (real,
+    imaginary) parts for reproducibility.  Every tuple's norm is bounded by
+    the family norm ``||sum c_j* c_j||^(1/2)``, checked with a slack of
+    ``1e-9 * s``.
     """
     if not isinstance(family, CommutingFamily):
         family = CommutingFamily(family)
     res = simultaneous_diagonalize(family)
-    rows = np.stack(res.diags, axis=1)
-    # lexsort takes its last key as primary, so push component 0 keys last.
-    keys = []
-    for comp in range(rows.shape[1] - 1, -1, -1):
-        keys.append(rows[:, comp].imag)
-        keys.append(rows[:, comp].real)
-    ordered = rows[np.lexsort(tuple(keys))]
-    reps = []
-    for row in ordered:
-        if all(np.linalg.norm(row - r) > dedupe_tol for r in reps):
-            reps.append(row)
+    reps = _merge(np.stack(res.diags, axis=1), 1e-8 * family.scale)
     bound = float(
         np.sqrt(opcore.op_norm(sum(c.conj().T @ c for c in family.mats)))
     )
     for r in reps:
-        if np.linalg.norm(r) > bound + 1e-9:
+        if np.linalg.norm(r) > bound + 1e-9 * family.scale:
             raise ValueError("joint-spectrum tuple exceeds the family norm bound")
     return JointSpectrum(points=tuple(tuple(complex(z) for z in r) for r in reps))
 
@@ -241,19 +246,16 @@ def theta_superoperator(c, d) -> np.ndarray:
 
 def _sorted_complex(vals: np.ndarray) -> np.ndarray:
     arr = np.asarray(vals, dtype=np.complex128).ravel()
-    return arr[np.lexsort((arr.imag, arr.real))]
+    return arr[_lex_order(arr[:, None])]
 
 
-def _dedupe_complex(vals: np.ndarray, tol: float) -> np.ndarray:
-    reps: list = []
-    for v in _sorted_complex(vals):
-        if all(abs(v - r) > tol for r in reps):
-            reps.append(complex(v))
-    return np.array(reps, dtype=np.complex128)
+def product_spectrum(sc: JointSpectrum, sd: JointSpectrum) -> np.ndarray:
+    """All pointwise products sum_j lambda_j mu_j of two joint spectra.
 
-
-def product_spectrum(sc: JointSpectrum, sd: JointSpectrum, dedupe_tol: float = 1e-8) -> np.ndarray:
-    """All pointwise products sum_j lambda_j mu_j of two joint spectra."""
+    Every product is at most ``max ||lambda|| * max ||mu||`` in modulus (the
+    maxima over the points of each spectrum), and products within ``1e-8``
+    times that scale are merged.
+    """
     if not sc.points or not sd.points:
         raise ValueError("joint spectra must be non-empty")
     if len(sc.points[0]) != len(sd.points[0]):
@@ -263,7 +265,8 @@ def product_spectrum(sc: JointSpectrum, sd: JointSpectrum, dedupe_tol: float = 1
         for lam in sc.points
         for mu in sd.points
     ]
-    return _dedupe_complex(np.array(vals, dtype=np.complex128), dedupe_tol)
+    scale = np.linalg.norm(sc.points, axis=1).max() * np.linalg.norm(sd.points, axis=1).max()
+    return _merge(np.array(vals, dtype=np.complex128)[:, None], 1e-8 * scale)[:, 0]
 
 
 def hausdorff_distance(a, b) -> float:
@@ -325,7 +328,7 @@ def intertwiner_space(a, b, tol: float | None = None) -> SubspaceBasis:
             f"b is not column-complete (defect {col_defect:.3e})", stacklevel=2
         )
     basis = opcore.sylvester_null_space(am, [bj.conj().T for bj in bm], tol)
-    return SubspaceBasis(rows=na, cols=nb, basis=basis, kind="intertwiner")
+    return SubspaceBasis(rows=na, cols=nb, basis=basis)
 
 
 @dataclass(frozen=True)
@@ -352,7 +355,6 @@ def intertwiner_fixed_point_check(a, b, tol: float = 1e-7) -> IntertwinerFixedRe
         rows=na,
         cols=nb,
         basis=opcore.null_space_matrices(s - np.eye(na * nb), na, nb, tol),
-        kind="fixed-space",
     )
     inter = intertwiner_space(am, bm, tol)
     dist = subspace_distance(fixed, inter) if (len(fixed) or len(inter)) else 0.0

@@ -343,6 +343,24 @@ def matrix_to_json(x) -> dict:
     return {"rows": int(m.shape[0]), "cols": int(m.shape[1]), "data": data}
 
 
+def _json_number(value, field: str, integer: bool = False):
+    """A decoded JSON number as a float (as an int when ``integer``).
+
+    Anything else raises a ``ValueError`` naming ``field``: booleans and
+    numeric strings are not numbers, and neither is an integer literal too
+    large for a float.
+    """
+    kind = "an integer" if integer else "a number"
+    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+        raise ValueError(f"{field} must be {kind}, got {value!r}")
+    if integer:
+        return value
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{field} must be {kind}, got an out-of-range {value!r}") from None
+
+
 def matrix_from_json(obj) -> np.ndarray:
     """Decode the row-major ``{"rows", "cols", "data"}`` matrix object."""
     if not isinstance(obj, dict):
@@ -350,8 +368,9 @@ def matrix_from_json(obj) -> np.ndarray:
     missing = {"rows", "cols", "data"} - set(obj)
     if missing:
         raise ValueError(f"matrix object missing keys {sorted(missing)}")
-    rows, cols = obj["rows"], obj["cols"]
-    if not (isinstance(rows, int) and isinstance(cols, int) and rows > 0 and cols > 0):
+    rows = _json_number(obj["rows"], "rows", integer=True)
+    cols = _json_number(obj["cols"], "cols", integer=True)
+    if rows < 1 or cols < 1:
         raise ValueError("rows and cols must be positive integers")
     data = obj["data"]
     if not isinstance(data, list) or len(data) != rows * cols:
@@ -360,7 +379,8 @@ def matrix_from_json(obj) -> np.ndarray:
     for k, pair in enumerate(data):
         if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
             raise ValueError(f"data[{k}] is not an [re, im] pair")
-        re, im = float(pair[0]), float(pair[1])
+        re = _json_number(pair[0], f"data[{k}][0]")
+        im = _json_number(pair[1], f"data[{k}][1]")
         if not (np.isfinite(re) and np.isfinite(im)):
             raise ValueError(f"data[{k}] is not finite")
         flat[k] = complex(re, im)

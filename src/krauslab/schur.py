@@ -202,17 +202,30 @@ def symbol_to_json(s: ToeplitzSymbol) -> dict:
     }
 
 
+def _json_rows(obj, key: str, width: int, shape: str) -> list:
+    """``obj[key]``, a list of rows of ``width`` JSON numbers, as float rows."""
+    rows = obj[key]
+    if not isinstance(rows, list):
+        raise ValueError(f"{key} must be a list of {shape} rows")
+    out = []
+    for i, row in enumerate(rows):
+        if not (isinstance(row, (list, tuple)) and len(row) == width):
+            raise ValueError(f"each {key} row must be {shape}")
+        out.append([opcore._json_number(v, f"{key}[{i}][{j}]") for j, v in enumerate(row)])
+    return out
+
+
 def symbol_from_json(obj) -> ToeplitzSymbol:
     if not isinstance(obj, dict) or "coeffs" not in obj:
         raise ValueError("symbol object must be a JSON dict with a 'coeffs' list")
     coeffs = {}
-    for row in obj["coeffs"]:
-        if not (isinstance(row, (list, tuple)) and len(row) == 3):
-            raise ValueError("each coefficient row must be [k, re, im]")
-        coeffs[int(row[0])] = complex(float(row[1]), float(row[2]))
+    for i, (_, re, im) in enumerate(_json_rows(obj, "coeffs", 3, "[k, re, im]")):
+        k = opcore._json_number(obj["coeffs"][i][0], f"coeffs[{i}][0]", integer=True)
+        coeffs[k] = complex(re, im)
     s = ToeplitzSymbol(coeffs)
-    if "kmax" in obj and int(obj["kmax"]) != s.kmax:
-        raise ValueError(f"declared kmax {obj['kmax']} does not match rows ({s.kmax})")
+    kmax = opcore._json_number(obj.get("kmax", s.kmax), "kmax", integer=True)
+    if kmax != s.kmax:
+        raise ValueError(f"declared kmax {kmax} does not match rows ({s.kmax})")
     return s
 
 
@@ -237,19 +250,21 @@ def measure_to_json(mu: CircleMeasure) -> dict:
 def measure_from_json(obj) -> CircleMeasure:
     if not isinstance(obj, dict) or "atoms" not in obj:
         raise ValueError("measure object must be a JSON dict with an 'atoms' list")
-    atoms = []
-    for row in obj["atoms"]:
-        if not (isinstance(row, (list, tuple)) and len(row) == 4):
-            raise ValueError("each atom row must be [re z, im z, re w, im w]")
-        atoms.append(
-            (complex(float(row[0]), float(row[1])), complex(float(row[2]), float(row[3])))
-        )
+    atoms = [
+        (complex(zr, zi), complex(wr, wi))
+        for zr, zi, wr, wi in _json_rows(obj, "atoms", 4, "[re z, im z, re w, im w]")
+    ]
     density = None
     dens_obj = obj.get("density")
     if dens_obj is not None:
-        if not isinstance(dens_obj, dict) or "values" not in dens_obj:
-            raise ValueError("density must be a dict with 'grid' and 'values'")
-        density = np.asarray(dens_obj["values"], dtype=np.float64)
-        if "grid" in dens_obj and int(dens_obj["grid"]) != density.size:
+        if not isinstance(dens_obj, dict) or not isinstance(dens_obj.get("values"), list):
+            raise ValueError("density must be a dict with 'grid' and a 'values' list")
+        values = [
+            opcore._json_number(v, f"density.values[{i}]")
+            for i, v in enumerate(dens_obj["values"])
+        ]
+        density = np.asarray(values, dtype=np.float64)
+        grid = opcore._json_number(dens_obj.get("grid", density.size), "grid", integer=True)
+        if grid != density.size:
             raise ValueError("declared grid size does not match the values list")
     return CircleMeasure(atoms=tuple(atoms), density=density)

@@ -108,7 +108,6 @@ def test_03_fixed_space_oracles():
         basis=tuple(
             opcore.devectorize(cols[:, j], 2, 2) for j in range(cols.shape[1])
         ),
-        kind="brute-force",
     )
     ok = ok and len(brute) == 2 and kl.subspace_distance(fs, brute) <= 1e-9
 

@@ -3,6 +3,7 @@
 import argparse
 import dataclasses
 import json
+import pathlib
 import re
 import subprocess
 import sys
@@ -221,6 +222,61 @@ def test_out_of_range_flags_name_the_flag(argv, message, capsys):
     captured = capsys.readouterr()
     assert f"error: {message}" in captured.err
     assert captured.out == ""
+
+
+DEMO_DATA = pathlib.Path(__file__).resolve().parent.parent / "demos" / "data"
+
+
+@pytest.mark.parametrize(
+    "command, demo, path, value, field",
+    [
+        ("analyze", "pinching.json", ["kraus", 0, "data", 0], [None, 0.0], "data[0][0]"),
+        ("analyze", "pinching.json", ["dim"], [1], "dim"),
+        ("analyze", "pinching.json", ["dim"], 1.7, "dim"),
+        ("schur", "symbol.json", ["coeffs", 0], [None, 0.5, 0.0], "coeffs[0][0]"),
+        ("schur", "symbol.json", ["coeffs"], 5, "coeffs"),
+        (
+            "schur",
+            "symbol.json",
+            ["coeffs"],
+            [[-1, 0.0, 0.5], [0, 1.0, 0.0], [1.5, 0.0, 0.0], [1, 0.0, -0.5]],
+            "coeffs[2][0]",
+        ),
+        ("schur", "measure.json", ["atoms", 0], [1.0, 0.0, None, 0.0], "atoms[0][2]"),
+        # an integer literal too large for a float
+        ("analyze", "pinching.json", ["kraus", 0, "data", 0], [10**400, 0.0], "data[0][0]"),
+    ],
+    ids=[
+        "null-entry", "list-dim", "fractional-dim", "null-k", "scalar-coeffs",
+        "fractional-k", "null-atom-weight", "huge-entry",
+    ],
+)
+def test_malformed_json_field_exits_2(command, demo, path, value, field, tmp_path, capsys):
+    obj = json.loads((DEMO_DATA / demo).read_text())
+    target = obj
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    bad = tmp_path / demo
+    bad.write_text(json.dumps(obj))
+    assert cli.main([command, "--input", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert f"error: {field} must be" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "command, demo",
+    [
+        ("analyze", "pinching.json"),
+        ("analyze", "unitary_mix.json"),
+        ("schur", "symbol.json"),
+        ("schur", "measure.json"),
+    ],
+)
+def test_demo_inputs_decode(command, demo, capsys):
+    assert cli.main([command, "--input", str(DEMO_DATA / demo)]) == 0
+    json.loads(capsys.readouterr().out)
 
 
 def test_schur_rejects_nonpositive_dim(symbol_file, capsys):

@@ -80,7 +80,7 @@ def test_small_noncommuting_family_is_rejected():
         kl.simultaneous_diagonalize(fam)
 
 
-@pytest.mark.parametrize("scale", [1e-5, 1e5])
+@pytest.mark.parametrize("scale", [1e-9, 1e-5, 1e5, 1e8])
 def test_scaling_a_family_scales_its_joint_spectrum(scale):
     for trial in range(80):
         dim, ops = (6, 12)[trial % 2], 1 + trial % 3
@@ -186,13 +186,18 @@ def test_spectrum_product_check_oracle():
     )
 
 
-def test_spectrum_product_check_random():
+@pytest.mark.parametrize("scale", [1.0, 1e-5, 1e5])
+def test_spectrum_product_check_random(scale):
     for trial in range(10):
         rng = trial_rng(53, trial)
         c = commuting_normal_family(rng, 5, 2)
         d = commuting_normal_family(rng, 5, 2)
-        rep = kl.spectrum_product_check(c, d)
-        assert rep.hausdorff <= 1e-8, f"trial {trial}: {rep.hausdorff}"
+        unscaled = commuting.product_spectrum(kl.joint_spectrum(c), kl.joint_spectrum(d))
+        rep = kl.spectrum_product_check(
+            [scale * m for m in c.mats], [scale * m for m in d.mats]
+        )
+        assert rep.product.size == unscaled.size, f"trial {trial}"
+        assert rep.hausdorff <= 1e-8 * scale**2, f"trial {trial}: {rep.hausdorff}"
 
 
 def test_hausdorff_oracle():

@@ -76,7 +76,6 @@ def test_fixed_space_is_unitarily_covariant(kind):
             rows=fam.dim,
             cols=fam.dim,
             basis=tuple(v.conj().T @ h @ v for h in fs.basis),
-            kind="fixed-space",
         )
         fs_moved = kl.fixed_space(moved)
         assert len(fs_moved) == len(fs) == fix_dim
