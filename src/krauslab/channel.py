@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import opcore
+from .opcore import SpectralCore
 
 __all__ = [
     "KrausFamily",
@@ -141,75 +142,15 @@ def superoperator(family: KrausFamily) -> np.ndarray:
     return opcore.kron_sum(family._adjoints, family.ops)
 
 
-def _vec_times(v: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """``v @ m`` for a complex vector, without casting a real ``m`` to complex."""
-    if np.iscomplexobj(m):
-        return v @ m
-    return v.real @ m + 1j * (v.imag @ m)
-
-
-@dataclass(frozen=True, eq=False)
-class SpectralCore:
-    """One SVD-shaped factorization ``S - I = U diag(sv) V*`` of a family's S.
-
-    ``sv`` is descending, as ``np.linalg.svd`` returns it, and ``right_h``
-    holds the rows of V*.  When S is exactly real and symmetric, ``S - I`` is
-    factorized by the real ``eigh``: ``sv`` holds the absolute eigenvalues,
-    V the eigenvectors and U the eigenvectors times the eigenvalue signs, all
-    real.  Any other S gets one complex SVD.  S itself is not kept.
-    """
-
-    left: np.ndarray
-    sv: np.ndarray
-    right_h: np.ndarray
-
-    def kernel(self, tol: float) -> np.ndarray:
-        """Orthonormal columns of V whose singular value is at most ``tol``."""
-        keep = np.flatnonzero(self.sv <= tol)
-        return self.right_h[keep].conj().T
-
-    def solve(self, b: np.ndarray, tol: float) -> np.ndarray:
-        """Least-squares solution of ``(S - I) z = b`` by the pseudo-inverse.
-
-        Components along singular values at most ``tol`` are dropped rather
-        than amplified.
-        """
-        inv = np.zeros_like(self.sv)
-        np.divide(1.0, self.sv, out=inv, where=self.sv > tol)
-        # U* b = conj(conj(b) U) and V c = conj(conj(c) V*): row-vector
-        # products, so no d^2 x d^2 factor is conjugated or cast to complex.
-        coef = inv * _vec_times(b.conj(), self.left).conj()
-        return _vec_times(coef.conj(), self.right_h).conj()
-
-
-def _factorize(family: KrausFamily) -> SpectralCore:
-    # S - I is formed in place on the fresh S, and the real-symmetric path
-    # keeps only a real copy of it: no copy of S outlives this function, and
-    # no complex one is live during ``eigh``.
-    m = superoperator(family)
-    n = m.shape[0]
-    m.flat[:: n + 1] -= 1.0
-    if not m.imag.any() and np.array_equal(m.real, m.real.T):
-        m = m.real.copy()
-        w, q = np.linalg.eigh(m)
-        del m
-        order = np.argsort(-np.abs(w), kind="stable")
-        q, w = q[:, order], w[order]
-        left = q * np.where(w < 0.0, -1.0, 1.0)
-        return SpectralCore(left=left, sv=np.abs(w), right_h=q.T)
-    u, sv, vh = np.linalg.svd(m)
-    return SpectralCore(left=u, sv=sv, right_h=vh)
-
-
 def spectral_core(family: KrausFamily) -> SpectralCore:
-    """The factorization of the family's ``S - I``, computed on first use.
+    """:func:`opcore.factorize` of the family's ``S - I``, cached on first use.
 
-    The result is cached on the family, so every later query on it reads
-    the same factors; the path (real ``eigh`` or complex SVD) is chosen
-    from S alone.
+    ``S - I`` is formed in place on a fresh S and passed straight on, so no
+    copy of S outlives the factorization and no complex one is live during
+    a real ``eigh``.
     """
     if family._spectral_core is None:
-        family._spectral_core = _factorize(family)
+        family._spectral_core = opcore.factorize(opcore.minus_identity(superoperator(family)))
     return family._spectral_core
 
 
@@ -343,7 +284,7 @@ def gap_report(family: KrausFamily, tol: float | None = None) -> GapReport:
     """Report sigma_min, the restricted gap and the numerical fixed dimension."""
     if tol is None:
         tol = fix_tol(family.dim)
-    sv = np.sort(spectral_core(family).sv)
+    sv = spectral_core(family).sv[::-1]
     fix_dim = int(np.sum(sv <= tol))
     restricted = float(sv[fix_dim]) if fix_dim < sv.size else math.inf
     return GapReport(sigma_min=float(sv[0]), restricted_gap=restricted, fix_dim=fix_dim)

@@ -349,12 +349,10 @@ def intertwiner_fixed_point_check(a, b, tol: float = 1e-7) -> IntertwinerFixedRe
     at most ``tol``.
     """
     am, bm = _family_pair(a, b, "ab")
-    s = theta_superoperator(am, bm)
     na, nb = am[0].shape[0], bm[0].shape[0]
+    kernel = opcore.factorize(opcore.minus_identity(theta_superoperator(am, bm))).kernel(tol)
     fixed = SubspaceBasis(
-        rows=na,
-        cols=nb,
-        basis=opcore.null_space_matrices(s - np.eye(na * nb), na, nb, tol),
+        rows=na, cols=nb, basis=tuple(opcore.devectorize(k, na, nb) for k in kernel.T)
     )
     inter = intertwiner_space(am, bm, tol)
     dist = subspace_distance(fixed, inter) if (len(fixed) or len(inter)) else 0.0

@@ -7,6 +7,8 @@ families are written down: superoperators come from :func:`kron_sum` (their
 action from :func:`product_map`), solution spaces of ``l_j x = x r_j`` from
 :func:`sylvester_null_space`, PSD inputs pass :func:`require_psd` and families
 pass :func:`square_family` (their defects from :func:`completeness_defects`).
+Every kernel and solve factorizes through :func:`factorize`, the one choice
+between a real ``eigh`` and an SVD; :class:`SpectralCore` holds the cut.
 """
 
 from __future__ import annotations
@@ -34,8 +36,10 @@ __all__ = [
     "completeness_defects",
     "vectorize",
     "devectorize",
+    "SpectralCore",
+    "minus_identity",
+    "factorize",
     "null_space_basis",
-    "null_space_matrices",
     "kron_sum",
     "product_map",
     "sylvester_null_space",
@@ -233,32 +237,77 @@ def devectorize(v, rows: int, cols: int) -> np.ndarray:
     return a.reshape((rows, cols), order="F").copy()
 
 
+def _vec_times(v: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """``v @ m`` for a complex vector, without casting a real ``m`` to complex."""
+    if np.iscomplexobj(m):
+        return v @ m
+    return v.real @ m + 1j * (v.imag @ m)
+
+
+@dataclass(frozen=True, eq=False)
+class SpectralCore:
+    """SVD-shaped factors ``m = U diag(sv) V*`` of a matrix, from :func:`factorize`.
+
+    ``sv`` is descending and ``right_h`` holds the rows of V*, one per column
+    of ``m``.  The matrix itself is not kept.
+    """
+
+    left: np.ndarray
+    sv: np.ndarray
+    right_h: np.ndarray
+
+    def kernel(self, tol: float) -> np.ndarray:
+        """Orthonormal columns of V whose singular value is at most ``tol``,
+        plus the rows of V* past the last singular value (those of a wide ``m``)."""
+        keep = np.flatnonzero(self.sv <= tol)
+        extra = np.arange(self.sv.size, self.right_h.shape[0])
+        return self.right_h[np.concatenate((keep, extra))].conj().T
+
+    def solve(self, b: np.ndarray, tol: float) -> np.ndarray:
+        """Least-squares ``m z = b``, dropping (not amplifying) singular values <= ``tol``."""
+        inv = np.zeros_like(self.sv)
+        np.divide(1.0, self.sv, out=inv, where=self.sv > tol)
+        # U* b = conj(conj(b) U) and V c = conj(conj(c) V*): row-vector
+        # products, so no factor is conjugated or cast to complex.
+        coef = inv * _vec_times(b.conj(), self.left).conj()
+        return _vec_times(coef.conj(), self.right_h[: coef.size]).conj()
+
+
+def minus_identity(m: np.ndarray) -> np.ndarray:
+    """``m - I`` formed in place on a fresh square ``m``; a real copy when the
+    imaginary part is exactly zero, so that a caller passing the result
+    straight to :func:`factorize` holds no complex copy during its ``eigh``."""
+    m.flat[:: m.shape[0] + 1] -= 1.0
+    return m.real.copy() if np.iscomplexobj(m) and not m.imag.any() else m
+
+
+def factorize(m: np.ndarray) -> SpectralCore:
+    """The :class:`SpectralCore` of a 2-D array.
+
+    A square ``m`` that is exactly real and symmetric gets one real ``eigh``:
+    ``sv`` holds the absolute eigenvalues, V the eigenvectors and U the
+    eigenvectors times the eigenvalue signs.  Any other ``m`` gets one
+    complex SVD, with full V only when ``m`` is wide.
+    """
+    rows, n = m.shape
+    real = np.isrealobj(m) or not m.imag.any()
+    # m is rebound on both paths, so this frame drops the array passed in
+    if rows == n and real and np.array_equal(m.real, m.real.T):
+        m = np.ascontiguousarray(m.real)
+        w, q = np.linalg.eigh(m)
+        del m
+        order = np.argsort(-np.abs(w), kind="stable")
+        q, w = q[:, order], w[order]
+        return SpectralCore(left=q * np.where(w < 0.0, -1.0, 1.0), sv=np.abs(w), right_h=q.T)
+    m = m.astype(np.complex128, copy=False)
+    u, sv, vh = np.linalg.svd(m, full_matrices=rows < n)
+    return SpectralCore(left=u, sv=sv, right_h=vh)
+
+
 def null_space_basis(a: np.ndarray, tol: float) -> np.ndarray:
-    """Orthonormal columns spanning the numerical right null space of ``a``.
-
-    Right singular vectors whose singular value is at most ``tol`` are kept;
-    columns beyond the rank of a wide matrix count as exact null directions.
-    The economy SVD already holds every right singular vector of a tall
-    matrix and skips its full left factor; only a wide matrix needs full V.
-    """
-    m = as_matrix(a, "a")
-    n = m.shape[1]
-    _, sv, vh = np.linalg.svd(m, full_matrices=m.shape[0] < n)
-    keep = [i for i in range(n) if (sv[i] if i < sv.size else 0.0) <= tol]
-    if not keep:
-        return np.zeros((n, 0), dtype=np.complex128)
-    return vh[keep].conj().T
-
-
-def null_space_matrices(a: np.ndarray, rows: int, cols: int, tol: float) -> tuple:
-    """The numerical null space of ``a`` as devectorized rows x cols matrices.
-
-    ``a`` acts on column-stacked rows x cols input; the matrices are the
-    orthonormal columns of :func:`null_space_basis`, so they are
-    HS-orthonormal.
-    """
-    kernel = null_space_basis(a, tol)
-    return tuple(devectorize(kernel[:, i], rows, cols) for i in range(kernel.shape[1]))
+    """Orthonormal columns spanning the numerical right null space of ``a``:
+    ``factorize(a).kernel(tol)``."""
+    return factorize(as_matrix(a, "a")).kernel(tol)
 
 
 def _paired(lefts, rights) -> tuple:
@@ -319,7 +368,7 @@ def sylvester_null_space(lefts, rights, tol: float) -> tuple:
     stacked = np.vstack(
         [np.kron(eye_q, l) - np.kron(r.T, eye_p) for l, r in zip(lefts, rights)]
     )
-    return null_space_matrices(stacked, p, q, tol)
+    return tuple(devectorize(k, p, q) for k in null_space_basis(stacked, tol).T)
 
 
 def linear_map_matrix(fn: Callable[[np.ndarray], np.ndarray], rows: int, cols: int) -> np.ndarray:

@@ -12,6 +12,8 @@ PSD Toeplitz matrices.
 
 from __future__ import annotations
 
+import itertools
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +40,7 @@ DEFAULT_GRID = 4096
 
 
 class ToeplitzSymbol:
-    """Coefficient map ``k -> d_k`` on the full window ``|k| <= kmax``."""
+    """Coefficient map ``k -> d_k`` on the full window ``|k| <= kmax``; every key is an integer."""
 
     def __init__(self, coeffs):
         items = dict(coeffs)
@@ -46,15 +48,22 @@ class ToeplitzSymbol:
             raise ValueError("a symbol needs at least the k = 0 coefficient")
         norm = {}
         for k, v in items.items():
-            kk = int(k)
-            vv = complex(v)
+            if not isinstance(k, numbers.Integral):
+                raise ValueError(f"symbol key k must be an integer, got {k!r}")
+            kk, vv = int(k), complex(v)
             if not (np.isfinite(vv.real) and np.isfinite(vv.imag)):
                 raise ValueError(f"coefficient at k={kk} is not finite")
             norm[kk] = vv
         kmax = max(abs(k) for k in norm)
-        missing = [k for k in range(-kmax, kmax + 1) if k not in norm]
-        if missing:
-            raise ValueError(f"symbol window has holes at k={missing}")
+        holes = 2 * kmax + 1 - len(norm)
+        if holes:
+            # Only the first few are named: the window can be far larger than the input.
+            first = itertools.islice((k for k in range(-kmax, kmax + 1) if k not in norm), 3)
+            listed = ", ".join(map(str, first)) + (", ..." if holes > 3 else "")
+            raise ValueError(
+                f"symbol window |k| <= {kmax} misses {holes} of {2 * kmax + 1} "
+                f"coefficients, at k={listed}"
+            )
         self.kmax = kmax
         self.coeffs = norm
 
@@ -221,6 +230,8 @@ def symbol_from_json(obj) -> ToeplitzSymbol:
     coeffs = {}
     for i, (_, re, im) in enumerate(_json_rows(obj, "coeffs", 3, "[k, re, im]")):
         k = opcore._json_number(obj["coeffs"][i][0], f"coeffs[{i}][0]", integer=True)
+        if k in coeffs:
+            raise ValueError(f"coeffs[{i}][0] must be a new k, got {k} again")
         coeffs[k] = complex(re, im)
     s = ToeplitzSymbol(coeffs)
     kmax = opcore._json_number(obj.get("kmax", s.kmax), "kmax", integer=True)

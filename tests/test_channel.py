@@ -6,6 +6,7 @@ fixed space strictly contains the commutant.
 """
 
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -181,6 +182,55 @@ def test_real_symmetric_core_matches_explicit_svd():
     res = kl.solve_perturbation(fam, y)
     np.testing.assert_allclose(res.z, opcore.devectorize(z, d, d), rtol=0.0, atol=1e-10)
     assert res.residual == pytest.approx(residual, abs=1e-10)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: mixed_unitary_family(trial_rng(21, 6), 5, 3), witness_family],
+    ids=["mixed_unitary5", "witness-real-nonsymmetric"],
+)
+def test_complex_core_is_bitwise_the_svd(make):
+    # fixed_space, extract_trace and near_fixed_from_trace read these factors,
+    # and no CLI report diff reaches them
+    fam = make()
+    core = kl.spectral_core(fam)
+    u, sv, vh = np.linalg.svd(kl.superoperator(fam) - np.eye(fam.dim**2))
+    assert np.array_equal(core.left, u)
+    assert np.array_equal(core.sv, sv)
+    assert np.array_equal(core.right_h, vh)
+
+
+def test_real_core_is_bitwise_the_stable_sorted_eigh():
+    fam = cuntz.luders_family(8)
+    core = kl.spectral_core(fam)
+    w, q = np.linalg.eigh((kl.superoperator(fam) - np.eye(fam.dim**2)).real.copy())
+    order = np.argsort(-np.abs(w), kind="stable")
+    q, w = q[:, order], w[order]
+    assert np.array_equal(core.sv, np.abs(w))
+    assert np.array_equal(core.right_h, q.T)
+    assert np.array_equal(core.left, q * np.where(w < 0.0, -1.0, 1.0))
+
+
+def test_no_complex_superoperator_is_live_during_the_real_eigh(monkeypatch):
+    fam = cuntz.luders_family(16)
+    n = fam.dim**2
+    eigh = np.linalg.eigh
+    traced = []
+
+    def watching(a, *args, **kwargs):
+        if np.shape(a) == (n, n):
+            traced.append(tracemalloc.get_traced_memory()[0])
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", watching)
+    tracemalloc.start()
+    try:
+        kl.spectral_core(fam)
+    finally:
+        tracemalloc.stop()
+    # one complex S takes 16 n^2 bytes (1.05 MB); the real S - I takes half
+    assert len(traced) == 1
+    assert traced[0] < 16 * n * n
 
 
 @pytest.mark.parametrize(

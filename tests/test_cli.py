@@ -7,6 +7,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -245,10 +246,17 @@ DEMO_DATA = pathlib.Path(__file__).resolve().parent.parent / "demos" / "data"
         ("schur", "measure.json", ["atoms", 0], [1.0, 0.0, None, 0.0], "atoms[0][2]"),
         # an integer literal too large for a float
         ("analyze", "pinching.json", ["kraus", 0, "data", 0], [10**400, 0.0], "data[0][0]"),
+        (
+            "schur",
+            "symbol.json",
+            ["coeffs"],
+            [[-1, 0.0, 0.5], [0, 1.0, 0.0], [1, 0.0, -0.5], [0, 7.0, 0.0]],
+            "coeffs[3][0]",
+        ),
     ],
     ids=[
         "null-entry", "list-dim", "fractional-dim", "null-k", "scalar-coeffs",
-        "fractional-k", "null-atom-weight", "huge-entry",
+        "fractional-k", "null-atom-weight", "huge-entry", "repeated-k",
     ],
 )
 def test_malformed_json_field_exits_2(command, demo, path, value, field, tmp_path, capsys):
@@ -263,6 +271,18 @@ def test_malformed_json_field_exits_2(command, demo, path, value, field, tmp_pat
     captured = capsys.readouterr()
     assert f"error: {field} must be" in captured.err
     assert captured.out == ""
+
+
+def test_schur_far_k_exits_2_quickly(tmp_path, capsys):
+    # one k far out opens a window of 6e6 coefficients: count the holes, list few
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps({"coeffs": [[0, 1, 0], [3000000, 0, 0]]}))
+    start = time.perf_counter()
+    assert cli.main(["schur", "--input", str(path)]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert "misses 5999999 of 6000001 coefficients" in err
+    assert len(err) < 200
 
 
 @pytest.mark.parametrize(

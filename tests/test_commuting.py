@@ -257,6 +257,38 @@ def test_intertwiner_fixed_point_check_fresh_pair():
         assert rep.fix_dim == 0 and rep.intertwiner_dim == 0
 
 
+def _count_square_factorizations(monkeypatch, n):
+    """Calls of ``np.linalg.svd`` and ``eigh`` on (n, n) arrays."""
+    calls = {"svd": 0, "eigh": 0}
+    for name in calls:
+        def counting(a, *args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
+            if np.shape(a) == (n, n):
+                calls[_name] += 1
+            return _fn(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    return calls
+
+
+def test_theta_minus_identity_of_a_complex_pair_takes_one_svd(monkeypatch):
+    a, b = intertwining_pair(trial_rng(54, 0), 5, 3)
+    calls = _count_square_factorizations(monkeypatch, 25)
+    assert kl.intertwiner_fixed_point_check(a, b).passed
+    assert calls == {"svd": 1, "eigh": 0}
+
+
+def test_theta_minus_identity_of_a_real_diagonal_pair_takes_one_eigh(monkeypatch):
+    # a_j = b_j real diagonal with sum a_j^2 = 1: theta - I is real and diagonal,
+    # and E_ik is fixed iff the joint tuples at i and k agree (5 of 9 here)
+    t = np.array([0.3, 1.1, 0.3])
+    a = [np.diag(np.cos(t)), np.diag(np.sin(t))]
+    calls = _count_square_factorizations(monkeypatch, 9)
+    rep = kl.intertwiner_fixed_point_check(a, a)
+    assert calls == {"svd": 0, "eigh": 1}
+    assert rep.passed
+    assert rep.fix_dim == rep.intertwiner_dim == 5
+
+
 def test_positive_eigenvalue_check_oracle():
     rep = kl.positive_eigenvalue_check([np.diag([2.0, 0.0])], [np.diag([3.0, 1.0])])
     np.testing.assert_allclose(np.sort(rep.eigs.real), [0.0, 0.0, 2.0, 6.0], atol=1e-12)

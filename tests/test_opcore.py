@@ -242,6 +242,27 @@ def test_kron_sum_is_bitwise_the_kron_sum(p, q):
         opcore.kron_sum(lefts, rights[:2])
 
 
+def test_null_space_basis_of_a_real_symmetric_indefinite_matrix():
+    # the kernel is the eigenvectors with |lambda| <= tol: -1e-12 is kept, -1 is not
+    q = np.linalg.qr(np.random.default_rng(7).standard_normal((4, 4)))[0]
+    m = q @ np.diag([1.0, -1.0, -1e-12, 0.0]) @ q.T
+    m = (m + m.T) / 2.0
+    k = opcore.null_space_basis(m, 1e-10)
+    assert k.shape == (4, 2) and np.isrealobj(k)
+    np.testing.assert_allclose(k.T @ k, np.eye(2), atol=1e-12)
+    np.testing.assert_allclose(k @ k.T, q[:, 2:] @ q[:, 2:].T, atol=1e-12)
+
+
+def test_null_space_basis_keeps_the_extra_rows_of_a_wide_matrix():
+    rng = np.random.default_rng(8)
+    wide = rng.standard_normal((2, 5)) + 1j * rng.standard_normal((2, 5))
+    _, sv, vh = np.linalg.svd(wide)
+    assert np.array_equal(opcore.null_space_basis(wide, 1e-12), vh[2:].conj().T)
+    # a cut between the two singular values keeps the smaller one's row too
+    cut = (sv[0] + sv[1]) / 2.0
+    assert np.array_equal(opcore.null_space_basis(wide, cut), vh[1:].conj().T)
+
+
 def _explicit_sylvester(lefts, rights, tol):
     """The stacked-kron null space as each caller wrote it before the fold."""
     p, q = lefts[0].shape[0], rights[0].shape[0]

@@ -22,6 +22,22 @@ def test_symbol_validation():
         schur.ToeplitzSymbol({0: np.inf})
 
 
+def test_symbol_rejects_a_fractional_key():
+    with pytest.raises(ValueError, match="integer, got 0.5"):
+        schur.ToeplitzSymbol({0: 1.0, 0.5: 2.0})
+
+
+def test_symbol_hole_message_counts_the_holes():
+    with pytest.raises(ValueError) as err:
+        schur.ToeplitzSymbol({0: 1.0, 10**6: 0.0})
+    msg = str(err.value)
+    assert "misses 1999999 of 2000001" in msg
+    assert "k=-1000000, -999999, -999998, ..." in msg
+    assert len(msg) < 200
+    with pytest.raises(ValueError, match=r"misses 2 of 5 coefficients, at k=-1, 1$"):
+        schur.ToeplitzSymbol({-2: 1.0, 0: 1.0, 2: 1.0})
+
+
 def test_measure_validation():
     with pytest.raises(ValueError):
         schur.CircleMeasure(atoms=((2.0, 1.0),))  # off the circle
