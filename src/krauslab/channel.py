@@ -8,8 +8,10 @@ spectral gap, and solves for perturbations that repair near-fixed elements.
 
 The fixed space, the gap and the perturbation solve all read one
 :class:`SpectralCore` per family: ``S - I`` is factorized once and only its
-factors are cached on the family (whose operators are frozen copies); S itself
-lives only while the factorization runs.
+factors are cached on the family (whose operators are frozen copies).  S is
+read from its entries; it is formed densely only when ``S - I`` is not an
+exactly real symmetric matrix that splits into blocks, and then lives only
+while the factorization runs.
 """
 
 from __future__ import annotations
@@ -145,13 +147,32 @@ def superoperator(family: KrausFamily) -> np.ndarray:
 def spectral_core(family: KrausFamily) -> SpectralCore:
     """:func:`opcore.factorize` of the family's ``S - I``, cached on first use.
 
-    ``S - I`` is formed in place on a fresh S and passed straight on, so no
-    copy of S outlives the factorization and no complex one is live during
-    a real ``eigh``.
+    S is read from :func:`opcore.kron_entries` and never formed densely
+    when ``S - I`` is exactly real symmetric and its exact nonzero pattern
+    has more than one connected component: its blocks are then factored one
+    stacked ``eigh`` per block size.  Any other ``S - I`` is assembled dense,
+    formed in place and passed straight on, so no copy of S outlives the
+    factorization and no complex one is live during a real ``eigh``.
     """
     if family._spectral_core is None:
-        family._spectral_core = opcore.factorize(opcore.minus_identity(superoperator(family)))
+        family._spectral_core = opcore.factorize(_s_minus_identity(family))
     return family._spectral_core
+
+
+def _s_minus_identity(family: KrausFamily):
+    """``S - I`` as an :class:`opcore.BlockSplit` when it is exactly real
+    symmetric and splits, and as one dense array otherwise."""
+    entries = opcore.kron_entries(family._adjoints, family.ops)
+    if not entries.values.imag.any():
+        rows, cols, values = entries.nonzero()
+        split = opcore.block_split(family.dim**2, rows, cols, values.real)
+        if split is not None and all(np.array_equal(b, b.swapaxes(1, 2)) for b in split.stacks):
+            return opcore.minus_identity(split)
+        # only the entry values may stay live next to the dense S
+        del rows, cols, values, split
+    s = entries.dense()
+    del entries
+    return opcore.minus_identity(s)
 
 
 @dataclass(frozen=True, eq=False)

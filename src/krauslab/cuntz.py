@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import opcore
-from .channel import KrausFamily, apply, gap_report, solve_perturbation
+from .channel import KrausFamily, apply, gap_report, solve_perturbation, spectral_core
 
 __all__ = [
     "CuntzTruncation",
@@ -154,10 +154,15 @@ class LudersFamily(KrausFamily):
 
     Operators a_1 .. a_4 are the positive/negative parts of the real and
     imaginary part of V1 scaled by 8^(-1/2), a_5 .. a_8 the same for V2, and
-    a_0 completes the family so that ``sum_j a_j^2 = 1`` to 1e-12.  Since all
-    generators are Hermitian the family is unital and trace-preserving at
-    the same time, and ``V1 = sqrt(8) (a_1 - a_2 + i a_3 - i a_4)`` holds
-    exactly up to the spectral splitting error.
+    a_0 completes the family so that ``sum_j a_j^2 = 1`` to 1e-12.  As
+    ``sum_{j>=1} a_j^2 = sum_v (v* v + v v*) / 16`` in exact arithmetic, a_0
+    is the root of ``1`` minus that exactly diagonal matrix, so it is exactly
+    diagonal; the unital gate stays at 1e-12.  Since all generators are
+    Hermitian the family is unital and trace-preserving at the same time,
+    and ``V1 = sqrt(8) (a_1 - a_2 + i a_3 - i a_4)`` holds exactly up to the
+    spectral splitting error.  The parts are factored per connected
+    component of the real and imaginary parts' patterns, so they are exactly
+    zero off those components and S splits into many blocks.
     """
 
     def __init__(self, n: int):
@@ -170,7 +175,9 @@ class LudersFamily(KrausFamily):
             for h in (re, im):
                 parts.append(scale * opcore.positive_part(h))
                 parts.append(scale * opcore.positive_part(-h))
-        total = sum(a @ a for a in parts)
+        # summing the squared parts instead would leave rounding noise off
+        # the diagonal of a_0 and join every block of S into one
+        total = sum(v.conj().T @ v + v @ v.conj().T for v in (trunc.v1, trunc.v2)) / 16.0
         a0 = opcore.psd_sqrt(np.eye(n) - total)
         ops = [a0] + parts
         super().__init__(ops)
@@ -193,7 +200,9 @@ class ExperimentReport:
     """Everything one truncation run produces, JSON-ready and deterministic.
 
     ``restricted_gap`` is ``math.inf`` when no singular value of S - I
-    clears the fixed-space cutoff; it serializes as null.
+    clears the fixed-space cutoff; it serializes as null.  ``blocks`` and
+    ``largest_block`` describe the factorization of S - I and serialize
+    under ``diagnostics``.
     """
 
     n: int
@@ -210,6 +219,8 @@ class ExperimentReport:
     v1_comm_sq: float
     tail_bound: float
     t_scalar_distance: float
+    blocks: int
+    largest_block: int
 
     def to_json(self) -> dict:
         gap = None if math.isinf(self.restricted_gap) else float(self.restricted_gap)
@@ -228,6 +239,7 @@ class ExperimentReport:
             "v1_comm_sq": float(self.v1_comm_sq),
             "tail_bound": float(self.tail_bound),
             "t_scalar_distance": float(self.t_scalar_distance),
+            "diagnostics": {"blocks": int(self.blocks), "largest_block": int(self.largest_block)},
         }
 
 
@@ -254,6 +266,7 @@ def experiment(n: int) -> ExperimentReport:
     gap = gap_report(fam)
     gen_comms = tuple(float(np.linalg.norm(a @ y - y @ a)) for a in fam.ops)
     pert = solve_perturbation(fam, y)
+    core = spectral_core(fam)
     x = y + pert.z
     fixed_defect = float(np.linalg.norm(apply(fam, x) - x))
     alpha = np.trace(x) / n
@@ -273,4 +286,6 @@ def experiment(n: int) -> ExperimentReport:
         v1_comm_sq=comm.v1_comm_sq,
         tail_bound=comm.tail_bound,
         t_scalar_distance=scalar_distance(n),
+        blocks=core.blocks,
+        largest_block=core.largest_block,
     )

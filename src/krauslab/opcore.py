@@ -1,14 +1,17 @@
-"""Dense complex matrix primitives shared by the rest of the package.
+"""Complex matrix primitives shared by the rest of the package.
 
 Operators are plain 2-D complex128 numpy arrays.  Vectorization is column
 stacking, so ``vec(A @ X @ B) = kron(B.T, A) @ vec(X)``.  This module is the
 one place that convention, the PSD tolerance and the validation of matrix
-families are written down: superoperators come from :func:`kron_sum` (their
-action from :func:`product_map`), solution spaces of ``l_j x = x r_j`` from
-:func:`sylvester_null_space`, PSD inputs pass :func:`require_psd` and families
-pass :func:`square_family` (their defects from :func:`completeness_defects`).
-Every kernel and solve factorizes through :func:`factorize`, the one choice
-between a real ``eigh`` and an SVD; :class:`SpectralCore` holds the cut.
+families are written down: superoperators come from :func:`kron_entries`
+(densely from :func:`kron_sum`, their action from :func:`product_map`),
+solution spaces of ``l_j x = x r_j`` from :func:`sylvester_null_space`, PSD
+inputs pass :func:`require_psd` and families pass :func:`square_family`
+(their defects from :func:`completeness_defects`).  Every kernel and solve
+factorizes through :func:`factorize`, the one choice between a real
+``eigh``, an SVD and stacked per-block ``eigh`` of a :class:`BlockSplit`
+(the connected components of an exact nonzero pattern, from
+:func:`block_split`); :class:`SpectralCore` holds the cut.
 """
 
 from __future__ import annotations
@@ -36,10 +39,15 @@ __all__ = [
     "completeness_defects",
     "vectorize",
     "devectorize",
+    "components",
+    "BlockSplit",
+    "block_split",
     "SpectralCore",
     "minus_identity",
     "factorize",
     "null_space_basis",
+    "KronEntries",
+    "kron_entries",
     "kron_sum",
     "product_map",
     "sylvester_null_space",
@@ -150,11 +158,36 @@ def positive_part(h) -> np.ndarray:
     """Spectral positive part h_+ of a Hermitian matrix.
 
     Satisfies h = positive_part(h) - positive_part(-h) after symmetrization.
+    It is factored per component of the exact nonzero pattern of ``h``
+    (see :func:`_spectral_map`), so it is exactly zero where ``h`` splits.
     """
-    sym = symmetrized(h)
-    w, v = np.linalg.eigh(sym)
-    out = (v * np.clip(w, 0.0, None)) @ v.conj().T
-    return (out + out.conj().T) / 2.0
+    return _spectral_map(symmetrized(h), lambda w: np.clip(w, 0.0, None))
+
+
+def _spectral_map(sym: np.ndarray, f: Callable, gate: Callable | None = None) -> np.ndarray:
+    """``v f(w) v*`` of the Hermitian ``sym = v diag(w) v*``, symmetrized.
+
+    ``gate`` sees all eigenvalues before any output is formed.  One
+    connected component of the exact nonzero pattern of ``sym`` means one
+    ``eigh`` of the whole matrix; more components mean one stacked ``eigh``
+    per component size, and the result is exactly zero off the components.
+    """
+    rows, cols = np.nonzero(sym)
+    split = block_split(sym.shape[0], rows, cols, sym[rows, cols])
+    if split is None:
+        w, v = np.linalg.eigh(sym)
+        if gate is not None:
+            gate(w)
+        out = (v * f(w)) @ v.conj().T
+        return (out + out.conj().T) / 2.0
+    eigen = [np.linalg.eigh(stack) for stack in split.stacks]
+    if gate is not None:
+        gate(np.sort(np.concatenate([w.ravel() for w, _ in eigen])))
+    out = np.zeros_like(sym)
+    for index, (w, v) in zip(split.index, eigen):
+        blocks = (v * f(w)[:, None, :]) @ v.conj().swapaxes(1, 2)
+        out[index[:, :, None], index[:, None, :]] = (blocks + blocks.conj().swapaxes(1, 2)) / 2.0
+    return out
 
 
 def _psd_gate(w: np.ndarray, name: str) -> None:
@@ -184,15 +217,16 @@ def require_psd(m, name: str = "matrix") -> np.ndarray:
 def psd_sqrt(p) -> np.ndarray:
     """Positive square root of a PSD matrix.
 
-    The matrix passes the same gate as :func:`require_psd`, read off the one
-    eigendecomposition that also yields the root; eigenvalues in
-    ``[-psd_tol, 0)`` are clipped to zero.
+    The matrix passes the same gate as :func:`require_psd`, read off the
+    eigenvalues that also yield the root; eigenvalues in ``[-psd_tol, 0)``
+    are clipped to zero.  Like :func:`positive_part` it is factored per
+    component of the input's exact nonzero pattern.
     """
-    sym = symmetrized(p)
-    w, v = np.linalg.eigh(sym)
-    _psd_gate(w, "matrix")
-    out = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
-    return (out + out.conj().T) / 2.0
+    return _spectral_map(
+        symmetrized(p),
+        lambda w: np.sqrt(np.clip(w, 0.0, None)),
+        lambda w: _psd_gate(w, "matrix"),
+    )
 
 
 def square_family(mats, name: str = "mats") -> tuple:
@@ -238,33 +272,143 @@ def devectorize(v, rows: int, cols: int) -> np.ndarray:
 
 
 def _vec_times(v: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """``v @ m`` for a complex vector, without casting a real ``m`` to complex."""
+    """``v @ m`` for complex row vectors, without casting a real ``m`` to complex."""
     if np.iscomplexobj(m):
         return v @ m
     return v.real @ m + 1j * (v.imag @ m)
 
 
-@dataclass(frozen=True, eq=False)
-class SpectralCore:
-    """SVD-shaped factors ``m = U diag(sv) V*`` of a matrix, from :func:`factorize`.
+def components(n: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Connected components of the graph on ``n`` nodes with edges ``rows[t] -- cols[t]``.
 
-    ``sv`` is descending and ``right_h`` holds the rows of V*, one per column
-    of ``m``.  The matrix itself is not kept.
+    Each node is labelled with the smallest node of its component.  A round
+    pulls both ends of every edge down to the smaller of their labels, then
+    replaces each label by that node's own label; it stops when no label
+    moves.
+    """
+    label = np.arange(n)
+    while True:
+        low = np.minimum(label[rows], label[cols])
+        new = label.copy()
+        np.minimum.at(new, rows, low)
+        np.minimum.at(new, cols, low)
+        new = new[new]
+        if np.array_equal(new, label):
+            return label
+        label = new
+
+
+class BlockSplit(NamedTuple):
+    """A square matrix cut along the connected components of its nonzero pattern.
+
+    ``stacks[g][b]`` is the principal submatrix on rows and columns
+    ``index[g][b]``.  Stack g holds every component of one size, in the
+    order of their smallest indices, each listing its indices ascending.
+    Every entry off these blocks is zero.
     """
 
-    left: np.ndarray
+    index: tuple
+    stacks: tuple
+
+
+def block_split(n: int, rows: np.ndarray, cols: np.ndarray, values: np.ndarray) -> BlockSplit | None:
+    """The :class:`BlockSplit` of the n x n matrix whose nonzero entries are
+    ``values`` at ``(rows, cols)`` (each position listed once), or None when
+    its pattern is connected."""
+    if rows.size == n * n:
+        return None
+    roots, comp, sizes = np.unique(components(n, rows, cols), return_inverse=True, return_counts=True)
+    if roots.size == 1:
+        return None
+    # members lists the nodes component by component; pos is a node's place in its block
+    members = np.argsort(comp, kind="stable")
+    first = np.cumsum(sizes) - sizes
+    pos = np.empty(n, dtype=np.intp)
+    pos[members] = np.arange(n) - np.repeat(first, sizes)
+    kinds, group = np.unique(sizes, return_inverse=True)
+    slot = np.empty_like(group)
+    entry_group = group[comp[rows]]
+    index, stacks = [], []
+    for g, size in enumerate(kinds):
+        mine = np.flatnonzero(group == g)
+        slot[mine] = np.arange(mine.size)
+        e = np.flatnonzero(entry_group == g)
+        stack = np.zeros((mine.size, size, size), dtype=values.dtype)
+        stack[slot[comp[rows[e]]], pos[rows[e]], pos[cols[e]]] = values[e]
+        index.append(members[first[mine][:, None] + np.arange(size)])
+        stacks.append(stack)
+    return BlockSplit(index=tuple(index), stacks=tuple(stacks))
+
+
+@dataclass(frozen=True, eq=False)
+class SpectralCore:
+    """SVD-shaped factors of a matrix ``m``, from :func:`factorize`; ``m`` is not kept.
+
+    ``sv`` holds every singular value, descending.  A dense core holds
+    ``m = U diag(sv) V*`` in ``left`` and ``right_h`` (the rows of V*, one
+    per column of ``m``).  A block core, from a :class:`BlockSplit`, holds
+    one ``(index, w, q)`` triple per block size in ``eigen``: the block on
+    ``index[b]`` is ``q[b] diag(w[b]) q[b].T``, ``sv`` gathers the ``|w|``
+    and ``left`` and ``right_h`` are None.
+    """
+
+    left: np.ndarray | None
     sv: np.ndarray
-    right_h: np.ndarray
+    right_h: np.ndarray | None
+    eigen: tuple = ()
+
+    @property
+    def blocks(self) -> int:
+        """Number of diagonal blocks the factors come in, 1 for a dense core."""
+        return sum(index.shape[0] for index, _, _ in self.eigen) or 1
+
+    @property
+    def largest_block(self) -> int:
+        """Side of the largest block; a dense core's is the column count of ``m``."""
+        if self.eigen:
+            return max(index.shape[1] for index, _, _ in self.eigen)
+        return self.right_h.shape[1]
+
+    def _block_vectors(self, keep: Callable) -> np.ndarray:
+        """Eigenvectors of a block core whose ``|w|`` pass ``keep``, as full-length
+        columns ordered like ``sv`` (ties in block order)."""
+        values, columns = [], []
+        for index, w, q in self.eigen:
+            b, t = np.nonzero(keep(np.abs(w)))
+            col = np.zeros((self.sv.size, b.size))
+            col[index[b].T, np.arange(b.size)] = q[b, :, t].T
+            values.append(np.abs(w[b, t]))
+            columns.append(col)
+        order = np.argsort(-np.concatenate(values), kind="stable")
+        return np.concatenate(columns, axis=1)[:, order]
 
     def kernel(self, tol: float) -> np.ndarray:
         """Orthonormal columns of V whose singular value is at most ``tol``,
         plus the rows of V* past the last singular value (those of a wide ``m``)."""
+        if self.eigen:
+            return self._block_vectors(lambda a: a <= tol)
         keep = np.flatnonzero(self.sv <= tol)
         extra = np.arange(self.sv.size, self.right_h.shape[0])
         return self.right_h[np.concatenate((keep, extra))].conj().T
 
+    def least_right_vector(self) -> np.ndarray:
+        """Right singular vector of the smallest singular value ``sv[-1]``
+        (of the last of several equal ones)."""
+        if self.eigen:
+            return self._block_vectors(lambda a: a == self.sv[-1])[:, -1]
+        return self.right_h[-1].conj()
+
     def solve(self, b: np.ndarray, tol: float) -> np.ndarray:
         """Least-squares ``m z = b``, dropping (not amplifying) singular values <= ``tol``."""
+        if self.eigen:
+            z = np.zeros(self.sv.size, dtype=np.complex128)
+            for index, w, q in self.eigen:
+                inv = np.zeros_like(w)
+                np.divide(1.0, w, out=inv, where=np.abs(w) > tol)
+                # per block q diag(inv) q.T b, as row vectors: (inv * (b q)) q.T
+                coef = inv[:, None, :] * _vec_times(b[index][:, None, :], q)
+                z[index] = _vec_times(coef, q.swapaxes(1, 2))[:, 0]
+            return z
         inv = np.zeros_like(self.sv)
         np.divide(1.0, self.sv, out=inv, where=self.sv > tol)
         # U* b = conj(conj(b) U) and V c = conj(conj(c) V*): row-vector
@@ -273,22 +417,35 @@ class SpectralCore:
         return _vec_times(coef.conj(), self.right_h[: coef.size]).conj()
 
 
-def minus_identity(m: np.ndarray) -> np.ndarray:
-    """``m - I`` formed in place on a fresh square ``m``; a real copy when the
-    imaginary part is exactly zero, so that a caller passing the result
-    straight to :func:`factorize` holds no complex copy during its ``eigh``."""
+def minus_identity(m):
+    """``m - I`` formed in place on a fresh square ``m`` or on a fresh
+    :class:`BlockSplit`'s blocks.  A dense ``m`` whose imaginary part is
+    exactly zero comes back as a real copy, so that a caller passing the
+    result straight to :func:`factorize` holds no complex copy during its
+    ``eigh``."""
+    if isinstance(m, BlockSplit):
+        for stack in m.stacks:
+            side = stack.shape[1]
+            stack.reshape(stack.shape[0], side * side)[:, :: side + 1] -= 1.0
+        return m
     m.flat[:: m.shape[0] + 1] -= 1.0
     return m.real.copy() if np.iscomplexobj(m) and not m.imag.any() else m
 
 
-def factorize(m: np.ndarray) -> SpectralCore:
-    """The :class:`SpectralCore` of a 2-D array.
+def factorize(m) -> SpectralCore:
+    """The :class:`SpectralCore` of a 2-D array or of a :class:`BlockSplit`.
 
-    A square ``m`` that is exactly real and symmetric gets one real ``eigh``:
-    ``sv`` holds the absolute eigenvalues, V the eigenvectors and U the
-    eigenvectors times the eigenvalue signs.  Any other ``m`` gets one
-    complex SVD, with full V only when ``m`` is wide.
+    The blocks of a :class:`BlockSplit` must be exactly real and symmetric;
+    each block size gets one stacked ``eigh``.  A square 2-D ``m`` that is
+    exactly real and symmetric gets one real ``eigh``: ``sv`` holds the
+    absolute eigenvalues, V the eigenvectors and U the eigenvectors times
+    the eigenvalue signs.  Any other ``m`` gets one complex SVD, with full V
+    only when ``m`` is wide.
     """
+    if isinstance(m, BlockSplit):
+        eigen = tuple((index, *np.linalg.eigh(stack)) for index, stack in zip(m.index, m.stacks))
+        sv = np.concatenate([np.abs(w).ravel() for _, w, _ in eigen])
+        return SpectralCore(left=None, sv=sv[np.argsort(-sv, kind="stable")], right_h=None, eigen=eigen)
     rows, n = m.shape
     real = np.isrealobj(m) or not m.imag.any()
     # m is rebound on both paths, so this frame drops the array passed in
@@ -320,23 +477,60 @@ def _paired(lefts, rights) -> tuple:
     return lefts, rights, lefts[0].shape[0], rights[0].shape[0]
 
 
-def kron_sum(lefts, rights) -> np.ndarray:
-    """Matrix ``sum_j kron(r_j.T, l_j)`` of ``x -> sum_j l_j x r_j``.
+class KronEntries(NamedTuple):
+    """Entries of ``sum_t kron(r_t.T, l_t)`` on the product of its factors' patterns.
 
-    With p x p matrices ``l_j`` and q x q matrices ``r_j`` it acts on
-    column-stacked p x q input.  Each term is written by one broadcast
-    multiply into a reused (q, p, q, p) buffer and added in order, which is
-    bitwise the same as summing the ``np.kron`` products.
+    ``values[a, b]`` sits at row ``i[a] * p + k[b]`` and column
+    ``j[a] * p + m[b]``.  The pairs ``(i[a], j[a])`` are the positions where
+    some ``r_t.T`` is nonzero and ``(k[b], m[b])`` those where some ``l_t``
+    is, both in row-major order; every other entry of the sum is zero.
+    """
+
+    p: int
+    q: int
+    i: np.ndarray
+    j: np.ndarray
+    k: np.ndarray
+    m: np.ndarray
+    values: np.ndarray
+
+    def nonzero(self) -> tuple:
+        """Rows, columns and values of the exactly nonzero entries."""
+        a, b = np.nonzero(self.values)
+        return self.i[a] * self.p + self.k[b], self.j[a] * self.p + self.m[b], self.values[a, b]
+
+    def dense(self) -> np.ndarray:
+        """The whole (pq, pq) matrix."""
+        p, q = self.p, self.q
+        s = np.zeros((q, p, q, p), dtype=np.complex128)
+        s[self.i[:, None], self.k[None, :], self.j[:, None], self.m[None, :]] = self.values
+        return s.reshape(p * q, p * q)
+
+
+def kron_entries(lefts, rights) -> KronEntries:
+    """:class:`KronEntries` of ``x -> sum_t l_t x r_t`` (p x p ``l_t``, q x q ``r_t``).
+
+    Each term's products ``r_t.T[i, j] * l_t[k, m]`` are written by one
+    broadcast multiply into a reused buffer and added in order to zeros, as
+    ``np.kron`` sums them; a product with a zero factor is a zero and adds
+    nothing, so every entry is bitwise that of the summed ``np.kron``
+    products.
     """
     lefts, rights, p, q = _paired(lefts, rights)
-    s = np.zeros((q, p, q, p), dtype=np.complex128)
-    term = np.empty_like(s)
+    i, j = np.nonzero(np.logical_or.reduce([r.T != 0 for r in rights]))
+    k, m = np.nonzero(np.logical_or.reduce([l != 0 for l in lefts]))
+    values = np.zeros((i.size, k.size), dtype=np.complex128)
+    term = np.empty_like(values)
     for l, r in zip(lefts, rights):
-        # term[i, k, j, m] = r.T[i, j] * l[k, m]: kron(r.T, l) with its row
-        # and column indices split.
-        np.multiply(r.T[:, None, :, None], l[None, :, None, :], out=term)
-        s += term
-    return s.reshape(p * q, p * q)
+        np.multiply(r.T[i, j][:, None], l[k, m][None, :], out=term)
+        values += term
+    return KronEntries(p=p, q=q, i=i, j=j, k=k, m=m, values=values)
+
+
+def kron_sum(lefts, rights) -> np.ndarray:
+    """Matrix ``sum_j kron(r_j.T, l_j)`` of ``x -> sum_j l_j x r_j``: the dense
+    assembly of :func:`kron_entries`, acting on column-stacked p x q input."""
+    return kron_entries(lefts, rights).dense()
 
 
 def product_map(lefts, rights, x, name: str = "x") -> np.ndarray:

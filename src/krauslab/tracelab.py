@@ -93,8 +93,7 @@ def extract_trace(family: KrausFamily) -> ApproxTrace:
     for h in fs.basis:
         x += opcore.hs_inner(h, target).real * h
     if float(np.linalg.norm(x)) <= 1e-12:
-        vh = spectral_core(family).right_h
-        b = opcore.devectorize(vh[-1].conj(), d, d)
+        b = opcore.devectorize(spectral_core(family).least_right_vector(), d, d)
         h = (b + b.conj().T) / 2.0
         if float(np.linalg.norm(h)) ** 2 < 1e-14:
             raise ValueError(

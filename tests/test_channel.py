@@ -14,7 +14,7 @@ import pytest
 
 import krauslab as kl
 from krauslab import channel, cuntz, opcore, tracelab
-from krauslab.ensembles import ginibre, mixed_unitary_family, trial_rng
+from krauslab.ensembles import ginibre, haar_unitary, mixed_unitary_family, trial_rng
 
 E11 = np.diag([1.0, 0.0]).astype(complex)
 E22 = np.diag([0.0, 1.0]).astype(complex)
@@ -30,6 +30,27 @@ def witness_family(lam=0.6):
     a1[0, 1] = lam
     a2 = np.diag([1.0, np.sqrt(1.0 - lam * lam), 1.0]).astype(complex)
     return kl.KrausFamily([a1, a2])
+
+
+def tensor_family(d=8, m=3, seed=5):
+    """The benchmark's tensor kind: weighted u_j (x) I_4, complex, many blocks."""
+    rng = trial_rng(21, seed)
+    probs = rng.dirichlet(np.ones(m))
+    return kl.KrausFamily([np.sqrt(p) * np.kron(haar_unitary(rng, d // 4), np.eye(4)) for p in probs])
+
+
+def core_matrix(core, n):
+    """The matrix a core factors, assembled densely from its factors."""
+    if not core.eigen:
+        return (core.left * core.sv) @ core.right_h
+    m = np.zeros((n, n))
+    for index, w, q in core.eigen:
+        m[index[:, :, None], index[:, None, :]] = (q * w[:, None, :]) @ q.swapaxes(1, 2)
+    return m
+
+
+def core_factors(core):
+    return [q for _, _, q in core.eigen] if core.eigen else [core.left, core.right_h]
 
 
 def test_family_validation():
@@ -111,8 +132,8 @@ def test_superoperator_matches_apply():
 
 @pytest.mark.parametrize(
     "make",
-    [lambda: cuntz.luders_family(8), lambda: mixed_unitary_family(trial_rng(21, 6), 5, 3)],
-    ids=["luders8", "mixed_unitary5"],
+    [lambda: cuntz.luders_family(8), lambda: mixed_unitary_family(trial_rng(21, 6), 5, 3), tensor_family],
+    ids=["luders8", "mixed_unitary5", "tensor8"],
 )
 def test_superoperator_is_the_kron_sum(make):
     fam = make()
@@ -129,12 +150,13 @@ def test_superoperator_is_the_kron_sum(make):
     ids=["luders8-eigh", "mixed_unitary5-svd"],
 )
 def test_factorization_leaves_returned_superoperators_alone(make, real):
-    # S - I is formed in place on S; that buffer must be the core's own
+    # S - I is formed in place, on the core's own blocks or dense buffer
     fam = make()
     before = kl.superoperator(fam)
     kept = before.copy()
     core = kl.spectral_core(fam)
-    assert np.isrealobj(core.left) == real
+    assert (core.blocks > 1) == real
+    assert all(np.isrealobj(f) == real for f in core_factors(core))
     assert np.array_equal(before, kept)
     assert np.array_equal(before, kl.superoperator(fam))
 
@@ -153,9 +175,10 @@ def test_spectral_core_factorizes_s_minus_identity(make, real):
     fam = make()
     core = kl.spectral_core(fam)
     assert kl.spectral_core(fam) is core
-    assert np.isrealobj(core.left) == real
-    a = kl.superoperator(fam) - np.eye(fam.dim**2)
-    np.testing.assert_allclose((core.left * core.sv) @ core.right_h, a, atol=1e-12)
+    assert all(np.isrealobj(f) == real for f in core_factors(core))
+    n = fam.dim**2
+    a = kl.superoperator(fam) - np.eye(n)
+    np.testing.assert_allclose(core_matrix(core, n), a, atol=1e-12)
     np.testing.assert_allclose(core.sv, np.linalg.svd(a, compute_uv=False), atol=1e-12)
 
 
@@ -186,8 +209,8 @@ def test_real_symmetric_core_matches_explicit_svd():
 
 @pytest.mark.parametrize(
     "make",
-    [lambda: mixed_unitary_family(trial_rng(21, 6), 5, 3), witness_family],
-    ids=["mixed_unitary5", "witness-real-nonsymmetric"],
+    [lambda: mixed_unitary_family(trial_rng(21, 6), 5, 3), witness_family, tensor_family],
+    ids=["mixed_unitary5", "witness-real-nonsymmetric", "tensor8"],
 )
 def test_complex_core_is_bitwise_the_svd(make):
     # fixed_space, extract_trace and near_fixed_from_trace read these factors,
@@ -200,12 +223,44 @@ def test_complex_core_is_bitwise_the_svd(make):
     assert np.array_equal(core.right_h, vh)
 
 
+def test_tensor_family_splits_but_keeps_one_svd():
+    # its exact pattern has many components, yet S - I is complex: one SVD
+    fam = tensor_family()
+    n = fam.dim**2
+    rows, cols, values = opcore.kron_entries(fam._adjoints, fam.ops).nonzero()
+    assert np.iscomplexobj(values) and values.imag.any()
+    assert opcore.block_split(n, rows, cols, values) is not None
+    assert kl.spectral_core(fam).blocks == 1
+
+
 def test_real_core_is_bitwise_the_stable_sorted_eigh():
     fam = cuntz.luders_family(8)
+    core = kl.spectral_core(fam)
+    n = fam.dim**2
+    a = (kl.superoperator(fam) - np.eye(n)).real
+    assert core.blocks > 1 and core.left is None and core.right_h is None
+    # the blocks partition the indices, and S - I vanishes off them
+    seen = np.concatenate([index.ravel() for index, _, _ in core.eigen])
+    assert np.array_equal(np.sort(seen), np.arange(n))
+    on_blocks = np.zeros((n, n), dtype=bool)
+    for index, w, q in core.eigen:
+        on_blocks[index[:, :, None], index[:, None, :]] = True
+        ref_w, ref_q = np.linalg.eigh(a[index[:, :, None], index[:, None, :]])
+        assert np.array_equal(w, ref_w) and np.array_equal(q, ref_q)
+    assert not a[~on_blocks].any()
+    absw = np.concatenate([np.abs(w).ravel() for _, w, _ in core.eigen])
+    assert np.array_equal(core.sv, absw[np.argsort(-absw, kind="stable")])
+
+
+def test_connected_real_core_is_bitwise_the_stable_sorted_eigh():
+    # real symmetric generators with full patterns: S - I is one component
+    g = np.random.default_rng(12).standard_normal((2, 3, 3))
+    fam = kl.KrausFamily([(x + x.T) / 4.0 for x in g])
     core = kl.spectral_core(fam)
     w, q = np.linalg.eigh((kl.superoperator(fam) - np.eye(fam.dim**2)).real.copy())
     order = np.argsort(-np.abs(w), kind="stable")
     q, w = q[:, order], w[order]
+    assert core.blocks == 1 and not core.eigen
     assert np.array_equal(core.sv, np.abs(w))
     assert np.array_equal(core.right_h, q.T)
     assert np.array_equal(core.left, q * np.where(w < 0.0, -1.0, 1.0))
@@ -218,19 +273,21 @@ def test_no_complex_superoperator_is_live_during_the_real_eigh(monkeypatch):
     traced = []
 
     def watching(a, *args, **kwargs):
-        if np.shape(a) == (n, n):
-            traced.append(tracemalloc.get_traced_memory()[0])
+        traced.append((np.shape(a), np.asarray(a).dtype, tracemalloc.get_traced_memory()[0]))
         return eigh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", watching)
     tracemalloc.start()
     try:
-        kl.spectral_core(fam)
+        core = kl.spectral_core(fam)
     finally:
         tracemalloc.stop()
-    # one complex S takes 16 n^2 bytes (1.05 MB); the real S - I takes half
-    assert len(traced) == 1
-    assert traced[0] < 16 * n * n
+    # one stacked real eigh per block size, and never a complex S (16 n^2
+    # bytes, 1.05 MB) or even a real S - I live while they run
+    assert len(traced) == len(core.eigen) > 1
+    assert sum(np.prod(shape[:-1]) for shape, _, _ in traced) == n
+    assert all(dtype == np.float64 for _, dtype, _ in traced)
+    assert max(mem for _, _, mem in traced) < 8 * n * n
 
 
 @pytest.mark.parametrize(
@@ -246,17 +303,18 @@ def test_no_complex_superoperator_is_live_during_the_real_eigh(monkeypatch):
 def test_family_queries_build_and_factorize_once(make, path, monkeypatch):
     fam = make()
     n = fam.dim * fam.dim
-    calls = {"superoperator": 0, "svd": 0, "eigh": 0}
+    calls = {"kron_entries": 0, "svd": 0, "eigh": 0}
 
     def counting(name, fn):
+        # a factorization of S - I covers its n rows, dense or in stacked blocks
         def wrapper(*args, **kwargs):
-            if name == "superoperator" or np.shape(args[0]) == (n, n):
+            if name == "kron_entries" or np.prod(np.shape(args[0])[:-1]) == n:
                 calls[name] += 1
             return fn(*args, **kwargs)
 
         return wrapper
 
-    monkeypatch.setattr(channel, "superoperator", counting("superoperator", channel.superoperator))
+    monkeypatch.setattr(opcore, "kron_entries", counting("kron_entries", opcore.kron_entries))
     monkeypatch.setattr(np.linalg, "svd", counting("svd", np.linalg.svd))
     monkeypatch.setattr(np.linalg, "eigh", counting("eigh", np.linalg.eigh))
     y = ginibre(trial_rng(21, 8), fam.dim)
@@ -266,7 +324,7 @@ def test_family_queries_build_and_factorize_once(make, path, monkeypatch):
         kl.gap_report(fam)
         kl.solve_perturbation(fam, y)
         trace = tracelab.extract_trace(fam)
-    assert calls == {"superoperator": 1, "svd": int(path == "svd"), "eigh": int(path == "eigh")}
+    assert calls == {"kron_entries": 1, "svd": int(path == "svd"), "eigh": int(path == "eigh")}
     if path == "eigh":
         np.testing.assert_allclose(trace.density, np.diag([0.0, 0.0, 1.0]), atol=1e-12)
 

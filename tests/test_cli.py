@@ -61,6 +61,22 @@ def test_cuntz_report(capsys):
     assert obj["results"]["v2_comm"] == 0.0
 
 
+def test_cuntz_report_diagnoses_its_blocks(capsys):
+    with pytest.warns(UserWarning):
+        assert cli.main(["cuntz", "--dim", "48"]) == 0
+    diagnostics = json.loads(capsys.readouterr().out)["results"]["diagnostics"]
+    assert diagnostics["blocks"] > 1
+    assert 1 <= diagnostics["largest_block"] < 48 * 48
+
+
+def test_analyze_report_diagnoses_one_dense_block(tmp_path, capsys):
+    fam = kl.KrausFamily([np.diag([1.0, 1j])])
+    path = tmp_path / "unitary.json"
+    path.write_text(json.dumps(fam.to_json()))
+    assert cli.main(["analyze", "--input", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["results"]["diagnostics"] == {"blocks": 1, "largest_block": 4}
+
+
 def test_fuzz_csv_and_json(tmp_path, capsys):
     csv_path = tmp_path / "fuzz.csv"
     json_path = tmp_path / "fuzz.json"

@@ -1,6 +1,8 @@
 """Truncated shift isometries, the diagonal t-sequence, and the experiment run."""
 
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -151,3 +153,61 @@ def test_luders_commutant_is_scalar():
     com = kl.commutant(list(fam.ops))
     assert len(com) == 1
     assert com.distance(np.eye(8) / math.sqrt(8.0)) <= 1e-10
+
+
+@pytest.mark.parametrize("n", [16, 32, 48])
+def test_block_core_agrees_with_a_dense_reference(n):
+    fam = cuntz.luders_family(n)
+    a = kl.superoperator(fam) - np.eye(n * n)
+    assert not a.imag.any()
+    sv = np.sort(np.abs(np.linalg.eigvalsh(a.real)))
+    tol = kl.fix_tol(n)
+    fix_dim = int(np.sum(sv <= tol))
+    rep = kl.gap_report(fam)
+    assert rep.fix_dim == fix_dim == 1
+    assert abs(rep.restricted_gap - sv[fix_dim]) <= 1e-12
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert cuntz.experiment(n).candidate_fixed_defect <= tol
+
+
+def test_luders_core_splits_into_blocks():
+    # Only facts that hold on any BLAS build are pinned.  Each part a_j is
+    # supported on the components of the real or imaginary part h of its
+    # isometry (structural zeros, exact everywhere); those supports cut S
+    # into 289 components, the largest of side 2016.  Rounding zeros and
+    # exact cancellations in S can only cut further.
+    n = 48
+    fam = cuntz.luders_family(n)
+    masks = [np.eye(n)]
+    for v in (fam.truncation.v1, fam.truncation.v2):
+        for h in ((v + v.conj().T) / 2.0, (v - v.conj().T) / 2.0j):
+            rows, cols = np.nonzero(h)
+            label = opcore.components(n, rows, cols)
+            mask = (label[:, None] == label[None, :]) & (h != 0).any(axis=0)
+            masks += [mask.astype(float)] * 2
+    for a, mask in zip(fam.ops, masks):
+        assert not a[mask == 0].any()
+    rows, cols, _ = opcore.kron_entries(masks, masks).nonzero()
+    _, sizes = np.unique(opcore.components(n * n, rows, cols), return_counts=True)
+    assert (sizes.size, sizes.max()) == (289, 2016)
+    core = kl.spectral_core(fam)
+    assert core.blocks >= 289 and core.largest_block <= 2016
+    assert sum(index.size for index, _, _ in core.eigen) == n * n
+
+
+def test_luders_a0_is_exactly_diagonal():
+    a0 = cuntz.luders_family(16).ops[0]
+    assert np.array_equal(a0, np.diag(np.diag(a0)))
+
+
+def test_experiment_allocates_no_dense_superoperator():
+    # a complex S at n = 64 takes 16 n^4 bytes (268 MB)
+    n = 64
+    tracemalloc.start()
+    try:
+        cuntz.experiment(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n**4

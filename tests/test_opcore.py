@@ -347,3 +347,106 @@ def test_wrong_shaped_input_names_its_argument():
         channel.apply(fam, np.eye(2))
     with pytest.raises(ValueError, match=r"^x has shape \(3, 2\), expected \(3, 3\)$"):
         inequalities.defect_bounds(fam, np.ones((3, 2)))
+
+
+def _block_diagonal_hermitian(rng):
+    """A 7 x 7 Hermitian matrix with components {0, 3, 5}, {1, 6}, {2} and {4}."""
+    h = np.zeros((7, 7), dtype=complex)
+    for comp in ([0, 3, 5], [1, 6], [2], [4]):
+        g = rng.standard_normal((len(comp),) * 2) + 1j * rng.standard_normal((len(comp),) * 2)
+        h[np.ix_(comp, comp)] = g + g.conj().T
+    return h, [[0, 3, 5], [1, 6], [2], [4]]
+
+
+def test_positive_part_and_psd_sqrt_vanish_off_the_blocks():
+    h, comps = _block_diagonal_hermitian(np.random.default_rng(3))
+    on = np.zeros(h.shape, dtype=bool)
+    for comp in comps:
+        on[np.ix_(comp, comp)] = True
+    plus, minus = opcore.positive_part(h), opcore.positive_part(-h)
+    root = opcore.psd_sqrt(h @ h)
+    for out in (plus, minus, root):
+        assert not out[~on].any()
+    np.testing.assert_allclose(plus - minus, h, atol=1e-12)
+    np.testing.assert_allclose(root @ root, h @ h, atol=1e-10 * (1 + opcore.op_norm(h @ h)))
+    for comp in comps:
+        # each block is the function of its own block of h
+        w, v = np.linalg.eigh(h[np.ix_(comp, comp)])
+        np.testing.assert_allclose(plus[np.ix_(comp, comp)], (v * np.clip(w, 0.0, None)) @ v.conj().T, atol=1e-12)
+
+
+def test_positive_part_and_psd_sqrt_of_a_connected_input_are_bitwise_one_eigh():
+    rng = np.random.default_rng(4)
+    g = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    h = (g + g.conj().T) / 2.0
+    w, v = np.linalg.eigh(h)
+    out = (v * np.clip(w, 0.0, None)) @ v.conj().T
+    assert np.array_equal(opcore.positive_part(h), (out + out.conj().T) / 2.0)
+    p = g @ g.conj().T
+    sym = (p + p.conj().T) / 2.0
+    w, v = np.linalg.eigh(sym)
+    out = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+    assert np.array_equal(opcore.psd_sqrt(p), (out + out.conj().T) / 2.0)
+
+
+def test_psd_sqrt_gates_across_blocks():
+    with pytest.raises(ValueError, match="matrix is not PSD: eigenvalue -5.000e-01"):
+        opcore.psd_sqrt(np.diag([1.0, -0.5, 2.0]))
+    # rounding-level negatives relative to the largest block are clipped
+    np.testing.assert_array_equal(opcore.psd_sqrt(np.diag([4.0, -1e-12])), np.diag([2.0, 0.0]))
+
+
+def test_components_oracle():
+    # edges 0-3, 3-5, 6-1 and a self-loop at 2; node 4 has none
+    labels = opcore.components(7, np.array([0, 5, 6, 2]), np.array([3, 3, 1, 2]))
+    np.testing.assert_array_equal(labels, [0, 1, 2, 0, 4, 0, 1])
+    # a long path settles on its smallest node
+    path = np.arange(99)
+    np.testing.assert_array_equal(opcore.components(100, path[::-1], path[::-1] + 1), np.zeros(100))
+
+
+def test_block_split_oracle():
+    h, _ = _block_diagonal_hermitian(np.random.default_rng(5))
+    rows, cols = np.nonzero(h)
+    split = opcore.block_split(7, rows, cols, h[rows, cols])
+    assert [index.tolist() for index in split.index] == [[[2], [4]], [[1, 6]], [[0, 3, 5]]]
+    for index, stack in zip(split.index, split.stacks):
+        for b, idx in enumerate(index):
+            assert np.array_equal(stack[b], h[np.ix_(idx, idx)])
+    assert opcore.block_split(2, np.array([0]), np.array([1]), np.array([1.0])) is None
+
+
+def test_kron_entries_sit_where_kron_sum_puts_them():
+    rng = np.random.default_rng(42)
+    lefts = [np.diag(rng.standard_normal(3)), np.triu(rng.standard_normal((3, 3)))]
+    rights = [np.eye(2), rng.standard_normal((2, 2)) * [[1, 0], [1, 1]]]
+    e = opcore.kron_entries(lefts, rights)
+    s = opcore.kron_sum(lefts, rights)
+    rows, cols, values = e.nonzero()
+    assert np.array_equal(s[rows, cols], values)
+    off = np.ones(s.shape, dtype=bool)
+    off[rows, cols] = False
+    assert not s[off].any()
+    # only pairs where some factor is nonzero are stored
+    assert e.values.shape == (3, 6)
+
+
+def test_block_core_serves_the_dense_answers():
+    rng = np.random.default_rng(8)
+    q = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+    a = np.zeros((6, 6))
+    a[np.ix_([0, 2, 4], [0, 2, 4])] = q @ np.diag([2.0, -1.0, 1e-13]) @ q.T
+    a[np.ix_([1, 5], [1, 5])] = [[0.5, 0.25], [0.25, -0.5]]
+    a[3, 3] = -3.0
+    a = (a + a.T) / 2.0
+    rows, cols = np.nonzero(a)
+    split = opcore.block_split(6, rows, cols, a[rows, cols])
+    core, dense = opcore.factorize(split), opcore.factorize(a.copy())
+    assert core.blocks == 3 and core.largest_block == 3 and dense.blocks == 1
+    np.testing.assert_allclose(core.sv, dense.sv, atol=1e-14)
+    k = core.kernel(1e-10)
+    assert k.shape == (6, 1)
+    np.testing.assert_allclose(np.abs(k.T @ dense.kernel(1e-10)), [[1.0]], atol=1e-12)
+    np.testing.assert_allclose(np.abs(core.least_right_vector()), np.abs(dense.least_right_vector()), atol=1e-12)
+    b = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+    np.testing.assert_allclose(core.solve(b, 1e-10), dense.solve(b, 1e-10), atol=1e-12)
