@@ -289,7 +289,7 @@ def _run_schur(cfg: RunConfig) -> tuple:
         source = "symbol"
         if n is None:
             n = sym.kmax + 1
-    elif isinstance(obj, dict) and "atoms" in obj:
+    elif isinstance(obj, dict) and ("atoms" in obj or "density" in obj):
         mu = schur.measure_from_json(obj)
         if n is None:
             n = _MEASURE_DIM
@@ -297,11 +297,13 @@ def _run_schur(cfg: RunConfig) -> tuple:
         source = "measure"
         positive = _is_positive(mu)
     else:
-        raise ValueError("input must contain a 'coeffs' symbol or an 'atoms' measure")
+        raise ValueError("input must contain a 'coeffs' symbol or an 'atoms' or 'density' measure")
     spectrum = schur.truncated_spectrum(sym, n)
     toeplitz = schur.multiplier_matrix(sym, n)
+    # d_{-k} = conj(d_k) up to rounding relative to the largest |d_k|
+    scale = max(abs(v) for v in sym.coeffs.values())
     hermitian = all(
-        abs(sym.coeffs[k] - sym.coeffs[-k].conjugate()) <= 1e-12
+        abs(sym.coeffs[k] - sym.coeffs[-k].conjugate()) <= 1e-12 * scale
         for k in range(sym.kmax + 1)
     )
     toeplitz_min_eig = None

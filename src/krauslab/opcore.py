@@ -8,10 +8,11 @@ families are written down: superoperators come from :func:`kron_entries`
 solution spaces of ``l_j x = x r_j`` from :func:`sylvester_null_space`, PSD
 inputs pass :func:`require_psd` and families pass :func:`square_family`
 (their defects from :func:`completeness_defects`).  Every kernel and solve
-factorizes through :func:`factorize`, the one choice between a real
-``eigh``, an SVD and stacked per-block ``eigh`` of a :class:`BlockSplit`
-(the connected components of an exact nonzero pattern, from
-:func:`block_split`); :class:`SpectralCore` holds the cut.
+factorizes through :func:`factorize`, the one choice between stacked
+per-block ``eigh`` of a :class:`BlockSplit` (the connected components of an
+exact nonzero pattern, from :func:`block_split`; a connected real symmetric
+matrix is one block) and one SVD; :class:`SpectralCore` holds the blocks in
+one form and the cut.
 """
 
 from __future__ import annotations
@@ -167,19 +168,13 @@ def positive_part(h) -> np.ndarray:
 def _spectral_map(sym: np.ndarray, f: Callable, gate: Callable | None = None) -> np.ndarray:
     """``v f(w) v*`` of the Hermitian ``sym = v diag(w) v*``, symmetrized.
 
-    ``gate`` sees all eigenvalues before any output is formed.  One
-    connected component of the exact nonzero pattern of ``sym`` means one
-    ``eigh`` of the whole matrix; more components mean one stacked ``eigh``
-    per component size, and the result is exactly zero off the components.
+    ``gate`` sees all eigenvalues before any output is formed.  Each
+    connected component of the exact nonzero pattern of ``sym`` is one
+    block (a connected ``sym`` is one block of itself), each block size gets
+    one stacked ``eigh``, and the result is exactly zero off the blocks.
     """
     rows, cols = np.nonzero(sym)
-    split = block_split(sym.shape[0], rows, cols, sym[rows, cols])
-    if split is None:
-        w, v = np.linalg.eigh(sym)
-        if gate is not None:
-            gate(w)
-        out = (v * f(w)) @ v.conj().T
-        return (out + out.conj().T) / 2.0
+    split = block_split(sym.shape[0], rows, cols, sym[rows, cols]) or _one_block(sym)
     eigen = [np.linalg.eigh(stack) for stack in split.stacks]
     if gate is not None:
         gate(np.sort(np.concatenate([w.ravel() for w, _ in eigen])))
@@ -340,81 +335,74 @@ def block_split(n: int, rows: np.ndarray, cols: np.ndarray, values: np.ndarray) 
     return BlockSplit(index=tuple(index), stacks=tuple(stacks))
 
 
+def _one_block(m: np.ndarray) -> BlockSplit:
+    """The square ``m`` as a :class:`BlockSplit` of one block, a view of ``m``."""
+    return BlockSplit(index=(np.arange(m.shape[0])[None],), stacks=(m[None],))
+
+
 @dataclass(frozen=True, eq=False)
 class SpectralCore:
-    """SVD-shaped factors of a matrix ``m``, from :func:`factorize`; ``m`` is not kept.
+    """Factors of a matrix ``m``, from :func:`factorize`; ``m`` is not kept.
 
-    ``sv`` holds every singular value, descending.  A dense core holds
-    ``m = U diag(sv) V*`` in ``left`` and ``right_h`` (the rows of V*, one
-    per column of ``m``).  A block core, from a :class:`BlockSplit`, holds
-    one ``(index, w, q)`` triple per block size in ``eigen``: the block on
-    ``index[b]`` is ``q[b] diag(w[b]) q[b].T``, ``sv`` gathers the ``|w|``
-    and ``left`` and ``right_h`` are None.
+    ``factors`` holds one ``(index, u, w, vh)`` per block size, with real
+    ``w``: block b of the stack sits on rows ``index[b, :u.shape[1]]`` and
+    columns ``index[b, :vh.shape[2]]`` of ``m`` and is
+    ``u[b] diag(w[b]) vh[b]``, and ``m`` is zero off its blocks.  ``sv``
+    holds every ``|w|``, descending (ties in factor order): the singular
+    values of ``m``, padded with zeros when ``m`` is wide.
     """
 
-    left: np.ndarray | None
     sv: np.ndarray
-    right_h: np.ndarray | None
-    eigen: tuple = ()
+    factors: tuple
 
     @property
     def blocks(self) -> int:
-        """Number of diagonal blocks the factors come in, 1 for a dense core."""
-        return sum(index.shape[0] for index, _, _ in self.eigen) or 1
+        """Number of diagonal blocks the factors come in."""
+        return sum(index.shape[0] for index, _, _, _ in self.factors)
 
     @property
     def largest_block(self) -> int:
-        """Side of the largest block; a dense core's is the column count of ``m``."""
-        if self.eigen:
-            return max(index.shape[1] for index, _, _ in self.eigen)
-        return self.right_h.shape[1]
+        """Column count of the largest block."""
+        return max(vh.shape[2] for _, _, _, vh in self.factors)
 
-    def _block_vectors(self, keep: Callable) -> np.ndarray:
-        """Eigenvectors of a block core whose ``|w|`` pass ``keep``, as full-length
-        columns ordered like ``sv`` (ties in block order)."""
+    def _right_vectors(self, keep: Callable) -> np.ndarray:
+        """Right singular vectors whose ``|w|`` pass ``keep``, as full-length
+        columns ordered like ``sv`` (ties in factor order)."""
         values, columns = [], []
-        for index, w, q in self.eigen:
+        for index, _, w, vh in self.factors:
             b, t = np.nonzero(keep(np.abs(w)))
-            col = np.zeros((self.sv.size, b.size))
-            col[index[b].T, np.arange(b.size)] = q[b, :, t].T
+            col = np.zeros((self.sv.size, b.size), dtype=vh.dtype)
+            col[index[b, : vh.shape[2]].T, np.arange(b.size)] = vh[b, t].conj().T
             values.append(np.abs(w[b, t]))
             columns.append(col)
         order = np.argsort(-np.concatenate(values), kind="stable")
         return np.concatenate(columns, axis=1)[:, order]
 
     def kernel(self, tol: float) -> np.ndarray:
-        """Orthonormal columns of V whose singular value is at most ``tol``,
-        plus the rows of V* past the last singular value (those of a wide ``m``)."""
-        if self.eigen:
-            return self._block_vectors(lambda a: a <= tol)
-        keep = np.flatnonzero(self.sv <= tol)
-        extra = np.arange(self.sv.size, self.right_h.shape[0])
-        return self.right_h[np.concatenate((keep, extra))].conj().T
+        """Orthonormal columns of V whose singular value is at most ``tol``
+        (with the rows of V* past the last singular value of a wide ``m``)."""
+        return self._right_vectors(lambda a: a <= tol)
 
     def least_right_vector(self) -> np.ndarray:
         """Right singular vector of the smallest singular value ``sv[-1]``
         (of the last of several equal ones)."""
-        if self.eigen:
-            return self._block_vectors(lambda a: a == self.sv[-1])[:, -1]
-        return self.right_h[-1].conj()
+        return self._right_vectors(lambda a: a == self.sv[-1])[:, -1]
 
     def solve(self, b: np.ndarray, tol: float) -> np.ndarray:
         """Least-squares ``m z = b``, dropping (not amplifying) singular values <= ``tol``."""
-        if self.eigen:
-            z = np.zeros(self.sv.size, dtype=np.complex128)
-            for index, w, q in self.eigen:
-                inv = np.zeros_like(w)
-                np.divide(1.0, w, out=inv, where=np.abs(w) > tol)
-                # per block q diag(inv) q.T b, as row vectors: (inv * (b q)) q.T
-                coef = inv[:, None, :] * _vec_times(b[index][:, None, :], q)
-                z[index] = _vec_times(coef, q.swapaxes(1, 2))[:, 0]
-            return z
-        inv = np.zeros_like(self.sv)
-        np.divide(1.0, self.sv, out=inv, where=self.sv > tol)
-        # U* b = conj(conj(b) U) and V c = conj(conj(c) V*): row-vector
-        # products, so no factor is conjugated or cast to complex.
-        coef = inv * _vec_times(b.conj(), self.left).conj()
-        return _vec_times(coef.conj(), self.right_h[: coef.size]).conj()
+        rows = sum(u.shape[0] * u.shape[1] for _, u, _, _ in self.factors)
+        if np.shape(b) != (rows,):
+            raise ValueError(f"b has shape {np.shape(b)}, expected ({rows},)")
+        z = np.zeros(self.sv.size, dtype=np.complex128)
+        for index, u, w, vh in self.factors:
+            inv = np.zeros_like(w)
+            np.divide(1.0, w, out=inv, where=np.abs(w) > tol)
+            # per block vh* diag(inv) u* b, as row vectors: u* b = conj(conj(b) u)
+            # and vh* c = conj(conj(c) vh), so no factor is conjugated or cast
+            rhs = b[index[:, : u.shape[1]]].conj()[:, None, :]
+            coef = inv[:, None, :] * _vec_times(rhs, u).conj()
+            z[index[:, : vh.shape[2]]] = _vec_times(coef.conj(), vh)[:, 0].conj()
+        return z
 
 
 def minus_identity(m):
@@ -436,29 +424,33 @@ def factorize(m) -> SpectralCore:
     """The :class:`SpectralCore` of a 2-D array or of a :class:`BlockSplit`.
 
     The blocks of a :class:`BlockSplit` must be exactly real and symmetric;
-    each block size gets one stacked ``eigh``.  A square 2-D ``m`` that is
-    exactly real and symmetric gets one real ``eigh``: ``sv`` holds the
-    absolute eigenvalues, V the eigenvectors and U the eigenvectors times
-    the eigenvalue signs.  Any other ``m`` gets one complex SVD, with full V
+    each block size gets one stacked ``eigh``, stored as ``u = q``, signed
+    ``w`` and ``vh`` the transposed view of ``q``.  A square 2-D ``m`` that
+    is exactly real and symmetric is one such block.  Any other ``m`` gets
+    one complex SVD, one block covering every row and column, with full V
     only when ``m`` is wide.
     """
-    if isinstance(m, BlockSplit):
-        eigen = tuple((index, *np.linalg.eigh(stack)) for index, stack in zip(m.index, m.stacks))
-        sv = np.concatenate([np.abs(w).ravel() for _, w, _ in eigen])
-        return SpectralCore(left=None, sv=sv[np.argsort(-sv, kind="stable")], right_h=None, eigen=eigen)
-    rows, n = m.shape
-    real = np.isrealobj(m) or not m.imag.any()
-    # m is rebound on both paths, so this frame drops the array passed in
-    if rows == n and real and np.array_equal(m.real, m.real.T):
-        m = np.ascontiguousarray(m.real)
-        w, q = np.linalg.eigh(m)
-        del m
-        order = np.argsort(-np.abs(w), kind="stable")
-        q, w = q[:, order], w[order]
-        return SpectralCore(left=q * np.where(w < 0.0, -1.0, 1.0), sv=np.abs(w), right_h=q.T)
-    m = m.astype(np.complex128, copy=False)
-    u, sv, vh = np.linalg.svd(m, full_matrices=rows < n)
-    return SpectralCore(left=u, sv=sv, right_h=vh)
+    if not isinstance(m, BlockSplit):
+        rows, n = m.shape
+        real = np.isrealobj(m) or not m.imag.any()
+        if rows == n and real and np.array_equal(m.real, m.real.T):
+            m = _one_block(np.ascontiguousarray(m.real))
+        else:
+            # m is rebound, so this frame drops a real array passed in
+            m = m.astype(np.complex128, copy=False)
+            u, s, vh = np.linalg.svd(m, full_matrices=rows < n)
+            if rows < n:
+                # the extra rows of V* get zero singular values
+                u, s = np.pad(u, ((0, 0), (0, n - rows))), np.pad(s, (0, n - rows))
+            return _core(((np.arange(max(rows, n))[None], u[None], s[None], vh[None]),))
+    eigen = [(index, np.linalg.eigh(stack)) for index, stack in zip(m.index, m.stacks)]
+    return _core(tuple((index, q, w, q.swapaxes(1, 2)) for index, (w, q) in eigen))
+
+
+def _core(factors: tuple) -> SpectralCore:
+    """The :class:`SpectralCore` of ``factors``, with ``sv`` gathered from them."""
+    sv = np.concatenate([np.abs(w).ravel() for _, _, w, _ in factors])
+    return SpectralCore(sv=sv[np.argsort(-sv, kind="stable")], factors=factors)
 
 
 def null_space_basis(a: np.ndarray, tol: float) -> np.ndarray:

@@ -259,12 +259,11 @@ def measure_to_json(mu: CircleMeasure) -> dict:
 
 
 def measure_from_json(obj) -> CircleMeasure:
-    if not isinstance(obj, dict) or "atoms" not in obj:
-        raise ValueError("measure object must be a JSON dict with an 'atoms' list")
-    atoms = [
-        (complex(zr, zi), complex(wr, wi))
-        for zr, zi, wr, wi in _json_rows(obj, "atoms", 4, "[re z, im z, re w, im w]")
-    ]
+    """Decode :func:`measure_to_json` output; a missing ``atoms`` list means no atoms."""
+    if not isinstance(obj, dict):
+        raise ValueError("measure object must be a JSON dict")
+    rows = _json_rows(obj, "atoms", 4, "[re z, im z, re w, im w]") if "atoms" in obj else []
+    atoms = [(complex(zr, zi), complex(wr, wi)) for zr, zi, wr, wi in rows]
     density = None
     dens_obj = obj.get("density")
     if dens_obj is not None:

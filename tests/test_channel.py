@@ -40,17 +40,15 @@ def tensor_family(d=8, m=3, seed=5):
 
 
 def core_matrix(core, n):
-    """The matrix a core factors, assembled densely from its factors."""
-    if not core.eigen:
-        return (core.left * core.sv) @ core.right_h
-    m = np.zeros((n, n))
-    for index, w, q in core.eigen:
-        m[index[:, :, None], index[:, None, :]] = (q * w[:, None, :]) @ q.swapaxes(1, 2)
+    """The square matrix a core factors, assembled densely from its blocks."""
+    m = np.zeros((n, n), dtype=complex)
+    for index, u, w, vh in core.factors:
+        m[index[:, :, None], index[:, None, :]] = (u * w[:, None, :]) @ vh
     return m
 
 
 def core_factors(core):
-    return [q for _, _, q in core.eigen] if core.eigen else [core.left, core.right_h]
+    return [f for _, u, _, vh in core.factors for f in (u, vh)]
 
 
 def test_family_validation():
@@ -185,7 +183,7 @@ def test_spectral_core_factorizes_s_minus_identity(make, real):
 def test_real_symmetric_core_matches_explicit_svd():
     fam = cuntz.luders_family(16)
     core = kl.spectral_core(fam)
-    assert np.isrealobj(core.left) and np.isrealobj(core.right_h)
+    assert all(np.isrealobj(f) for f in core_factors(core))
     d = fam.dim
     tol = kl.fix_tol(d)
     s = kl.superoperator(fam)
@@ -217,10 +215,14 @@ def test_complex_core_is_bitwise_the_svd(make):
     # and no CLI report diff reaches them
     fam = make()
     core = kl.spectral_core(fam)
-    u, sv, vh = np.linalg.svd(kl.superoperator(fam) - np.eye(fam.dim**2))
-    assert np.array_equal(core.left, u)
-    assert np.array_equal(core.sv, sv)
-    assert np.array_equal(core.right_h, vh)
+    n = fam.dim**2
+    u, sv, vh = np.linalg.svd(kl.superoperator(fam) - np.eye(n))
+    # one block covering every row and column
+    ((index, core_u, w, core_vh),) = core.factors
+    assert np.array_equal(index, np.arange(n)[None])
+    assert np.array_equal(core_u, u[None])
+    assert np.array_equal(w, sv[None]) and np.array_equal(core.sv, sv)
+    assert np.array_equal(core_vh, vh[None])
 
 
 def test_tensor_family_splits_but_keeps_one_svd():
@@ -238,17 +240,19 @@ def test_real_core_is_bitwise_the_stable_sorted_eigh():
     core = kl.spectral_core(fam)
     n = fam.dim**2
     a = (kl.superoperator(fam) - np.eye(n)).real
-    assert core.blocks > 1 and core.left is None and core.right_h is None
+    assert core.blocks > 1
     # the blocks partition the indices, and S - I vanishes off them
-    seen = np.concatenate([index.ravel() for index, _, _ in core.eigen])
+    seen = np.concatenate([index.ravel() for index, _, _, _ in core.factors])
     assert np.array_equal(np.sort(seen), np.arange(n))
     on_blocks = np.zeros((n, n), dtype=bool)
-    for index, w, q in core.eigen:
+    for index, u, w, vh in core.factors:
         on_blocks[index[:, :, None], index[:, None, :]] = True
         ref_w, ref_q = np.linalg.eigh(a[index[:, :, None], index[:, None, :]])
-        assert np.array_equal(w, ref_w) and np.array_equal(q, ref_q)
+        assert np.array_equal(w, ref_w) and np.array_equal(u, ref_q)
+        # vh is the transposed view of q, not a copy
+        assert np.array_equal(vh, ref_q.swapaxes(1, 2)) and np.shares_memory(u, vh)
     assert not a[~on_blocks].any()
-    absw = np.concatenate([np.abs(w).ravel() for _, w, _ in core.eigen])
+    absw = np.concatenate([np.abs(w).ravel() for _, _, w, _ in core.factors])
     assert np.array_equal(core.sv, absw[np.argsort(-absw, kind="stable")])
 
 
@@ -257,13 +261,14 @@ def test_connected_real_core_is_bitwise_the_stable_sorted_eigh():
     g = np.random.default_rng(12).standard_normal((2, 3, 3))
     fam = kl.KrausFamily([(x + x.T) / 4.0 for x in g])
     core = kl.spectral_core(fam)
-    w, q = np.linalg.eigh((kl.superoperator(fam) - np.eye(fam.dim**2)).real.copy())
-    order = np.argsort(-np.abs(w), kind="stable")
-    q, w = q[:, order], w[order]
-    assert core.blocks == 1 and not core.eigen
-    assert np.array_equal(core.sv, np.abs(w))
-    assert np.array_equal(core.right_h, q.T)
-    assert np.array_equal(core.left, q * np.where(w < 0.0, -1.0, 1.0))
+    n = fam.dim**2
+    w, q = np.linalg.eigh((kl.superoperator(fam) - np.eye(n)).real.copy())
+    # one block covering every row and column
+    ((index, u, core_w, vh),) = core.factors
+    assert np.array_equal(index, np.arange(n)[None])
+    assert np.array_equal(core_w, w[None]) and np.array_equal(u, q[None])
+    assert np.array_equal(vh, q.T[None]) and np.shares_memory(u, vh)
+    assert np.array_equal(core.sv, np.abs(w)[np.argsort(-np.abs(w), kind="stable")])
 
 
 def test_no_complex_superoperator_is_live_during_the_real_eigh(monkeypatch):
@@ -284,7 +289,7 @@ def test_no_complex_superoperator_is_live_during_the_real_eigh(monkeypatch):
         tracemalloc.stop()
     # one stacked real eigh per block size, and never a complex S (16 n^2
     # bytes, 1.05 MB) or even a real S - I live while they run
-    assert len(traced) == len(core.eigen) > 1
+    assert len(traced) == len(core.factors) > 1
     assert sum(np.prod(shape[:-1]) for shape, _, _ in traced) == n
     assert all(dtype == np.float64 for _, dtype, _ in traced)
     assert max(mem for _, _, mem in traced) < 8 * n * n

@@ -509,3 +509,36 @@ def test_analyze_counts_a_trivial_fixed_space_of_a_unital_family(
     shrunk.write_text(json.dumps(kl.KrausFamily([0.5 * np.eye(2)]).to_json()))
     assert cli.main(["analyze", "--input", str(shrunk)]) == 0
     assert json.loads(capsys.readouterr().out)["results"]["failures"] == 0
+
+
+@pytest.mark.parametrize("weight", [1e-6, 1.0, 1e6])
+def test_schur_hermitian_symbol_is_judged_relative_to_its_size(weight, tmp_path, capsys):
+    # a real point mass has d_{-k} = conj(d_k) at every scale; a complex one never
+    path = tmp_path / "measure.json"
+    for w, hermitian in ((weight, True), (1j * weight, False)):
+        mu = schur.CircleMeasure.point_mass(np.exp(0.7j), w)
+        path.write_text(json.dumps(schur.measure_to_json(mu)))
+        assert cli.main(["schur", "--input", str(path)]) == 0
+        results = json.loads(capsys.readouterr().out)["results"]
+        assert results["hermitian_symbol"] is hermitian
+        if hermitian:
+            # w v v* is PSD of rank one
+            assert abs(results["toeplitz_min_eig"]) <= 1e-12 * weight
+        else:
+            assert results["toeplitz_min_eig"] is None
+
+
+def test_schur_measure_atoms_are_optional(tmp_path, capsys):
+    density = json.loads((DEMO_DATA / "measure.json").read_text())["density"]
+    path = tmp_path / "measure.json"
+    results = []
+    for obj in ({"density": density}, {"atoms": [], "density": density}):
+        path.write_text(json.dumps(obj))
+        assert cli.main(["schur", "--input", str(path)]) == 0
+        results.append(json.loads(capsys.readouterr().out)["results"])
+    assert results[0] == results[1]
+    assert results[0]["source"] == "measure"
+    # neither a symbol nor a measure
+    path.write_text(json.dumps({"grid": density["grid"]}))
+    assert cli.main(["schur", "--input", str(path)]) == 2
+    assert "'atoms' or 'density' measure" in capsys.readouterr().err

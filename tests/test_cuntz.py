@@ -193,7 +193,7 @@ def test_luders_core_splits_into_blocks():
     assert (sizes.size, sizes.max()) == (289, 2016)
     core = kl.spectral_core(fam)
     assert core.blocks >= 289 and core.largest_block <= 2016
-    assert sum(index.size for index, _, _ in core.eigen) == n * n
+    assert sum(index.size for index, _, _, _ in core.factors) == n * n
 
 
 def test_luders_a0_is_exactly_diagonal():

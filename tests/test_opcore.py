@@ -450,3 +450,56 @@ def test_block_core_serves_the_dense_answers():
     np.testing.assert_allclose(np.abs(core.least_right_vector()), np.abs(dense.least_right_vector()), atol=1e-12)
     b = rng.standard_normal(6) + 1j * rng.standard_normal(6)
     np.testing.assert_allclose(core.solve(b, 1e-10), dense.solve(b, 1e-10), atol=1e-12)
+
+
+def _core_kind(kind: str) -> tuple:
+    """A matrix and its core, for each of the four ways a core comes to be."""
+    rng = np.random.default_rng(13)
+    if kind == "luders8":
+        # exactly real symmetric S - I that splits into stacked blocks
+        fam = cuntz.luders_family(8)
+        return (channel.superoperator(fam) - np.eye(64)).real, channel.spectral_core(fam)
+    if kind == "connected-real":
+        # real symmetric with a full pattern and a two-dimensional kernel
+        q = np.linalg.qr(rng.standard_normal((5, 5)))[0]
+        m = q @ np.diag([2.0, -1.0, 0.5, 0.0, 0.0]) @ q.T
+        m = (m + m.T) / 2.0
+    elif kind == "complex-svd":
+        # complex 6 x 6 of rank 4
+        m = (rng.standard_normal((6, 4)) + 1j * rng.standard_normal((6, 4))) @ (
+            rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))
+        )
+    else:
+        m = rng.standard_normal((3, 7)) + 1j * rng.standard_normal((3, 7))
+    return m, opcore.factorize(m.copy())
+
+
+@pytest.mark.parametrize("kind", ["luders8", "connected-real", "complex-svd", "wide3x7"])
+def test_every_core_kind_answers_like_its_matrix(kind):
+    m, core = _core_kind(kind)
+    rows, cols = m.shape
+    tol = 1e-10
+    assert (core.blocks > 1) == (kind == "luders8")
+    # block b is u diag(w) vh on its rows and columns, and m is zero off the blocks
+    on = np.zeros(m.shape, dtype=bool)
+    for index, u, w, vh in core.factors:
+        assert np.isrealobj(w)
+        r, c = index[:, : u.shape[1], None], index[:, None, : vh.shape[2]]
+        np.testing.assert_allclose((u * w[:, None, :]) @ vh, m[r, c], atol=1e-12)
+        on[r, c] = True
+    assert not m[~on].any()
+    # sv: the singular values, padded with zeros when m is wide
+    sv = np.linalg.svd(m, compute_uv=False)
+    np.testing.assert_allclose(core.sv, np.pad(sv, (0, cols - sv.size)), atol=1e-12)
+    # the kernel is an orthonormal basis of the null space
+    k = core.kernel(tol)
+    assert k.shape == (cols, cols - int(np.sum(sv > tol)))
+    np.testing.assert_allclose(k.conj().T @ k, np.eye(k.shape[1]), atol=1e-12)
+    np.testing.assert_allclose(m @ k, 0.0, atol=1e-12)
+    v = core.least_right_vector()
+    assert np.linalg.norm(m @ v) == pytest.approx(core.sv[-1], abs=1e-12)
+    # solve is the pseudo-inverse with singular values <= tol dropped
+    b = [1.0, 1j] @ np.random.default_rng(14).standard_normal((2, rows))
+    np.testing.assert_allclose(core.solve(b, tol), np.linalg.pinv(m, rcond=tol / sv[0]) @ b, atol=1e-12)
+    with pytest.raises(ValueError, match="b has shape"):
+        core.solve(np.ones(rows + 1), tol)
