@@ -33,11 +33,13 @@ print(f"   dim Fix(theta) = {fx.fix_dim}, dim intertwiners = {fx.intertwiner_dim
 print(f"   subspace distance between the two = {fx.subspace_distance:.3e}")
 print(f"   check passed: {fx.passed}\n")
 
-# positivity: PSD coefficients on both sides force a PSD theta
+# positivity: PSD coefficients on both sides force a PSD theta; Bendixson's
+# theorem bounds its spectrum by the Hermitian part H and the anti-Hermitian
+# part K of theta
 ps = [np.diag([0.0, 1.0, 2.0]).astype(complex), np.diag([1.0, 1.0, 3.0]).astype(complex)]
 qs = [np.diag([2.0, 0.0, 1.0]).astype(complex), np.diag([1.0, 2.0, 1.0]).astype(complex)]
 pos = kl.positive_eigenvalue_check(ps, qs)
 print("positive diagonal coefficients:")
-print(f"   min real part of spec(theta) = {pos.min_real:.3e}")
-print(f"   max imag part of spec(theta) = {pos.max_imag:.3e}")
+print(f"   lower bound on Re spec(theta), lambda_min(H) = {pos.min_real:.3e}")
+print(f"   upper bound on |Im spec(theta)|, ||K||_op    = {pos.max_imag:.3e}")
 print("   the spectrum stays on the nonnegative half-line, as it must.")

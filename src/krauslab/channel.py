@@ -8,7 +8,8 @@ spectral gap, and solves for perturbations that repair near-fixed elements.
 
 The fixed space, the gap and the perturbation solve all read one
 :class:`SpectralCore` per family: ``S - I`` is factorized once and only its
-factors are cached on the family (whose operators are frozen copies).  S is
+factors (and the fixed space's Hermitian basis, read-only) are cached on the
+family (whose operators are frozen copies).  S is
 read from its entries; it is formed densely only when ``S - I`` is not an
 exactly real symmetric matrix that splits into blocks, and then lives only
 while the factorization runs.
@@ -75,6 +76,7 @@ class KrausFamily:
         self._adjoints = tuple(a.conj().T for a in mats)
         self.unital_defect, self.counital_defect = opcore.completeness_defects(mats)
         self._spectral_core = None
+        self._fixed_space = None
 
     def __len__(self) -> int:
         return len(self.ops)
@@ -264,15 +266,20 @@ def fixed_space(family: KrausFamily) -> SubspaceBasis:
     Singular vectors of ``S - I`` at singular value <= ``fix_tol(dim)`` span
     the space; the basis is rotated to Hermitian matrices, which is possible
     because the space is closed under adjoints.  For a unital family the
-    normalized identity always lies in the span.
+    normalized identity always lies in the span.  The basis is cached on the
+    family, next to its spectral core, and its matrices are read-only.
     """
     if not family.is_unital:
         warnings.warn(
             "fixed_space of a non-unital family may be trivial", stacklevel=2
         )
-    d = family.dim
-    kernel = spectral_core(family).kernel(fix_tol(d))
-    return SubspaceBasis(rows=d, cols=d, basis=tuple(_hermitian_basis(kernel, d)))
+    if family._fixed_space is None:
+        d = family.dim
+        basis = _hermitian_basis(spectral_core(family).kernel(fix_tol(d)), d)
+        for h in basis:
+            h.setflags(write=False)
+        family._fixed_space = SubspaceBasis(rows=d, cols=d, basis=tuple(basis))
+    return family._fixed_space
 
 
 def commutant(mats) -> SubspaceBasis:

@@ -367,7 +367,13 @@ def intertwiner_fixed_point_check(a, b, tol: float = 1e-7) -> IntertwinerFixedRe
 
 @dataclass(frozen=True, eq=False)
 class PositiveSpectrumReport:
-    """Spectral positivity diagnostics for theta with PSD coefficients."""
+    """Bendixson bounds on the spectrum of theta with PSD coefficients.
+
+    ``eigs`` are the ascending eigenvalues of the Hermitian part
+    ``H = (theta + theta*) / 2``; every eigenvalue of theta has real part at
+    least ``min_real = lambda_min(H)`` and imaginary part at most
+    ``max_imag = ||K||_op`` in modulus, ``K = (theta - theta*) / 2i``.
+    """
 
     eigs: np.ndarray
     min_real: float
@@ -375,20 +381,26 @@ class PositiveSpectrumReport:
 
 
 def positive_eigenvalue_check(c, d) -> PositiveSpectrumReport:
-    """Eigenvalues of theta when every coefficient on both sides is PSD.
+    """Bendixson bounds on spec(theta) when every coefficient on both sides is PSD.
 
     The superoperator is then a sum of Kronecker products of PSD matrices,
-    hence PSD itself; the report records how far the generic eigenvalue
-    solver strays from the real nonnegative axis.  Commutativity is not
-    required.  Non-PSD inputs raise.
+    hence PSD itself.  It is built from the coefficients as given, so those
+    Hermitian only within the :func:`opcore.require_psd` tolerance leave a
+    nonzero anti-Hermitian part K; by Bendixson's theorem the spectrum lies
+    in the rectangle with real parts at least ``lambda_min(H)`` and
+    imaginary parts at most ``||K||_op`` in modulus, both read off
+    ``eigvalsh``.  Commutativity is not required.  Non-PSD inputs raise.
     """
     cm, dm = _family_pair(c, d, "cd")
     for name, mats in (("c", cm), ("d", dm)):
         for j, m in enumerate(mats):
             opcore.require_psd(m, name=f"{name}[{j}]")
-    eigs = _sorted_complex(np.linalg.eigvals(theta_superoperator(cm, dm)))
+    theta = theta_superoperator(cm, dm)
+    adjoint = theta.conj().T
+    eigs = np.linalg.eigvalsh((theta + adjoint) / 2.0)
+    skew = np.linalg.eigvalsh((theta - adjoint) / 2.0j)
     return PositiveSpectrumReport(
         eigs=eigs,
-        min_real=float(eigs.real.min()),
-        max_imag=float(np.abs(eigs.imag).max()),
+        min_real=float(eigs[0]),
+        max_imag=float(np.abs(skew).max()),
     )

@@ -5,7 +5,8 @@ stacking, so ``vec(A @ X @ B) = kron(B.T, A) @ vec(X)``.  This module is the
 one place that convention, the PSD tolerance and the validation of matrix
 families are written down: superoperators come from :func:`kron_entries`
 (densely from :func:`kron_sum`, their action from :func:`product_map`),
-solution spaces of ``l_j x = x r_j`` from :func:`sylvester_null_space`, PSD
+solution spaces of ``l_j x = x r_j`` from :func:`sylvester_null_space` (a
+tall stack is first reduced to its R factor by :func:`null_space_basis`), PSD
 inputs pass :func:`require_psd` and families pass :func:`square_family`
 (their defects from :func:`completeness_defects`).  Every kernel and solve
 factorizes through :func:`factorize`, the one choice between stacked
@@ -455,8 +456,16 @@ def _core(factors: tuple) -> SpectralCore:
 
 def null_space_basis(a: np.ndarray, tol: float) -> np.ndarray:
     """Orthonormal columns spanning the numerical right null space of ``a``:
-    ``factorize(a).kernel(tol)``."""
-    return factorize(as_matrix(a, "a")).kernel(tol)
+    ``factorize(a).kernel(tol)``.
+
+    A tall ``a`` is first reduced to the square R of its QR factorization,
+    which has the same singular values and right singular vectors, so its
+    left singular vectors are never formed.
+    """
+    a = as_matrix(a, "a")
+    if a.shape[0] > a.shape[1]:
+        a = np.linalg.qr(a, mode="r")
+    return factorize(a).kernel(tol)
 
 
 def _paired(lefts, rights) -> tuple:
@@ -547,7 +556,8 @@ def sylvester_null_space(lefts, rights, tol: float) -> tuple:
     With p x p matrices ``l_j`` and q x q matrices ``r_j`` the blocks
     ``kron(I_q, l_j) - kron(r_j.T, I_p)`` are stacked and their numerical
     null space (singular values at most ``tol``) is returned as p x q
-    matrices.
+    matrices.  With more than one pair the stack is tall, and
+    :func:`null_space_basis` factorizes its square pq x pq R factor instead.
     """
     lefts, rights, p, q = _paired(lefts, rights)
     eye_p, eye_q = np.eye(p), np.eye(q)

@@ -347,6 +347,15 @@ def test_fixed_space_pinching():
     assert fs.distance(np.eye(2) / np.sqrt(2.0)) <= 1e-12
 
 
+def test_fixed_space_is_cached_and_read_only(monkeypatch):
+    fam = pinching()
+    first = kl.fixed_space(fam)
+    monkeypatch.setattr(channel, "_hermitian_basis", None)  # a second rotation would fail
+    assert kl.fixed_space(fam) is first
+    with pytest.raises(ValueError, match="read-only"):
+        first.basis[0][0, 0] = 7.0
+
+
 def test_fixed_space_generic_mixed_unitary_is_scalar():
     rng = trial_rng(21, 2)
     fam = mixed_unitary_family(rng, 4, 2)

@@ -257,23 +257,39 @@ def test_intertwiner_fixed_point_check_fresh_pair():
         assert rep.fix_dim == 0 and rep.intertwiner_dim == 0
 
 
-def _count_square_factorizations(monkeypatch, n):
-    """Calls of ``np.linalg.svd`` and ``eigh`` whose argument covers n rows,
-    one (n, n) array or a stack of blocks."""
+def _count_theta_factorizations(monkeypatch):
+    """Calls of ``np.linalg.svd`` and ``eigh`` made while ``opcore.factorize``
+    works on theta - I, the array ``opcore.minus_identity`` returned; the
+    intertwiner space's own factorization is not counted."""
     calls = {"svd": 0, "eigh": 0}
+    theta, inside = [], [False]
+    minus_identity, factorize = opcore.minus_identity, opcore.factorize
+
+    def marking(m):
+        theta.append(minus_identity(m))
+        return theta[-1]
+
+    def watching(m):
+        inside[0] = any(m is t for t in theta)
+        try:
+            return factorize(m)
+        finally:
+            inside[0] = False
+
     for name in calls:
         def counting(a, *args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
-            if np.prod(np.shape(a)[:-1]) == n:
-                calls[_name] += 1
+            calls[_name] += inside[0]
             return _fn(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counting)
+    monkeypatch.setattr(opcore, "minus_identity", marking)
+    monkeypatch.setattr(opcore, "factorize", watching)
     return calls
 
 
 def test_theta_minus_identity_of_a_complex_pair_takes_one_svd(monkeypatch):
     a, b = intertwining_pair(trial_rng(54, 0), 5, 3)
-    calls = _count_square_factorizations(monkeypatch, 25)
+    calls = _count_theta_factorizations(monkeypatch)
     assert kl.intertwiner_fixed_point_check(a, b).passed
     assert calls == {"svd": 1, "eigh": 0}
 
@@ -283,7 +299,7 @@ def test_theta_minus_identity_of_a_real_diagonal_pair_takes_one_eigh(monkeypatch
     # and E_ik is fixed iff the joint tuples at i and k agree (5 of 9 here)
     t = np.array([0.3, 1.1, 0.3])
     a = [np.diag(np.cos(t)), np.diag(np.sin(t))]
-    calls = _count_square_factorizations(monkeypatch, 9)
+    calls = _count_theta_factorizations(monkeypatch)
     rep = kl.intertwiner_fixed_point_check(a, a)
     assert calls == {"svd": 0, "eigh": 1}
     assert rep.passed
@@ -305,6 +321,46 @@ def test_positive_eigenvalue_check_random():
         rep = kl.positive_eigenvalue_check(c, d)
         assert rep.min_real >= -1e-9, f"trial {trial}"
         assert rep.max_imag <= 1e-9, f"trial {trial}"
+
+
+def _hermitian(m):
+    return (m + m.conj().T) / 2.0
+
+
+def test_positive_eigenvalue_check_reads_exact_hermitian_theta():
+    rng = trial_rng(57, 0)
+    c = [_hermitian(p) for p in random_psd_coefficients(rng, 4, 3)]
+    d = [_hermitian(p) for p in random_psd_coefficients(rng, 4, 3)]
+    rep = kl.positive_eigenvalue_check(c, d)
+    theta = kl.theta_superoperator(c, d)
+    assert rep.max_imag == 0.0
+    want = np.sort(np.linalg.eigvals(theta).real)
+    np.testing.assert_allclose(rep.eigs, want, rtol=0, atol=1e-12 * np.linalg.norm(theta, 2))
+    assert rep.min_real == rep.eigs[0]
+
+
+def test_positive_eigenvalue_check_bounds_a_nearly_hermitian_theta():
+    # coefficients pass require_psd yet are not Hermitian: theta is not
+    # either, and the Bendixson bounds enclose its eigenvalues
+    for trial in range(5):
+        rng = trial_rng(58, trial)
+        c = [p + 2e-11 * ginibre(rng, 4) for p in random_psd_coefficients(rng, 4, 3)]
+        d = [p + 2e-11 * ginibre(rng, 4) for p in random_psd_coefficients(rng, 4, 3)]
+        rep = kl.positive_eigenvalue_check(c, d)
+        eigs = np.linalg.eigvals(kl.theta_superoperator(c, d))
+        assert rep.min_real <= eigs.real.min() + 1e-12
+        assert rep.max_imag >= np.abs(eigs.imag).max() - 1e-12
+        assert 0.0 < rep.max_imag <= 1e-9
+
+
+def test_positive_eigenvalue_check_takes_no_general_eigensolver(monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("np.linalg.eigvals called")
+
+    monkeypatch.setattr(np.linalg, "eigvals", refused)
+    rng = trial_rng(59, 0)
+    rep = kl.positive_eigenvalue_check(random_psd_coefficients(rng, 3, 2), random_psd_coefficients(rng, 3, 2))
+    assert rep.eigs.shape == (9,) and rep.min_real >= -1e-12
 
 
 def test_positive_eigenvalue_check_rejects_non_psd():

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from krauslab import channel, cuntz, inequalities, opcore
+from krauslab import channel, commuting, cuntz, inequalities, opcore
+from krauslab.ensembles import ginibre, haar_unitary, intertwining_pair, trial_rng
 
 
 def test_norms_oracle_diagonal():
@@ -261,6 +262,50 @@ def test_null_space_basis_keeps_the_extra_rows_of_a_wide_matrix():
     # a cut between the two singular values keeps the smaller one's row too
     cut = (sv[0] + sv[1]) / 2.0
     assert np.array_equal(opcore.null_space_basis(wide, cut), vh[1:].conj().T)
+
+
+def _tall_stacks():
+    """Tall complex stacks: the kron-stacked commutant of a u_j (x) I_4 family
+    at d = 24 (a 1728 x 576 stack with a 16-dimensional null space) and
+    random tall matrices of deficient rank."""
+    rng = np.random.default_rng(53)
+    u = [np.kron(haar_unitary(rng, 6), np.eye(4)) for _ in range(3)]
+    eye = np.eye(24)
+    yield np.vstack([np.kron(eye, a) - np.kron(a.T, eye) for a in u]), channel.fix_tol(24), 16
+    for rows, cols, rank in ((30, 12, 7), (9, 8, 1), (40, 6, 5)):
+        a = ginibre(rng, rows, rank) @ ginibre(rng, rank, cols)
+        yield a, 1e-10 * float(np.linalg.norm(a)), cols - rank
+
+
+def test_tall_null_space_takes_no_tall_svd(monkeypatch):
+    stacks = list(_tall_stacks())
+    direct = [opcore.factorize(a).kernel(tol) for a, tol, _ in stacks]
+    svd = np.linalg.svd
+
+    def square_only(a, *args, **kwargs):
+        assert np.shape(a)[-2] <= np.shape(a)[-1], f"tall SVD of {np.shape(a)}"
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", square_only)
+    for (a, tol, dim), want in zip(stacks, direct):
+        got = opcore.null_space_basis(a, tol)
+        assert got.shape == want.shape == (a.shape[1], dim)
+        np.testing.assert_allclose(got.conj().T @ got, np.eye(dim), atol=1e-12)
+        assert np.linalg.norm(got @ got.conj().T - want @ want.conj().T, 2) <= 1e-12
+    # the callers of the stacked null space reach it only through the R factor
+    rng = np.random.default_rng(54)
+    assert len(channel.commutant([np.kron(haar_unitary(rng, 4), np.eye(2)) for _ in range(3)])) == 4
+    rep = commuting.intertwiner_fixed_point_check(*intertwining_pair(trial_rng(55, 0), 5, 3))
+    assert rep.passed and rep.intertwiner_dim >= 1
+
+
+def test_square_and_wide_null_spaces_are_bitwise_the_direct_kernel():
+    rng = np.random.default_rng(57)
+    for rows, cols in ((5, 5), (3, 7), (1, 4)):
+        a = ginibre(rng, rows, cols)
+        a[:, -1] = a[:, 0]
+        for tol in (1e-12, 0.5):
+            assert np.array_equal(opcore.null_space_basis(a, tol), opcore.factorize(a).kernel(tol))
 
 
 def _explicit_sylvester(lefts, rights, tol):
