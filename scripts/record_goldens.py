@@ -2,13 +2,13 @@
 
 Usage: python3 scripts/record_goldens.py
 
-Six of ``report_diff.py``'s configurations draw no random numbers:
-``analyze`` on pinching and unitary_mix, ``cuntz`` 16 and 32, and ``schur``
-on measure and symbol.  Each one runs in this process on this checkout's
-``src``, and its exit code, ``results`` object and CSV rows are written to
-``tests/golden/<name>.json``; ``tests/test_golden.py`` compares fresh runs
-against those files.  Re-recording changes test data, so a CHANGES.md line
-gives the reason and the largest field move.
+Seven of ``report_diff.py``'s configurations draw no random numbers:
+``analyze`` on pinching, unitary_mix and tensor_mix, ``cuntz`` 16 and 32,
+and ``schur`` on measure and symbol.  Each one runs in this process on
+this checkout's ``src``, and its exit code, ``results`` object and CSV rows
+are written to ``tests/golden/<name>.json``; ``tests/test_golden.py``
+compares fresh runs against those files.  Re-recording changes test data,
+so a CHANGES.md line gives the reason and the largest field move.
 """
 
 from __future__ import annotations

@@ -6,10 +6,12 @@ positive map ``psi(x) = sum_j a_j* x a_j`` and its predual
 of ``psi``, extracts numerical fixed-point spaces and commutants, reports the
 spectral gap, and solves for perturbations that repair near-fixed elements.
 
-The fixed space, the gap and the perturbation solve all read one
-:class:`SpectralCore` per family: ``S - I`` is factorized once and only its
-factors (and the fixed space's Hermitian basis, read-only) are cached on the
-family (whose operators are frozen copies).  S is
+The fixed space and the perturbation solve read one :class:`SpectralCore`
+per family: ``S - I`` is factorized once and only its factors (and the fixed
+space's Hermitian basis, read-only) are cached on the family (whose
+operators are frozen copies).  The gap report reads only singular values:
+it takes them from that core when the family holds it, and otherwise from a
+values-only factorization of the same blocks, which is not cached.  S is
 read from its entries; it is formed densely only when ``S - I`` is not an
 exactly real symmetric matrix that splits into blocks, and then lives only
 while the factorization runs.
@@ -301,21 +303,43 @@ class GapReport:
 
     ``restricted_gap`` is the smallest singular value above the fixed-space
     cutoff, or ``math.inf`` when every singular value sits below it.
+    ``blocks`` and ``largest_block`` describe the factorization of S - I
+    (:attr:`SpectralCore.blocks`, :attr:`SpectralCore.largest_block`).
     """
 
     sigma_min: float
     restricted_gap: float
     fix_dim: int
+    blocks: int
+    largest_block: int
 
 
 def gap_report(family: KrausFamily, tol: float | None = None) -> GapReport:
-    """Report sigma_min, the restricted gap and the numerical fixed dimension."""
+    """Report sigma_min, the restricted gap and the numerical fixed dimension.
+
+    Only singular values are read.  A family that holds its spectral core
+    answers from it; any other family factors ``S - I`` for values only
+    (``opcore.factorize(..., vectors=False)``: the same blocks, split
+    exactly as :func:`spectral_core` splits them, through ``eigvalsh`` or an
+    SVD without vectors) and caches nothing.  The two ``sv`` agree to
+    rounding, not bitwise, so a caller that also needs the core should take
+    it first.
+    """
     if tol is None:
         tol = fix_tol(family.dim)
-    sv = spectral_core(family).sv[::-1]
+    core = family._spectral_core
+    if core is None:
+        core = opcore.factorize(_s_minus_identity(family), vectors=False)
+    sv = core.sv[::-1]
     fix_dim = int(np.sum(sv <= tol))
     restricted = float(sv[fix_dim]) if fix_dim < sv.size else math.inf
-    return GapReport(sigma_min=float(sv[0]), restricted_gap=restricted, fix_dim=fix_dim)
+    return GapReport(
+        sigma_min=float(sv[0]),
+        restricted_gap=restricted,
+        fix_dim=fix_dim,
+        blocks=core.blocks,
+        largest_block=core.largest_block,
+    )
 
 
 @dataclass(frozen=True, eq=False)

@@ -29,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import commuting, cuntz, inequalities, opcore, schur
-from .channel import KrausFamily, gap_report, spectral_core, unital_tol
+from .channel import KrausFamily, gap_report, unital_tol
 from .ensembles import (
     commuting_normal_family,
     ginibre,
@@ -117,7 +117,6 @@ def _run_analyze(cfg: RunConfig) -> tuple:
         raise ValueError("analyze needs an input Kraus JSON file")
     fam = load_kraus(cfg.input_path)
     rep = gap_report(fam, cfg.tol)
-    core = spectral_core(fam)
     results = {
         "sigma_min": rep.sigma_min,
         "restricted_gap": None if np.isinf(rep.restricted_gap) else rep.restricted_gap,
@@ -126,7 +125,7 @@ def _run_analyze(cfg: RunConfig) -> tuple:
         "counital_defect": fam.counital_defect,
         # a unital family fixes the identity, so its fixed space is never trivial
         "failures": int(fam.is_unital and rep.fix_dim == 0),
-        "diagnostics": {"blocks": core.blocks, "largest_block": core.largest_block},
+        "diagnostics": {"blocks": rep.blocks, "largest_block": rep.largest_block},
     }
     return results, (), ()
 

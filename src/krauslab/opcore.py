@@ -5,15 +5,20 @@ stacking, so ``vec(A @ X @ B) = kron(B.T, A) @ vec(X)``.  This module is the
 one place that convention, the PSD tolerance and the validation of matrix
 families are written down: superoperators come from :func:`kron_entries`
 (densely from :func:`kron_sum`, their action from :func:`product_map`),
-solution spaces of ``l_j x = x r_j`` from :func:`sylvester_null_space` (a
-tall stack is first reduced to its R factor by :func:`null_space_basis`), PSD
-inputs pass :func:`require_psd` and families pass :func:`square_family`
-(their defects from :func:`completeness_defects`).  Every kernel and solve
-factorizes through :func:`factorize`, the one choice between stacked
-per-block ``eigh`` of a :class:`BlockSplit` (the connected components of an
-exact nonzero pattern, from :func:`block_split`; a connected real symmetric
-matrix is one block) and one SVD; :class:`SpectralCore` holds the blocks in
-one form and the cut.
+solution spaces of ``l_j x = x r_j`` from :func:`sylvester_null_space` (the
+stack is cut into the column components the generators' patterns allow; a
+connected tall stack is reduced to its R factor by :func:`null_space_basis`,
+a split one per component shape by one stacked QR), PSD inputs pass
+:func:`require_psd` and families pass :func:`square_family` (their defects
+from :func:`completeness_defects`).  Every kernel and solve is cut from a
+:class:`SpectralCore`, which holds the blocks in one form: :func:`factorize`
+is the one choice between stacked per-block ``eigh`` of a
+:class:`BlockSplit` (the connected components of an exact nonzero pattern,
+from :func:`block_split`; a connected real symmetric matrix is one block)
+and one SVD, and a split Sylvester stack gets the same stacked SVD factor
+per component shape.  A query that reads only singular values asks
+:func:`factorize` for values only (``eigvalsh``, or an SVD without vectors)
+and gets the same blocks without ``u`` and ``vh``.
 """
 
 from __future__ import annotations
@@ -169,13 +174,21 @@ def positive_part(h) -> np.ndarray:
 def _spectral_map(sym: np.ndarray, f: Callable, gate: Callable | None = None) -> np.ndarray:
     """``v f(w) v*`` of the Hermitian ``sym = v diag(w) v*``, symmetrized.
 
-    ``gate`` sees all eigenvalues before any output is formed.  Each
-    connected component of the exact nonzero pattern of ``sym`` is one
-    block (a connected ``sym`` is one block of itself), each block size gets
-    one stacked ``eigh``, and the result is exactly zero off the blocks.
+    ``gate`` sees all eigenvalues, ascending, before any output is formed.
+    A connected ``sym`` gets one plain ``eigh``.  Otherwise each connected
+    component of the exact nonzero pattern of ``sym`` is one block, each
+    block size gets one stacked ``eigh``, and the result is exactly zero off
+    the blocks.
     """
     rows, cols = np.nonzero(sym)
-    split = block_split(sym.shape[0], rows, cols, sym[rows, cols]) or _one_block(sym)
+    split = block_split(sym.shape[0], rows, cols, sym[rows, cols])
+    if split is None:
+        # eigh sorts the eigenvalues, and the one block is the whole output
+        w, v = np.linalg.eigh(sym)
+        if gate is not None:
+            gate(w)
+        out = (v * f(w)) @ v.conj().T
+        return (out + out.conj().T) / 2.0
     eigen = [np.linalg.eigh(stack) for stack in split.stacks]
     if gate is not None:
         gate(np.sort(np.concatenate([w.ravel() for w, _ in eigen])))
@@ -350,7 +363,10 @@ class SpectralCore:
     columns ``index[b, :vh.shape[2]]`` of ``m`` and is
     ``u[b] diag(w[b]) vh[b]``, and ``m`` is zero off its blocks.  ``sv``
     holds every ``|w|``, descending (ties in factor order): the singular
-    values of ``m``, padded with zeros when ``m`` is wide.
+    values of ``m``, padded with zeros when ``m`` is wide.  A values-only
+    core (``factorize(m, vectors=False)``) has the same blocks with ``u``
+    and ``vh`` None: it answers ``sv``, ``blocks`` and ``largest_block``,
+    and its ``kernel``, ``least_right_vector`` and ``solve`` raise.
     """
 
     sv: np.ndarray
@@ -364,11 +380,19 @@ class SpectralCore:
     @property
     def largest_block(self) -> int:
         """Column count of the largest block."""
-        return max(vh.shape[2] for _, _, _, vh in self.factors)
+        return max(w.shape[1] for _, _, w, _ in self.factors)
+
+    def _require_vectors(self) -> None:
+        if self.factors[0][3] is None:
+            raise ValueError(
+                "this spectral core holds singular values only; "
+                "factorize with vectors=True for kernels and solves"
+            )
 
     def _right_vectors(self, keep: Callable) -> np.ndarray:
         """Right singular vectors whose ``|w|`` pass ``keep``, as full-length
         columns ordered like ``sv`` (ties in factor order)."""
+        self._require_vectors()
         values, columns = [], []
         for index, _, w, vh in self.factors:
             b, t = np.nonzero(keep(np.abs(w)))
@@ -391,6 +415,7 @@ class SpectralCore:
 
     def solve(self, b: np.ndarray, tol: float) -> np.ndarray:
         """Least-squares ``m z = b``, dropping (not amplifying) singular values <= ``tol``."""
+        self._require_vectors()
         rows = sum(u.shape[0] * u.shape[1] for _, u, _, _ in self.factors)
         if np.shape(b) != (rows,):
             raise ValueError(f"b has shape {np.shape(b)}, expected ({rows},)")
@@ -421,7 +446,7 @@ def minus_identity(m):
     return m.real.copy() if np.iscomplexobj(m) and not m.imag.any() else m
 
 
-def factorize(m) -> SpectralCore:
+def factorize(m, vectors: bool = True) -> SpectralCore:
     """The :class:`SpectralCore` of a 2-D array or of a :class:`BlockSplit`.
 
     The blocks of a :class:`BlockSplit` must be exactly real and symmetric;
@@ -429,7 +454,9 @@ def factorize(m) -> SpectralCore:
     ``w`` and ``vh`` the transposed view of ``q``.  A square 2-D ``m`` that
     is exactly real and symmetric is one such block.  Any other ``m`` gets
     one complex SVD, one block covering every row and column, with full V
-    only when ``m`` is wide.
+    only when ``m`` is wide.  With ``vectors=False`` the same blocks get
+    ``eigvalsh`` and an SVD without U and V* instead, and the core holds
+    values only.
     """
     if not isinstance(m, BlockSplit):
         rows, n = m.shape
@@ -439,13 +466,27 @@ def factorize(m) -> SpectralCore:
         else:
             # m is rebound, so this frame drops a real array passed in
             m = m.astype(np.complex128, copy=False)
-            u, s, vh = np.linalg.svd(m, full_matrices=rows < n)
-            if rows < n:
-                # the extra rows of V* get zero singular values
-                u, s = np.pad(u, ((0, 0), (0, n - rows))), np.pad(s, (0, n - rows))
-            return _core(((np.arange(max(rows, n))[None], u[None], s[None], vh[None]),))
+            return _core((_svd_factor(np.arange(max(rows, n))[None], m[None], vectors),))
+    if not vectors:
+        return _core(
+            tuple((index, None, np.linalg.eigvalsh(stack), None) for index, stack in zip(m.index, m.stacks))
+        )
     eigen = [(index, np.linalg.eigh(stack)) for index, stack in zip(m.index, m.stacks)]
     return _core(tuple((index, q, w, q.swapaxes(1, 2)) for index, (w, q) in eigen))
+
+
+def _svd_factor(index: np.ndarray, stack: np.ndarray, vectors: bool = True) -> tuple:
+    """The ``(index, u, w, vh)`` factor of one stacked SVD of ``stack``
+    (k, rows, n), with full V* only when ``rows < n``; the extra rows of V*
+    get zero singular values.  ``u`` and ``vh`` are None unless ``vectors``."""
+    rows, n = stack.shape[1:]
+    if not vectors:
+        s = np.linalg.svd(stack, compute_uv=False)
+        return index, None, np.pad(s, ((0, 0), (0, max(n - rows, 0)))), None
+    u, s, vh = np.linalg.svd(stack, full_matrices=rows < n)
+    if rows < n:
+        u, s = np.pad(u, ((0, 0), (0, 0), (0, n - rows))), np.pad(s, ((0, 0), (0, n - rows)))
+    return index, u, s, vh
 
 
 def _core(factors: tuple) -> SpectralCore:
@@ -556,15 +597,106 @@ def sylvester_null_space(lefts, rights, tol: float) -> tuple:
     With p x p matrices ``l_j`` and q x q matrices ``r_j`` the blocks
     ``kron(I_q, l_j) - kron(r_j.T, I_p)`` are stacked and their numerical
     null space (singular values at most ``tol``) is returned as p x q
-    matrices.  With more than one pair the stack is tall, and
-    :func:`null_space_basis` factorizes its square pq x pq R factor instead.
+    matrices.  The stack is cut into column components, two columns joining
+    when they share a row that the generators' nonzero patterns allow to be
+    nonzero (see :func:`_sylvester_components`).  A connected stack is
+    formed whole and, with more than one pair, tall, so
+    :func:`null_space_basis` factorizes its square pq x pq R factor.  A
+    split stack is formed per component only: each component shape gets one
+    stacked ``qr(mode="r")`` of its tall blocks and one stacked SVD, and the
+    null space is the kernel of that block core.
     """
     lefts, rights, p, q = _paired(lefts, rights)
-    eye_p, eye_q = np.eye(p), np.eye(q)
-    stacked = np.vstack(
-        [np.kron(eye_q, l) - np.kron(r.T, eye_p) for l, r in zip(lefts, rights)]
+    label = _sylvester_components(lefts, rights, p, q)
+    if not label[: p * q].any():
+        # every column is in column 0's component
+        eye_p, eye_q = np.eye(p), np.eye(q)
+        stacked = np.vstack(
+            [np.kron(eye_q, l) - np.kron(r.T, eye_p) for l, r in zip(lefts, rights)]
+        )
+        kernel = null_space_basis(stacked, tol)
+    else:
+        kernel = _sylvester_core(lefts, rights, p, label).kernel(tol)
+    return tuple(devectorize(k, p, q) for k in kernel.T)
+
+
+def _sylvester_components(lefts, rights, p: int, q: int) -> np.ndarray:
+    """Component labels of the columns and rows of the Sylvester stack.
+
+    Column ``j * p + i`` is ``x[i, j]``, and row ``jj * p + ii`` of every
+    pair's block holds ``l[ii, i]`` at column ``(i, jj)`` and ``-r[j, jj]``
+    at column ``(ii, j)``.  Columns are nodes ``0 .. pq - 1``, rows nodes
+    ``pq .. 2pq - 1``, and a row is joined to every column where some
+    ``l_t`` (resp. ``r_t``) puts an entry: a superset of the stack's nonzero
+    entries, so a component never cuts a nonzero row.  These edges repeat
+    the bipartite graph of the left pattern (columns, then rows) in every
+    slice of fixed ``jj`` and that of the right pattern in every slice of
+    fixed ``ii``, so each node is joined only to the root of its pattern
+    component there: at most 4pq edges.  A row no column reaches keeps its
+    own label, which is at least pq.
+    """
+    n = p * q
+    ii, i = np.nonzero(np.logical_or.reduce([l != 0 for l in lefts]))
+    j, jj = np.nonzero(np.logical_or.reduce([r != 0 for r in rights]))
+    left, right = components(2 * p, i, p + ii), components(2 * q, j, q + jj)
+    kl, kr = np.flatnonzero(left != np.arange(2 * p)), np.flatnonzero(right != np.arange(2 * q))
+
+    def in_slices(k, size, step, slices):
+        # pattern node k (a column below size, else a row) in every slice
+        return ((k >= size) * n + (k % size) * step + slices).ravel()
+
+    at_q, at_p = np.arange(q)[:, None] * p, np.arange(p)[:, None]
+    nodes = np.concatenate([in_slices(kl, p, 1, at_q), in_slices(kr, q, p, at_p)])
+    roots = np.concatenate([in_slices(left[kl], p, 1, at_q), in_slices(right[kr], q, p, at_p)])
+    return components(2 * n, nodes, roots)
+
+
+def _sylvester_core(lefts, rights, p: int, label: np.ndarray) -> SpectralCore:
+    """A :class:`SpectralCore` with the singular values and right singular
+    vectors of a split Sylvester stack, one block per column component.
+
+    Each component's rows of every pair's block are stacked over its
+    columns; components of one shape form one stack, reduced to its R
+    factors by one ``qr(mode="r")`` when tall, and those get one SVD.  The
+    core's blocks are these R factors on their columns: they share the
+    stack's singular values and right singular vectors, not its left ones.
+    A column that no row reaches is a zero 1 x 1 block.
+    """
+    n = label.size // 2
+    roots, comp, width = np.unique(label[:n], return_inverse=True, return_counts=True)
+    reached = np.flatnonzero(label[n:] < n)
+    row_comp = np.searchsorted(roots, label[n + reached])
+    height = np.bincount(row_comp, minlength=roots.size)
+    # members list the columns (rows) component by component, ascending in each
+    col_members, col_first = np.argsort(comp, kind="stable"), np.cumsum(width) - width
+    row_members, row_first = reached[np.argsort(row_comp, kind="stable")], np.cumsum(height) - height
+    kinds, group = np.unique(height * (n + 1) + width, return_inverse=True)
+    factors = []
+    for g, kind in enumerate(kinds):
+        mine = np.flatnonzero(group == g)
+        nr, nc = divmod(int(kind), n + 1)
+        cols = col_members[col_first[mine][:, None] + np.arange(nc)]
+        if nr == 0:
+            stack = np.zeros((mine.size, 1, 1))
+        else:
+            rows = row_members[row_first[mine][:, None] + np.arange(nr)]
+            stack = _sylvester_blocks(lefts, rights, p, rows, cols)
+            if stack.shape[1] > nc:
+                stack = np.linalg.qr(stack, mode="r")
+        factors.append(_svd_factor(cols, stack))
+    return _core(tuple(factors))
+
+
+def _sylvester_blocks(lefts, rights, p: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Stack b of the result holds rows ``rows[b]`` of every pair's block of
+    the Sylvester stack, pair after pair, on columns ``cols[b]``."""
+    ii, jj = (rows % p)[:, :, None], (rows // p)[:, :, None]
+    i, j = (cols % p)[:, None, :], (cols // p)[:, None, :]
+    same_j, same_i = jj == j, ii == i
+    return np.concatenate(
+        [np.where(same_j, l[ii, i], 0) - np.where(same_i, r[j, jj], 0) for l, r in zip(lefts, rights)],
+        axis=1,
     )
-    return tuple(devectorize(k, p, q) for k in null_space_basis(stacked, tol).T)
 
 
 def linear_map_matrix(fn: Callable[[np.ndarray], np.ndarray], rows: int, cols: int) -> np.ndarray:

@@ -6,6 +6,7 @@ fixed space strictly contains the commutant.
 """
 
 import json
+import pathlib
 import tracemalloc
 import warnings
 
@@ -414,6 +415,55 @@ def test_gap_report_oracles():
     # identity channel: S - I = 0, every direction is fixed
     rep_id = kl.gap_report(kl.KrausFamily([np.eye(3)]))
     assert rep_id.fix_dim == 9 and np.isinf(rep_id.restricted_gap)
+
+
+DEMO_DATA = pathlib.Path(__file__).resolve().parent.parent / "demos" / "data"
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        pinching,
+        lambda: kl.KrausFamily.from_json(json.loads((DEMO_DATA / "unitary_mix.json").read_text())),
+        lambda: cuntz.luders_family(8),
+        lambda: mixed_unitary_family(trial_rng(21, 9), 8, 3),
+        tensor_family,
+    ],
+    ids=["pinching", "unitary_mix", "luders8", "generic8", "tensor8"],
+)
+def test_values_only_gap_report_matches_the_full_core(make):
+    fam = make()
+    values_only = kl.gap_report(fam)
+    assert fam._spectral_core is None
+    core = kl.spectral_core(fam)
+    full = kl.gap_report(fam)
+    assert (values_only.fix_dim, values_only.blocks, values_only.largest_block) == (
+        full.fix_dim,
+        core.blocks,
+        core.largest_block,
+    )
+    tol = 1e-12 * max(1.0, float(core.sv[0]))
+    assert abs(values_only.sigma_min - full.sigma_min) <= tol
+    assert abs(values_only.restricted_gap - full.restricted_gap) <= tol
+
+
+@pytest.mark.parametrize("kind", ["luders8", "complex", "wide"])
+def test_values_only_core_has_the_blocks_but_no_vectors(kind):
+    rng = np.random.default_rng(17)
+    if kind == "luders8":
+        m = channel._s_minus_identity(cuntz.luders_family(8))
+    elif kind == "complex":
+        m = ginibre(rng, 6)
+    else:
+        m = ginibre(rng, 3, 5)
+    full = opcore.factorize(m)
+    core = opcore.factorize(m, vectors=False)
+    assert (core.blocks, core.largest_block) == (full.blocks, full.largest_block)
+    assert all(u is None and vh is None for _, u, _, vh in core.factors)
+    np.testing.assert_allclose(core.sv, full.sv, atol=1e-12)
+    for query in (lambda: core.kernel(1e-8), core.least_right_vector, lambda: core.solve(np.ones(full.sv.size), 1e-8)):
+        with pytest.raises(ValueError, match="singular values only"):
+            query()
 
 
 def test_solve_perturbation_pinching_oracle():

@@ -306,6 +306,7 @@ def test_schur_far_k_exits_2_quickly(tmp_path, capsys):
     [
         ("analyze", "pinching.json"),
         ("analyze", "unitary_mix.json"),
+        ("analyze", "tensor_mix.json"),
         ("schur", "symbol.json"),
         ("schur", "measure.json"),
     ],
@@ -313,6 +314,25 @@ def test_schur_far_k_exits_2_quickly(tmp_path, capsys):
 def test_demo_inputs_decode(command, demo, capsys):
     assert cli.main([command, "--input", str(DEMO_DATA / demo)]) == 0
     json.loads(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("demo, fix_dim", [("pinching.json", 2), ("unitary_mix.json", 1), ("tensor_mix.json", 4)])
+def test_analyze_reads_values_only(demo, fix_dim, monkeypatch, capsys):
+    # analyze reads singular values and block shapes: no routine that forms vectors runs
+    svd = np.linalg.svd
+
+    def values_only_svd(a, *args, **kwargs):
+        assert kwargs.get("compute_uv") is False
+        return svd(a, *args, **kwargs)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("analyze formed vectors")
+
+    monkeypatch.setattr(np.linalg, "svd", values_only_svd)
+    for name in ("eigh", "eig", "qr"):
+        monkeypatch.setattr(np.linalg, name, refused)
+    assert cli.main(["analyze", "--input", str(DEMO_DATA / demo)]) == 0
+    assert json.loads(capsys.readouterr().out)["results"]["fix_dim"] == fix_dim
 
 
 def test_schur_rejects_nonpositive_dim(symbol_file, capsys):

@@ -211,3 +211,42 @@ def test_experiment_allocates_no_dense_superoperator():
     finally:
         tracemalloc.stop()
     assert peak < 8 * n**4
+
+
+def test_experiment_factors_each_block_once(monkeypatch):
+    # the gap report reads the full core, so S - I gets one eigh per block size and no eigvalsh
+    calls = []
+    inside = []
+    factorize = opcore.factorize
+
+    def tracking(*args, **kwargs):
+        inside.append(True)
+        try:
+            core = factorize(*args, **kwargs)
+        finally:
+            inside.pop()
+        calls.append(("core", len(core.factors)))
+        return core
+
+    def watching(name):
+        fn = getattr(np.linalg, name)
+
+        def wrapper(a, *args, **kwargs):
+            if inside:
+                calls.append((name, np.shape(a)))
+            return fn(a, *args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(opcore, "factorize", tracking)
+    for name in ("eigh", "eigvalsh", "svd"):
+        monkeypatch.setattr(np.linalg, name, watching(name))
+    rep = cuntz.experiment(16)
+    (core,) = [c for c in calls if c[0] == "core"]
+    eighs = [c for c in calls if c[0] == "eigh"]
+    assert [c for c in calls if c[0] in ("eigvalsh", "svd")] == []
+    assert len(eighs) == core[1] > 1
+    # one stack per block size, covering the 256 indices of S - I once
+    assert sum(int(np.prod(shape[:-1])) for _, shape in eighs) == 256
+    assert len({shape[-1] for _, shape in eighs}) == len(eighs)
+    assert rep.blocks == sum(shape[0] for _, shape in eighs)

@@ -318,6 +318,19 @@ def _explicit_sylvester(lefts, rights, tol):
     return [opcore.devectorize(kernel[:, i], p, q) for i in range(kernel.shape[1])]
 
 
+def _assert_solution_space(got, lefts, rights, dim):
+    """``got`` is an HS-orthonormal basis of the explicit stack's null space."""
+    want = _explicit_sylvester(lefts, rights, 1e-8)
+    assert len(got) == len(want) == dim
+    g = np.column_stack([opcore.vectorize(x) for x in got])
+    w = np.column_stack([opcore.vectorize(x) for x in want])
+    np.testing.assert_allclose(g.conj().T @ g, np.eye(dim), atol=1e-12)
+    assert np.linalg.norm(g @ g.conj().T - w @ w.conj().T, 2) <= 1e-12
+    for x in got:
+        for l, r in zip(lefts, rights):
+            np.testing.assert_allclose(l @ x, x @ r, atol=1e-12)
+
+
 def test_sylvester_null_space_matches_the_explicit_stack():
     rng = np.random.default_rng(43)
     u = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))[0]
@@ -325,15 +338,86 @@ def test_sylvester_null_space_matches_the_explicit_stack():
     # commuting pair on C^3, and b_j* acting on C^2 with two shared joint eigenvalues
     lefts = [u @ np.diag(lam[j]) @ u.conj().T for j in range(2)]
     rights = [np.diag(lam[j, :2]) for j in range(2)]
-    for ls, rs, dim in ((lefts, lefts, 3), (lefts, rights, 2)):
-        got = opcore.sylvester_null_space(ls, rs, 1e-8)
-        want = _explicit_sylvester(ls, rs, 1e-8)
-        assert len(got) == len(want) == dim
-        for g, w in zip(got, want):
-            assert np.array_equal(g, w)
-        for x in got:
-            for l, r in zip(ls, rs):
-                np.testing.assert_allclose(l @ x, x @ r, atol=1e-12)
+    # a connected stack is factored whole, bitwise as before
+    got = opcore.sylvester_null_space(lefts, lefts, 1e-8)
+    want = _explicit_sylvester(lefts, lefts, 1e-8)
+    assert len(got) == len(want) == 3
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+    _assert_solution_space(got, lefts, lefts, 3)
+    # diagonal rights split the stack into one component per column of x
+    assert opcore._sylvester_components(lefts, rights, 3, 2)[:6].any()
+    _assert_solution_space(opcore.sylvester_null_space(lefts, rights, 1e-8), lefts, rights, 2)
+
+
+def _tensor_kind(d, seed=0, m=3):
+    """Weighted u_j (x) I_4, the benchmark's tensor kind: commutant I (x) M_4."""
+    rng = trial_rng(31, seed)
+    probs = rng.dirichlet(np.ones(m))
+    return [np.sqrt(p) * np.kron(haar_unitary(rng, d // 4), np.eye(4)) for p in probs]
+
+
+def test_split_sylvester_stack_of_the_tensor_kind(monkeypatch):
+    ops = _tensor_kind(8)
+    _assert_solution_space(opcore.sylvester_null_space(ops, ops, 1e-8), ops, ops, 16)
+    # 16 components of (d/4)^2 columns, all of one shape: one stacked qr and one svd
+    ops = _tensor_kind(24)
+    calls = {"qr": [], "svd": []}
+    for name in calls:
+        fn = getattr(np.linalg, name)
+
+        def counted(a, *args, _fn=fn, _name=name, **kwargs):
+            calls[_name].append(np.shape(a))
+            return _fn(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    basis = opcore.sylvester_null_space(ops, ops, channel.fix_tol(24))
+    assert len(basis) == 16
+    assert calls == {"qr": [(16, 108, 36)], "svd": [(16, 36, 36)]}
+    for x in basis:
+        for a in ops:
+            assert np.linalg.norm(a @ x - x @ a) <= 1e-12
+
+
+def test_sylvester_components_are_those_of_the_stack_pattern():
+    # random values cancel nowhere, so the generator patterns give the stack's own components
+    rng = np.random.default_rng(61)
+    for _ in range(200):
+        p, q, m = (int(v) for v in rng.integers(1, 6, size=3))
+        density = rng.uniform(0.0, 0.6)
+        lefts = [rng.standard_normal((p, p)) * (rng.random((p, p)) < density) for _ in range(m)]
+        rights = [rng.standard_normal((q, q)) * (rng.random((q, q)) < density) for _ in range(m)]
+        stack = np.vstack([np.kron(np.eye(q), l) - np.kron(r.T, np.eye(p)) for l, r in zip(lefts, rights)])
+        rows, cols = np.nonzero(stack)
+        n = p * q
+        want = opcore.components(2 * n, cols, n + rows % n)
+        assert np.array_equal(opcore._sylvester_components(lefts, rights, p, q), want)
+
+
+def test_split_sylvester_oracles():
+    zero = np.zeros((3, 3))
+    # a zero generator: no row is nonzero, every direction solves
+    basis = opcore.sylvester_null_space([zero], [np.zeros((2, 2))], 1e-8)
+    g = np.column_stack([opcore.vectorize(x) for x in basis])
+    assert g.shape == (6, 6)
+    np.testing.assert_allclose(np.abs(g), np.eye(6), atol=0)
+    # identity generators: the stack is exactly zero, so again every direction
+    eye = [np.eye(3), np.eye(3)]
+    assert not np.vstack([np.kron(np.eye(3), l) - np.kron(r.T, np.eye(3)) for l, r in zip(eye, eye)]).any()
+    _assert_solution_space(opcore.sylvester_null_space(eye, eye, 1e-8), eye, eye, 9)
+    # an intertwiner of C^2 into C^3: l x = x r with a Jordan block in l
+    l = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 2.0]])
+    r = np.diag([2.0, 1.0])
+    basis = opcore.sylvester_null_space([l], [r], 1e-8)
+    _assert_solution_space(basis, [l], [r], 2)
+    supports = sorted(tuple(np.argwhere(np.abs(x) > 0.5)[0]) for x in basis)
+    assert supports == [(0, 1), (2, 0)]
+    # l[0, 0] - r[0, 0] cancels exactly: the pattern joins what the stack does not
+    l = np.array([[1.0, 1.0], [0.0, 2.0]])
+    r = np.diag([1.0, 5.0])
+    ((x,),) = [opcore.sylvester_null_space([l], [r], 1e-8)]
+    _assert_solution_space((x,), [l], [r], 1)
+    np.testing.assert_allclose(np.abs(x), [[1.0, 0.0], [0.0, 0.0]], atol=1e-15)
 
 
 def _family(rng, p, m=3):
@@ -432,6 +516,26 @@ def test_positive_part_and_psd_sqrt_of_a_connected_input_are_bitwise_one_eigh():
     w, v = np.linalg.eigh(sym)
     out = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
     assert np.array_equal(opcore.psd_sqrt(p), (out + out.conj().T) / 2.0)
+
+
+@pytest.mark.parametrize("d", [1, 2, 5, 8])
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_dense_psd_sqrt_and_positive_part_are_bitwise_the_plain_eigh_formula(d, field):
+    rng = np.random.default_rng(100 + d)
+    g = rng.standard_normal((d, d)) + (1j * rng.standard_normal((d, d)) if field == "complex" else 0.0)
+    cases = (
+        (opcore.psd_sqrt, g @ g.conj().T, lambda w: np.sqrt(np.clip(w, 0.0, None))),
+        (opcore.positive_part, g + g.conj().T, lambda w: np.clip(w, 0.0, None)),
+    )
+    for fn, m, f in cases:
+        sym = opcore.symmetrized(m)
+        # a full pattern: one block
+        assert np.count_nonzero(sym) == d * d
+        w, v = np.linalg.eigh(sym)
+        out = (v * f(w)) @ v.conj().T
+        want = (out + out.conj().T) / 2.0
+        got = fn(m)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def test_psd_sqrt_gates_across_blocks():
