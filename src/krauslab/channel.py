@@ -225,12 +225,14 @@ def subspace_distance(a: SubspaceBasis, b: SubspaceBasis) -> float:
     """
     if (a.rows, a.cols) != (b.rows, b.cols):
         raise ValueError("subspaces live on different matrix shapes")
-    worst = 0.0
-    for x in a.basis:
-        worst = max(worst, b.distance(x))
-    for x in b.basis:
-        worst = max(worst, a.distance(x))
-    return worst
+    qa, qb = a.stacked(), b.stacked()
+    # column i of q - p (p* q) is the residual of q's i-th element off span(p)
+    return float(
+        max(
+            np.linalg.norm(q - p @ (p.conj().T @ q), axis=0).max(initial=0.0)
+            for q, p in ((qa, qb), (qb, qa))
+        )
+    )
 
 
 def _hermitian_basis(vecs: np.ndarray, d: int) -> list:

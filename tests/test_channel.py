@@ -15,7 +15,8 @@ import pytest
 
 import krauslab as kl
 from krauslab import channel, cuntz, opcore, tracelab
-from krauslab.ensembles import ginibre, haar_unitary, mixed_unitary_family, trial_rng
+from krauslab.channel import SubspaceBasis
+from krauslab.ensembles import ginibre, haar_unitary, intertwining_pair, mixed_unitary_family, trial_rng
 
 E11 = np.diag([1.0, 0.0]).astype(complex)
 E22 = np.diag([0.0, 1.0]).astype(complex)
@@ -402,6 +403,37 @@ def test_subspace_distance_and_projection():
     x = np.array([[2.0, 5.0], [7.0, -1.0]], dtype=complex)
     np.testing.assert_allclose(fs.project(x), np.diag([2.0, -1.0]), atol=1e-12)
     assert fs.distance(x) == pytest.approx(np.sqrt(25.0 + 49.0), abs=1e-12)
+
+
+def _per_element_distance(a, b):
+    """The loop reference: largest distance of one space's element to the other."""
+    return max([b.distance(x) for x in a.basis] + [a.distance(x) for x in b.basis] + [0.0])
+
+
+def test_subspace_distance_matches_the_per_element_maximum():
+    spaces = []
+    for trial in range(4):
+        a, b = intertwining_pair(trial_rng(22, trial), 5, 2)
+        theta = kl.theta_superoperator(a, b)
+        kernel = opcore.factorize(opcore.minus_identity(theta)).kernel(1e-7)
+        fixed = SubspaceBasis(5, 5, tuple(opcore.devectorize(k, 5, 5) for k in kernel.T))
+        inter = kl.intertwiner_space(a, b)
+        q, _ = np.linalg.qr(ginibre(trial_rng(23, trial), 25, 5))
+        other = SubspaceBasis(5, 5, tuple(opcore.devectorize(v, 5, 5) for v in q.T))
+        part = SubspaceBasis(5, 5, inter.basis[: 2 + trial % 3])
+        empty = SubspaceBasis(5, 5, ())
+        spaces += [(fixed, inter), (inter, other), (part, inter), (inter, empty), (empty, empty)]
+    fam = tensor_family()
+    spaces.append((kl.fixed_space(fam), kl.commutant(fam.ops)))
+    for a, b in spaces:
+        want = _per_element_distance(a, b)
+        assert abs(kl.subspace_distance(a, b) - want) <= 1e-15
+        assert abs(kl.subspace_distance(b, a) - want) <= 1e-15
+    assert kl.subspace_distance(inter, empty) == pytest.approx(1.0, abs=1e-15)
+    assert kl.subspace_distance(empty, empty) == 0.0
+    rep = kl.fix_closed_under_square(fam)
+    assert rep.closed and rep.fix_dim == 16
+    assert abs(rep.subspace_distance - _per_element_distance(*spaces[-1])) <= 1e-15
 
 
 def test_gap_report_oracles():

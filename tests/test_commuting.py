@@ -1,15 +1,17 @@
 """Commuting normal families, joint spectra, product maps, intertwiners."""
 
+import json
 import warnings
 
 import numpy as np
 import pytest
 
 import krauslab as kl
-from krauslab import commuting, opcore
+from krauslab import cli, commuting, opcore
 from krauslab.ensembles import (
     commuting_normal_family,
     ginibre,
+    haar_unitary,
     intertwining_pair,
     mixed_unitary_family,
     random_psd_coefficients,
@@ -200,6 +202,119 @@ def test_spectrum_product_check_random(scale):
         assert rep.hausdorff <= 1e-8 * scale**2, f"trial {trial}: {rep.hausdorff}"
 
 
+def _refuse_eigvals(monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("np.linalg.eigvals called")
+
+    monkeypatch.setattr(np.linalg, "eigvals", refused)
+
+
+def test_spectrum_product_check_takes_no_general_eigensolver(monkeypatch, capsys):
+    _refuse_eigvals(monkeypatch)
+    a, b = intertwining_pair(trial_rng(60, 0), 4, 2)
+    assert kl.spectrum_product_check(a, b).hausdorff <= 1e-12
+    assert cli.main(["commuting", "--dim", "4", "--trials", "4"]) == 0
+    assert json.loads(capsys.readouterr().out)["results"]["failures"] == 0
+
+
+def _seeded_normal_thetas():
+    """theta of seeded commuting and intertwining pairs at d <= 8."""
+    for trial in range(12):
+        rng = trial_rng(61, trial)
+        dim, ops = (3, 5, 8)[trial % 3], 1 + trial % 3
+        if trial % 2 == 0:
+            a, b = intertwining_pair(rng, dim, ops)
+        else:
+            a, b = commuting_normal_family(rng, dim, ops), commuting_normal_family(rng, dim, ops)
+        yield trial % 2 == 0, dim, kl.theta_superoperator(a, b)
+
+
+def test_normal_eigvals_match_the_general_eigensolver():
+    for intertwining, dim, theta in _seeded_normal_thetas():
+        eigs = commuting._normal_eigvals(theta)
+        want = np.linalg.eigvals(theta)
+        norm = np.linalg.norm(theta, 2)
+        assert eigs.shape == want.shape
+        assert commuting.hausdorff_distance(eigs, want) <= 1e-12 * norm
+        # multiplicities agree: as many values of each set near every eigenvalue
+        radius = 1e-8 * norm
+        for z in want:
+            assert (np.abs(eigs - z) <= radius).sum() == (np.abs(want - z) <= radius).sum()
+        if intertwining:
+            # the joint tuples are unit vectors: eigenvalue 1 of multiplicity dim
+            assert (np.abs(eigs - 1.0) <= radius).sum() == dim
+
+
+def test_normal_eigvals_separate_eigenvalues_sharing_a_real_part():
+    # H = 0 is one cluster of four; K splits it into i and -i
+    rep = kl.spectrum_product_check([np.diag([1j, -1j])], [np.eye(2)])
+    np.testing.assert_allclose(rep.eigs, [-1j, -1j, 1j, 1j], atol=1e-14)
+    assert rep.hausdorff <= 1e-14
+    # 1 + i and 1 - i share a real part, 1 + i and -1 + i an imaginary part
+    u = haar_unitary(trial_rng(62, 0), 3)
+    c = [u @ np.diag([1 + 1j, 1 - 1j, -1 + 1j]) @ u.conj().T]
+    rep = kl.spectrum_product_check(c, [np.eye(2)])
+    np.testing.assert_allclose(rep.eigs, [-1 + 1j, -1 + 1j, 1 - 1j, 1 - 1j, 1 + 1j, 1 + 1j], atol=1e-13)
+    np.testing.assert_allclose(rep.product, [-1 + 1j, 1 - 1j, 1 + 1j], atol=1e-13)
+    assert rep.hausdorff <= 1e-13
+
+
+def _recorded_refinements(monkeypatch):
+    """Block sizes going into and out of every ``commuting._refine`` call."""
+    calls, refine = [], commuting._refine
+
+    def recording(basis, blocks, probe, gap):
+        out = refine(basis, blocks, probe, gap)
+        calls.append((basis.shape[0], [b.size for b in blocks], [b.size for b in out]))
+        return out
+
+    monkeypatch.setattr(commuting, "_refine", recording)
+    return calls
+
+
+@pytest.mark.parametrize("scale", [1e-5, 1e5])
+def test_normal_eigvals_cluster_the_same_under_scaling(monkeypatch, scale):
+    calls = _recorded_refinements(monkeypatch)
+    pairs = [
+        ([np.diag([1j, -1j])], [np.eye(2)]),
+        intertwining_pair(trial_rng(63, 0), 5, 2),
+        (commuting_normal_family(trial_rng(63, 1), 4, 2), commuting_normal_family(trial_rng(63, 2), 4, 2)),
+    ]
+    for c, d in pairs:
+        c, d = commuting._family_pair(c, d, "cd")
+        base = kl.spectrum_product_check(c, d)
+        unscaled = list(calls)
+        calls.clear()
+        rep = kl.spectrum_product_check([scale * m for m in c], [scale * m for m in d])
+        assert calls == unscaled
+        assert any(n == c[0].shape[0] * d[0].shape[0] for n, _, _ in calls)
+        calls.clear()
+        assert commuting.hausdorff_distance(rep.eigs, scale**2 * base.eigs) <= 1e-12 * scale**2
+
+
+def test_normal_eigvals_gate_a_non_normal_input():
+    for jordan in (np.array([[1.0, 1.0], [0.0, 1.0]]), np.eye(3, k=1)):
+        with pytest.raises(ValueError, match="residual"):
+            commuting._normal_eigvals(jordan.astype(complex))
+
+
+def test_spectrum_product_check_gates_families_before_theta(monkeypatch):
+    sx = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    sz = np.diag([1.0, -1.0]).astype(complex)
+    good = commuting_normal_family(trial_rng(64, 0), 2, 2)
+    shapes, eigh = [], np.linalg.eigh
+
+    def recording(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording)
+    for c, d in ((good, [sx, sz]), ([sx, sz], good)):
+        with pytest.raises(ValueError, match="commuting-normal gates"):
+            kl.spectrum_product_check(c, d)
+    assert shapes and all(s == (2, 2) for s in shapes)
+
+
 def test_hausdorff_oracle():
     assert commuting.hausdorff_distance([0.0, 1.0], [0.5]) == pytest.approx(0.5)
     assert commuting.hausdorff_distance([1j], [1.0]) == pytest.approx(np.sqrt(2.0))
@@ -327,26 +442,44 @@ def _hermitian(m):
     return (m + m.conj().T) / 2.0
 
 
-def test_positive_eigenvalue_check_reads_exact_hermitian_theta():
+def _count_eigvalsh(monkeypatch, n):
+    """Calls of ``np.linalg.eigvalsh`` on n x n matrices, in a one-item list."""
+    calls, eigvalsh = [0], np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        calls[0] += np.shape(a) == (n, n)
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    return calls
+
+
+def test_positive_eigenvalue_check_reads_exact_hermitian_theta(monkeypatch):
     rng = trial_rng(57, 0)
     c = [_hermitian(p) for p in random_psd_coefficients(rng, 4, 3)]
     d = [_hermitian(p) for p in random_psd_coefficients(rng, 4, 3)]
+    calls = _count_eigvalsh(monkeypatch, 16)
     rep = kl.positive_eigenvalue_check(c, d)
     theta = kl.theta_superoperator(c, d)
+    # theta - theta* is exactly zero: only the Hermitian part is solved
+    assert calls == [1]
     assert rep.max_imag == 0.0
     want = np.sort(np.linalg.eigvals(theta).real)
     np.testing.assert_allclose(rep.eigs, want, rtol=0, atol=1e-12 * np.linalg.norm(theta, 2))
     assert rep.min_real == rep.eigs[0]
 
 
-def test_positive_eigenvalue_check_bounds_a_nearly_hermitian_theta():
+def test_positive_eigenvalue_check_bounds_a_nearly_hermitian_theta(monkeypatch):
     # coefficients pass require_psd yet are not Hermitian: theta is not
-    # either, and the Bendixson bounds enclose its eigenvalues
+    # either, both parts are solved, and the Bendixson bounds enclose its
+    # eigenvalues
+    calls = _count_eigvalsh(monkeypatch, 16)
     for trial in range(5):
         rng = trial_rng(58, trial)
         c = [p + 2e-11 * ginibre(rng, 4) for p in random_psd_coefficients(rng, 4, 3)]
         d = [p + 2e-11 * ginibre(rng, 4) for p in random_psd_coefficients(rng, 4, 3)]
         rep = kl.positive_eigenvalue_check(c, d)
+        assert calls == [2 * (trial + 1)]
         eigs = np.linalg.eigvals(kl.theta_superoperator(c, d))
         assert rep.min_real <= eigs.real.min() + 1e-12
         assert rep.max_imag >= np.abs(eigs.imag).max() - 1e-12
@@ -354,10 +487,7 @@ def test_positive_eigenvalue_check_bounds_a_nearly_hermitian_theta():
 
 
 def test_positive_eigenvalue_check_takes_no_general_eigensolver(monkeypatch):
-    def refused(*args, **kwargs):
-        raise AssertionError("np.linalg.eigvals called")
-
-    monkeypatch.setattr(np.linalg, "eigvals", refused)
+    _refuse_eigvals(monkeypatch)
     rng = trial_rng(59, 0)
     rep = kl.positive_eigenvalue_check(random_psd_coefficients(rng, 3, 2), random_psd_coefficients(rng, 3, 2))
     assert rep.eigs.shape == (9,) and rep.min_real >= -1e-12
