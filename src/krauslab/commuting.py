@@ -7,11 +7,14 @@ of pointwise products of joint-spectrum tuples, and the fixed points of the
 Kraus-like variant ``sum_j a_j x b_j`` are exactly the intertwiners
 ``{x : a_j x = x b_j*}``.  The checks here quantify each of those statements.
 
-Every spectrum here comes from a Hermitian eigensolver.  The joint spectra
-rotate a common eigenbasis through probes of the generators' Hermitian
-parts; spec(theta) of an accepted pair, where theta is normal, is read from
-theta's own Hermitian and anti-Hermitian parts the same way and certified
-by its off-diagonal residual; the positivity check reads Bendixson bounds
+Every spectrum here comes from a Hermitian eigensolver.  One routine,
+:func:`_eigenbasis`, diagonalizes commuting normal matrices: one ``eigh`` of
+a fixed pseudorandom combination of their Hermitian and anti-Hermitian
+parts, each remaining block refined by every part in turn, blocks cut at
+gaps relative to the probe's Frobenius norm and the off-diagonal residual
+gated.  The joint spectra are the generators' diagonals in it; spec(theta)
+of an accepted pair, where theta is normal, is theta's own diagonal in it,
+certified by that residual.  The positivity check reads Bendixson bounds
 off the two parts.  No general (non-Hermitian) eigensolver runs.
 """
 
@@ -55,9 +58,8 @@ class CommutingFamily:
     at most ``defect_gate = 1e-9 * scale^2``, where ``scale = max_j ||c_j||_op``.
     Both defects are quadratic in the generators, so the gate scales with
     them at every size: multiplying the family by t > 0 leaves ``accepted``
-    unchanged.  Row and column completeness defects (distance of
-    ``sum c_j c_j*`` resp. ``sum c_j* c_j`` from the identity in operator
-    norm) are recorded but not gated.
+    unchanged.  Completeness is not recorded here;
+    :func:`opcore.completeness_defects` measures it.
     """
 
     def __init__(self, mats):
@@ -76,8 +78,6 @@ class CommutingFamily:
                     comm, float(np.linalg.norm(sq[i] @ sq[j] - sq[j] @ sq[i]))
                 )
         self.commutation_defect = comm
-        col, row = opcore.completeness_defects(sq)
-        self.column_completeness_defect, self.row_completeness_defect = col, row
 
     def __len__(self) -> int:
         return len(self.mats)
@@ -157,53 +157,54 @@ def _refine(basis: np.ndarray, blocks: list, probe: np.ndarray, gap: float) -> l
     return refined
 
 
-def simultaneous_diagonalize(family: CommutingFamily) -> DiagonalizationResult:
-    """Common unitary eigenbasis of an accepted commuting normal family.
+def _eigenbasis(mats, scale: float) -> tuple:
+    """Common unitary eigenbasis of commuting normal ``mats``, and their diagonals.
 
-    A fixed pseudorandom Hermitian combination of the generators splits the
-    joint eigenspaces generically; any block it leaves degenerate is refined
-    with the Hermitian and anti-Hermitian part of every generator in turn, so
-    the refinement terminates with all generators scalar on each block.  The
-    off-diagonal residual of every rotated generator is gated at
-    ``1e-8 * family.scale``, and a probe's eigenvalues split into blocks at
-    gaps above ``1e-6 * (family.scale + ||probe||_op)``, so both tests are
-    relative to the size of the family.
+    One ``eigh`` of a fixed pseudorandom (seed ``0xD1A6``) combination of
+    every generator's Hermitian and anti-Hermitian parts splits the joint
+    eigenspaces generically; :func:`_refine` then rotates every block it
+    leaves with each part in turn, so all generators end scalar on each
+    block.  A probe's eigenvalues are cut at gaps above
+    ``1e-6 * (scale + ||probe||_F)``, and the off-diagonal Frobenius
+    residual of every rotated generator is gated at ``1e-8 * scale``
+    (``ValueError`` above it), so both tests follow the size of ``mats``.
     """
-    if not isinstance(family, CommutingFamily):
-        family = CommutingFamily(family)
-    family.require_accepted()
-    d = family.dim
-    mats = family.mats
-    rng = np.random.default_rng(0xD1A6)
-    coeff = rng.standard_normal(2 * len(mats))
-    probes = [
-        sum(
-            coeff[2 * j] * (c + c.conj().T) / 2.0
-            + coeff[2 * j + 1] * (c - c.conj().T) / 2.0j
-            for j, c in enumerate(mats)
-        )
-    ]
-    for c in mats:
-        probes.append((c + c.conj().T) / 2.0)
-        probes.append((c - c.conj().T) / 2.0j)
-
-    basis = np.eye(d, dtype=np.complex128)
-    blocks = [np.arange(d)]
-    for probe in probes:
-        gap = 1e-6 * (family.scale + float(np.linalg.norm(probe, 2)))
-        blocks = _refine(basis, blocks, probe, gap)
-
+    pairs = [((c + c.conj().T) / 2.0, (c - c.conj().T) / 2.0j) for c in mats]
+    coeff = np.random.default_rng(0xD1A6).standard_normal((len(mats), 2))
+    probe = sum(x * h + y * k for (x, y), (h, k) in zip(coeff, pairs))
+    w, basis = np.linalg.eigh(probe)
+    blocks = _split(np.arange(w.size), w, 1e-6 * (scale + float(np.linalg.norm(probe))))
+    for pair in pairs:
+        for part in pair:
+            blocks = _refine(basis, blocks, part, 1e-6 * (scale + float(np.linalg.norm(part))))
     diags = []
-    limit = 1e-8 * family.scale
+    limit = 1e-8 * scale
     for c in mats:
         rotated = basis.conj().T @ c @ basis
-        off = float(np.linalg.norm(rotated - np.diag(np.diagonal(rotated))))
+        diags.append(np.diagonal(rotated).copy())
+        np.fill_diagonal(rotated, 0.0)
+        off = float(np.linalg.norm(rotated))
         if off > limit:
             raise ValueError(
                 f"diagonalization residual {off:.3e} above tolerance {limit:.3e}"
             )
-        diags.append(np.diagonal(rotated).copy())
-    return DiagonalizationResult(unitary=basis, diags=tuple(diags))
+    return basis, tuple(diags)
+
+
+def simultaneous_diagonalize(family: CommutingFamily) -> DiagonalizationResult:
+    """Common unitary eigenbasis of an accepted commuting normal family.
+
+    It is :func:`_eigenbasis` of the generators at ``family.scale``: blocks
+    cut at eigenvalue gaps above ``1e-6 * (family.scale + ||probe||_F)`` and
+    every rotated generator's off-diagonal residual gated at
+    ``1e-8 * family.scale``, so both tests are relative to the size of the
+    family.
+    """
+    if not isinstance(family, CommutingFamily):
+        family = CommutingFamily(family)
+    family.require_accepted()
+    basis, diags = _eigenbasis(family.mats, family.scale)
+    return DiagonalizationResult(unitary=basis, diags=diags)
 
 
 @dataclass(frozen=True)
@@ -219,13 +220,19 @@ def _lex_order(rows: np.ndarray) -> np.ndarray:
     return np.lexsort([part for z in rows.T[::-1] for part in (z.imag, z.real)])
 
 
+def _row_norms(rows) -> np.ndarray:
+    """Euclidean norm of each complex row, by ``hypot`` so that no entry is
+    squared: rows of any representable size keep their exact distances."""
+    return np.hypot.reduce(np.abs(rows), axis=1)
+
+
 def _merge(rows: np.ndarray, radius: float) -> np.ndarray:
     """Rows in lexicographic order, each kept when farther than ``radius``
     from every row kept before it."""
     ordered = rows[_lex_order(rows)]
     keep = np.zeros(len(ordered), dtype=bool)
     for i, row in enumerate(ordered):
-        keep[i] = not (np.linalg.norm(ordered[keep] - row, axis=1) <= radius).any()
+        keep[i] = not (_row_norms(ordered[keep] - row) <= radius).any()
     return ordered[keep]
 
 
@@ -235,19 +242,17 @@ def joint_spectrum(family: CommutingFamily) -> JointSpectrum:
     With ``s = family.scale``, tuples within ``1e-8 * s`` in Euclidean
     distance are merged; the result is sorted lexicographically by (real,
     imaginary) parts for reproducibility.  Every tuple's norm is bounded by
-    the family norm ``||sum c_j* c_j||^(1/2)``, checked with a slack of
-    ``1e-9 * s``.
+    the family norm ``||sum c_j* c_j||^(1/2)``, read as the operator norm of
+    the stacked generators so that nothing is squared, and checked with a
+    slack of ``1e-9 * s``.
     """
     if not isinstance(family, CommutingFamily):
         family = CommutingFamily(family)
     res = simultaneous_diagonalize(family)
     reps = _merge(np.stack(res.diags, axis=1), 1e-8 * family.scale)
-    bound = float(
-        np.sqrt(opcore.op_norm(sum(c.conj().T @ c for c in family.mats)))
-    )
-    for r in reps:
-        if np.linalg.norm(r) > bound + 1e-9 * family.scale:
-            raise ValueError("joint-spectrum tuple exceeds the family norm bound")
+    bound = opcore.op_norm(np.vstack(family.mats))
+    if (_row_norms(reps) > bound + 1e-9 * family.scale).any():
+        raise ValueError("joint-spectrum tuple exceeds the family norm bound")
     return JointSpectrum(points=tuple(tuple(complex(z) for z in r) for r in reps))
 
 
@@ -283,7 +288,7 @@ def product_spectrum(sc: JointSpectrum, sd: JointSpectrum) -> np.ndarray:
         for lam in sc.points
         for mu in sd.points
     ]
-    scale = np.linalg.norm(sc.points, axis=1).max() * np.linalg.norm(sd.points, axis=1).max()
+    scale = _row_norms(sc.points).max() * _row_norms(sd.points).max()
     return _merge(np.array(vals, dtype=np.complex128)[:, None], 1e-8 * scale)[:, 0]
 
 
@@ -307,40 +312,12 @@ class SpectrumProductReport:
 
 
 def _normal_eigvals(theta: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a normal matrix, read from its commuting Hermitian parts.
-
-    With ``s = ||theta||_F``, one ``eigh`` of ``H = (theta + theta*) / 2``
-    gives a unitary Q whose columns fall into clusters at eigenvalue gaps
-    above ``1e-6 * s``; :func:`_refine` rotates every cluster of more than one
-    column by the ``eigh`` of ``K = (theta - theta*) / 2i`` compressed to it.
-    The eigenvalues are the diagonal of ``Q* theta Q``, whose off-diagonal
-    Frobenius norm is gated at ``1e-8 * s``: for a normal ``theta`` the
-    Hoffman-Wielandt theorem bounds the matching distance between them and
-    spec(theta) by that residual.  A residual above the gate (``theta`` not
-    normal) raises ``ValueError``.  Both thresholds scale with ``theta``.
-    """
-    scale = float(np.linalg.norm(theta))
-    gap = 1e-6 * scale
-    # one theta-sized buffer holds H, then K, then Q* theta Q
-    part = theta.conj().T
-    part += theta
-    part *= 0.5
-    w, basis = np.linalg.eigh(part)
-    np.conjugate(theta.T, out=part)
-    part -= theta
-    part *= 0.5j
-    _refine(basis, _split(np.arange(w.size), w, gap), part, gap)
-    right = theta @ basis
-    np.matmul(np.conjugate(basis, out=basis).T, right, out=part)
-    eigs = np.diagonal(part).copy()
-    np.fill_diagonal(part, 0.0)
-    off = float(np.linalg.norm(part))
-    limit = 1e-8 * scale
-    if off > limit:
-        raise ValueError(
-            f"normal eigensolver residual {off:.3e} above tolerance {limit:.3e}"
-        )
-    return eigs
+    """Eigenvalues of a normal matrix: its diagonal in :func:`_eigenbasis` at
+    ``||theta||_F``.  For a normal ``theta`` the Hoffman-Wielandt theorem
+    bounds the matching distance between them and spec(theta) by the gated
+    off-diagonal residual, at most ``1e-8 * ||theta||_F``; a non-normal
+    ``theta`` fails the gate and raises ``ValueError``."""
+    return _eigenbasis([theta], float(np.linalg.norm(theta)))[1][0]
 
 
 def spectrum_product_check(c, d) -> SpectrumProductReport:
@@ -348,13 +325,14 @@ def spectrum_product_check(c, d) -> SpectrumProductReport:
 
     Both families must pass the commuting-normal gates; their joint spectra
     are computed first, so a family that fails raises ``ValueError`` before
-    theta is built.  Theta is then normal, and ``eigs`` come from a normal
-    eigensolver that works on theta alone, not on the joint eigenbases: one
-    ``eigh`` of its Hermitian part, clusters refined by its anti-Hermitian
-    part, and the diagonal of theta in the resulting basis, certified by the
-    off-diagonal residual (at most ``1e-8 * ||theta||_F``, else
-    ``ValueError``), which bounds their distance to spec(theta).  The
-    Hausdorff distance to the product set then vanishes up to rounding.
+    theta is built.  Theta is then normal, and ``eigs`` are its diagonal in
+    :func:`_eigenbasis` of ``[theta]`` alone, not in the joint eigenbases:
+    one ``eigh`` of a fixed combination of its Hermitian and anti-Hermitian
+    parts, each remaining block refined by both parts, blocks cut at gaps
+    above ``1e-6 * (||theta||_F + ||probe||_F)``.  The off-diagonal residual
+    (at most ``1e-8 * ||theta||_F``, else ``ValueError``) bounds their
+    distance to spec(theta).  The Hausdorff distance to the product set then
+    vanishes up to rounding.
     """
     cf = c if isinstance(c, CommutingFamily) else CommutingFamily(c)
     df = d if isinstance(d, CommutingFamily) else CommutingFamily(d)

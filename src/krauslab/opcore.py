@@ -6,19 +6,18 @@ one place that convention, the PSD tolerance and the validation of matrix
 families are written down: superoperators come from :func:`kron_entries`
 (densely from :func:`kron_sum`, their action from :func:`product_map`),
 solution spaces of ``l_j x = x r_j`` from :func:`sylvester_null_space` (the
-stack is cut into the column components the generators' patterns allow; a
-connected tall stack is reduced to its R factor by :func:`null_space_basis`,
-a split one per component shape by one stacked QR), PSD inputs pass
-:func:`require_psd` and families pass :func:`square_family` (their defects
-from :func:`completeness_defects`).  Every kernel and solve is cut from a
-:class:`SpectralCore`, which holds the blocks in one form: :func:`factorize`
-is the one choice between stacked per-block ``eigh`` of a
-:class:`BlockSplit` (the connected components of an exact nonzero pattern,
-from :func:`block_split`; a connected real symmetric matrix is one block)
-and one SVD, and a split Sylvester stack gets the same stacked SVD factor
-per component shape.  A query that reads only singular values asks
-:func:`factorize` for values only (``eigvalsh``, or an SVD without vectors)
-and gets the same blocks without ``u`` and ``vh``.
+stack is cut into the column components the generators' patterns allow, a
+connected stack being one, and reduced to its R factors per component shape
+by one stacked QR), PSD inputs pass :func:`require_psd` and families pass
+:func:`square_family` (their defects from :func:`completeness_defects`).
+Every kernel and solve is cut from a :class:`SpectralCore`, which holds the
+blocks in one form: :func:`factorize` is the one choice between stacked
+per-block ``eigh`` of a :class:`BlockSplit` (the connected components of an
+exact nonzero pattern, from :func:`block_split`; a connected real symmetric
+matrix is one block) and one SVD, and a Sylvester stack gets the same
+stacked SVD factor per component shape.  A query that reads only singular
+values asks :func:`factorize` for values only (``eigvalsh``, or an SVD
+without vectors) and gets the same blocks without ``u`` and ``vh``.
 """
 
 from __future__ import annotations
@@ -52,7 +51,6 @@ __all__ = [
     "SpectralCore",
     "minus_identity",
     "factorize",
-    "null_space_basis",
     "KronEntries",
     "kron_entries",
     "kron_sum",
@@ -495,20 +493,6 @@ def _core(factors: tuple) -> SpectralCore:
     return SpectralCore(sv=sv[np.argsort(-sv, kind="stable")], factors=factors)
 
 
-def null_space_basis(a: np.ndarray, tol: float) -> np.ndarray:
-    """Orthonormal columns spanning the numerical right null space of ``a``:
-    ``factorize(a).kernel(tol)``.
-
-    A tall ``a`` is first reduced to the square R of its QR factorization,
-    which has the same singular values and right singular vectors, so its
-    left singular vectors are never formed.
-    """
-    a = as_matrix(a, "a")
-    if a.shape[0] > a.shape[1]:
-        a = np.linalg.qr(a, mode="r")
-    return factorize(a).kernel(tol)
-
-
 def _paired(lefts, rights) -> tuple:
     """Lists of the two families with their dimensions p (lefts) and q (rights)."""
     lefts, rights = list(lefts), list(rights)
@@ -599,24 +583,14 @@ def sylvester_null_space(lefts, rights, tol: float) -> tuple:
     null space (singular values at most ``tol``) is returned as p x q
     matrices.  The stack is cut into column components, two columns joining
     when they share a row that the generators' nonzero patterns allow to be
-    nonzero (see :func:`_sylvester_components`).  A connected stack is
-    formed whole and, with more than one pair, tall, so
-    :func:`null_space_basis` factorizes its square pq x pq R factor.  A
-    split stack is formed per component only: each component shape gets one
-    stacked ``qr(mode="r")`` of its tall blocks and one stacked SVD, and the
-    null space is the kernel of that block core.
+    nonzero (see :func:`_sylvester_components`); a connected stack is one
+    component.  The stack is formed per component only: each component
+    shape gets one stacked ``qr(mode="r")`` of its tall blocks and one
+    stacked SVD, and the null space is the kernel of that block core.
     """
     lefts, rights, p, q = _paired(lefts, rights)
     label = _sylvester_components(lefts, rights, p, q)
-    if not label[: p * q].any():
-        # every column is in column 0's component
-        eye_p, eye_q = np.eye(p), np.eye(q)
-        stacked = np.vstack(
-            [np.kron(eye_q, l) - np.kron(r.T, eye_p) for l, r in zip(lefts, rights)]
-        )
-        kernel = null_space_basis(stacked, tol)
-    else:
-        kernel = _sylvester_core(lefts, rights, p, label).kernel(tol)
+    kernel = _sylvester_core(lefts, rights, p, label).kernel(tol)
     return tuple(devectorize(k, p, q) for k in kernel.T)
 
 
@@ -653,7 +627,7 @@ def _sylvester_components(lefts, rights, p: int, q: int) -> np.ndarray:
 
 def _sylvester_core(lefts, rights, p: int, label: np.ndarray) -> SpectralCore:
     """A :class:`SpectralCore` with the singular values and right singular
-    vectors of a split Sylvester stack, one block per column component.
+    vectors of a Sylvester stack, one block per column component.
 
     Each component's rows of every pair's block are stacked over its
     columns; components of one shape form one stack, reduced to its R

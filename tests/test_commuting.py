@@ -95,6 +95,28 @@ def test_scaling_a_family_scales_its_joint_spectrum(scale):
         np.testing.assert_allclose(scaled, scale * points, rtol=0.0, atol=1e-8 * scale)
 
 
+@pytest.mark.parametrize("t", [1e-300, 1e-200, 1.0, 1e5])
+def test_joint_and_product_spectra_scale_without_underflow(t):
+    # distances and norms are taken without squaring entries, so tuples of
+    # size 1e-300 keep their distinct points instead of merging into one
+    # (rounding may swap the lexicographic order of points sharing a real
+    # part, so the point sets are compared, not the sequences)
+    base = commuting_normal_family(trial_rng(84, 0), 4, 2)
+    points = np.array(kl.joint_spectrum(base).points)
+    assert len(points) == 4
+    scaled = np.array(kl.joint_spectrum(kl.CommutingFamily([t * c for c in base.mats])).points)
+    assert scaled.shape == points.shape
+    gaps = np.abs(scaled[:, None, :] / t - points[None, :, :]).max(axis=2)
+    assert gaps.min(axis=0).max() <= 1e-14 and gaps.min(axis=1).max() <= 1e-14
+    a, b = intertwining_pair(trial_rng(84, 1), 3, 2)
+    sb = kl.joint_spectrum(b)
+    product = commuting.product_spectrum(kl.joint_spectrum(a), sb)
+    assert len(product) == 7
+    scaled = commuting.product_spectrum(kl.joint_spectrum(kl.CommutingFamily([t * c for c in a.mats])), sb)
+    assert scaled.shape == product.shape
+    assert commuting.hausdorff_distance(scaled / t, product) <= 1e-14
+
+
 def test_simultaneous_diagonalize_random():
     for trial in range(5):
         fam = commuting_normal_family(trial_rng(51, trial), 6, 3)
@@ -246,7 +268,8 @@ def test_normal_eigvals_match_the_general_eigensolver():
 
 
 def test_normal_eigvals_separate_eigenvalues_sharing_a_real_part():
-    # H = 0 is one cluster of four; K splits it into i and -i
+    # i and -i share the real part 0, so H = 0 and the combined probe is a
+    # multiple of K, which splits the four eigenvalues into i and -i at once
     rep = kl.spectrum_product_check([np.diag([1j, -1j])], [np.eye(2)])
     np.testing.assert_allclose(rep.eigs, [-1j, -1j, 1j, 1j], atol=1e-14)
     assert rep.hausdorff <= 1e-14
@@ -290,6 +313,33 @@ def test_normal_eigvals_cluster_the_same_under_scaling(monkeypatch, scale):
         assert any(n == c[0].shape[0] * d[0].shape[0] for n, _, _ in calls)
         calls.clear()
         assert commuting.hausdorff_distance(rep.eigs, scale**2 * base.eigs) <= 1e-12 * scale**2
+        # the joint eigenbases refine the same blocks too, one call per part
+        for fam in (c, d):
+            kl.simultaneous_diagonalize(fam)
+            unscaled = list(calls)
+            calls.clear()
+            kl.simultaneous_diagonalize([scale * m for m in fam])
+            assert calls == unscaled and len(calls) == 2 * len(fam)
+            calls.clear()
+
+
+def test_theta_of_an_intertwining_pair_takes_at_most_three_eigh(monkeypatch):
+    # the combined probe separates theta's conjugate eigenvalue pairs, so only
+    # eigenvalue 1 of multiplicity d is refined, by H and then by K
+    a, b = intertwining_pair(trial_rng(65, 0), 12, 3)
+    shapes, eigh = [], np.linalg.eigh
+
+    def recording(x, *args, **kwargs):
+        shapes.append(np.shape(x))
+        return eigh(x, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording)
+    kl.joint_spectrum(a)
+    kl.joint_spectrum(b)
+    spectra = len(shapes)
+    assert kl.spectrum_product_check(a, b).hausdorff <= 1e-12
+    theta = shapes[2 * spectra :]
+    assert theta[0] == (144, 144) and len(theta) <= 3
 
 
 def test_normal_eigvals_gate_a_non_normal_input():

@@ -59,16 +59,17 @@ def test_commuting_normal_family_gates():
         rng = ensembles.trial_rng(4, trial)
         fam = ensembles.commuting_normal_family(rng, 5, 3)
         assert fam.accepted
-        assert fam.row_completeness_defect <= 1e-9
-        assert fam.column_completeness_defect <= 1e-9
+        col, row = opcore.completeness_defects(fam.mats)
+        assert row <= 1e-9
+        assert col <= 1e-9
 
 
 def test_intertwining_pair_structure():
     rng = ensembles.trial_rng(5, 0)
     a, b = ensembles.intertwining_pair(rng, 5, 3)
     assert a.accepted and b.accepted
-    assert a.row_completeness_defect <= 1e-9
-    assert b.column_completeness_defect <= 1e-9
+    assert opcore.completeness_defects(a.mats)[1] <= 1e-9
+    assert opcore.completeness_defects(b.mats)[0] <= 1e-9
     # shared conjugated diagonals force a d-dimensional intertwiner space
     from krauslab.commuting import intertwiner_space
 

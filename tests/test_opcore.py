@@ -120,21 +120,21 @@ def test_vectorize_kron_identity():
 
 
 def test_null_space_basis():
-    k = opcore.null_space_basis(np.diag([1.0, 0.0]), 1e-12)
+    k = opcore.factorize(np.diag([1.0, 0.0])).kernel(1e-12)
     assert k.shape == (2, 1)
     np.testing.assert_allclose(np.abs(k[:, 0]), [0.0, 1.0], atol=1e-14)
     # wide matrix: columns beyond the singular-value list are null directions
     wide = np.array([[1.0, 0.0, 0.0]])
-    kw = opcore.null_space_basis(wide, 1e-12)
+    kw = opcore.factorize(wide).kernel(1e-12)
     assert kw.shape == (3, 2)
     np.testing.assert_allclose(wide @ kw, 0.0, atol=1e-14)
     np.testing.assert_allclose(kw.conj().T @ kw, np.eye(2), atol=1e-12)
-    full = opcore.null_space_basis(np.eye(3), 1e-12)
+    full = opcore.factorize(np.eye(3)).kernel(1e-12)
     assert full.shape == (3, 0)
     # tall matrix whose third column is the sum of the first two
     c = np.random.default_rng(3).standard_normal((6, 2))
     tall = np.column_stack([c, c[:, 0] + c[:, 1]])
-    kt = opcore.null_space_basis(tall, 1e-10)
+    kt = opcore.factorize(tall).kernel(1e-10)
     assert kt.shape == (3, 1)
     np.testing.assert_allclose(
         np.abs(kt[:, 0]), np.array([1.0, 1.0, 1.0]) / np.sqrt(3.0), atol=1e-12
@@ -248,7 +248,7 @@ def test_null_space_basis_of_a_real_symmetric_indefinite_matrix():
     q = np.linalg.qr(np.random.default_rng(7).standard_normal((4, 4)))[0]
     m = q @ np.diag([1.0, -1.0, -1e-12, 0.0]) @ q.T
     m = (m + m.T) / 2.0
-    k = opcore.null_space_basis(m, 1e-10)
+    k = opcore.factorize(m).kernel(1e-10)
     assert k.shape == (4, 2) and np.isrealobj(k)
     np.testing.assert_allclose(k.T @ k, np.eye(2), atol=1e-12)
     np.testing.assert_allclose(k @ k.T, q[:, 2:] @ q[:, 2:].T, atol=1e-12)
@@ -258,10 +258,10 @@ def test_null_space_basis_keeps_the_extra_rows_of_a_wide_matrix():
     rng = np.random.default_rng(8)
     wide = rng.standard_normal((2, 5)) + 1j * rng.standard_normal((2, 5))
     _, sv, vh = np.linalg.svd(wide)
-    assert np.array_equal(opcore.null_space_basis(wide, 1e-12), vh[2:].conj().T)
+    assert np.array_equal(opcore.factorize(wide).kernel(1e-12), vh[2:].conj().T)
     # a cut between the two singular values keeps the smaller one's row too
     cut = (sv[0] + sv[1]) / 2.0
-    assert np.array_equal(opcore.null_space_basis(wide, cut), vh[1:].conj().T)
+    assert np.array_equal(opcore.factorize(wide).kernel(cut), vh[1:].conj().T)
 
 
 def _tall_stacks():
@@ -278,8 +278,17 @@ def _tall_stacks():
 
 
 def test_tall_null_space_takes_no_tall_svd(monkeypatch):
-    stacks = list(_tall_stacks())
-    direct = [opcore.factorize(a).kernel(tol) for a, tol, _ in stacks]
+    # a tall matrix and the square R of its QR share their kernel, which is
+    # what lets every Sylvester stack be reduced to R before its SVD
+    for a, tol, dim in _tall_stacks():
+        want = opcore.factorize(a).kernel(tol)
+        got = opcore.factorize(np.linalg.qr(a, mode="r")).kernel(tol)
+        assert got.shape == want.shape == (a.shape[1], dim)
+        np.testing.assert_allclose(got.conj().T @ got, np.eye(dim), atol=1e-12)
+        assert np.linalg.norm(got @ got.conj().T - want @ want.conj().T, 2) <= 1e-12
+    rng = np.random.default_rng(53)
+    split = [np.kron(haar_unitary(rng, 6), np.eye(4)) for _ in range(3)]
+    connected = [ginibre(rng, 6) for _ in range(3)]
     svd = np.linalg.svd
 
     def square_only(a, *args, **kwargs):
@@ -287,34 +296,40 @@ def test_tall_null_space_takes_no_tall_svd(monkeypatch):
         return svd(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", square_only)
-    for (a, tol, dim), want in zip(stacks, direct):
-        got = opcore.null_space_basis(a, tol)
-        assert got.shape == want.shape == (a.shape[1], dim)
-        np.testing.assert_allclose(got.conj().T @ got, np.eye(dim), atol=1e-12)
-        assert np.linalg.norm(got @ got.conj().T - want @ want.conj().T, 2) <= 1e-12
+    # the first of _tall_stacks splits into 16 components; a generic
+    # family's 108 x 36 stack is one
+    split_basis = opcore.sylvester_null_space(split, split, channel.fix_tol(24))
+    connected_basis = opcore.sylvester_null_space(connected, connected, channel.fix_tol(6))
     # the callers of the stacked null space reach it only through the R factor
     rng = np.random.default_rng(54)
     assert len(channel.commutant([np.kron(haar_unitary(rng, 4), np.eye(2)) for _ in range(3)])) == 4
     rep = commuting.intertwiner_fixed_point_check(*intertwining_pair(trial_rng(55, 0), 5, 3))
     assert rep.passed and rep.intertwiner_dim >= 1
+    monkeypatch.undo()
+    _assert_solution_space(split_basis, split, split, 16)
+    _assert_solution_space(connected_basis, connected, connected, 1)
 
 
 def test_square_and_wide_null_spaces_are_bitwise_the_direct_kernel():
+    # a square or wide complex matrix's kernel is read off its own SVD: the
+    # rows of V* past the singular values above tol, bit for bit
     rng = np.random.default_rng(57)
     for rows, cols in ((5, 5), (3, 7), (1, 4)):
         a = ginibre(rng, rows, cols)
         a[:, -1] = a[:, 0]
+        _, sv, vh = np.linalg.svd(a, full_matrices=rows < cols)
         for tol in (1e-12, 0.5):
-            assert np.array_equal(opcore.null_space_basis(a, tol), opcore.factorize(a).kernel(tol))
+            keep = int((sv > tol).sum())
+            assert np.array_equal(opcore.factorize(a).kernel(tol), vh[keep:].conj().T)
 
 
 def _explicit_sylvester(lefts, rights, tol):
-    """The stacked-kron null space as each caller wrote it before the fold."""
+    """The null space of the explicitly stacked krons, read off their SVD."""
     p, q = lefts[0].shape[0], rights[0].shape[0]
     stacked = np.vstack(
         [np.kron(np.eye(q), l) - np.kron(r.T, np.eye(p)) for l, r in zip(lefts, rights)]
     )
-    kernel = opcore.null_space_basis(stacked, tol)
+    kernel = opcore.factorize(stacked).kernel(tol)
     return [opcore.devectorize(kernel[:, i], p, q) for i in range(kernel.shape[1])]
 
 
@@ -338,13 +353,9 @@ def test_sylvester_null_space_matches_the_explicit_stack():
     # commuting pair on C^3, and b_j* acting on C^2 with two shared joint eigenvalues
     lefts = [u @ np.diag(lam[j]) @ u.conj().T for j in range(2)]
     rights = [np.diag(lam[j, :2]) for j in range(2)]
-    # a connected stack is factored whole, bitwise as before
-    got = opcore.sylvester_null_space(lefts, lefts, 1e-8)
-    want = _explicit_sylvester(lefts, lefts, 1e-8)
-    assert len(got) == len(want) == 3
-    for g, w in zip(got, want):
-        assert np.array_equal(g, w)
-    _assert_solution_space(got, lefts, lefts, 3)
+    # a connected stack is one component, factored like a split one
+    assert not opcore._sylvester_components(lefts, lefts, 3, 3)[:9].any()
+    _assert_solution_space(opcore.sylvester_null_space(lefts, lefts, 1e-8), lefts, lefts, 3)
     # diagonal rights split the stack into one component per column of x
     assert opcore._sylvester_components(lefts, rights, 3, 2)[:6].any()
     _assert_solution_space(opcore.sylvester_null_space(lefts, rights, 1e-8), lefts, rights, 2)
@@ -377,6 +388,24 @@ def test_split_sylvester_stack_of_the_tensor_kind(monkeypatch):
     for x in basis:
         for a in ops:
             assert np.linalg.norm(a @ x - x @ a) <= 1e-12
+
+
+def test_commutant_of_a_generic_family_forms_no_kron(monkeypatch):
+    # a connected stack is built per component like a split one, never
+    # from dense Kronecker products
+    rng = trial_rng(32, 0)
+    ops = [ginibre(rng, 8) for _ in range(3)]
+
+    def refused(*args, **kwargs):
+        raise AssertionError("np.kron called")
+
+    monkeypatch.setattr(np, "kron", refused)
+    com = channel.commutant(ops)
+    assert len(com) == 1
+    (x,) = com.basis
+    np.testing.assert_allclose(np.abs(x), np.eye(8) / np.sqrt(8.0), atol=1e-12)
+    for a in ops:
+        assert np.linalg.norm(a @ x - x @ a) <= 1e-12
 
 
 def test_sylvester_components_are_those_of_the_stack_pattern():
