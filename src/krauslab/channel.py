@@ -11,10 +11,12 @@ per family: ``S - I`` is factorized once and only its factors (and the fixed
 space's Hermitian basis, read-only) are cached on the family (whose
 operators are frozen copies).  The gap report reads only singular values:
 it takes them from that core when the family holds it, and otherwise from a
-values-only factorization of the same blocks, which is not cached.  S is
-read from its entries; it is formed densely only when ``S - I`` is not an
-exactly real symmetric matrix that splits into blocks, and then lives only
-while the factorization runs.
+values-only factorization, which is not cached: of the same blocks when
+``S - I`` is exactly real symmetric, and else of the real ``S_h - I``, the
+matrix of ``psi - 1`` on the Hermitian matrices, which has the same
+singular values.  S is read from its entries; it is formed densely only
+when ``S - I`` is not an exactly real symmetric matrix that splits into
+blocks, and then lives only while the factorization (or S_h) is built.
 """
 
 from __future__ import annotations
@@ -163,20 +165,68 @@ def spectral_core(family: KrausFamily) -> SpectralCore:
     return family._spectral_core
 
 
-def _s_minus_identity(family: KrausFamily):
+def _s_minus_identity(family: KrausFamily, values_only: bool = False):
     """``S - I`` as an :class:`opcore.BlockSplit` when it is exactly real
-    symmetric and splits, and as one dense array otherwise."""
+    symmetric and splits, and as one dense array otherwise.
+
+    With ``values_only``, a dense ``S - I`` that is not exactly real
+    symmetric comes back as the real ``S_h - I`` of :func:`_hermitian_form`
+    instead: it has the singular values of ``S - I`` but not its vectors.
+    """
     entries = opcore.kron_entries(family._adjoints, family.ops)
-    if not entries.values.imag.any():
+    real = not entries.values.imag.any()
+    if real:
         rows, cols, values = entries.nonzero()
         split = opcore.block_split(family.dim**2, rows, cols, values.real)
         if split is not None and all(np.array_equal(b, b.swapaxes(1, 2)) for b in split.stacks):
             return opcore.minus_identity(split)
         # only the entry values may stay live next to the dense S
         del rows, cols, values, split
-    s = entries.dense()
+    t = entries.tensor()
     del entries
-    return opcore.minus_identity(s)
+    if values_only and not (real and np.array_equal(t, t.transpose(2, 3, 0, 1))):
+        return opcore.minus_identity(_hermitian_form(t))
+    # t is fresh or a view of the dropped entries' values: it may be overwritten
+    return opcore.minus_identity(t.reshape(family.dim**2, family.dim**2))
+
+
+def _hermitian_form(t: np.ndarray) -> np.ndarray:
+    """S_h: the real d² x d² matrix of psi on the Hermitian matrices.
+
+    ``t`` is S as a (d, d, d, d) :meth:`opcore.KronEntries.tensor`.  The
+    basis is orthonormal and indexed like ``vec``: position ``(r, c)``
+    (index ``c * d + r``) holds ``E_rr`` when ``r = c``,
+    ``(E_rc + E_cr) / sqrt 2`` when ``r < c`` and ``i (E_cr - E_rc) / sqrt 2``
+    when ``r > c``.  It is also an orthonormal basis of all d x d matrices,
+    so S_h = B* S B for a unitary B and S_h - I has the singular values of
+    S - I.  Because psi(x*) = psi(x)*, the rows of S_h at ``(r, c)`` and
+    ``(c, r)`` for r < c are sqrt 2 times the real and imaginary parts of
+    row ``(r, c)`` of S B, and each column of S B adds column ``(r, c)`` of
+    S to, or subtracts it from, column ``(c, r)``.  So S_h costs one pass of
+    real adds over half the rows of S, row block by row block; no complex
+    array beyond ``t`` is formed.
+    """
+    d = t.shape[0]
+    out = np.empty((d, d, d, d))
+    # input positions (r, c) with r <= c, as [c, r] like the last two axes of t
+    upper = np.tri(d, dtype=bool)
+    lower = ~upper
+    for c in range(d):
+        # rows (r, c) of S with r <= c, and their real and imaginary parts
+        # at each input position and at its transpose
+        block = t[c, : c + 1]
+        re, im = block.real, block.imag
+        re_t, im_t = re.swapaxes(1, 2), im.swapaxes(1, 2)
+        top, bottom = out[c, : c + 1], out[:c, c]
+        np.add(re, re_t, out=top, where=upper)
+        np.subtract(im, im_t, out=top, where=lower)
+        np.add(im[:c], im_t[:c], out=bottom, where=upper)
+        np.subtract(re_t[:c], re[:c], out=bottom, where=lower)
+    out = out.reshape(d * d, d * d)
+    # the adds above give sqrt 2 times each entry in a row or column of an E_rr
+    out[:, :: d + 1] *= 1.0 / math.sqrt(2.0)
+    out[:: d + 1] *= 1.0 / math.sqrt(2.0)
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -320,18 +370,19 @@ def gap_report(family: KrausFamily, tol: float | None = None) -> GapReport:
     """Report sigma_min, the restricted gap and the numerical fixed dimension.
 
     Only singular values are read.  A family that holds its spectral core
-    answers from it; any other family factors ``S - I`` for values only
-    (``opcore.factorize(..., vectors=False)``: the same blocks, split
-    exactly as :func:`spectral_core` splits them, through ``eigvalsh`` or an
-    SVD without vectors) and caches nothing.  The two ``sv`` agree to
-    rounding, not bitwise, so a caller that also needs the core should take
-    it first.
+    answers from it; any other family factors for values only
+    (``opcore.factorize(..., vectors=False)``) and caches nothing: an exactly
+    real symmetric ``S - I`` on the blocks :func:`spectral_core` uses, through
+    ``eigvalsh``, and any other as the real ``S_h - I`` of
+    :func:`_hermitian_form`, through one real SVD without vectors (one
+    block, as in the full core).  The two ``sv`` agree to rounding, not
+    bitwise, so a caller that also needs the core should take it first.
     """
     if tol is None:
         tol = fix_tol(family.dim)
     core = family._spectral_core
     if core is None:
-        core = opcore.factorize(_s_minus_identity(family), vectors=False)
+        core = opcore.factorize(_s_minus_identity(family, values_only=True), vectors=False)
     sv = core.sv[::-1]
     fix_dim = int(np.sum(sv <= tol))
     restricted = float(sv[fix_dim]) if fix_dim < sv.size else math.inf

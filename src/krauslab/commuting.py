@@ -56,9 +56,12 @@ class CommutingFamily:
     ``accepted`` requires the normality defect ``max_j ||c_j c_j* - c_j* c_j||_2``
     and the commutation defect ``max_{j,k} ||c_j c_k - c_k c_j||_2`` to both be
     at most ``defect_gate = 1e-9 * scale^2``, where ``scale = max_j ||c_j||_op``.
-    Both defects are quadratic in the generators, so the gate scales with
-    them at every size: multiplying the family by t > 0 leaves ``accepted``
-    unchanged.  Completeness is not recorded here;
+    Both defects are quadratic in the generators, so the gate is decided on
+    the generators divided by ``scale``: their defects are compared with
+    ``1e-9``, and neither overflows nor underflows at any size, so
+    multiplying the family by t > 0 leaves ``accepted`` unchanged.  An
+    all-zero family is accepted.  The recorded defects are those relative
+    defects times ``scale^2``.  Completeness is not recorded here;
     :func:`opcore.completeness_defects` measures it.
     """
 
@@ -68,16 +71,17 @@ class CommutingFamily:
         self.mats = sq
         self.scale = max(opcore.op_norm(c) for c in sq)
         self.defect_gate = DEFECT_GATE * self.scale * self.scale
-        self.normality_defect = max(
-            float(np.linalg.norm(c @ c.conj().T - c.conj().T @ c)) for c in sq
+        unit = [c / self.scale for c in sq] if self.scale > 0.0 else sq
+        self._relative_defects = (
+            max(float(np.linalg.norm(c @ c.conj().T - c.conj().T @ c)) for c in unit),
+            max(
+                (float(np.linalg.norm(a @ b - b @ a)) for i, a in enumerate(unit) for b in unit[i + 1 :]),
+                default=0.0,
+            ),
         )
-        comm = 0.0
-        for i in range(len(sq)):
-            for j in range(i + 1, len(sq)):
-                comm = max(
-                    comm, float(np.linalg.norm(sq[i] @ sq[j] - sq[j] @ sq[i]))
-                )
-        self.commutation_defect = comm
+        self.normality_defect, self.commutation_defect = (
+            v * self.scale * self.scale for v in self._relative_defects
+        )
 
     def __len__(self) -> int:
         return len(self.mats)
@@ -91,10 +95,7 @@ class CommutingFamily:
 
     @property
     def accepted(self) -> bool:
-        return (
-            self.normality_defect <= self.defect_gate
-            and self.commutation_defect <= self.defect_gate
-        )
+        return max(self._relative_defects) <= DEFECT_GATE
 
     def require_accepted(self) -> None:
         if not self.accepted:

@@ -125,11 +125,24 @@ class CommutationReport:
 
 
 def commutation_report(n: int) -> CommutationReport:
-    """Evaluate both commutators of diag(t) with the truncated isometries."""
-    trunc = build_isometries(n)
-    y = np.diag(t_sequence(n).values).astype(np.complex128)
-    v2_comm = float(np.linalg.norm(y @ trunc.v2 - trunc.v2 @ y))
-    v1_comm_sq = float(np.linalg.norm(y @ trunc.v1 - trunc.v1 @ y)) ** 2
+    """Evaluate both commutators of diag(t) with the truncated isometries.
+
+    ``[diag(t), V]`` holds ``t_i - t_j`` wherever the 0/1 matrix V holds a 1
+    at ``(i, j)``, and zeros elsewhere.  Each commutator is formed that way
+    from V's index map (``j -> 2j`` for V1, ``j -> 2j + 1`` for V2), entry
+    for entry the matrix ``y V - V y``, so no isometry is built here.
+    """
+    t = t_sequence(n).values
+    j = np.arange(n)
+
+    def commutator_norm(image: np.ndarray) -> float:
+        keep = image < n
+        comm = np.zeros((n, n), dtype=np.complex128)
+        comm[image[keep], j[keep]] = t[image[keep]] - t[j[keep]]
+        return float(np.linalg.norm(comm))
+
+    v2_comm = commutator_norm(2 * j + 1)
+    v1_comm_sq = commutator_norm(2 * j) ** 2
     tail = 0.0
     k = 0
     while 2**k < n:

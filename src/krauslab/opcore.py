@@ -14,14 +14,16 @@ Every kernel and solve is cut from a :class:`SpectralCore`, which holds the
 blocks in one form: :func:`factorize` is the one choice between stacked
 per-block ``eigh`` of a :class:`BlockSplit` (the connected components of an
 exact nonzero pattern, from :func:`block_split`; a connected real symmetric
-matrix is one block) and one SVD, and a Sylvester stack gets the same
-stacked SVD factor per component shape.  A query that reads only singular
-values asks :func:`factorize` for values only (``eigvalsh``, or an SVD
-without vectors) and gets the same blocks without ``u`` and ``vh``.
+matrix is one block) and one SVD in the matrix's own dtype, and a Sylvester
+stack gets the same stacked SVD factor per component shape.  A query that
+reads only singular values asks :func:`factorize` for values only
+(``eigvalsh``, or an SVD without vectors) and gets the same blocks without
+``u`` and ``vh``.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -257,12 +259,22 @@ def square_family(mats, name: str = "mats") -> tuple:
 
 
 def completeness_defects(mats) -> tuple:
-    """Unital and counital defects ``||sum a_j* a_j - 1||_op``, ``||sum a_j a_j* - 1||_op``."""
+    """Unital and counital defects ``||sum a_j* a_j - 1||_op``, ``||sum a_j a_j* - 1||_op``.
+
+    Both defects are Hermitian, so each norm is the largest ``|lambda|`` of
+    one ``eigvalsh``.
+    """
     eye = np.eye(mats[0].shape[0])
-    return (
-        op_norm(sum(a.conj().T @ a for a in mats) - eye),
-        op_norm(sum(a @ a.conj().T for a in mats) - eye),
+    return tuple(
+        _hermitian_norm(sum(gram) - eye)
+        for gram in ((a.conj().T @ a for a in mats), (a @ a.conj().T for a in mats))
     )
+
+
+def _hermitian_norm(h: np.ndarray) -> float:
+    """Operator norm of the Hermitian ``h``, from its ascending eigenvalues."""
+    w = np.linalg.eigvalsh(h)
+    return float(max(abs(w[0]), abs(w[-1])))
 
 
 def vectorize(x) -> np.ndarray:
@@ -431,17 +443,20 @@ class SpectralCore:
 
 def minus_identity(m):
     """``m - I`` formed in place on a fresh square ``m`` or on a fresh
-    :class:`BlockSplit`'s blocks.  A dense ``m`` whose imaginary part is
-    exactly zero comes back as a real copy, so that a caller passing the
-    result straight to :func:`factorize` holds no complex copy during its
-    ``eigh``."""
+    :class:`BlockSplit`'s blocks.  A complex dense ``m`` that is exactly
+    real and symmetric comes back as a real copy, so that a caller passing
+    the result straight to :func:`factorize` holds no complex copy during
+    its ``eigh``; any other complex ``m`` stays complex and gets a complex
+    SVD."""
     if isinstance(m, BlockSplit):
         for stack in m.stacks:
             side = stack.shape[1]
             stack.reshape(stack.shape[0], side * side)[:, :: side + 1] -= 1.0
         return m
     m.flat[:: m.shape[0] + 1] -= 1.0
-    return m.real.copy() if np.iscomplexobj(m) and not m.imag.any() else m
+    if np.iscomplexobj(m) and not m.imag.any() and np.array_equal(m.real, m.real.T):
+        return m.real.copy()
+    return m
 
 
 def factorize(m, vectors: bool = True) -> SpectralCore:
@@ -451,10 +466,10 @@ def factorize(m, vectors: bool = True) -> SpectralCore:
     each block size gets one stacked ``eigh``, stored as ``u = q``, signed
     ``w`` and ``vh`` the transposed view of ``q``.  A square 2-D ``m`` that
     is exactly real and symmetric is one such block.  Any other ``m`` gets
-    one complex SVD, one block covering every row and column, with full V
-    only when ``m`` is wide.  With ``vectors=False`` the same blocks get
-    ``eigvalsh`` and an SVD without U and V* instead, and the core holds
-    values only.
+    one SVD in its own dtype (real or complex), one block covering every row
+    and column, with full V only when ``m`` is wide.  With ``vectors=False``
+    the same blocks get ``eigvalsh`` and an SVD without U and V* instead,
+    and the core holds values only.
     """
     if not isinstance(m, BlockSplit):
         rows, n = m.shape
@@ -462,8 +477,6 @@ def factorize(m, vectors: bool = True) -> SpectralCore:
         if rows == n and real and np.array_equal(m.real, m.real.T):
             m = _one_block(np.ascontiguousarray(m.real))
         else:
-            # m is rebound, so this frame drops a real array passed in
-            m = m.astype(np.complex128, copy=False)
             return _core((_svd_factor(np.arange(max(rows, n))[None], m[None], vectors),))
     if not vectors:
         return _core(
@@ -525,12 +538,24 @@ class KronEntries(NamedTuple):
         a, b = np.nonzero(self.values)
         return self.i[a] * self.p + self.k[b], self.j[a] * self.p + self.m[b], self.values[a, b]
 
-    def dense(self) -> np.ndarray:
-        """The whole (pq, pq) matrix."""
+    def tensor(self) -> np.ndarray:
+        """The whole matrix as a (q, p, q, p) array: entry ``[i, k, j, m]``
+        sits at row ``i * p + k`` and column ``j * p + m``.  When both
+        patterns are full it is a transposed view of ``values``; otherwise
+        ``values`` are scattered into zeros."""
         p, q = self.p, self.q
+        if self.values.size == (p * q) ** 2:
+            return self.values.reshape(q, q, p, p).transpose(0, 2, 1, 3)
         s = np.zeros((q, p, q, p), dtype=np.complex128)
         s[self.i[:, None], self.k[None, :], self.j[:, None], self.m[None, :]] = self.values
-        return s.reshape(p * q, p * q)
+        return s
+
+    def dense(self) -> np.ndarray:
+        """The whole (pq, pq) matrix, a fresh array."""
+        s = self.tensor()
+        if s.base is not None:
+            s = s.copy()
+        return s.reshape(self.p * self.q, self.p * self.q)
 
 
 def kron_entries(lefts, rights) -> KronEntries:
@@ -726,6 +751,19 @@ def matrix_from_json(obj) -> np.ndarray:
     data = obj["data"]
     if not isinstance(data, list) or len(data) != rows * cols:
         raise ValueError(f"data must list {rows * cols} [re, im] pairs")
+    # whole-array checks (type() is int excludes bool); only when one fails
+    # does the loop below walk the pairs, to name the first bad one
+    if (
+        set(map(type, data)) <= {list, tuple}
+        and set(map(len, data)) == {2}
+        and set(map(type, itertools.chain.from_iterable(data))) <= {float, int}
+    ):
+        try:
+            pairs = np.array(data, dtype=np.float64)
+        except OverflowError:
+            pairs = None
+        if pairs is not None and np.isfinite(pairs).all():
+            return pairs.view(np.complex128).reshape((rows, cols))
     flat = np.empty(rows * cols, dtype=np.complex128)
     for k, pair in enumerate(data):
         if not (isinstance(pair, (list, tuple)) and len(pair) == 2):

@@ -479,6 +479,93 @@ def test_values_only_gap_report_matches_the_full_core(make):
     assert abs(values_only.restricted_gap - full.restricted_gap) <= tol
 
 
+def _family_of_kind(kind, d, seed=0):
+    """Seeded generic, Ginibre trace-preserving (not unital), tensor (u_j (x) I_k
+    with k the largest of 4, 2, 1 dividing d) and plain Ginibre (neither unital
+    nor trace-preserving) families of three operators."""
+    rng = trial_rng(31, 100 * d + seed)
+    if kind == "generic":
+        return mixed_unitary_family(rng, d, 3)
+    if kind == "tensor":
+        k = next(k for k in (4, 2, 1) if d % k == 0)
+        probs = rng.dirichlet(np.ones(3))
+        return kl.KrausFamily([np.sqrt(p) * np.kron(haar_unitary(rng, d // k), np.eye(k)) for p in probs])
+    gs = [ginibre(rng, d) for _ in range(3)]
+    if kind == "neither":
+        return kl.KrausFamily([0.4 * g for g in gs])
+    w, v = np.linalg.eigh(sum(g @ g.conj().T for g in gs))
+    return kl.KrausFamily([(v / np.sqrt(w)) @ v.conj().T @ g for g in gs])
+
+
+@pytest.mark.parametrize("d", [1, 2, 5, 8, 24])
+@pytest.mark.parametrize("kind", ["generic", "ginibre", "tensor", "neither"])
+def test_hermitian_form_has_the_singular_values_of_s_minus_identity(kind, d):
+    fam = _family_of_kind(kind, d)
+    if d > 1 and kind == "ginibre":
+        assert fam.is_trace_preserving and not fam.is_unital
+    if kind == "neither":
+        assert not fam.is_trace_preserving and not fam.is_unital
+    n = d * d
+    h = channel._s_minus_identity(fam, values_only=True)
+    assert isinstance(h, np.ndarray) and h.dtype == np.float64 and h.shape == (n, n)
+    want = np.linalg.svd(kl.superoperator(fam) - np.eye(n), compute_uv=False)
+    got = np.linalg.svd(h, compute_uv=False)
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13 * max(1.0, float(want[0])))
+
+
+@pytest.mark.parametrize("kind", ["generic", "tensor", "neither"])
+def test_hermitian_form_is_psi_in_the_hermitian_basis(kind):
+    # entry (p, q) is <b_p, psi(b_q)> for the basis indexed like vec: E_rr,
+    # (E_rc + E_cr)/sqrt 2 at r < c and i (E_cr - E_rc)/sqrt 2 at r > c
+    d = 4
+    fam = _family_of_kind(kind, d, seed=1)
+    basis = []
+    for c in range(d):
+        for r in range(d):
+            e = np.zeros((d, d), dtype=complex)
+            if r == c:
+                e[r, r] = 1.0
+            elif r < c:
+                e[r, c] = e[c, r] = 1.0 / np.sqrt(2.0)
+            else:
+                e[c, r], e[r, c] = 1j / np.sqrt(2.0), -1j / np.sqrt(2.0)
+            basis.append(e)
+    want = np.array([[np.vdot(bp, kl.apply(fam, bq)) for bq in basis] for bp in basis])
+    assert np.abs(want.imag).max() <= 1e-15
+    t = opcore.kron_entries(fam._adjoints, fam.ops).tensor()
+    np.testing.assert_allclose(channel._hermitian_form(t), want.real, rtol=0.0, atol=1e-14)
+
+
+def test_values_only_gap_report_holds_no_complex_s_during_its_svd(monkeypatch):
+    fam = _family_of_kind("generic", 16)
+    n = fam.dim**2
+    svd, kron_entries = np.linalg.svd, opcore.kron_entries
+    traced = []
+
+    def entries_then_reset(*args):
+        out = kron_entries(*args)
+        tracemalloc.reset_peak()
+        return out
+
+    def watching(a, *args, **kwargs):
+        traced.append((np.asarray(a).dtype, *tracemalloc.get_traced_memory()))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(opcore, "kron_entries", entries_then_reset)
+    monkeypatch.setattr(np.linalg, "svd", watching)
+    tracemalloc.start()
+    try:
+        kl.gap_report(fam)
+    finally:
+        tracemalloc.stop()
+    # the real S_h - I (8 n^2 bytes) is the only matrix live in the one SVD,
+    # and while it is built from S (16 n^2 bytes) no other matrix is formed
+    # (256 kB allow for the ufuncs' fixed-size buffers)
+    ((dtype, mem, peak),) = traced
+    assert dtype == np.float64 and mem < 9 * n * n
+    assert peak < 24 * n * n + 2**18
+
+
 @pytest.mark.parametrize("kind", ["luders8", "complex", "wide"])
 def test_values_only_core_has_the_blocks_but_no_vectors(kind):
     rng = np.random.default_rng(17)

@@ -318,11 +318,13 @@ def test_demo_inputs_decode(command, demo, capsys):
 
 @pytest.mark.parametrize("demo, fix_dim", [("pinching.json", 2), ("unitary_mix.json", 1), ("tensor_mix.json", 4)])
 def test_analyze_reads_values_only(demo, fix_dim, monkeypatch, capsys):
-    # analyze reads singular values and block shapes: no routine that forms vectors runs
+    # analyze reads singular values and block shapes: no routine that forms
+    # vectors runs, and every SVD is of a real matrix (S_h - I, not S - I)
     svd = np.linalg.svd
 
     def values_only_svd(a, *args, **kwargs):
         assert kwargs.get("compute_uv") is False
+        assert np.isrealobj(a), f"complex SVD of {np.shape(a)}"
         return svd(a, *args, **kwargs)
 
     def refused(*args, **kwargs):

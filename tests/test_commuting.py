@@ -82,6 +82,29 @@ def test_small_noncommuting_family_is_rejected():
         kl.simultaneous_diagonalize(fam)
 
 
+@pytest.mark.parametrize("t", [1e-300, 1e-150, 1e-100, 1.0, 1e100, 1e150, 1e300])
+def test_acceptance_does_not_change_under_scaling(t):
+    # the gates are decided on the generators divided by their scale, so
+    # squares of rounding-level commutators neither overflow nor underflow
+    normal = commuting_normal_family(trial_rng(61, 0), 12, 3)
+    rng = trial_rng(61, 1)
+    pair = [ginibre(rng, 4), ginibre(rng, 4)]
+    assert normal.accepted and not kl.CommutingFamily(pair).accepted
+    scaled = kl.CommutingFamily([t * c for c in normal.mats])
+    assert scaled.accepted
+    scaled.require_accepted()
+    rejected = kl.CommutingFamily([t * c for c in pair])
+    assert not rejected.accepted
+    with pytest.raises(ValueError, match="gate"):
+        rejected.require_accepted()
+
+
+def test_an_all_zero_family_is_accepted():
+    fam = kl.CommutingFamily([np.zeros((3, 3)), np.zeros((3, 3))])
+    assert fam.scale == 0.0 and fam.accepted
+    assert fam.normality_defect == fam.commutation_defect == fam.defect_gate == 0.0
+
+
 @pytest.mark.parametrize("scale", [1e-9, 1e-5, 1e5, 1e8])
 def test_scaling_a_family_scales_its_joint_spectrum(scale):
     for trial in range(80):

@@ -250,3 +250,23 @@ def test_experiment_factors_each_block_once(monkeypatch):
     assert sum(int(np.prod(shape[:-1])) for _, shape in eighs) == 256
     assert len({shape[-1] for _, shape in eighs}) == len(eighs)
     assert rep.blocks == sum(shape[0] for _, shape in eighs)
+
+
+def test_experiment_builds_the_isometries_once_and_takes_no_svd(monkeypatch):
+    # completeness and isometry defects are Hermitian, read off eigvalsh, and
+    # the commutators of diag(t) come from the isometries' index maps
+    builds = []
+    build = cuntz.build_isometries
+
+    def counting(n):
+        builds.append(n)
+        return build(n)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("the experiment took an SVD")
+
+    monkeypatch.setattr(cuntz, "build_isometries", counting)
+    monkeypatch.setattr(np.linalg, "svd", refused)
+    rep = cuntz.experiment(16)
+    assert builds == [16]
+    assert rep.v2_comm == 0.0 and rep.v1_comm_sq <= rep.tail_bound

@@ -2,6 +2,7 @@
 
 * Kraus unitary freedom: a'_i = sum_j u_ij a_j defines the same map psi.
 * Unitary covariance: Fix({V* a_j V}) = V* Fix({a_j}) V.
+* Both leave the singular values of S - I, and so the gap report, unchanged.
 * Scaling: both sides of the square-difference bounds are homogeneous of
   degree 2 in (x, y).
 """
@@ -80,6 +81,32 @@ def test_fixed_space_is_unitarily_covariant(kind):
         fs_moved = kl.fixed_space(moved)
         assert len(fs_moved) == len(fs) == fix_dim
         assert kl.subspace_distance(fs_moved, image) <= kl.fix_tol(fam.dim)
+
+
+def ginibre_family(rng):
+    """Three Ginibre operators on C^5: neither unital nor trace-preserving."""
+    return kl.KrausFamily([0.4 * ginibre(rng, 5) for _ in range(3)])
+
+
+@pytest.mark.parametrize("kind", sorted(FAMILIES) + ["ginibre"])
+def test_gap_report_is_invariant_under_kraus_freedom_and_covariance(kind):
+    # both moves keep the singular values of S - I: the first keeps psi, the
+    # second conjugates it by the HS unitary x -> v* x v
+    make = ginibre_family if kind == "ginibre" else FAMILIES[kind][0]
+    for trial in range(3):
+        rng = trial_rng(74, trial)
+        fam = make(rng)
+        u, v = haar_unitary(rng, len(fam)), haar_unitary(rng, fam.dim)
+        mixed = kl.KrausFamily(
+            [sum(u[i, j] * a for j, a in enumerate(fam.ops)) for i in range(len(fam))]
+        )
+        moved = kl.KrausFamily([v.conj().T @ a @ v for a in fam.ops])
+        base = kl.gap_report(fam)
+        for other in (mixed, moved):
+            rep = kl.gap_report(other)
+            assert rep.fix_dim == base.fix_dim
+            assert rep.sigma_min == pytest.approx(base.sigma_min, rel=0.0, abs=1e-12)
+            assert rep.restricted_gap == pytest.approx(base.restricted_gap, rel=0.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("s", [1e-3, 0.5, 7.5, 1e4])

@@ -185,6 +185,36 @@ def test_matrix_from_json_rejects(obj):
         opcore.matrix_from_json(obj)
 
 
+def test_matrix_from_json_matches_the_per_number_decode():
+    # ints, floats, signed zeros and ints past 2^53, against complex(float, float)
+    values = [0, -0.0, 0.0, 3, -7, 2.5, -1e-300, 1e300, 2**70 + 1, -(2**63), 0.1]
+    data = [[values[k % 11], values[(3 * k + 1) % 11]] for k in range(24)]
+    got = opcore.matrix_from_json({"rows": 4, "cols": 6, "data": data})
+    want = np.array([complex(float(re), float(im)) for re, im in data]).reshape(4, 6)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got.real), np.signbit(want.real))
+    assert np.array_equal(np.signbit(got.imag), np.signbit(want.imag))
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ({2: [1.0], 4: [True, 0.0]}, r"^data\[2\] is not an \[re, im\] pair$"),
+        ({3: (0.0, 1.0), 4: [0.0, False]}, r"^data\[4\]\[1\] must be a number, got False$"),
+        ({1: [np.nan, 0.0], 5: ["1", 0.0]}, r"^data\[1\] is not finite$"),
+        ({3: [0.0, 10**400], 4: [np.inf, 0.0]}, r"^data\[3\]\[1\] must be a number, got an out-of-range 1000"),
+        ({0: [None, 0.0]}, r"^data\[0\]\[0\] must be a number, got None$"),
+    ],
+    ids=["short-pair", "bool", "nan", "huge-int", "null"],
+)
+def test_matrix_from_json_names_the_first_bad_pair(bad, message):
+    data = [[1.0, 0.0] for _ in range(6)]
+    for k, pair in bad.items():
+        data[k] = pair
+    with pytest.raises(ValueError, match=message):
+        opcore.matrix_from_json({"rows": 2, "cols": 3, "data": data})
+
+
 def test_require_psd_gate_and_message():
     # the gate sits at -1e-10 * (1 + max|lambda|) = -3e-10 here
     inside = np.diag([2.0, -2.9e-10])
@@ -478,14 +508,26 @@ def test_product_map_is_the_action_of_kron_sum_on_rectangular_input():
         opcore.product_map(lefts, rights[:2], x)
 
 
-def test_completeness_defects_are_the_gram_sums():
+def test_completeness_defects_are_the_gram_sums(monkeypatch):
     rng = np.random.default_rng(59)
     mats = [0.5 * a for a in _family(rng, 5)]
     eye = np.eye(5)
+    unital_ref = opcore.op_norm(sum(a.conj().T @ a for a in mats) - eye)
+    counital_ref = opcore.op_norm(sum(a @ a.conj().T for a in mats) - eye)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a Hermitian defect took an SVD")
+
+    # the defects are Hermitian: their norms come from eigvalsh, not an SVD
+    monkeypatch.setattr(np.linalg, "svd", refused)
     unital, counital = opcore.completeness_defects(mats)
-    assert unital == opcore.op_norm(sum(a.conj().T @ a for a in mats) - eye)
-    assert counital == opcore.op_norm(sum(a @ a.conj().T for a in mats) - eye)
+    monkeypatch.undo()
+    assert unital == pytest.approx(unital_ref, rel=1e-14)
+    assert counital == pytest.approx(counital_ref, rel=1e-14)
     assert unital > 0.1 and counital > 0.1
+    # a defect of either sign: -1/2 I and +1/2 I both have norm 1/2
+    assert opcore.completeness_defects([np.eye(3) / np.sqrt(2.0)]) == pytest.approx((0.5, 0.5), abs=1e-15)
+    assert opcore.completeness_defects([np.eye(3) * np.sqrt(1.5)]) == pytest.approx((0.5, 0.5), abs=1e-15)
 
 
 def test_completeness_defects_of_the_truncated_cuntz_pair():
@@ -607,6 +649,22 @@ def test_kron_entries_sit_where_kron_sum_puts_them():
     assert not s[off].any()
     # only pairs where some factor is nonzero are stored
     assert e.values.shape == (3, 6)
+
+
+@pytest.mark.parametrize("p, q, full", [(3, 2, True), (1, 1, True), (3, 2, False)])
+def test_kron_entries_tensor_is_the_dense_matrix(p, q, full):
+    rng = np.random.default_rng(43)
+    lefts = [ginibre(rng, p) for _ in range(2)]
+    rights = [ginibre(rng, q) for _ in range(2)]
+    if not full:
+        lefts = [np.triu(l) for l in lefts]
+    e = opcore.kron_entries(lefts, rights)
+    t, s = e.tensor(), e.dense()
+    assert t.shape == (q, p, q, p)
+    assert np.array_equal(t.reshape(p * q, p * q), s)
+    # a full pattern's tensor is a view of the values; dense is always fresh
+    assert np.shares_memory(t, e.values) == full
+    assert not np.shares_memory(s, e.values) and s.flags.c_contiguous
 
 
 def test_block_core_serves_the_dense_answers():
