@@ -15,9 +15,10 @@ print(f"{'n':>4} {'fix dim':>8} {'v1 commutator^2':>16} {'tail bound':>11} "
       f"{'v2':>4} {'t-line dist':>12} {'x-line dist':>12}")
 for n in (4, 8, 16, 32, 64):
     rep = cuntz.experiment(n)
+    comm = rep.commutation
     print(
-        f"{rep.n:>4} {rep.fix_dim:>8} {rep.v1_comm_sq:>16.8f} {rep.tail_bound:>11.8f}"
-        f" {rep.v2_comm:>4.1f} {rep.t_scalar_distance:>12.8f} {rep.scalar_line_distance:>12.8f}"
+        f"{rep.n:>4} {rep.gap.fix_dim:>8} {comm.v1_comm_sq:>16.8f} {comm.tail_bound:>11.8f}"
+        f" {comm.v2_comm:>4.1f} {rep.t_scalar_distance:>12.8f} {rep.scalar_line_distance:>12.8f}"
     )
 
 print("\nthe three-term sum behind v1 at n = 9:")

@@ -365,6 +365,16 @@ class GapReport:
     blocks: int
     largest_block: int
 
+    def to_json(self) -> dict:
+        """The gap's report fields: an infinite ``restricted_gap`` as null, and
+        the block counts under ``diagnostics``."""
+        return {
+            "sigma_min": self.sigma_min,
+            "restricted_gap": None if math.isinf(self.restricted_gap) else self.restricted_gap,
+            "fix_dim": self.fix_dim,
+            "diagnostics": {"blocks": self.blocks, "largest_block": self.largest_block},
+        }
+
 
 def gap_report(family: KrausFamily, tol: float | None = None) -> GapReport:
     """Report sigma_min, the restricted gap and the numerical fixed dimension.
@@ -443,9 +453,14 @@ def fix_closed_under_square(family: KrausFamily) -> SquareClosureReport:
     Jordan products ``(h_i h_j + h_j h_i) / 2``, so closure is equivalent to
     every such product staying fixed; the first violating product is returned
     as a witness when ``||psi(m) - m||_2 > SQUARE_TOL = 1e-8``.  When no
-    violation is found, the fixed space must coincide with the commutant of
-    the family, and that equality is asserted (dimension match plus mutual
-    projection residual <= 1e-8).
+    violation is found and the family is unital, the fixed space must
+    coincide with the commutant of the family, and that equality is asserted
+    (dimension match plus mutual projection residual <= 1e-8).  That equality
+    needs ``sum_j a_j* a_j = 1``: for Hermitian h with h and h^2 fixed,
+    ``sum_j [a_j, h]* [a_j, h] = h (sum_j a_j* a_j) h - h psi(h) - psi(h) h
+    + psi(h^2)`` vanishes only then, and the commutant, which holds 1, lies
+    in Fix only then.  A non-unital family with no violating square is
+    reported closed, with ``commutant_dim`` and ``subspace_distance`` None.
     """
     fs = fixed_space(family)
     for i, hi in enumerate(fs.basis):
@@ -460,17 +475,19 @@ def fix_closed_under_square(family: KrausFamily) -> SquareClosureReport:
                     commutant_dim=None,
                     subspace_distance=None,
                 )
-    com = commutant(list(family.ops))
-    dist = subspace_distance(fs, com)
-    if len(fs) != len(com) or dist > SQUARE_TOL:
-        raise ValueError(
-            "fixed space is closed under squares yet differs from the commutant "
-            f"(dims {len(fs)} vs {len(com)}, distance {dist:.3e})"
-        )
+    commutant_dim = dist = None
+    if family.is_unital:
+        com = commutant(list(family.ops))
+        commutant_dim, dist = len(com), subspace_distance(fs, com)
+        if len(fs) != commutant_dim or dist > SQUARE_TOL:
+            raise ValueError(
+                "fixed space is closed under squares yet differs from the commutant "
+                f"(dims {len(fs)} vs {commutant_dim}, distance {dist:.3e})"
+            )
     return SquareClosureReport(
         closed=True,
         witness=None,
         fix_dim=len(fs),
-        commutant_dim=len(com),
+        commutant_dim=commutant_dim,
         subspace_distance=dist,
     )

@@ -118,14 +118,11 @@ def _run_analyze(cfg: RunConfig) -> tuple:
     fam = load_kraus(cfg.input_path)
     rep = gap_report(fam, cfg.tol)
     results = {
-        "sigma_min": rep.sigma_min,
-        "restricted_gap": None if np.isinf(rep.restricted_gap) else rep.restricted_gap,
-        "fix_dim": rep.fix_dim,
+        **rep.to_json(),
         "unital_defect": fam.unital_defect,
         "counital_defect": fam.counital_defect,
         # a unital family fixes the identity, so its fixed space is never trivial
         "failures": int(fam.is_unital and rep.fix_dim == 0),
-        "diagnostics": {"blocks": rep.blocks, "largest_block": rep.largest_block},
     }
     return results, (), ()
 
@@ -134,8 +131,8 @@ def _run_cuntz(cfg: RunConfig) -> tuple:
     rep = cuntz.experiment(cfg.dim)
     tol = unital_tol(cfg.dim)
     checks = (
-        rep.v2_comm == 0.0,
-        rep.v1_comm_sq <= rep.tail_bound,
+        rep.commutation.v2_comm == 0.0,
+        rep.commutation.v1_comm_sq <= rep.commutation.tail_bound,
         rep.unital_defect <= tol,
         rep.counital_defect <= tol,
     )

@@ -23,12 +23,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import opcore
-from .channel import KrausFamily, apply, gap_report, solve_perturbation, spectral_core
+from .channel import GapReport, KrausFamily, apply, gap_report, solve_perturbation, spectral_core
 
 __all__ = [
     "CuntzTruncation",
@@ -212,48 +212,28 @@ def luders_family(n: int) -> LudersFamily:
 class ExperimentReport:
     """Everything one truncation run produces, JSON-ready and deterministic.
 
-    ``restricted_gap`` is ``math.inf`` when no singular value of S - I
-    clears the fixed-space cutoff; it serializes as null.  ``blocks`` and
-    ``largest_block`` describe the factorization of S - I and serialize
-    under ``diagnostics``.
+    ``gap`` is the gap report of S - I and ``commutation`` the commutators of
+    diag(t); :meth:`to_json` flattens both beside the other fields, the gap
+    through :meth:`GapReport.to_json`.
     """
 
     n: int
-    sigma_min: float
-    restricted_gap: float
-    fix_dim: int
+    gap: GapReport
+    commutation: CommutationReport
     unital_defect: float
     counital_defect: float
     generator_commutators: tuple
     perturbation_residual: float
     candidate_fixed_defect: float
     scalar_line_distance: float
-    v2_comm: float
-    v1_comm_sq: float
-    tail_bound: float
     t_scalar_distance: float
-    blocks: int
-    largest_block: int
 
     def to_json(self) -> dict:
-        gap = None if math.isinf(self.restricted_gap) else float(self.restricted_gap)
-        return {
-            "n": int(self.n),
-            "sigma_min": float(self.sigma_min),
-            "restricted_gap": gap,
-            "fix_dim": int(self.fix_dim),
-            "unital_defect": float(self.unital_defect),
-            "counital_defect": float(self.counital_defect),
-            "generator_commutators": [float(v) for v in self.generator_commutators],
-            "perturbation_residual": float(self.perturbation_residual),
-            "candidate_fixed_defect": float(self.candidate_fixed_defect),
-            "scalar_line_distance": float(self.scalar_line_distance),
-            "v2_comm": float(self.v2_comm),
-            "v1_comm_sq": float(self.v1_comm_sq),
-            "tail_bound": float(self.tail_bound),
-            "t_scalar_distance": float(self.t_scalar_distance),
-            "diagnostics": {"blocks": int(self.blocks), "largest_block": int(self.largest_block)},
-        }
+        out = asdict(self)
+        del out["gap"]
+        out.update(out.pop("commutation"), **self.gap.to_json())
+        out["generator_commutators"] = list(self.generator_commutators)
+        return out
 
 
 def experiment(n: int) -> ExperimentReport:
@@ -274,11 +254,9 @@ def experiment(n: int) -> ExperimentReport:
             stacklevel=2,
         )
     fam = luders_family(n)
-    comm = commutation_report(n)
     y = np.diag(t_sequence(n).values).astype(np.complex128)
     # the full core first, so that the gap report reads it and nothing is factored twice
     spectral_core(fam)
-    gap = gap_report(fam)
     gen_comms = tuple(float(np.linalg.norm(a @ y - y @ a)) for a in fam.ops)
     pert = solve_perturbation(fam, y)
     x = y + pert.z
@@ -287,19 +265,13 @@ def experiment(n: int) -> ExperimentReport:
     scalar_line = float(np.linalg.norm(x - alpha * np.eye(n)))
     return ExperimentReport(
         n=n,
-        sigma_min=gap.sigma_min,
-        restricted_gap=gap.restricted_gap,
-        fix_dim=gap.fix_dim,
+        gap=gap_report(fam),
+        commutation=commutation_report(n),
         unital_defect=fam.unital_defect,
         counital_defect=fam.counital_defect,
         generator_commutators=gen_comms,
         perturbation_residual=pert.residual,
         candidate_fixed_defect=fixed_defect,
         scalar_line_distance=scalar_line,
-        v2_comm=comm.v2_comm,
-        v1_comm_sq=comm.v1_comm_sq,
-        tail_bound=comm.tail_bound,
         t_scalar_distance=scalar_distance(n),
-        blocks=gap.blocks,
-        largest_block=gap.largest_block,
     )

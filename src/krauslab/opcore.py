@@ -376,7 +376,7 @@ class SpectralCore:
     values of ``m``, padded with zeros when ``m`` is wide.  A values-only
     core (``factorize(m, vectors=False)``) has the same blocks with ``u``
     and ``vh`` None: it answers ``sv``, ``blocks`` and ``largest_block``,
-    and its ``kernel``, ``least_right_vector`` and ``solve`` raise.
+    and its ``kernel`` and ``solve`` raise.
     """
 
     sv: np.ndarray
@@ -399,29 +399,22 @@ class SpectralCore:
                 "factorize with vectors=True for kernels and solves"
             )
 
-    def _right_vectors(self, keep: Callable) -> np.ndarray:
-        """Right singular vectors whose ``|w|`` pass ``keep``, as full-length
-        columns ordered like ``sv`` (ties in factor order)."""
+    def kernel(self, tol: float) -> np.ndarray:
+        """Orthonormal columns of V whose singular value is at most ``tol``
+        (with the rows of V* past the last singular value of a wide ``m``),
+        as full-length columns ordered like ``sv`` (ties in factor order).
+        ``kernel(sv[-1])[:, -1]`` is the right singular vector of the least
+        singular value (of the last of several equal ones)."""
         self._require_vectors()
         values, columns = [], []
         for index, _, w, vh in self.factors:
-            b, t = np.nonzero(keep(np.abs(w)))
+            b, t = np.nonzero(np.abs(w) <= tol)
             col = np.zeros((self.sv.size, b.size), dtype=vh.dtype)
             col[index[b, : vh.shape[2]].T, np.arange(b.size)] = vh[b, t].conj().T
             values.append(np.abs(w[b, t]))
             columns.append(col)
         order = np.argsort(-np.concatenate(values), kind="stable")
         return np.concatenate(columns, axis=1)[:, order]
-
-    def kernel(self, tol: float) -> np.ndarray:
-        """Orthonormal columns of V whose singular value is at most ``tol``
-        (with the rows of V* past the last singular value of a wide ``m``)."""
-        return self._right_vectors(lambda a: a <= tol)
-
-    def least_right_vector(self) -> np.ndarray:
-        """Right singular vector of the smallest singular value ``sv[-1]``
-        (of the last of several equal ones)."""
-        return self._right_vectors(lambda a: a == self.sv[-1])[:, -1]
 
     def solve(self, b: np.ndarray, tol: float) -> np.ndarray:
         """Least-squares ``m z = b``, dropping (not amplifying) singular values <= ``tol``."""
@@ -558,23 +551,33 @@ class KronEntries(NamedTuple):
         return s.reshape(self.p * self.q, self.p * self.q)
 
 
+_KRON_CHUNK = 1 << 12  # entries of the term buffer in kron_entries (64 KiB)
+
+
 def kron_entries(lefts, rights) -> KronEntries:
     """:class:`KronEntries` of ``x -> sum_t l_t x r_t`` (p x p ``l_t``, q x q ``r_t``).
 
-    Each term's products ``r_t.T[i, j] * l_t[k, m]`` are written by one
-    broadcast multiply into a reused buffer and added in order to zeros, as
-    ``np.kron`` sums them; a product with a zero factor is a zero and adds
-    nothing, so every entry is bitwise that of the summed ``np.kron``
-    products.
+    The values are filled a chunk of rows at a time: each term's products
+    ``r_t.T[i, j] * l_t[k, m]`` on those rows are written by one broadcast
+    multiply into a reused buffer of at most ``_KRON_CHUNK`` entries and added
+    in order to zeros, as ``np.kron`` sums them; a product with a zero factor
+    is a zero and adds nothing, so every entry is bitwise that of the summed
+    ``np.kron`` products, and the buffer adds little to the values' bytes.
     """
     lefts, rights, p, q = _paired(lefts, rights)
     i, j = np.nonzero(np.logical_or.reduce([r.T != 0 for r in rights]))
     k, m = np.nonzero(np.logical_or.reduce([l != 0 for l in lefts]))
     values = np.zeros((i.size, k.size), dtype=np.complex128)
-    term = np.empty_like(values)
-    for l, r in zip(lefts, rights):
-        np.multiply(r.T[i, j][:, None], l[k, m][None, :], out=term)
-        values += term
+    row_factors = [r.T[i, j][:, None] for r in rights]
+    col_factors = [l[k, m][None, :] for l in lefts]
+    step = max(1, _KRON_CHUNK // max(1, k.size))
+    term = np.empty((min(step, i.size), k.size), dtype=np.complex128)
+    for lo in range(0, i.size, step):
+        rows = values[lo : lo + step]
+        buf = term[: rows.shape[0]]
+        for r, l in zip(row_factors, col_factors):
+            np.multiply(r[lo : lo + step], l, out=buf)
+            rows += buf
     return KronEntries(p=p, q=q, i=i, j=j, k=k, m=m, values=values)
 
 

@@ -93,7 +93,8 @@ def extract_trace(family: KrausFamily) -> ApproxTrace:
     for h in fs.basis:
         x += opcore.hs_inner(h, target).real * h
     if float(np.linalg.norm(x)) <= 1e-12:
-        b = opcore.devectorize(spectral_core(family).least_right_vector(), d, d)
+        core = spectral_core(family)
+        b = opcore.devectorize(core.kernel(core.sv[-1])[:, -1], d, d)
         h = (b + b.conj().T) / 2.0
         if float(np.linalg.norm(h)) ** 2 < 1e-14:
             raise ValueError(

@@ -184,10 +184,10 @@ def test_07_isometry_truncations():
         rep = cuntz.experiment(n)
         ok = (
             ok
-            and rep.fix_dim == 1
-            and rep.v2_comm == 0.0
-            and rep.v1_comm_sq <= rep.tail_bound
-            and rep.sigma_min <= 1e-8
+            and rep.gap.fix_dim == 1
+            and rep.commutation.v2_comm == 0.0
+            and rep.commutation.v1_comm_sq <= rep.commutation.tail_bound
+            and rep.gap.sigma_min <= 1e-8
         )
 
     root2 = 1.0 / math.sqrt(2.0)

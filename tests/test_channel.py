@@ -449,6 +449,20 @@ def test_gap_report_oracles():
     assert rep_id.fix_dim == 9 and np.isinf(rep_id.restricted_gap)
 
 
+def test_gap_report_json_maps_infinite_gap_to_null():
+    rep = kl.gap_report(kl.KrausFamily([np.eye(3)]))
+    assert np.isinf(rep.restricted_gap)
+    assert rep.to_json() == {
+        "sigma_min": rep.sigma_min,
+        "restricted_gap": None,
+        "fix_dim": 9,
+        "diagnostics": {"blocks": rep.blocks, "largest_block": rep.largest_block},
+    }
+    finite = kl.gap_report(pinching()).to_json()
+    assert finite["restricted_gap"] == pytest.approx(1.0, abs=1e-12)
+    assert finite["diagnostics"] == {"blocks": 4, "largest_block": 1}
+
+
 DEMO_DATA = pathlib.Path(__file__).resolve().parent.parent / "demos" / "data"
 
 
@@ -580,7 +594,7 @@ def test_values_only_core_has_the_blocks_but_no_vectors(kind):
     assert (core.blocks, core.largest_block) == (full.blocks, full.largest_block)
     assert all(u is None and vh is None for _, u, _, vh in core.factors)
     np.testing.assert_allclose(core.sv, full.sv, atol=1e-12)
-    for query in (lambda: core.kernel(1e-8), core.least_right_vector, lambda: core.solve(np.ones(full.sv.size), 1e-8)):
+    for query in (lambda: core.kernel(1e-8), lambda: core.kernel(core.sv[-1]), lambda: core.solve(np.ones(full.sv.size), 1e-8)):
         with pytest.raises(ValueError, match="singular values only"):
             query()
 
@@ -606,11 +620,24 @@ def test_solve_perturbation_residual_identity():
 
 
 def test_fix_closed_under_square_pinching():
+    assert pinching().is_unital
     rep = kl.fix_closed_under_square(pinching())
     assert rep.closed
     assert rep.fix_dim == 2 and rep.commutant_dim == 2
     assert rep.subspace_distance <= 1e-10
     assert rep.witness is None
+
+
+@pytest.mark.parametrize("op", [np.sqrt(0.5) * np.eye(2), np.zeros((2, 2))], ids=["half", "zero"])
+def test_fix_closed_under_square_non_unital_trivial_fix(op):
+    # Fix = {0} is closed under squares; {a_j}' = Fix is a theorem only for
+    # unital families, so neither the commutant nor the distance is read
+    fam = kl.KrausFamily([op])
+    assert not fam.is_unital
+    with pytest.warns(UserWarning, match="non-unital"):
+        rep = kl.fix_closed_under_square(fam)
+    assert rep.closed and rep.witness is None and rep.fix_dim == 0
+    assert rep.commutant_dim is None and rep.subspace_distance is None
 
 
 def test_fix_closed_under_square_witness():

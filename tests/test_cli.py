@@ -49,6 +49,15 @@ def test_analyze_report(pinching_file, capsys):
     assert obj["results"]["fix_dim"] == 2
     assert obj["results"]["sigma_min"] == pytest.approx(0.0, abs=1e-12)
     assert obj["results"]["restricted_gap"] == pytest.approx(1.0, abs=1e-12)
+    assert set(obj["results"]) == {
+        "sigma_min",
+        "restricted_gap",
+        "fix_dim",
+        "unital_defect",
+        "counital_defect",
+        "failures",
+        "diagnostics",
+    }
     assert obj["config"]["input_path"] == pinching_file
 
 

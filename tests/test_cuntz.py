@@ -1,5 +1,7 @@
 """Truncated shift isometries, the diagonal t-sequence, and the experiment run."""
 
+import dataclasses
+import json
 import math
 import tracemalloc
 import warnings
@@ -117,8 +119,8 @@ def test_luders_family_recovers_isometries():
 def test_experiment_report():
     rep = cuntz.experiment(8)
     assert rep.n == 8
-    assert rep.fix_dim == 1
-    assert rep.v2_comm == 0.0
+    assert rep.gap.fix_dim == 1
+    assert rep.commutation.v2_comm == 0.0
     assert rep.unital_defect <= 8e-9 and rep.counital_defect <= 8e-9
     # the least-squares repair hits an exactly fixed element up to rounding
     assert rep.candidate_fixed_defect == pytest.approx(
@@ -140,12 +142,33 @@ def test_experiment_warns_off_power_of_two():
         cuntz.experiment(3)
 
 
-def test_report_json_maps_infinite_gap_to_null():
-    rep = cuntz.experiment(4)
-    patched = cuntz.ExperimentReport(
-        **{**rep.__dict__, "restricted_gap": math.inf}
-    )
-    assert patched.to_json()["restricted_gap"] is None
+EXPERIMENT_KEYS = {
+    "n",
+    "sigma_min",
+    "restricted_gap",
+    "fix_dim",
+    "unital_defect",
+    "counital_defect",
+    "generator_commutators",
+    "perturbation_residual",
+    "candidate_fixed_defect",
+    "scalar_line_distance",
+    "v2_comm",
+    "v1_comm_sq",
+    "tail_bound",
+    "t_scalar_distance",
+    "diagnostics",
+}
+
+
+@pytest.mark.parametrize("n", [4, 8, 16])
+def test_experiment_json_flattens_its_reports(n):
+    rep = cuntz.experiment(n)
+    obj = rep.to_json()
+    assert set(obj) == EXPERIMENT_KEYS
+    assert json.loads(json.dumps(obj)) == obj
+    assert {k: obj[k] for k in ("sigma_min", "restricted_gap", "fix_dim", "diagnostics")} == rep.gap.to_json()
+    assert (obj["v2_comm"], obj["v1_comm_sq"], obj["tail_bound"]) == dataclasses.astuple(rep.commutation)
 
 
 def test_luders_commutant_is_scalar():
@@ -249,7 +272,7 @@ def test_experiment_factors_each_block_once(monkeypatch):
     # one stack per block size, covering the 256 indices of S - I once
     assert sum(int(np.prod(shape[:-1])) for _, shape in eighs) == 256
     assert len({shape[-1] for _, shape in eighs}) == len(eighs)
-    assert rep.blocks == sum(shape[0] for _, shape in eighs)
+    assert rep.gap.blocks == sum(shape[0] for _, shape in eighs)
 
 
 def test_experiment_builds_the_isometries_once_and_takes_no_svd(monkeypatch):
@@ -269,4 +292,4 @@ def test_experiment_builds_the_isometries_once_and_takes_no_svd(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", refused)
     rep = cuntz.experiment(16)
     assert builds == [16]
-    assert rep.v2_comm == 0.0 and rep.v1_comm_sq <= rep.tail_bound
+    assert rep.commutation.v2_comm == 0.0 and rep.commutation.v1_comm_sq <= rep.commutation.tail_bound

@@ -1,10 +1,12 @@
 """Matrix primitives: frozen small-case oracles plus randomized invariants."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from krauslab import channel, commuting, cuntz, inequalities, opcore
-from krauslab.ensembles import ginibre, haar_unitary, intertwining_pair, trial_rng
+from krauslab.ensembles import ginibre, haar_unitary, intertwining_pair, mixed_unitary_family, trial_rng
 
 
 def test_norms_oracle_diagonal():
@@ -271,6 +273,26 @@ def test_kron_sum_is_bitwise_the_kron_sum(p, q):
     np.testing.assert_allclose(s @ opcore.vectorize(x), opcore.vectorize(direct), atol=1e-12)
     with pytest.raises(ValueError):
         opcore.kron_sum(lefts, rights[:2])
+
+
+def test_kron_entries_sums_in_row_chunks_without_a_second_values_buffer():
+    # generic d = 16: 256 x 256 entries (1 MiB), many _KRON_CHUNK row chunks;
+    # one term buffer as large as the values peaked at 2.27x their bytes
+    fam = mixed_unitary_family(trial_rng(0, 0), 16, 3)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        entries = opcore.kron_entries(fam._adjoints, fam.ops)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert entries.values.size > 4 * opcore._KRON_CHUNK
+    # the values, the chunk buffer and numpy's constant ufunc buffer
+    assert peak < 1.5 * entries.values.nbytes
+    expected = np.zeros((256, 256), dtype=np.complex128)
+    for l, r in zip(fam._adjoints, fam.ops):
+        expected += np.kron(r.T, l)
+    assert np.array_equal(entries.dense(), expected)
 
 
 def test_null_space_basis_of_a_real_symmetric_indefinite_matrix():
@@ -683,7 +705,8 @@ def test_block_core_serves_the_dense_answers():
     k = core.kernel(1e-10)
     assert k.shape == (6, 1)
     np.testing.assert_allclose(np.abs(k.T @ dense.kernel(1e-10)), [[1.0]], atol=1e-12)
-    np.testing.assert_allclose(np.abs(core.least_right_vector()), np.abs(dense.least_right_vector()), atol=1e-12)
+    least, dense_least = core.kernel(core.sv[-1])[:, -1], dense.kernel(dense.sv[-1])[:, -1]
+    np.testing.assert_allclose(np.abs(least), np.abs(dense_least), atol=1e-12)
     b = rng.standard_normal(6) + 1j * rng.standard_normal(6)
     np.testing.assert_allclose(core.solve(b, 1e-10), dense.solve(b, 1e-10), atol=1e-12)
 
@@ -732,7 +755,7 @@ def test_every_core_kind_answers_like_its_matrix(kind):
     assert k.shape == (cols, cols - int(np.sum(sv > tol)))
     np.testing.assert_allclose(k.conj().T @ k, np.eye(k.shape[1]), atol=1e-12)
     np.testing.assert_allclose(m @ k, 0.0, atol=1e-12)
-    v = core.least_right_vector()
+    v = core.kernel(core.sv[-1])[:, -1]
     assert np.linalg.norm(m @ v) == pytest.approx(core.sv[-1], abs=1e-12)
     # solve is the pseudo-inverse with singular values <= tol dropped
     b = [1.0, 1j] @ np.random.default_rng(14).standard_normal((2, rows))
