@@ -12,6 +12,7 @@ python -m krauslab.cli analyze --input demos/data/tensor_mix.json > /dev/null
 python -m krauslab.cli cuntz --dim 8 > /dev/null
 python -m krauslab.cli commuting --dim 4 --trials 4 > /dev/null
 python -m krauslab.cli commuting --dim 12 --trials 2 > /dev/null
+python -m krauslab.cli commuting --dim 12 --trials 4 --tol 1e-12 > /dev/null
 python -m krauslab.cli fuzz --trials 20 > /dev/null
 python -m krauslab.cli schur --input demos/data/measure.json > /dev/null
 python -m krauslab.cli schur --input demos/data/symbol.json > /dev/null

@@ -14,8 +14,13 @@ parts, each remaining block refined by every part in turn, blocks cut at
 gaps relative to the probe's Frobenius norm and the off-diagonal residual
 gated.  The joint spectra are the generators' diagonals in it; spec(theta)
 of an accepted pair, where theta is normal, is theta's own diagonal in it,
-certified by that residual.  The positivity check reads Bendixson bounds
-off the two parts.  No general (non-Hermitian) eigensolver runs.
+certified by that residual.  Fix(theta) is read from the same eigenbasis:
+the eigenvectors with eigenvalue within ``tol`` of 1, corrected once to
+first order against the others; theta - I is never factorized.  Theta is
+diagonalized once per pair: the intertwiner check leaves theta's diagonal
+on the first family for the spectrum check of the same pair.  The
+positivity check reads Bendixson bounds off the two parts.  No general
+(non-Hermitian) eigensolver runs.
 """
 
 from __future__ import annotations
@@ -63,6 +68,13 @@ class CommutingFamily:
     all-zero family is accepted.  The recorded defects are those relative
     defects times ``scale^2``.  Completeness is not recorded here;
     :func:`opcore.completeness_defects` measures it.
+
+    The family holds a one-entry cache: :func:`intertwiner_fixed_point_check`
+    of the pair ``(self, partner)`` stores ``(partner, spec(theta))``, the
+    diagonal of theta in its certified eigenbasis (``self.dim * partner.dim``
+    values), and :func:`spectrum_product_check` of the same pair reads it
+    instead of building and diagonalizing theta again.  The partner object
+    itself is the key; a check against another partner replaces the entry.
     """
 
     def __init__(self, mats):
@@ -82,6 +94,7 @@ class CommutingFamily:
         self.normality_defect, self.commutation_defect = (
             v * self.scale * self.scale for v in self._relative_defects
         )
+        self._theta_spectrum = (None, None)
 
     def __len__(self) -> int:
         return len(self.mats)
@@ -112,6 +125,14 @@ def _family_mats(obj, name: str) -> tuple:
     if isinstance(obj, CommutingFamily):
         return obj.mats
     return opcore.square_family(obj, name)
+
+
+def _gated_family(obj) -> CommutingFamily:
+    """``obj`` as a :class:`CommutingFamily` that passed the commuting-normal
+    gates (``ValueError`` otherwise)."""
+    fam = obj if isinstance(obj, CommutingFamily) else CommutingFamily(obj)
+    fam.require_accepted()
+    return fam
 
 
 def _family_pair(a, b, names: str) -> tuple:
@@ -222,18 +243,25 @@ def _lex_order(rows: np.ndarray) -> np.ndarray:
 
 
 def _row_norms(rows) -> np.ndarray:
-    """Euclidean norm of each complex row, by ``hypot`` so that no entry is
-    squared: rows of any representable size keep their exact distances."""
-    return np.hypot.reduce(np.abs(rows), axis=1)
+    """Euclidean norm of each complex row (along the last axis), by ``hypot``
+    so that no entry is squared: rows of any representable size keep their
+    exact distances."""
+    return np.hypot.reduce(np.abs(rows), axis=-1)
 
 
 def _merge(rows: np.ndarray, radius: float) -> np.ndarray:
     """Rows in lexicographic order, each kept when farther than ``radius``
-    from every row kept before it."""
+    from every row kept before it.
+
+    One matrix of the pairwise distances decides it: a row with no earlier
+    row within ``radius`` is kept outright, and only the others are decided
+    in order, against the rows kept before them.
+    """
     ordered = rows[_lex_order(rows)]
-    keep = np.zeros(len(ordered), dtype=bool)
-    for i, row in enumerate(ordered):
-        keep[i] = not (_row_norms(ordered[keep] - row) <= radius).any()
+    close = np.tril(_row_norms(ordered[None, :] - ordered[:, None]) <= radius, -1)
+    keep = ~close.any(axis=1)
+    for i in np.flatnonzero(~keep):
+        keep[i] = not (close[i, :i] & keep[:i]).any()
     return ordered[keep]
 
 
@@ -334,11 +362,19 @@ def spectrum_product_check(c, d) -> SpectrumProductReport:
     (at most ``1e-8 * ||theta||_F``, else ``ValueError``) bounds their
     distance to spec(theta).  The Hausdorff distance to the product set then
     vanishes up to rounding.
+
+    When :func:`intertwiner_fixed_point_check` of the same two family
+    objects ran first, theta's diagonal is read from the cache it left on
+    ``c`` (see :class:`CommutingFamily`): the same values, from the same
+    eigenbasis, without building or diagonalizing theta again.
     """
     cf = c if isinstance(c, CommutingFamily) else CommutingFamily(c)
     df = d if isinstance(d, CommutingFamily) else CommutingFamily(d)
     product = product_spectrum(joint_spectrum(cf), joint_spectrum(df))
-    eigs = _sorted_complex(_normal_eigvals(theta_superoperator(cf, df)))
+    partner, eigs = cf._theta_spectrum
+    if partner is not df:
+        eigs = _normal_eigvals(theta_superoperator(cf, df))
+    eigs = _sorted_complex(eigs)
     return SpectrumProductReport(
         eigs=eigs,
         product=product,
@@ -381,16 +417,47 @@ class IntertwinerFixedReport:
     passed: bool
 
 
+def _theta_fixed_space(theta: np.ndarray, tol: float) -> tuple:
+    """Orthonormal columns spanning Fix(theta) of a normal ``theta``, and
+    theta's diagonal in :func:`_eigenbasis` at ``||theta||_F``.
+
+    The eigenvectors W_F with ``|lambda - 1| <= tol`` are kept.  They are only
+    as accurate as the probe's own eigenvalue gaps, which a random real
+    projection of spec(theta) can make far smaller than theta's gap
+    ``|lambda - 1|``; so W_F is corrected once, to first order, against the
+    other columns W_R, ``W_F - W_R ((W_R* theta W_F) / (lambda_R - 1))``, and
+    then orthonormalized by QR.
+    """
+    basis, (eigs,) = _eigenbasis([theta], float(np.linalg.norm(theta)))
+    near = np.abs(eigs - 1.0) <= tol
+    fixed, rest = basis[:, near], basis[:, ~near]
+    # W_R* theta W_F as the adjoint of (theta W_F)* W_R: no copy of W_R* is made
+    coupling = ((theta @ fixed).conj().T @ rest).conj().T
+    kernel, _ = np.linalg.qr(fixed - rest @ (coupling / (eigs[~near] - 1.0)[:, None]))
+    return kernel, eigs
+
+
 def intertwiner_fixed_point_check(a, b, tol: float = 1e-7) -> IntertwinerFixedReport:
     """Check that fixed points of x -> sum_j a_j x b_j are the intertwiners.
 
-    Both spaces are computed as numerical null spaces with cutoff ``tol``; the
-    check passes when the dimensions agree and the mutual subspace distance is
-    at most ``tol``.
+    Both families must pass the commuting-normal gates; a family that fails
+    raises ``ValueError`` before theta is built.  Theta is then normal, so
+    the singular values of theta - I are ``|lambda - 1|`` over spec(theta).
+    Fix(theta) is read from theta's eigenbasis (:func:`_theta_fixed_space`):
+    the eigenvectors whose ``lambda``, theta's diagonal in that basis, has
+    ``|lambda - 1| <= tol``.  By the Hoffman-Wielandt theorem that diagonal
+    is within the gated off-diagonal residual (at most
+    ``1e-8 * ||theta||_F``) of spec(theta), so the cut is
+    ``sigma(theta - I) <= tol`` up to that residual.  The intertwiners are a
+    numerical null space with cutoff ``tol``.  The check passes when the
+    dimensions agree and the mutual subspace distance is at most ``tol``.
+    Theta's diagonal is left on ``a`` for :func:`spectrum_product_check`.
     """
-    am, bm = _family_pair(a, b, "ab")
+    af, bf = _gated_family(a), _gated_family(b)
+    am, bm = _family_pair(af, bf, "ab")
     na, nb = am[0].shape[0], bm[0].shape[0]
-    kernel = opcore.factorize(opcore.minus_identity(theta_superoperator(am, bm))).kernel(tol)
+    kernel, eigs = _theta_fixed_space(theta_superoperator(am, bm), tol)
+    af._theta_spectrum = (bf, eigs)
     fixed = SubspaceBasis(
         rows=na, cols=nb, basis=tuple(opcore.devectorize(k, na, nb) for k in kernel.T)
     )

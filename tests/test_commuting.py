@@ -445,53 +445,121 @@ def test_intertwiner_fixed_point_check_fresh_pair():
         assert rep.fix_dim == 0 and rep.intertwiner_dim == 0
 
 
-def _count_theta_factorizations(monkeypatch):
-    """Calls of ``np.linalg.svd`` and ``eigh`` made while ``opcore.factorize``
-    works on theta - I, the array ``opcore.minus_identity`` returned; the
-    intertwiner space's own factorization is not counted."""
-    calls = {"svd": 0, "eigh": 0}
-    theta, inside = [], [False]
-    minus_identity, factorize = opcore.minus_identity, opcore.factorize
-
-    def marking(m):
-        theta.append(minus_identity(m))
-        return theta[-1]
-
-    def watching(m):
-        inside[0] = any(m is t for t in theta)
-        try:
-            return factorize(m)
-        finally:
-            inside[0] = False
-
-    for name in calls:
-        def counting(a, *args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
-            calls[_name] += inside[0]
-            return _fn(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, counting)
-    monkeypatch.setattr(opcore, "minus_identity", marking)
-    monkeypatch.setattr(opcore, "factorize", watching)
-    return calls
-
-
-def test_theta_minus_identity_of_a_complex_pair_takes_one_svd(monkeypatch):
-    a, b = intertwining_pair(trial_rng(54, 0), 5, 3)
-    calls = _count_theta_factorizations(monkeypatch)
-    assert kl.intertwiner_fixed_point_check(a, b).passed
-    assert calls == {"svd": 1, "eigh": 0}
-
-
-def test_theta_minus_identity_of_a_real_diagonal_pair_takes_one_eigh(monkeypatch):
-    # a_j = b_j real diagonal with sum a_j^2 = 1: theta - I is real and diagonal,
+def _real_diagonal_pair():
+    # a_j real diagonal with sum a_j^2 = 1: theta - I is real and diagonal,
     # and E_ik is fixed iff the joint tuples at i and k agree (5 of 9 here)
     t = np.array([0.3, 1.1, 0.3])
     a = [np.diag(np.cos(t)), np.diag(np.sin(t))]
-    calls = _count_theta_factorizations(monkeypatch)
-    rep = kl.intertwiner_fixed_point_check(a, a)
-    assert calls == {"svd": 0, "eigh": 1}
-    assert rep.passed
-    assert rep.fix_dim == rep.intertwiner_dim == 5
+    return a, a
+
+
+def _seeded_fix_pairs():
+    """Seeded intertwining and independent pairs at d = 2..8, m = 1..3, with
+    the dimension of Fix(theta) each must have."""
+    for trial, (dim, ops) in enumerate((d, m) for d in range(2, 9) for m in (1, 2, 3)):
+        rng = trial_rng(66, trial)
+        yield intertwining_pair(rng, dim, ops), dim
+        yield (commuting_normal_family(rng, dim, ops), commuting_normal_family(rng, dim, ops)), 0
+    yield _real_diagonal_pair(), 5
+
+
+def test_theta_fixed_space_spans_the_kernel_of_theta_minus_identity():
+    for (a, b), dim in _seeded_fix_pairs():
+        theta = kl.theta_superoperator(a, b)
+        got, eigs = commuting._theta_fixed_space(theta, 1e-7)
+        want = opcore.factorize(opcore.minus_identity(theta.copy())).kernel(1e-7)
+        assert got.shape == want.shape == (theta.shape[0], dim)
+        np.testing.assert_allclose(got.conj().T @ got, np.eye(dim), atol=1e-13)
+        assert np.linalg.norm(got @ got.conj().T - want @ want.conj().T, 2) <= 1e-13
+        assert np.array_equal(eigs, commuting._normal_eigvals(theta))
+    rep = kl.intertwiner_fixed_point_check(*_real_diagonal_pair())
+    assert rep.passed and rep.fix_dim == rep.intertwiner_dim == 5
+
+
+def test_both_checks_of_one_pair_build_and_diagonalize_theta_once(monkeypatch):
+    a, b = intertwining_pair(trial_rng(67, 0), 5, 3)
+    uncached = kl.spectrum_product_check(a.mats, b.mats)
+    built, shapes = [], []
+    theta_superoperator, eigh = commuting.theta_superoperator, np.linalg.eigh
+
+    def building(c, d):
+        built.append((c, d))
+        return theta_superoperator(c, d)
+
+    def recording(x, *args, **kwargs):
+        shapes.append(np.shape(x))
+        return eigh(x, *args, **kwargs)
+
+    def refused(m):
+        raise AssertionError("opcore.minus_identity called")
+
+    monkeypatch.setattr(commuting, "theta_superoperator", building)
+    monkeypatch.setattr(np.linalg, "eigh", recording)
+    monkeypatch.setattr(opcore, "minus_identity", refused)
+    assert kl.intertwiner_fixed_point_check(a, b).passed
+    rep = kl.spectrum_product_check(a, b)
+    assert len(built) == 1 and shapes.count((25, 25)) == 1
+    # the cached diagonal is bitwise the one a fresh diagonalization reads
+    assert np.array_equal(rep.eigs, uncached.eigs) and rep.hausdorff == uncached.hausdorff
+
+
+def test_intertwiner_fixed_point_check_gates_families_before_theta(monkeypatch):
+    sx = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    sz = np.diag([1.0, -1.0]).astype(complex)
+    jordan = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)
+    good = commuting_normal_family(trial_rng(64, 0), 2, 2)
+    single = commuting_normal_family(trial_rng(64, 1), 2, 1)
+
+    def refused(*args):
+        raise AssertionError("theta built")
+
+    monkeypatch.setattr(commuting, "theta_superoperator", refused)
+    for c, d in ((good, [sx, sz]), ([sx, sz], good), (single, [jordan]), ([jordan], single)):
+        with pytest.raises(ValueError, match="commuting-normal gates"):
+            kl.intertwiner_fixed_point_check(c, d)
+
+
+@pytest.mark.parametrize("seed", [1, 3])
+def test_commuting_sweep_fixed_spaces_stay_at_rounding(capsys, seed):
+    # Fix(theta) read from the probe's eigenvectors without the first-order
+    # correction drifted to about 3e-13 on these sweeps
+    argv = ["commuting", "--dim", "12", "--ops", "3", "--trials", "20", "--seed", str(seed)]
+    assert cli.main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["results"]["worst_subspace_distance"] <= 2e-14
+
+
+def _merge_loop(rows, radius):
+    """The row-by-row reference: each sorted row against the rows kept so far."""
+    ordered = rows[commuting._lex_order(rows)]
+    keep = np.zeros(len(ordered), dtype=bool)
+    for i, row in enumerate(ordered):
+        keep[i] = not (commuting._row_norms(ordered[keep] - row) <= radius).any()
+    return ordered[keep]
+
+
+def _merge_cases():
+    rng = np.random.default_rng(68)
+    for m in (1, 2, 3):
+        # clusters of near-duplicates and chains of rows 0.6 radius apart,
+        # where a dropped row's neighbour must still be kept
+        centers = ginibre(rng, 6, m)
+        near = np.repeat(centers, 5, axis=0) + 1e-9 * ginibre(rng, 30, m)
+        chain = centers[0] + 0.6e-8 * np.arange(8)[:, None] * np.exp(1j * rng.uniform(0, 6.3, m))
+        rows = np.vstack([near, chain, ginibre(rng, 20, m)])
+        yield rows, 1e-8
+        for scale in (1e300, 1e-300):
+            yield scale * rows, scale * 1e-8
+    # rows exactly the radius apart: (3s, 4s) is 5s away in hypot, exactly
+    yield np.arange(10)[:, None] * 0.25 + 0j, 0.25
+    s = 2.0**-4
+    yield np.array([[0, 0], [3 * s, 4 * s], [6 * s, 8 * s], [3 * s, 4j * s]]), 5 * s
+
+
+def test_merge_is_bitwise_the_row_by_row_loop():
+    for rows, radius in _merge_cases():
+        got, want = commuting._merge(rows, radius), _merge_loop(rows, radius)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert 0 < len(got) < len(rows)
 
 
 def test_positive_eigenvalue_check_oracle():
