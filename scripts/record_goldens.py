@@ -2,13 +2,14 @@
 
 Usage: python3 scripts/record_goldens.py
 
-Seven of ``report_diff.py``'s configurations draw no random numbers:
-``analyze`` on pinching, unitary_mix and tensor_mix, ``cuntz`` 16 and 32,
-and ``schur`` on measure and symbol.  Each one runs in this process on
-this checkout's ``src``, and its exit code, ``results`` object and CSV rows
-are written to ``tests/golden/<name>.json``; ``tests/test_golden.py``
-compares fresh runs against those files.  Re-recording changes test data,
-so a CHANGES.md line gives the reason and the largest field move.
+Eight of ``report_diff.py``'s configurations draw no random numbers:
+``analyze`` on pinching, unitary_mix, tensor_mix and reflection_mix,
+``cuntz`` 16 and 32, and ``schur`` on measure and symbol.  Each one runs in
+this process on this checkout's ``src``, and its exit code, ``results``
+object and CSV rows are written to ``tests/golden/<name>.json``;
+``tests/test_golden.py`` compares fresh runs against those files.
+Re-recording changes test data, so a CHANGES.md line gives the reason and
+the largest field move.
 """
 
 from __future__ import annotations

@@ -3,7 +3,7 @@
 Usage: python3 scripts/report_diff.py [REV]   (REV defaults to HEAD)
 
 REV's ``src`` is exported with ``git archive`` into a temporary directory.
-Ten fixed configurations then run on both trees, reading the same input
+Eleven fixed configurations then run on both trees, reading the same input
 files from this checkout's ``demos/data``.  ``wall_time_ms`` is masked in
 each JSON report; every other byte must agree.  Each differing JSON field is
 printed as ``path: old -> new`` and each differing CSV row as ``old -> new``.
@@ -30,6 +30,7 @@ CONFIGS = [
     ["analyze", "--input", str(DATA / "pinching.json")],
     ["analyze", "--input", str(DATA / "unitary_mix.json")],
     ["analyze", "--input", str(DATA / "tensor_mix.json")],
+    ["analyze", "--input", str(DATA / "reflection_mix.json")],
     ["cuntz", "--dim", "16"],
     ["cuntz", "--dim", "32"],
     ["commuting", "--dim", "6", "--trials", "10", "--seed", "3"],

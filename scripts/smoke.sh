@@ -9,6 +9,7 @@ for demo in demos/*.py; do python "$demo" > /dev/null; done
 python -m krauslab.cli analyze --input demos/data/pinching.json > /dev/null
 python -m krauslab.cli analyze --input demos/data/unitary_mix.json > /dev/null
 python -m krauslab.cli analyze --input demos/data/tensor_mix.json > /dev/null
+python -m krauslab.cli analyze --input demos/data/reflection_mix.json > /dev/null
 python -m krauslab.cli cuntz --dim 8 > /dev/null
 python -m krauslab.cli commuting --dim 4 --trials 4 > /dev/null
 python -m krauslab.cli commuting --dim 12 --trials 2 > /dev/null

@@ -15,8 +15,8 @@ values-only factorization, which is not cached: of the same blocks when
 ``S - I`` is exactly real symmetric, and else of the real ``S_h - I``, the
 matrix of ``psi - 1`` on the Hermitian matrices, which has the same
 singular values.  S is read from its entries; it is formed densely only
-when ``S - I`` is not an exactly real symmetric matrix that splits into
-blocks, and then lives only while the factorization (or S_h) is built.
+when ``S - I`` is not exactly real symmetric, and then lives only while
+the factorization (or S_h) is built.
 """
 
 from __future__ import annotations
@@ -154,11 +154,12 @@ def spectral_core(family: KrausFamily) -> SpectralCore:
     """:func:`opcore.factorize` of the family's ``S - I``, cached on first use.
 
     S is read from :func:`opcore.kron_entries` and never formed densely
-    when ``S - I`` is exactly real symmetric and its exact nonzero pattern
-    has more than one connected component: its blocks are then factored one
-    stacked ``eigh`` per block size.  Any other ``S - I`` is assembled dense,
-    formed in place and passed straight on, so no copy of S outlives the
-    factorization and no complex one is live during a real ``eigh``.
+    when ``S - I`` is exactly real symmetric: it is then an
+    :class:`opcore.BlockSplit` (one block when its exact nonzero pattern is
+    connected), factored one stacked ``eigh`` per block size, and no complex
+    S is live during it.  Any other ``S - I`` is assembled dense, formed in
+    place and passed straight on to one complex SVD, so no copy of S
+    outlives the factorization.
     """
     if family._spectral_core is None:
         family._spectral_core = opcore.factorize(_s_minus_identity(family))
@@ -166,25 +167,22 @@ def spectral_core(family: KrausFamily) -> SpectralCore:
 
 
 def _s_minus_identity(family: KrausFamily, values_only: bool = False):
-    """``S - I`` as an :class:`opcore.BlockSplit` when it is exactly real
-    symmetric and splits, and as one dense array otherwise.
-
-    With ``values_only``, a dense ``S - I`` that is not exactly real
-    symmetric comes back as the real ``S_h - I`` of :func:`_hermitian_form`
-    instead: it has the singular values of ``S - I`` but not its vectors.
+    """``S - I`` as an :class:`opcore.BlockSplit` when it is exactly real and
+    every block is symmetric.  Otherwise it is the complex dense ``S - I``,
+    or with ``values_only`` the real ``S_h - I`` of :func:`_hermitian_form`,
+    which has the singular values of ``S - I`` but not its vectors.
     """
     entries = opcore.kron_entries(family._adjoints, family.ops)
-    real = not entries.values.imag.any()
-    if real:
+    if not entries.values.imag.any():
         rows, cols, values = entries.nonzero()
         split = opcore.block_split(family.dim**2, rows, cols, values.real)
-        if split is not None and all(np.array_equal(b, b.swapaxes(1, 2)) for b in split.stacks):
+        if all(np.array_equal(b, b.swapaxes(1, 2)) for b in split.stacks):
             return opcore.minus_identity(split)
         # only the entry values may stay live next to the dense S
         del rows, cols, values, split
     t = entries.tensor()
     del entries
-    if values_only and not (real and np.array_equal(t, t.transpose(2, 3, 0, 1))):
+    if values_only:
         return opcore.minus_identity(_hermitian_form(t))
     # t is fresh or a view of the dropped entries' values: it may be overwritten
     return opcore.minus_identity(t.reshape(family.dim**2, family.dim**2))
@@ -382,8 +380,9 @@ def gap_report(family: KrausFamily, tol: float | None = None) -> GapReport:
     Only singular values are read.  A family that holds its spectral core
     answers from it; any other family factors for values only
     (``opcore.factorize(..., vectors=False)``) and caches nothing: an exactly
-    real symmetric ``S - I`` on the blocks :func:`spectral_core` uses, through
-    ``eigvalsh``, and any other as the real ``S_h - I`` of
+    real symmetric ``S - I`` on the blocks :func:`spectral_core` uses (one
+    block when its pattern is connected), through ``eigvalsh``, and any
+    other as the real ``S_h - I`` of
     :func:`_hermitian_form`, through one real SVD without vectors (one
     block, as in the full core).  The two ``sv`` agree to rounding, not
     bitwise, so a caller that also needs the core should take it first.

@@ -222,9 +222,7 @@ def simultaneous_diagonalize(family: CommutingFamily) -> DiagonalizationResult:
     ``1e-8 * family.scale``, so both tests are relative to the size of the
     family.
     """
-    if not isinstance(family, CommutingFamily):
-        family = CommutingFamily(family)
-    family.require_accepted()
+    family = _gated_family(family)
     basis, diags = _eigenbasis(family.mats, family.scale)
     return DiagonalizationResult(unitary=basis, diags=diags)
 
@@ -275,8 +273,7 @@ def joint_spectrum(family: CommutingFamily) -> JointSpectrum:
     the stacked generators so that nothing is squared, and checked with a
     slack of ``1e-9 * s``.
     """
-    if not isinstance(family, CommutingFamily):
-        family = CommutingFamily(family)
+    family = _gated_family(family)
     res = simultaneous_diagonalize(family)
     reps = _merge(np.stack(res.diags, axis=1), 1e-8 * family.scale)
     bound = opcore.op_norm(np.vstack(family.mats))
@@ -368,9 +365,10 @@ def spectrum_product_check(c, d) -> SpectrumProductReport:
     ``c`` (see :class:`CommutingFamily`): the same values, from the same
     eigenbasis, without building or diagonalizing theta again.
     """
-    cf = c if isinstance(c, CommutingFamily) else CommutingFamily(c)
-    df = d if isinstance(d, CommutingFamily) else CommutingFamily(d)
-    product = product_spectrum(joint_spectrum(cf), joint_spectrum(df))
+    cf = _gated_family(c)
+    spectrum_c = joint_spectrum(cf)
+    df = _gated_family(d)
+    product = product_spectrum(spectrum_c, joint_spectrum(df))
     partner, eigs = cf._theta_spectrum
     if partner is not df:
         eigs = _normal_eigvals(theta_superoperator(cf, df))
@@ -462,7 +460,7 @@ def intertwiner_fixed_point_check(a, b, tol: float = 1e-7) -> IntertwinerFixedRe
         rows=na, cols=nb, basis=tuple(opcore.devectorize(k, na, nb) for k in kernel.T)
     )
     inter = intertwiner_space(am, bm, tol)
-    dist = subspace_distance(fixed, inter) if (len(fixed) or len(inter)) else 0.0
+    dist = subspace_distance(fixed, inter)
     passed = len(fixed) == len(inter) and dist <= tol
     return IntertwinerFixedReport(
         fix_dim=len(fixed),

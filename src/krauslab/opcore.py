@@ -11,14 +11,14 @@ connected stack being one, and reduced to its R factors per component shape
 by one stacked QR), PSD inputs pass :func:`require_psd` and families pass
 :func:`square_family` (their defects from :func:`completeness_defects`).
 Every kernel and solve is cut from a :class:`SpectralCore`, which holds the
-blocks in one form: :func:`factorize` is the one choice between stacked
-per-block ``eigh`` of a :class:`BlockSplit` (the connected components of an
-exact nonzero pattern, from :func:`block_split`; a connected real symmetric
-matrix is one block) and one SVD in the matrix's own dtype, and a Sylvester
-stack gets the same stacked SVD factor per component shape.  A query that
-reads only singular values asks :func:`factorize` for values only
-(``eigvalsh``, or an SVD without vectors) and gets the same blocks without
-``u`` and ``vh``.
+blocks in one form: :func:`factorize` reads the choice off the input's type,
+stacked per-block ``eigh`` for a :class:`BlockSplit` (the connected
+components of an exact nonzero pattern, from :func:`block_split`; a
+connected pattern is one block) and one SVD in its own dtype for any 2-D
+array, and a Sylvester stack gets the same stacked SVD factor per component
+shape.  A query that reads only singular values asks :func:`factorize` for
+values only (``eigvalsh``, or an SVD without vectors) and gets the same
+blocks without ``u`` and ``vh``.
 """
 
 from __future__ import annotations
@@ -174,25 +174,17 @@ def positive_part(h) -> np.ndarray:
 def _spectral_map(sym: np.ndarray, f: Callable, gate: Callable | None = None) -> np.ndarray:
     """``v f(w) v*`` of the Hermitian ``sym = v diag(w) v*``, symmetrized.
 
-    ``gate`` sees all eigenvalues, ascending, before any output is formed.
-    A connected ``sym`` gets one plain ``eigh``.  Otherwise each connected
-    component of the exact nonzero pattern of ``sym`` is one block, each
-    block size gets one stacked ``eigh``, and the result is exactly zero off
-    the blocks.
+    ``sym`` is cut by :func:`block_split` (a connected ``sym`` is one
+    block), each block size gets one stacked ``eigh``, and the result is
+    exactly zero off the blocks.  ``gate`` sees all eigenvalues, block by
+    block, before any output is formed.
     """
     rows, cols = np.nonzero(sym)
     split = block_split(sym.shape[0], rows, cols, sym[rows, cols])
-    if split is None:
-        # eigh sorts the eigenvalues, and the one block is the whole output
-        w, v = np.linalg.eigh(sym)
-        if gate is not None:
-            gate(w)
-        out = (v * f(w)) @ v.conj().T
-        return (out + out.conj().T) / 2.0
     eigen = [np.linalg.eigh(stack) for stack in split.stacks]
     if gate is not None:
-        gate(np.sort(np.concatenate([w.ravel() for w, _ in eigen])))
-    out = np.zeros_like(sym)
+        gate(np.concatenate([w.ravel() for w, _ in eigen]))
+    out = np.zeros(sym.shape, dtype=sym.dtype)
     for index, (w, v) in zip(split.index, eigen):
         blocks = (v * f(w)[:, None, :]) @ v.conj().swapaxes(1, 2)
         out[index[:, :, None], index[:, None, :]] = (blocks + blocks.conj().swapaxes(1, 2)) / 2.0
@@ -200,16 +192,15 @@ def _spectral_map(sym: np.ndarray, f: Callable, gate: Callable | None = None) ->
 
 
 def _psd_gate(w: np.ndarray, name: str) -> None:
-    """Raise unless the ascending eigenvalues ``w`` are all at least -psd_tol.
+    """Raise unless the eigenvalues ``w``, in any order, are all at least -psd_tol.
 
     ``psd_tol = 1e-10 * (1 + max|w|)``, which is ``1e-10 * (1 + ||m||_op)``
     for the Hermitian matrix the eigenvalues belong to.
     """
-    ptol = 1e-10 * (1.0 + float(np.max(np.abs(w))))
-    if float(w[0]) < -ptol:
-        raise ValueError(
-            f"{name} is not PSD: eigenvalue {float(w[0]):.3e} below -{ptol:.3e}"
-        )
+    least = float(w.min())
+    ptol = 1e-10 * (1.0 + float(np.abs(w).max()))
+    if least < -ptol:
+        raise ValueError(f"{name} is not PSD: eigenvalue {least:.3e} below -{ptol:.3e}")
 
 
 def require_psd(m, name: str = "matrix") -> np.ndarray:
@@ -330,15 +321,16 @@ class BlockSplit(NamedTuple):
     stacks: tuple
 
 
-def block_split(n: int, rows: np.ndarray, cols: np.ndarray, values: np.ndarray) -> BlockSplit | None:
+def block_split(n: int, rows: np.ndarray, cols: np.ndarray, values: np.ndarray) -> BlockSplit:
     """The :class:`BlockSplit` of the n x n matrix whose nonzero entries are
-    ``values`` at ``(rows, cols)`` (each position listed once), or None when
-    its pattern is connected."""
+    ``values`` at ``(rows, cols)`` (each position listed once).  A connected
+    pattern is one block; a full one is scattered straight into it."""
     if rows.size == n * n:
-        return None
-    roots, comp, sizes = np.unique(components(n, rows, cols), return_inverse=True, return_counts=True)
-    if roots.size == 1:
-        return None
+        # every position is listed, so the scatter writes every entry
+        stack = np.empty((1, n, n), dtype=values.dtype)
+        stack[0, rows, cols] = values
+        return BlockSplit(index=(np.arange(n)[None],), stacks=(stack,))
+    _, comp, sizes = np.unique(components(n, rows, cols), return_inverse=True, return_counts=True)
     # members lists the nodes component by component; pos is a node's place in its block
     members = np.argsort(comp, kind="stable")
     first = np.cumsum(sizes) - sizes
@@ -357,11 +349,6 @@ def block_split(n: int, rows: np.ndarray, cols: np.ndarray, values: np.ndarray) 
         index.append(members[first[mine][:, None] + np.arange(size)])
         stacks.append(stack)
     return BlockSplit(index=tuple(index), stacks=tuple(stacks))
-
-
-def _one_block(m: np.ndarray) -> BlockSplit:
-    """The square ``m`` as a :class:`BlockSplit` of one block, a view of ``m``."""
-    return BlockSplit(index=(np.arange(m.shape[0])[None],), stacks=(m[None],))
 
 
 @dataclass(frozen=True, eq=False)
@@ -436,41 +423,29 @@ class SpectralCore:
 
 def minus_identity(m):
     """``m - I`` formed in place on a fresh square ``m`` or on a fresh
-    :class:`BlockSplit`'s blocks.  A complex dense ``m`` that is exactly
-    real and symmetric comes back as a real copy, so that a caller passing
-    the result straight to :func:`factorize` holds no complex copy during
-    its ``eigh``; any other complex ``m`` stays complex and gets a complex
-    SVD."""
+    :class:`BlockSplit`'s blocks."""
     if isinstance(m, BlockSplit):
         for stack in m.stacks:
             side = stack.shape[1]
             stack.reshape(stack.shape[0], side * side)[:, :: side + 1] -= 1.0
         return m
     m.flat[:: m.shape[0] + 1] -= 1.0
-    if np.iscomplexobj(m) and not m.imag.any() and np.array_equal(m.real, m.real.T):
-        return m.real.copy()
     return m
 
 
 def factorize(m, vectors: bool = True) -> SpectralCore:
-    """The :class:`SpectralCore` of a 2-D array or of a :class:`BlockSplit`.
+    """The :class:`SpectralCore` of a :class:`BlockSplit` or of a 2-D array.
 
     The blocks of a :class:`BlockSplit` must be exactly real and symmetric;
     each block size gets one stacked ``eigh``, stored as ``u = q``, signed
-    ``w`` and ``vh`` the transposed view of ``q``.  A square 2-D ``m`` that
-    is exactly real and symmetric is one such block.  Any other ``m`` gets
-    one SVD in its own dtype (real or complex), one block covering every row
-    and column, with full V only when ``m`` is wide.  With ``vectors=False``
-    the same blocks get ``eigvalsh`` and an SVD without U and V* instead,
-    and the core holds values only.
+    ``w`` and ``vh`` the transposed view of ``q``.  A 2-D ``m``, whatever
+    its entries, gets one SVD in its own dtype (real or complex), one block
+    covering every row and column, with full V only when ``m`` is wide.
+    With ``vectors=False`` the same blocks get ``eigvalsh`` and an SVD
+    without U and V* instead, and the core holds values only.
     """
     if not isinstance(m, BlockSplit):
-        rows, n = m.shape
-        real = np.isrealobj(m) or not m.imag.any()
-        if rows == n and real and np.array_equal(m.real, m.real.T):
-            m = _one_block(np.ascontiguousarray(m.real))
-        else:
-            return _core((_svd_factor(np.arange(max(rows, n))[None], m[None], vectors),))
+        return _core((_svd_factor(np.arange(max(m.shape))[None], m[None], vectors),))
     if not vectors:
         return _core(
             tuple((index, None, np.linalg.eigvalsh(stack), None) for index, stack in zip(m.index, m.stacks))

@@ -233,7 +233,8 @@ def test_tensor_family_splits_but_keeps_one_svd():
     n = fam.dim**2
     rows, cols, values = opcore.kron_entries(fam._adjoints, fam.ops).nonzero()
     assert np.iscomplexobj(values) and values.imag.any()
-    assert opcore.block_split(n, rows, cols, values) is not None
+    split = opcore.block_split(n, rows, cols, values)
+    assert sum(len(index) for index in split.index) > 1
     assert kl.spectral_core(fam).blocks == 1
 
 
@@ -274,8 +275,10 @@ def test_connected_real_core_is_bitwise_the_stable_sorted_eigh():
 
 
 def test_no_complex_superoperator_is_live_during_the_real_eigh(monkeypatch):
-    fam = cuntz.luders_family(16)
-    n = fam.dim**2
+    # real symmetric generators with full patterns: S - I is exactly real
+    # symmetric and connected, one block of n = 144
+    g = np.random.default_rng(16).standard_normal((2, 12, 12))
+    connected = kl.KrausFamily([(x + x.T) / 8.0 for x in g])
     eigh = np.linalg.eigh
     traced = []
 
@@ -284,17 +287,22 @@ def test_no_complex_superoperator_is_live_during_the_real_eigh(monkeypatch):
         return eigh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", watching)
-    tracemalloc.start()
-    try:
-        core = kl.spectral_core(fam)
-    finally:
-        tracemalloc.stop()
-    # one stacked real eigh per block size, and never a complex S (16 n^2
-    # bytes, 1.05 MB) or even a real S - I live while they run
-    assert len(traced) == len(core.factors) > 1
-    assert sum(np.prod(shape[:-1]) for shape, _, _ in traced) == n
-    assert all(dtype == np.float64 for _, dtype, _ in traced)
-    assert max(mem for _, _, mem in traced) < 8 * n * n
+    for fam, split in ((cuntz.luders_family(16), True), (connected, False)):
+        n = fam.dim**2
+        traced.clear()
+        tracemalloc.start()
+        try:
+            core = kl.spectral_core(fam)
+        finally:
+            tracemalloc.stop()
+        # one stacked real eigh per block size, and never a complex S (16 n^2
+        # bytes) live while they run: split blocks hold less than a real
+        # S - I, and one block little more than the real S - I it is
+        assert len(traced) == len(core.factors)
+        assert (len(traced) > 1) == split
+        assert sum(np.prod(shape[:-1]) for shape, _, _ in traced) == n
+        assert all(dtype == np.float64 for _, dtype, _ in traced)
+        assert max(mem for _, _, mem in traced) < 8 * n * n * (1.0 if split else 1.25)
 
 
 @pytest.mark.parametrize(

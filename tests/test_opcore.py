@@ -655,7 +655,13 @@ def test_block_split_oracle():
     for index, stack in zip(split.index, split.stacks):
         for b, idx in enumerate(index):
             assert np.array_equal(stack[b], h[np.ix_(idx, idx)])
-    assert opcore.block_split(2, np.array([0]), np.array([1]), np.array([1.0])) is None
+    # a connected pattern, and a full one, is one block: the whole matrix
+    full = np.arange(1.0, 10.0).reshape(3, 3)
+    for dense in (np.array([[0.0, 1.0], [0.0, 0.0]]), full):
+        rows, cols = np.nonzero(dense)
+        (index,), (stack,) = opcore.block_split(len(dense), rows, cols, dense[rows, cols])
+        assert np.array_equal(index, np.arange(len(dense))[None])
+        assert np.array_equal(stack, dense[None])
 
 
 def test_kron_entries_sit_where_kron_sum_puts_them():
@@ -723,7 +729,9 @@ def _core_kind(kind: str) -> tuple:
         q = np.linalg.qr(rng.standard_normal((5, 5)))[0]
         m = q @ np.diag([2.0, -1.0, 0.5, 0.0, 0.0]) @ q.T
         m = (m + m.T) / 2.0
-    elif kind == "complex-svd":
+        rows, cols = np.nonzero(m)
+        return m, opcore.factorize(opcore.block_split(5, rows, cols, m[rows, cols]))
+    if kind == "complex-svd":
         # complex 6 x 6 of rank 4
         m = (rng.standard_normal((6, 4)) + 1j * rng.standard_normal((6, 4))) @ (
             rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))
@@ -762,3 +770,22 @@ def test_every_core_kind_answers_like_its_matrix(kind):
     np.testing.assert_allclose(core.solve(b, tol), np.linalg.pinv(m, rcond=tol / sv[0]) @ b, atol=1e-12)
     with pytest.raises(ValueError, match="b has shape"):
         core.solve(np.ones(rows + 1), tol)
+
+
+def test_a_real_symmetric_array_is_one_svd_that_answers_like_its_block_split():
+    # only a BlockSplit asks for eigh: the array itself gets one real SVD
+    m, split_core = _core_kind("connected-real")
+    core = opcore.factorize(m)
+    u, sv, vh = np.linalg.svd(m)
+    ((index, core_u, w, core_vh),) = core.factors
+    assert np.array_equal(index, np.arange(5)[None])
+    assert np.array_equal(core_u, u[None]) and np.array_equal(w, sv[None])
+    assert np.array_equal(core_vh, vh[None]) and core_vh.dtype == np.float64
+    np.testing.assert_allclose(core.sv, split_core.sv, atol=1e-12)
+    # the same two-dimensional kernel span, and the same pseudo-inverse
+    tol = 1e-10
+    k, split_k = core.kernel(tol), split_core.kernel(tol)
+    assert k.shape == split_k.shape == (5, 2)
+    np.testing.assert_allclose(k @ k.conj().T, split_k @ split_k.conj().T, atol=1e-12)
+    b = [1.0, 1j] @ np.random.default_rng(15).standard_normal((2, 5))
+    np.testing.assert_allclose(core.solve(b, tol), split_core.solve(b, tol), atol=1e-12)
