@@ -3,7 +3,7 @@
 Usage: python3 scripts/report_diff.py [REV]   (REV defaults to HEAD)
 
 REV's ``src`` is exported with ``git archive`` into a temporary directory.
-Eleven fixed configurations then run on both trees, reading the same input
+Twelve fixed configurations then run on both trees, reading the same input
 files from this checkout's ``demos/data``.  ``wall_time_ms`` is masked in
 each JSON report; every other byte must agree.  Each differing JSON field is
 printed as ``path: old -> new`` and each differing CSV row as ``old -> new``.
@@ -35,6 +35,7 @@ CONFIGS = [
     ["cuntz", "--dim", "32"],
     ["commuting", "--dim", "6", "--trials", "10", "--seed", "3"],
     ["commuting", "--dim", "12", "--trials", "5", "--seed", "11"],
+    ["commuting", "--dim", "12", "--trials", "20", "--seed", "3"],
     ["fuzz", "--seed", "0"],
     ["schur", "--input", str(DATA / "measure.json"), "--dim", "4"],
     ["schur", "--input", str(DATA / "symbol.json")],

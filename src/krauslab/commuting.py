@@ -16,10 +16,17 @@ gated.  The joint spectra are the generators' diagonals in it; spec(theta)
 of an accepted pair, where theta is normal, is theta's own diagonal in it,
 certified by that residual.  Fix(theta) is read from the same eigenbasis:
 the eigenvectors with eigenvalue within ``tol`` of 1, corrected once to
-first order against the others; theta - I is never factorized.  Theta is
-diagonalized once per pair: the intertwiner check leaves theta's diagonal
-on the first family for the spectrum check of the same pair.  The
-positivity check reads Bendixson bounds off the two parts.  No general
+first order against the others; theta - I is never factorized.  The
+intertwiners of a gated pair are read from the two families' joint
+eigenbases: with ``a_j = U Lambda_j U*`` and ``b_j = V M_j V*`` they are
+spanned by the ``u_i v_k*`` whose tuples satisfy
+``||lambda(i) - conj mu(k)|| <= tol``, the eigenvectors corrected once to
+first order in the same way; no Sylvester stack is built for them.  Each
+family is diagonalized once and keeps its eigenbasis, and theta once per
+pair: the intertwiner check leaves theta's diagonal on the first family
+for the spectrum check of the same pair.  :func:`intertwiner_space` still
+solves the Sylvester stack for any pair of families, commuting or not.
+The positivity check reads Bendixson bounds off the two parts.  No general
 (non-Hermitian) eigensolver runs.
 """
 
@@ -69,12 +76,17 @@ class CommutingFamily:
     defects times ``scale^2``.  Completeness is not recorded here;
     :func:`opcore.completeness_defects` measures it.
 
-    The family holds a one-entry cache: :func:`intertwiner_fixed_point_check`
-    of the pair ``(self, partner)`` stores ``(partner, spec(theta))``, the
+    The family stores two results.  Its joint eigenbasis and diagonals,
+    :func:`_eigenbasis` of the generators at ``scale``, are computed once,
+    on first use by a check that gated the family, and kept frozen:
+    :func:`simultaneous_diagonalize`, :func:`joint_spectrum` and the
+    intertwiner check all read them, so a family is diagonalized once
+    however many of those run.  And :func:`intertwiner_fixed_point_check` of
+    the pair ``(self, partner)`` stores ``(partner, spec(theta))``, the
     diagonal of theta in its certified eigenbasis (``self.dim * partner.dim``
-    values), and :func:`spectrum_product_check` of the same pair reads it
+    values), which :func:`spectrum_product_check` of the same pair reads
     instead of building and diagonalizing theta again.  The partner object
-    itself is the key; a check against another partner replaces the entry.
+    itself is that entry's key; a check against another partner replaces it.
     """
 
     def __init__(self, mats):
@@ -94,6 +106,7 @@ class CommutingFamily:
         self.normality_defect, self.commutation_defect = (
             v * self.scale * self.scale for v in self._relative_defects
         )
+        self._eigen = None
         self._theta_spectrum = (None, None)
 
     def __len__(self) -> int:
@@ -118,6 +131,16 @@ class CommutingFamily:
                 f"commutation {self.commutation_defect:.3e}, "
                 f"gate {self.defect_gate:.3e}"
             )
+
+    def _diagonalized(self) -> tuple:
+        """:func:`_eigenbasis` of the generators at ``self.scale``, computed on
+        first use and kept, frozen; the caller has passed the gates."""
+        if self._eigen is None:
+            basis, diags = _eigenbasis(self.mats, self.scale)
+            for arr in (basis, *diags):
+                arr.setflags(write=False)
+            self._eigen = (basis, diags)
+        return self._eigen
 
 
 def _family_mats(obj, name: str) -> tuple:
@@ -220,10 +243,10 @@ def simultaneous_diagonalize(family: CommutingFamily) -> DiagonalizationResult:
     cut at eigenvalue gaps above ``1e-6 * (family.scale + ||probe||_F)`` and
     every rotated generator's off-diagonal residual gated at
     ``1e-8 * family.scale``, so both tests are relative to the size of the
-    family.
+    family.  A :class:`CommutingFamily` computes it once and returns the
+    same frozen arrays on every call.
     """
-    family = _gated_family(family)
-    basis, diags = _eigenbasis(family.mats, family.scale)
+    basis, diags = _gated_family(family)._diagonalized()
     return DiagonalizationResult(unitary=basis, diags=diags)
 
 
@@ -349,9 +372,11 @@ def _normal_eigvals(theta: np.ndarray) -> np.ndarray:
 def spectrum_product_check(c, d) -> SpectrumProductReport:
     """Compare spec(theta) with the product set of the two joint spectra.
 
-    Both families must pass the commuting-normal gates; their joint spectra
-    are computed first, so a family that fails raises ``ValueError`` before
-    theta is built.  Theta is then normal, and ``eigs`` are its diagonal in
+    Both families must pass the commuting-normal gates, and both are gated
+    before either joint spectrum is read, so a family that fails raises
+    ``ValueError`` before any eigensolver runs.  The joint spectra come from
+    the families' stored eigenbases (see :class:`CommutingFamily`).  Theta
+    is then normal, and ``eigs`` are its diagonal in
     :func:`_eigenbasis` of ``[theta]`` alone, not in the joint eigenbases:
     one ``eigh`` of a fixed combination of its Hermitian and anti-Hermitian
     parts, each remaining block refined by both parts, blocks cut at gaps
@@ -365,10 +390,8 @@ def spectrum_product_check(c, d) -> SpectrumProductReport:
     ``c`` (see :class:`CommutingFamily`): the same values, from the same
     eigenbasis, without building or diagonalizing theta again.
     """
-    cf = _gated_family(c)
-    spectrum_c = joint_spectrum(cf)
-    df = _gated_family(d)
-    product = product_spectrum(spectrum_c, joint_spectrum(df))
+    cf, df = _gated_family(c), _gated_family(d)
+    product = product_spectrum(joint_spectrum(cf), joint_spectrum(df))
     partner, eigs = cf._theta_spectrum
     if partner is not df:
         eigs = _normal_eigvals(theta_superoperator(cf, df))
@@ -380,9 +403,24 @@ def spectrum_product_check(c, d) -> SpectrumProductReport:
     )
 
 
+def _warn_incomplete(am: tuple, bm: tuple) -> None:
+    """Warn, at the caller of the public function, when ``a`` is not
+    row-complete (``sum a_j a_j* = 1``) or ``b`` not column-complete
+    (``sum b_j* b_j = 1``) to ``unital_tol(n)``; no intertwiner solve needs
+    either, so neither raises."""
+    row_defect = opcore.completeness_defects(am)[1]
+    col_defect = opcore.completeness_defects(bm)[0]
+    if row_defect > unital_tol(am[0].shape[0]):
+        warnings.warn(f"a is not row-complete (defect {row_defect:.3e})", stacklevel=3)
+    if col_defect > unital_tol(bm[0].shape[0]):
+        warnings.warn(f"b is not column-complete (defect {col_defect:.3e})", stacklevel=3)
+
+
 def intertwiner_space(a, b, tol: float | None = None) -> SubspaceBasis:
     """Numerical solution space of a_j x = x b_j* for all j.
 
+    The families need not commute: the kron-stacked Sylvester system is
+    solved by :func:`opcore.sylvester_null_space` with cutoff ``tol``.
     Completeness of the families (``sum a_j a_j* = 1`` row-wise for ``a``,
     ``sum b_j* b_j = 1`` column-wise for ``b``) is checked to ``unital_tol(n)``
     and only warned about, since the solver itself does not need it.
@@ -391,18 +429,60 @@ def intertwiner_space(a, b, tol: float | None = None) -> SubspaceBasis:
     na, nb = am[0].shape[0], bm[0].shape[0]
     if tol is None:
         tol = fix_tol(max(na, nb))
-    row_defect = opcore.completeness_defects(am)[1]
-    col_defect = opcore.completeness_defects(bm)[0]
-    if row_defect > unital_tol(na):
-        warnings.warn(
-            f"a is not row-complete (defect {row_defect:.3e})", stacklevel=2
-        )
-    if col_defect > unital_tol(nb):
-        warnings.warn(
-            f"b is not column-complete (defect {col_defect:.3e})", stacklevel=2
-        )
+    _warn_incomplete(am, bm)
     basis = opcore.sylvester_null_space(am, [bj.conj().T for bj in bm], tol)
     return SubspaceBasis(rows=na, cols=nb, basis=basis)
+
+
+def _first_order(basis: np.ndarray, mats, tuples: np.ndarray, cols: np.ndarray, scale: float) -> np.ndarray:
+    """Columns ``cols`` of the joint eigenbasis ``basis`` of ``mats``, corrected
+    once to first order against the other columns, then orthonormalized by QR.
+    Row i of ``tuples`` holds the generators' eigenvalues at column i.
+
+    The columns are only as accurate as the probe's own eigenvalue gaps,
+    which a random real projection can make far smaller than the gaps
+    between joint eigenvalue tuples.  Column i gains ``sum_m u_m X_mi`` with
+    ``X_mi = -sum_j conj(delta_j) (U* c_j U)_mi / sum_j |delta_j|^2`` and
+    ``delta_j = lambda_j(m) - lambda_j(i)``, the least-squares first-order
+    solution over every generator at once.  Pairs whose tuples lie within
+    the probes' cut gap ``1e-6 * scale`` of each other (a column and its own
+    eigenspace) are left out.  All of it is read on the generators divided
+    by ``scale``, so nothing under- or overflows.
+    """
+    unit = scale if scale > 0.0 else 1.0
+    lam = tuples / unit
+    delta = lam[:, None, :] - lam[None, cols, :]
+    coupling = np.stack([basis.conj().T @ (c @ basis[:, cols]) for c in mats], axis=-1) / unit
+    far = _row_norms(delta) > 1e-6
+    weight = np.where(far, (delta.real**2 + delta.imag**2).sum(axis=-1), 1.0)
+    step = np.where(far, -(delta.conj() * coupling).sum(axis=-1) / weight, 0.0)
+    return np.linalg.qr(basis[:, cols] + basis @ step)[0]
+
+
+def _joint_intertwiners(af: CommutingFamily, bf: CommutingFamily, tol: float) -> SubspaceBasis:
+    """The intertwiners ``{x : a_j x = x b_j*}`` of two accepted families, read
+    from their stored joint eigenbases.
+
+    With ``a_j = U diag(lambda_j) U*`` and ``b_j = V diag(mu_j) V*``,
+    ``x = U y V*`` intertwines iff ``y_ik (lambda_j(i) - conj mu_j(k)) = 0``
+    for every j.  In these coordinates the Sylvester stack of
+    :func:`intertwiner_space` is diagonal with singular values
+    ``||lambda(i) - conj mu(k)||_2``, so the basis is
+    ``{u_i v_k* : ||lambda(i) - conj mu(k)||_2 <= tol}``: that function's cut
+    up to the gated diagonalization residuals.  The columns it uses are
+    corrected by :func:`_first_order`.  No stack is formed or factorized.
+    """
+    (u, lam), (v, mu) = af._diagonalized(), bf._diagonalized()
+    lam, mu = np.stack(lam, axis=1), np.stack(mu, axis=1)
+    i, k = np.nonzero(_row_norms(lam[:, None] - mu.conj()[None]) <= tol)
+    basis = ()
+    if i.size:
+        rows, at_i = np.unique(i, return_inverse=True)
+        cols, at_k = np.unique(k, return_inverse=True)
+        left = _first_order(u, af.mats, lam, rows, af.scale)[:, at_i]
+        right = _first_order(v, bf.mats, mu, cols, bf.scale)[:, at_k].conj()
+        basis = tuple(np.outer(x, y) for x, y in zip(left.T, right.T))
+    return SubspaceBasis(rows=af.dim, cols=bf.dim, basis=basis)
 
 
 @dataclass(frozen=True)
@@ -419,20 +499,14 @@ def _theta_fixed_space(theta: np.ndarray, tol: float) -> tuple:
     """Orthonormal columns spanning Fix(theta) of a normal ``theta``, and
     theta's diagonal in :func:`_eigenbasis` at ``||theta||_F``.
 
-    The eigenvectors W_F with ``|lambda - 1| <= tol`` are kept.  They are only
-    as accurate as the probe's own eigenvalue gaps, which a random real
-    projection of spec(theta) can make far smaller than theta's gap
-    ``|lambda - 1|``; so W_F is corrected once, to first order, against the
-    other columns W_R, ``W_F - W_R ((W_R* theta W_F) / (lambda_R - 1))``, and
-    then orthonormalized by QR.
+    The eigenvectors with ``|lambda - 1| <= tol`` are kept, corrected once
+    by :func:`_first_order` against the columns whose eigenvalue lies more
+    than ``1e-6 * ||theta||_F`` from theirs, and orthonormalized by QR.
     """
-    basis, (eigs,) = _eigenbasis([theta], float(np.linalg.norm(theta)))
-    near = np.abs(eigs - 1.0) <= tol
-    fixed, rest = basis[:, near], basis[:, ~near]
-    # W_R* theta W_F as the adjoint of (theta W_F)* W_R: no copy of W_R* is made
-    coupling = ((theta @ fixed).conj().T @ rest).conj().T
-    kernel, _ = np.linalg.qr(fixed - rest @ (coupling / (eigs[~near] - 1.0)[:, None]))
-    return kernel, eigs
+    scale = float(np.linalg.norm(theta))
+    basis, (eigs,) = _eigenbasis([theta], scale)
+    near = np.flatnonzero(np.abs(eigs - 1.0) <= tol)
+    return _first_order(basis, [theta], eigs[:, None], near, scale), eigs
 
 
 def intertwiner_fixed_point_check(a, b, tol: float = 1e-7) -> IntertwinerFixedReport:
@@ -446,20 +520,28 @@ def intertwiner_fixed_point_check(a, b, tol: float = 1e-7) -> IntertwinerFixedRe
     ``|lambda - 1| <= tol``.  By the Hoffman-Wielandt theorem that diagonal
     is within the gated off-diagonal residual (at most
     ``1e-8 * ||theta||_F``) of spec(theta), so the cut is
-    ``sigma(theta - I) <= tol`` up to that residual.  The intertwiners are a
-    numerical null space with cutoff ``tol``.  The check passes when the
-    dimensions agree and the mutual subspace distance is at most ``tol``.
-    Theta's diagonal is left on ``a`` for :func:`spectrum_product_check`.
+    ``sigma(theta - I) <= tol`` up to that residual.  The intertwiners are
+    read from the two families' stored joint eigenbases
+    (:func:`_joint_intertwiners`): ``u_i v_k*`` wherever the tuples satisfy
+    ``||lambda(i) - conj mu(k)||_2 <= tol``, the same cut as
+    :func:`intertwiner_space`'s Sylvester null space up to the gated
+    diagonalization residuals, with no stack formed.  Neither space is read
+    from the other's basis, so the comparison stays a check.  The check
+    passes when the dimensions agree and the mutual subspace distance is at
+    most ``tol``.  Incomplete families are warned about as in
+    :func:`intertwiner_space`.  Theta's diagonal is left on ``a`` for
+    :func:`spectrum_product_check`.
     """
     af, bf = _gated_family(a), _gated_family(b)
     am, bm = _family_pair(af, bf, "ab")
+    _warn_incomplete(am, bm)
     na, nb = am[0].shape[0], bm[0].shape[0]
     kernel, eigs = _theta_fixed_space(theta_superoperator(am, bm), tol)
     af._theta_spectrum = (bf, eigs)
     fixed = SubspaceBasis(
         rows=na, cols=nb, basis=tuple(opcore.devectorize(k, na, nb) for k in kernel.T)
     )
-    inter = intertwiner_space(am, bm, tol)
+    inter = _joint_intertwiners(af, bf, tol)
     dist = subspace_distance(fixed, inter)
     passed = len(fixed) == len(inter) and dist <= tol
     return IntertwinerFixedReport(

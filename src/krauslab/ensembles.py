@@ -112,8 +112,9 @@ def intertwining_pair(
 ) -> tuple[CommutingFamily, CommutingFamily]:
     """Pair of commuting normal families with a d-dimensional intertwiner space.
 
-    Both families share one eigenbasis; the second takes the conjugated joint
-    tuple b_j = V diag(conj(lambda_j)) V*.  Every x = V y U* with diagonal y
+    The first family is a_j = U diag(lambda_j) U* and the second takes the
+    conjugated joint tuple in another Haar basis, b_j = V diag(conj(lambda_j)) V*.
+    Every x = U y V* with diagonal y
     then satisfies a_j x = x b_j*, so the space {x : a_j x = x b_j* for all j}
     has dimension exactly d.
     """

@@ -71,7 +71,7 @@ def as_matrix(x, name: str = "matrix") -> np.ndarray:
         raise ValueError(f"{name} must be 2-D, got shape {m.shape}")
     if m.shape[0] == 0 or m.shape[1] == 0:
         raise ValueError(f"{name} must have positive dimensions, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ValueError(f"{name} contains non-finite entries")
     return m
 
@@ -145,9 +145,12 @@ def hermitian_witness(m, name: str = "matrix") -> HermitianWitness:
     A matrix passes iff its asymmetry is at most ``1e-10 * (1 + ||m||_2)``.
     """
     a = _square(m, name)
-    asym = float(np.linalg.norm(a - a.conj().T))
-    tol = 1e-10 * (1.0 + float(np.linalg.norm(a)))
-    return HermitianWitness(matrix=(a + a.conj().T) / 2.0, asymmetry=asym, tolerance=tol)
+    adjoint = a.conj().T
+    return HermitianWitness(
+        matrix=(a + adjoint) / 2.0,
+        asymmetry=float(np.linalg.norm(a - adjoint)),
+        tolerance=1e-10 * (1.0 + float(np.linalg.norm(a))),
+    )
 
 
 def symmetrized(m, name: str = "matrix") -> np.ndarray:

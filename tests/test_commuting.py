@@ -351,18 +351,27 @@ def test_theta_of_an_intertwining_pair_takes_at_most_three_eigh(monkeypatch):
     # eigenvalue 1 of multiplicity d is refined, by H and then by K
     a, b = intertwining_pair(trial_rng(65, 0), 12, 3)
     shapes, eigh = [], np.linalg.eigh
+    diagonalized, eigenbasis = [], commuting._eigenbasis
 
     def recording(x, *args, **kwargs):
         shapes.append(np.shape(x))
         return eigh(x, *args, **kwargs)
 
+    def counting(mats, scale):
+        diagonalized.append([np.shape(m) for m in mats])
+        return eigenbasis(mats, scale)
+
     monkeypatch.setattr(np.linalg, "eigh", recording)
+    monkeypatch.setattr(commuting, "_eigenbasis", counting)
     kl.joint_spectrum(a)
     kl.joint_spectrum(b)
-    spectra = len(shapes)
+    spectra, families = len(shapes), len(diagonalized)
     assert kl.spectrum_product_check(a, b).hausdorff <= 1e-12
-    theta = shapes[2 * spectra :]
+    theta = shapes[spectra:]
     assert theta[0] == (144, 144) and len(theta) <= 3
+    # the spectrum check reads both families' stored eigenbases: no
+    # family-sized diagonalization runs, only theta's
+    assert families == 2 and diagonalized[families:] == [[(144, 144)]]
 
 
 def test_normal_eigvals_gate_a_non_normal_input():
@@ -385,7 +394,7 @@ def test_spectrum_product_check_gates_families_before_theta(monkeypatch):
     for c, d in ((good, [sx, sz]), ([sx, sz], good)):
         with pytest.raises(ValueError, match="commuting-normal gates"):
             kl.spectrum_product_check(c, d)
-    assert shapes and all(s == (2, 2) for s in shapes)
+    assert shapes == []
 
 
 def test_hausdorff_oracle():
@@ -517,6 +526,110 @@ def test_intertwiner_fixed_point_check_gates_families_before_theta(monkeypatch):
     for c, d in ((good, [sx, sz]), ([sx, sz], good), (single, [jordan]), ([jordan], single)):
         with pytest.raises(ValueError, match="commuting-normal gates"):
             kl.intertwiner_fixed_point_check(c, d)
+
+
+def _repeated_tuple_pair():
+    """Families at d = 6 whose joint tuples repeat: a's tuples t1, t2 and b's
+    conjugated tuples t1, t2 come with multiplicities (2, 3) and (2, 2), so
+    the intertwiners have dimension 2 * 2 + 3 * 2 = 10."""
+    rng = trial_rng(69, 100)
+    t = ginibre(rng, 4, 2)
+    t /= np.linalg.norm(t, axis=1, keepdims=True)
+    u, v = haar_unitary(rng, 6), haar_unitary(rng, 6)
+    left, right = t[[0, 0, 1, 1, 1, 2]], t[[0, 1, 1, 3, 3, 0]].conj()
+    a = kl.CommutingFamily([u @ np.diag(left[:, j]) @ u.conj().T for j in range(2)])
+    b = kl.CommutingFamily([v @ np.diag(right[:, j]) @ v.conj().T for j in range(2)])
+    return a, b
+
+
+def _gated_pairs():
+    """Seeded intertwining and independent pairs at d = 2, 6, 12 with 1-3
+    generators, a pair with repeated joint tuples, and the real diagonal pair."""
+    for trial, (dim, ops) in enumerate((d, m) for d in (2, 6, 12) for m in (1, 2, 3)):
+        rng = trial_rng(69, trial)
+        yield intertwining_pair(rng, dim, ops)
+        yield commuting_normal_family(rng, dim, ops), commuting_normal_family(rng, dim, ops)
+    yield _repeated_tuple_pair()
+    yield tuple(kl.CommutingFamily(f) for f in _real_diagonal_pair())
+
+
+@pytest.mark.parametrize("tol", [1e-7, 1e-12])
+def test_joint_intertwiners_match_the_sylvester_null_space(tol):
+    # the closest case is the d = 12, m = 1 intertwining pair, whose joint
+    # eigenvalues come within 7e-3 of each other: the two bases lie 8e-14
+    # apart there, and of the two the eigenbasis one is closer to the exact
+    # u_i v_i* of the construction (2.4e-14 against 6.4e-14)
+    dims = []
+    for a, b in _gated_pairs():
+        got = commuting._joint_intertwiners(a, b, tol)
+        want = kl.intertwiner_space(a, b, tol)
+        assert len(got) == len(want)
+        assert kl.subspace_distance(got, want) <= 1e-13
+        dims.append(len(got))
+    assert dims[-2:] == [10, 5] and max(dims[:-2]) == 12
+
+
+def test_intertwiner_fixed_point_check_builds_no_sylvester_stack(monkeypatch):
+    rng = trial_rng(70, 0)
+    pairs = [
+        intertwining_pair(rng, 12, 3),
+        (commuting_normal_family(rng, 12, 3), commuting_normal_family(rng, 12, 3)),
+        _repeated_tuple_pair(),
+    ]
+    qr = np.linalg.qr
+
+    def no_r_factor(x, mode="reduced"):
+        assert mode != "r", "a Sylvester stack was reduced to its R factor"
+        return qr(x, mode)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a Sylvester stack was solved")
+
+    monkeypatch.setattr(opcore, "sylvester_null_space", refused)
+    monkeypatch.setattr(np.linalg, "qr", no_r_factor)
+    monkeypatch.setattr(np.linalg, "svd", refused)
+    for (a, b), dim in zip(pairs, (12, 0, 10)):
+        rep = kl.intertwiner_fixed_point_check(a, b)
+        assert rep.passed and rep.fix_dim == rep.intertwiner_dim == dim
+    # the refusals are live: the general solver runs into them
+    with pytest.raises(AssertionError, match="Sylvester"):
+        kl.intertwiner_space(*pairs[0])
+
+
+def test_each_family_is_diagonalized_once_across_both_checks(monkeypatch):
+    a, b = intertwining_pair(trial_rng(71, 0), 6, 2)
+    fresh = kl.simultaneous_diagonalize(kl.CommutingFamily(a.mats))
+    calls, eigenbasis = [], commuting._eigenbasis
+
+    def recording(mats, scale):
+        calls.append(mats)
+        return eigenbasis(mats, scale)
+
+    monkeypatch.setattr(commuting, "_eigenbasis", recording)
+    assert kl.intertwiner_fixed_point_check(a, b).passed
+    assert kl.spectrum_product_check(a, b).hausdorff <= 1e-12
+    stored = kl.simultaneous_diagonalize(a)
+    kl.joint_spectrum(b)
+    assert [m is a.mats for m in calls].count(True) == 1
+    assert [m is b.mats for m in calls].count(True) == 1
+    assert len(calls) == 3 and [m[0].shape for m in calls].count((36, 36)) == 1
+    # the stored eigenbasis is bitwise a fresh family's, and read-only
+    assert np.array_equal(stored.unitary, fresh.unitary)
+    assert all(np.array_equal(x, y) for x, y in zip(stored.diags, fresh.diags))
+    assert not stored.unitary.flags.writeable
+
+
+def test_a_gated_incomplete_pair_still_warns():
+    a, b = intertwining_pair(trial_rng(72, 0), 4, 2)
+    half = [kl.CommutingFamily([0.5 * m for m in f.mats]) for f in (a, b)]
+    assert all(f.accepted for f in half)
+    with pytest.warns(UserWarning) as caught:
+        kl.intertwiner_fixed_point_check(*half)
+    messages = [str(w.message) for w in caught]
+    assert any("a is not row-complete" in m for m in messages)
+    assert any("b is not column-complete" in m for m in messages)
+    # the warnings point at the caller of the check
+    assert all(w.filename == __file__ for w in caught)
 
 
 @pytest.mark.parametrize("seed", [1, 3])

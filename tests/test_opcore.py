@@ -70,6 +70,24 @@ def test_hermitian_witness_and_symmetrized():
     np.testing.assert_allclose(opcore.symmetrized(h), h)
 
 
+def test_hermitian_witness_is_bitwise_its_formulas():
+    rng = np.random.default_rng(14)
+    for d in (1, 2, 4, 8):
+        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        for m in (g, g + g.conj().T + 1e-11 * g, np.real(g + g.T)):
+            w = opcore.hermitian_witness(m)
+            a = np.asarray(m, dtype=np.complex128)
+            assert np.array_equal(w.matrix, (a + a.conj().T) / 2.0)
+            assert w.asymmetry == float(np.linalg.norm(a - a.conj().T))
+            assert w.tolerance == 1e-10 * (1.0 + float(np.linalg.norm(a)))
+            if w.accepted:
+                assert np.array_equal(opcore.symmetrized(m), w.matrix)
+    # the witness never writes to its input
+    m = g.copy()
+    opcore.hermitian_witness(m)
+    assert np.array_equal(m, g)
+
+
 def test_positive_part_oracle_and_decomposition():
     np.testing.assert_allclose(
         opcore.positive_part(np.diag([3.0, -2.0])), np.diag([3.0, 0.0]), atol=1e-14
