@@ -24,6 +24,12 @@ def show(title, fam):
     print(f"   dim commutant      = {len(com)}")
     sq = kl.fix_closed_under_square(fam)
     print(f"   closed under x^2   = {sq.closed}")
+    if sq.commutant_dim is None:
+        print("   Fix = commutant    : not certified (Fix is not closed under squares)")
+    else:
+        # read off the commutators and the eigenvalues of sum_j ad(a_j)* ad(a_j)
+        print(f"   certified dim A'   = {sq.commutant_dim}")
+        print(f"   dist(Fix, A') <=     {sq.commutant_distance_bound:.3e}")
     return sq
 
 

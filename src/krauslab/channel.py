@@ -17,6 +17,10 @@ matrix of ``psi - 1`` on the Hermitian matrices, which has the same
 singular values.  S is read from its entries; it is formed densely only
 when ``S - I`` is not exactly real symmetric, and then lives only while
 the factorization (or S_h) is built.
+
+:func:`commutant` solves the Sylvester stack of the family; the check that
+Fix is the commutant forms no stack and reads only eigenvalues of its Gram
+operator (see :func:`fix_closed_under_square`).
 """
 
 from __future__ import annotations
@@ -433,16 +437,36 @@ def solve_perturbation(family: KrausFamily, y) -> PerturbationResult:
 
 @dataclass(frozen=True, eq=False)
 class SquareClosureReport:
-    """Outcome of testing whether the fixed space is closed under squares."""
+    """Outcome of testing whether the fixed space is closed under squares.
+
+    ``commutant_distance_bound`` bounds :func:`subspace_distance` of the
+    fixed space and the commutant; it and ``commutant_dim`` are None unless
+    the family is unital and closed.
+    """
 
     closed: bool
     witness: np.ndarray | None
     fix_dim: int
     commutant_dim: int | None
-    subspace_distance: float | None
+    commutant_distance_bound: float | None
 
 
 SQUARE_TOL = 1e-8
+
+
+def _commutator_gram(family: KrausFamily) -> opcore.BlockSplit:
+    """The commutator Gram operator L, cut along its exact pattern.
+
+    L(x) = (sum a_j* a_j) x + x (sum a_j a_j*) - psi(x) - psi_*(x), so
+    ``<x, L x> = sum_j ||a_j x - x a_j||_2^2``: L is the Gram matrix of the
+    commutant's Sylvester stack, and its blocks are complex Hermitian.
+    """
+    a, adj = family.ops, family._adjoints
+    eye = np.eye(family.dim)
+    lefts = [sum(x @ y for x, y in zip(adj, a)), eye, *(-x for x in adj), *(-x for x in a)]
+    rights = [eye, sum(x @ y for x, y in zip(a, adj)), *a, *adj]
+    rows, cols, values = opcore.kron_entries(lefts, rights).nonzero()
+    return opcore.block_split(family.dim**2, rows, cols, values)
 
 
 def fix_closed_under_square(family: KrausFamily) -> SquareClosureReport:
@@ -453,13 +477,25 @@ def fix_closed_under_square(family: KrausFamily) -> SquareClosureReport:
     every such product staying fixed; the first violating product is returned
     as a witness when ``||psi(m) - m||_2 > SQUARE_TOL = 1e-8``.  When no
     violation is found and the family is unital, the fixed space must
-    coincide with the commutant of the family, and that equality is asserted
-    (dimension match plus mutual projection residual <= 1e-8).  That equality
-    needs ``sum_j a_j* a_j = 1``: for Hermitian h with h and h^2 fixed,
+    coincide with the commutant of the family.  That equality needs
+    ``sum_j a_j* a_j = 1``: for Hermitian h with h and h^2 fixed,
     ``sum_j [a_j, h]* [a_j, h] = h (sum_j a_j* a_j) h - h psi(h) - psi(h) h
     + psi(h^2)`` vanishes only then, and the commutant, which holds 1, lies
     in Fix only then.  A non-unital family with no violating square is
-    reported closed, with ``commutant_dim`` and ``subspace_distance`` None.
+    reported closed, with ``commutant_dim`` and ``commutant_distance_bound``
+    None.
+
+    The equality is certified with no Sylvester stack, QR or singular
+    vector.  With tol = ``fix_tol(d)`` and r = dim Fix, the residual
+    ``(sum_i sum_j ||a_j h_i - h_i a_j||_2^2)^(1/2)`` over the Hermitian
+    basis must be at most tol, so the commutant has dimension at least r.
+    The eigenvalues of :func:`_commutator_gram` (values only, per block)
+    are the stack's singular values squared; ``commutant_dim`` adds to r
+    those at most tol^2 past the r least (which are rounding of size
+    eps ||L||, possibly above tol^2), and ``commutant_distance_bound`` =
+    residual / sqrt(lambda_{r+1}) (zero when r = d^2).  A ``ValueError``
+    is raised unless the residual is at most tol, the dimensions agree and
+    the bound is at most ``SQUARE_TOL``.
     """
     fs = fixed_space(family)
     for i, hi in enumerate(fs.basis):
@@ -472,21 +508,32 @@ def fix_closed_under_square(family: KrausFamily) -> SquareClosureReport:
                     witness=m,
                     fix_dim=len(fs),
                     commutant_dim=None,
-                    subspace_distance=None,
+                    commutant_distance_bound=None,
                 )
-    commutant_dim = dist = None
+    commutant_dim = bound = None
     if family.is_unital:
-        com = commutant(list(family.ops))
-        commutant_dim, dist = len(com), subspace_distance(fs, com)
-        if len(fs) != commutant_dim or dist > SQUARE_TOL:
+        d, r, tol = family.dim, len(fs), fix_tol(family.dim)
+        hs = np.reshape(fs.basis, (r, d, d))
+        residual = math.sqrt(sum(np.linalg.norm(a @ hs - hs @ a) ** 2 for a in family.ops))
+        # ascending; the r least are the fixed space's, at rounding level
+        lam = opcore.factorize(_commutator_gram(family), vectors=False).sv[::-1]
+        commutant_dim = r + int(np.count_nonzero(lam[r:] <= tol * tol))
+        if r == lam.size:
+            bound = 0.0
+        elif commutant_dim == r:
+            bound = residual / math.sqrt(lam[r])
+        else:
+            bound = math.inf
+        if residual > tol or commutant_dim != r or bound > SQUARE_TOL:
             raise ValueError(
                 "fixed space is closed under squares yet differs from the commutant "
-                f"(dims {len(fs)} vs {commutant_dim}, distance {dist:.3e})"
+                f"(dims {r} vs {commutant_dim}, commutator residual {residual:.3e}, "
+                f"distance bound {bound:.3e})"
             )
     return SquareClosureReport(
         closed=True,
         witness=None,
         fix_dim=len(fs),
         commutant_dim=commutant_dim,
-        subspace_distance=dist,
+        commutant_distance_bound=bound,
     )

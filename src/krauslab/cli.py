@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -434,7 +435,9 @@ def run(cfg: RunConfig) -> Report:
     )
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argparse front of ``_COMMANDS``, built once per process."""
     parser = argparse.ArgumentParser(
         prog="krauslab",
         description="Fixed-point diagnostics for Kraus-form completely positive maps",

@@ -439,13 +439,15 @@ def minus_identity(m):
 def factorize(m, vectors: bool = True) -> SpectralCore:
     """The :class:`SpectralCore` of a :class:`BlockSplit` or of a 2-D array.
 
-    The blocks of a :class:`BlockSplit` must be exactly real and symmetric;
-    each block size gets one stacked ``eigh``, stored as ``u = q``, signed
-    ``w`` and ``vh`` the transposed view of ``q``.  A 2-D ``m``, whatever
-    its entries, gets one SVD in its own dtype (real or complex), one block
-    covering every row and column, with full V only when ``m`` is wide.
-    With ``vectors=False`` the same blocks get ``eigvalsh`` and an SVD
-    without U and V* instead, and the core holds values only.
+    Each block size of a :class:`BlockSplit` gets one stacked ``eigh``,
+    stored as ``u = q``, signed ``w`` and ``vh`` the transposed view of
+    ``q``, so its blocks must be exactly real and symmetric.  A 2-D ``m``,
+    whatever its entries, gets one SVD in its own dtype (real or complex),
+    one block covering every row and column, with full V only when ``m`` is
+    wide.  With ``vectors=False`` the same blocks get ``eigvalsh`` and an
+    SVD without U and V* instead, and the core holds values only; a
+    :class:`BlockSplit` may then have complex Hermitian blocks, since
+    ``eigvalsh`` reads one triangle of each.
     """
     if not isinstance(m, BlockSplit):
         return _core((_svd_factor(np.arange(max(m.shape))[None], m[None], vectors),))

@@ -16,7 +16,14 @@ import pytest
 import krauslab as kl
 from krauslab import channel, cuntz, opcore, tracelab
 from krauslab.channel import SubspaceBasis
-from krauslab.ensembles import ginibre, haar_unitary, intertwining_pair, mixed_unitary_family, trial_rng
+from krauslab.ensembles import (
+    ginibre,
+    haar_unitary,
+    intertwining_pair,
+    mixed_unitary_family,
+    random_luders_family,
+    trial_rng,
+)
 
 E11 = np.diag([1.0, 0.0]).astype(complex)
 E22 = np.diag([0.0, 1.0]).astype(complex)
@@ -441,7 +448,8 @@ def test_subspace_distance_matches_the_per_element_maximum():
     assert kl.subspace_distance(empty, empty) == 0.0
     rep = kl.fix_closed_under_square(fam)
     assert rep.closed and rep.fix_dim == 16
-    assert abs(rep.subspace_distance - _per_element_distance(*spaces[-1])) <= 1e-15
+    # the closure check reports a certified bound, not the measured distance
+    assert kl.subspace_distance(*spaces[-1]) <= rep.commutant_distance_bound <= channel.SQUARE_TOL
 
 
 def test_gap_report_oracles():
@@ -632,7 +640,7 @@ def test_fix_closed_under_square_pinching():
     rep = kl.fix_closed_under_square(pinching())
     assert rep.closed
     assert rep.fix_dim == 2 and rep.commutant_dim == 2
-    assert rep.subspace_distance <= 1e-10
+    assert rep.commutant_distance_bound <= 1e-10
     assert rep.witness is None
 
 
@@ -645,7 +653,71 @@ def test_fix_closed_under_square_non_unital_trivial_fix(op):
     with pytest.warns(UserWarning, match="non-unital"):
         rep = kl.fix_closed_under_square(fam)
     assert rep.closed and rep.witness is None and rep.fix_dim == 0
-    assert rep.commutant_dim is None and rep.subspace_distance is None
+    assert rep.commutant_dim is None and rep.commutant_distance_bound is None
+
+
+def _closed_unital_families(seed):
+    """Mixed-unitary (m = 1..4), Lüders and u (x) I_k families at d = 2..12."""
+    for d in range(2, 13):
+        for m in range(1, 5):
+            yield mixed_unitary_family(trial_rng(seed, 100 * d + m), d, m)
+        yield random_luders_family(trial_rng(seed, 100 * d + 50), d, 2 + d % 2)
+        for k in (2, 3):
+            if d % k == 0 and d > k:
+                rng = trial_rng(seed, 100 * d + 60 + k)
+                probs = rng.dirichlet(np.ones(3))
+                yield kl.KrausFamily([np.sqrt(p) * np.kron(haar_unitary(rng, d // k), np.eye(k)) for p in probs])
+
+
+def _commutator_certificate(basis, fam):
+    """||ad Q||_F / sqrt(lambda_{r+1}(L)) of an r-element basis: its distance
+    bound to the kernel of the commutator Gram operator L."""
+    hs = np.array(basis.basis)
+    residual = np.sqrt(sum(np.linalg.norm(a @ hs - hs @ a) ** 2 for a in fam.ops))
+    lam = opcore.factorize(channel._commutator_gram(fam), vectors=False).sv[::-1]
+    return residual / np.sqrt(lam[len(basis)])
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_fix_closed_under_square_agrees_with_the_svd_commutant(seed):
+    eps = np.finfo(float).eps
+    for fam in _closed_unital_families(seed):
+        rep = kl.fix_closed_under_square(fam)
+        com = kl.commutant(fam.ops)
+        assert rep.closed and rep.commutant_dim == len(com) == rep.fix_dim
+        # both bases lie within their certificates of ker L, so their distance is
+        # at most the sum (the oracle's share is its own rounding, which alone
+        # can exceed the bound); 8 eps cover the rounding of the distance itself
+        dist = kl.subspace_distance(kl.fixed_space(fam), com)
+        assert dist <= rep.commutant_distance_bound + _commutator_certificate(com, fam) + 8 * eps
+        assert rep.commutant_distance_bound <= channel.SQUARE_TOL
+
+
+def test_fix_closed_under_square_of_the_identity_channel():
+    # Fix is every matrix, r = d^2, and L has no eigenvalue past the r-th
+    rep = kl.fix_closed_under_square(kl.KrausFamily([np.eye(3)]))
+    assert rep.closed and rep.fix_dim == rep.commutant_dim == 9
+    assert rep.commutant_distance_bound == 0.0
+
+
+def test_fix_closed_under_square_takes_no_qr_and_no_svd(monkeypatch):
+    fam = mixed_unitary_family(trial_rng(24, 0), 24, 3)
+    kl.fixed_space(fam)
+    calls = []
+    for name in ("qr", "svd"):
+        fn = getattr(np.linalg, name)
+
+        def counted(a, *args, _fn=fn, _name=name, **kwargs):
+            calls.append((_name, np.shape(a)))
+            return _fn(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    rep = kl.fix_closed_under_square(fam)
+    assert rep.closed and rep.commutant_dim == rep.fix_dim == 1
+    assert calls == []
+    # L is one 576 x 576 block here, and 16 blocks of 36 for the tensor kind
+    assert [s.shape for s in channel._commutator_gram(fam).stacks] == [(1, 576, 576)]
+    assert [s.shape for s in channel._commutator_gram(tensor_family(24)).stacks] == [(16, 36, 36)]
 
 
 def test_fix_closed_under_square_witness():

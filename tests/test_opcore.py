@@ -598,6 +598,15 @@ def _block_diagonal_hermitian(rng):
     return h, [[0, 3, 5], [1, 6], [2], [4]]
 
 
+def test_values_only_core_of_a_complex_hermitian_split_is_its_eigvalsh():
+    h, _ = _block_diagonal_hermitian(np.random.default_rng(6))
+    rows, cols = np.nonzero(h)
+    core = opcore.factorize(opcore.block_split(7, rows, cols, h[rows, cols]), vectors=False)
+    assert core.blocks == 4 and core.largest_block == 3
+    want = np.sort(np.abs(np.linalg.eigvalsh(h)))[::-1]
+    np.testing.assert_allclose(core.sv, want, rtol=0, atol=1e-13 * opcore.op_norm(h))
+
+
 def test_positive_part_and_psd_sqrt_vanish_off_the_blocks():
     h, comps = _block_diagonal_hermitian(np.random.default_rng(3))
     on = np.zeros(h.shape, dtype=bool)
