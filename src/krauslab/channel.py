@@ -160,10 +160,10 @@ def spectral_core(family: KrausFamily) -> SpectralCore:
     S is read from :func:`opcore.kron_entries` and never formed densely
     when ``S - I`` is exactly real symmetric: it is then an
     :class:`opcore.BlockSplit` (one block when its exact nonzero pattern is
-    connected), factored one stacked ``eigh`` per block size, and no complex
-    S is live during it.  Any other ``S - I`` is assembled dense, formed in
-    place and passed straight on to one complex SVD, so no copy of S
-    outlives the factorization.
+    connected) with each swap pair on one stack, read by one stacked
+    ``eigvalsh`` per stack, and no complex S is live during it.  Any other
+    ``S - I`` is assembled dense, formed in place and passed straight on to
+    one complex SVD, so no copy of S outlives the factorization.
     """
     if family._spectral_core is None:
         family._spectral_core = opcore.factorize(_s_minus_identity(family))
@@ -171,8 +171,9 @@ def spectral_core(family: KrausFamily) -> SpectralCore:
 
 
 def _s_minus_identity(family: KrausFamily, values_only: bool = False):
-    """``S - I`` as an :class:`opcore.BlockSplit` when it is exactly real and
-    every block is symmetric.  Otherwise it is the complex dense ``S - I``,
+    """``S - I`` as an :class:`opcore.BlockSplit` of :func:`_swap_pairs` when
+    it is exactly real and every block is symmetric.  Otherwise it is the
+    complex dense ``S - I``,
     or with ``values_only`` the real ``S_h - I`` of :func:`_hermitian_form`,
     which has the singular values of ``S - I`` but not its vectors.
     """
@@ -181,7 +182,7 @@ def _s_minus_identity(family: KrausFamily, values_only: bool = False):
         rows, cols, values = entries.nonzero()
         split = opcore.block_split(family.dim**2, rows, cols, values.real)
         if all(np.array_equal(b, b.swapaxes(1, 2)) for b in split.stacks):
-            return opcore.minus_identity(split)
+            return _swap_pairs(opcore.minus_identity(split), family.dim)
         # only the entry values may stay live next to the dense S
         del rows, cols, values, split
     t = entries.tensor()
@@ -190,6 +191,31 @@ def _s_minus_identity(family: KrausFamily, values_only: bool = False):
         return opcore.minus_identity(_hermitian_form(t))
     # t is fresh or a view of the dropped entries' values: it may be overwritten
     return opcore.minus_identity(t.reshape(family.dim**2, family.dim**2))
+
+
+def _swap_pairs(split: opcore.BlockSplit, d: int) -> opcore.BlockSplit:
+    """``split`` with each swap pair of blocks listed as one stack twice.
+
+    The swap P takes ``vec`` index ``c * d + r`` to ``r * d + c``.  As
+    psi(x*) = psi(x)*, P S P = conj(S) entry for entry, so an exactly real S
+    commutes with P bitwise and P maps blocks onto blocks.  Of a pair, the
+    block with the smaller index is kept, and the other is listed as its
+    swapped indices over the same stack.
+    """
+    block = np.empty(d * d, dtype=np.intp)
+    index, stacks = [], []
+    for ix, stack in zip(split.index, split.stacks):
+        b = np.arange(ix.shape[0])
+        block[ix] = b[:, None]
+        image = ix % d * d + ix // d
+        partner = block[image[:, 0]]
+        first, alone = partner > b, partner == b
+        kept = stack[first]
+        for i, s in ((ix[alone], stack[alone]), (ix[first], kept), (image[first], kept)):
+            if i.size:
+                index.append(i)
+                stacks.append(s)
+    return opcore.BlockSplit(index=tuple(index), stacks=tuple(stacks))
 
 
 def _hermitian_form(t: np.ndarray) -> np.ndarray:
@@ -384,12 +410,11 @@ def gap_report(family: KrausFamily, tol: float | None = None) -> GapReport:
     Only singular values are read.  A family that holds its spectral core
     answers from it; any other family factors for values only
     (``opcore.factorize(..., vectors=False)``) and caches nothing: an exactly
-    real symmetric ``S - I`` on the blocks :func:`spectral_core` uses (one
-    block when its pattern is connected), through ``eigvalsh``, and any
-    other as the real ``S_h - I`` of
-    :func:`_hermitian_form`, through one real SVD without vectors (one
-    block, as in the full core).  The two ``sv`` agree to rounding, not
-    bitwise, so a caller that also needs the core should take it first.
+    real symmetric ``S - I`` through the ``eigvalsh`` of the stacks
+    :func:`spectral_core` reads, so both ways give the same report bitwise,
+    and any other as the real ``S_h - I`` of :func:`_hermitian_form`,
+    through one real SVD without vectors (one block, as in the full core),
+    whose ``sv`` agree with the full core's to rounding, not bitwise.
     """
     if tol is None:
         tol = fix_tol(family.dim)

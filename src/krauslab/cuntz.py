@@ -175,7 +175,10 @@ class LudersFamily(KrausFamily):
     and ``V1 = sqrt(8) (a_1 - a_2 + i a_3 - i a_4)`` holds exactly up to the
     spectral splitting error.  The parts are factored per connected
     component of the real and imaginary parts' patterns, so they are exactly
-    zero off those components and S splits into many blocks.
+    zero off those components and S splits into many blocks.  Each
+    imaginary part h is purely imaginary, so ``-h = conj(h)`` and its
+    negative part is taken as the conjugate of its positive part: six
+    spectral maps per family, and S is exactly real by construction.
     """
 
     def __init__(self, n: int):
@@ -185,9 +188,9 @@ class LudersFamily(KrausFamily):
         for v in (trunc.v1, trunc.v2):
             re = (v + v.conj().T) / 2.0
             im = (v - v.conj().T) / 2.0j
-            for h in (re, im):
-                parts.append(scale * opcore.positive_part(h))
-                parts.append(scale * opcore.positive_part(-h))
+            parts += [scale * opcore.positive_part(re), scale * opcore.positive_part(-re)]
+            im_plus = scale * opcore.positive_part(im)
+            parts += [im_plus, im_plus.conj()]
         # summing the squared parts instead would leave rounding noise off
         # the diagonal of a_0 and join every block of S into one
         total = sum(v.conj().T @ v + v @ v.conj().T for v in (trunc.v1, trunc.v2)) / 16.0

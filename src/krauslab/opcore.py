@@ -12,13 +12,13 @@ by one stacked QR), PSD inputs pass :func:`require_psd` and families pass
 :func:`square_family` (their defects from :func:`completeness_defects`).
 Every kernel and solve is cut from a :class:`SpectralCore`, which holds the
 blocks in one form: :func:`factorize` reads the choice off the input's type,
-stacked per-block ``eigh`` for a :class:`BlockSplit` (the connected
+a stacked ``eigvalsh`` per stack of a :class:`BlockSplit` (the connected
 components of an exact nonzero pattern, from :func:`block_split`; a
-connected pattern is one block) and one SVD in its own dtype for any 2-D
-array, and a Sylvester stack gets the same stacked SVD factor per component
-shape.  A query that reads only singular values asks :func:`factorize` for
-values only (``eigvalsh``, or an SVD without vectors) and gets the same
-blocks without ``u`` and ``vh``.
+connected pattern is one block), with ``eigh`` left to the blocks a kernel
+or solve needs, and one SVD in its own dtype for any 2-D array; a Sylvester
+stack gets the same stacked SVD factor per component shape.  A query that
+reads only singular values asks :func:`factorize` for values only and gets
+the same blocks and values, and no vectors.
 """
 
 from __future__ import annotations
@@ -315,9 +315,11 @@ class BlockSplit(NamedTuple):
     """A square matrix cut along the connected components of its nonzero pattern.
 
     ``stacks[g][b]`` is the principal submatrix on rows and columns
-    ``index[g][b]``.  Stack g holds every component of one size, in the
-    order of their smallest indices, each listing its indices ascending.
-    Every entry off these blocks is zero.
+    ``index[g][b]``.  From :func:`block_split`, stack g holds every
+    component of one size, in the order of their smallest indices, each
+    listing its indices ascending.  A stack object listed twice holds the
+    blocks of both indices (``channel``'s swap pairs).  Every entry off
+    these blocks is zero.
     """
 
     index: tuple
@@ -358,19 +360,23 @@ def block_split(n: int, rows: np.ndarray, cols: np.ndarray, values: np.ndarray) 
 class SpectralCore:
     """Factors of a matrix ``m``, from :func:`factorize`; ``m`` is not kept.
 
-    ``factors`` holds one ``(index, u, w, vh)`` per block size, with real
-    ``w``: block b of the stack sits on rows ``index[b, :u.shape[1]]`` and
-    columns ``index[b, :vh.shape[2]]`` of ``m`` and is
-    ``u[b] diag(w[b]) vh[b]``, and ``m`` is zero off its blocks.  ``sv``
-    holds every ``|w|``, descending (ties in factor order): the singular
-    values of ``m``, padded with zeros when ``m`` is wide.  A values-only
-    core (``factorize(m, vectors=False)``) has the same blocks with ``u``
-    and ``vh`` None: it answers ``sv``, ``blocks`` and ``largest_block``,
-    and its ``kernel`` and ``solve`` raise.
+    ``factors`` holds one ``(index, u, w, vh)`` per stack of blocks, with
+    real ``w`` for every block: block b of the stack sits on rows
+    ``index[b, :u.shape[1]]`` and columns ``index[b, :vh.shape[2]]`` of
+    ``m`` and is ``u[b] diag(w[b]) vh[b]``, and ``m`` is zero off its
+    blocks.  Where ``u`` and ``vh`` are None the blocks are square, and a
+    core with vectors holds factor f's real symmetric blocks as
+    ``stacks[f]`` (one array for a swap pair) and takes their ``eigh`` only
+    where a query needs it.  ``sv`` holds every ``|w|``, descending (ties in factor
+    order): the singular values of ``m``, padded with zeros when ``m`` is
+    wide.  A values-only core (``factorize(m, vectors=False)``) answers
+    ``sv``, ``blocks`` and ``largest_block``, and its ``kernel`` and
+    ``solve`` raise.
     """
 
     sv: np.ndarray
     factors: tuple
+    stacks: tuple | None = None
 
     @property
     def blocks(self) -> int:
@@ -383,11 +389,31 @@ class SpectralCore:
         return max(w.shape[1] for _, _, w, _ in self.factors)
 
     def _require_vectors(self) -> None:
-        if self.factors[0][3] is None:
+        if self.stacks is None and self.factors[0][3] is None:
             raise ValueError(
                 "this spectral core holds singular values only; "
                 "factorize with vectors=True for kernels and solves"
             )
+
+    def _cut(self, tol: float) -> tuple:
+        """Factors with vectors on the blocks holding some ``|w| <= tol`` (one
+        ``eigh`` per held stack, ``u = q`` and ``vh`` its transposed view),
+        and ``(stack, mask, indices)`` of each held stack's other blocks."""
+        whole, rest, eigen = [], {}, {}
+        for f, (index, u, w, vh) in enumerate(self.factors):
+            if vh is not None:
+                whole.append((index, u, w, vh))
+                continue
+            stack = self.stacks[f]
+            if id(stack) not in eigen:
+                near = (np.abs(w) <= tol).any(axis=1)
+                eigen[id(stack)] = near, np.linalg.eigh(stack[near])[1] if near.any() else None
+            near, q = eigen[id(stack)]
+            if q is not None:
+                whole.append((index[near], q, w[near], q.swapaxes(1, 2)))
+            if not near.all():
+                rest.setdefault(id(stack), (stack, ~near, []))[2].append(index[~near])
+        return whole, list(rest.values())
 
     def kernel(self, tol: float) -> np.ndarray:
         """Orthonormal columns of V whose singular value is at most ``tol``
@@ -396,8 +422,8 @@ class SpectralCore:
         ``kernel(sv[-1])[:, -1]`` is the right singular vector of the least
         singular value (of the last of several equal ones)."""
         self._require_vectors()
-        values, columns = [], []
-        for index, _, w, vh in self.factors:
+        values, columns = [np.zeros(0)], [np.zeros((self.sv.size, 0))]
+        for index, _, w, vh in self._cut(tol)[0]:
             b, t = np.nonzero(np.abs(w) <= tol)
             col = np.zeros((self.sv.size, b.size), dtype=vh.dtype)
             col[index[b, : vh.shape[2]].T, np.arange(b.size)] = vh[b, t].conj().T
@@ -409,11 +435,12 @@ class SpectralCore:
     def solve(self, b: np.ndarray, tol: float) -> np.ndarray:
         """Least-squares ``m z = b``, dropping (not amplifying) singular values <= ``tol``."""
         self._require_vectors()
-        rows = sum(u.shape[0] * u.shape[1] for _, u, _, _ in self.factors)
+        rows = sum(index.shape[0] * (w if u is None else u).shape[1] for index, u, w, _ in self.factors)
         if np.shape(b) != (rows,):
             raise ValueError(f"b has shape {np.shape(b)}, expected ({rows},)")
+        whole, rest = self._cut(tol)
         z = np.zeros(self.sv.size, dtype=np.complex128)
-        for index, u, w, vh in self.factors:
+        for index, u, w, vh in whole:
             inv = np.zeros_like(w)
             np.divide(1.0, w, out=inv, where=np.abs(w) > tol)
             # per block vh* diag(inv) u* b, as row vectors: u* b = conj(conj(b) u)
@@ -421,6 +448,15 @@ class SpectralCore:
             rhs = b[index[:, : u.shape[1]]].conj()[:, None, :]
             coef = inv[:, None, :] * _vec_times(rhs, u).conj()
             z[index[:, : vh.shape[2]]] = _vec_times(coef.conj(), vh)[:, 0].conj()
+        for stack, mask, indices in rest:
+            # nonsingular blocks: each factor's real and imaginary parts of b
+            # are columns of one solve, and a block whose b is zero keeps z = 0
+            rhs = np.stack([part for index in indices for part in (b[index].real, b[index].imag)], axis=-1)
+            live = np.flatnonzero(rhs.any(axis=(1, 2)))
+            if live.size:
+                x = np.linalg.solve(stack[np.flatnonzero(mask)[live]], rhs[live])
+                for k, index in enumerate(indices):
+                    z[index[live]] = x[..., 2 * k] + 1j * x[..., 2 * k + 1]
         return z
 
 
@@ -439,24 +475,22 @@ def minus_identity(m):
 def factorize(m, vectors: bool = True) -> SpectralCore:
     """The :class:`SpectralCore` of a :class:`BlockSplit` or of a 2-D array.
 
-    Each block size of a :class:`BlockSplit` gets one stacked ``eigh``,
-    stored as ``u = q``, signed ``w`` and ``vh`` the transposed view of
-    ``q``, so its blocks must be exactly real and symmetric.  A 2-D ``m``,
-    whatever its entries, gets one SVD in its own dtype (real or complex),
-    one block covering every row and column, with full V only when ``m`` is
-    wide.  With ``vectors=False`` the same blocks get ``eigvalsh`` and an
-    SVD without U and V* instead, and the core holds values only; a
-    :class:`BlockSplit` may then have complex Hermitian blocks, since
-    ``eigvalsh`` reads one triangle of each.
+    Each stack object of a :class:`BlockSplit` gets one stacked
+    ``eigvalsh``, shared by every factor listing it; with ``vectors`` the
+    core also keeps the stacks, which must be exactly real symmetric, and
+    without them they may be complex Hermitian.  A 2-D ``m``, whatever its entries, gets one SVD
+    in its own dtype (real or complex), one block covering every row and
+    column, with full V only when ``m`` is wide; with ``vectors=False`` it
+    gets an SVD without U and V*.
     """
     if not isinstance(m, BlockSplit):
         return _core((_svd_factor(np.arange(max(m.shape))[None], m[None], vectors),))
-    if not vectors:
-        return _core(
-            tuple((index, None, np.linalg.eigvalsh(stack), None) for index, stack in zip(m.index, m.stacks))
-        )
-    eigen = [(index, np.linalg.eigh(stack)) for index, stack in zip(m.index, m.stacks)]
-    return _core(tuple((index, q, w, q.swapaxes(1, 2)) for index, (w, q) in eigen))
+    values = {}
+    for stack in m.stacks:
+        if id(stack) not in values:
+            values[id(stack)] = np.linalg.eigvalsh(stack)
+    factors = tuple((index, None, values[id(stack)], None) for index, stack in zip(m.index, m.stacks))
+    return _core(factors, m.stacks if vectors else None)
 
 
 def _svd_factor(index: np.ndarray, stack: np.ndarray, vectors: bool = True) -> tuple:
@@ -473,10 +507,10 @@ def _svd_factor(index: np.ndarray, stack: np.ndarray, vectors: bool = True) -> t
     return index, u, s, vh
 
 
-def _core(factors: tuple) -> SpectralCore:
+def _core(factors: tuple, stacks: tuple | None = None) -> SpectralCore:
     """The :class:`SpectralCore` of ``factors``, with ``sv`` gathered from them."""
     sv = np.concatenate([np.abs(w).ravel() for _, _, w, _ in factors])
-    return SpectralCore(sv=sv[np.argsort(-sv, kind="stable")], factors=factors)
+    return SpectralCore(sv=sv[np.argsort(-sv, kind="stable")], factors=factors, stacks=stacks)
 
 
 def _paired(lefts, rights) -> tuple:

@@ -25,6 +25,7 @@ from krauslab.ensembles import (
     trial_rng,
 )
 
+DEMO_DATA = pathlib.Path(__file__).resolve().parent.parent / "demos" / "data"
 E11 = np.diag([1.0, 0.0]).astype(complex)
 E22 = np.diag([0.0, 1.0]).astype(complex)
 
@@ -49,15 +50,18 @@ def tensor_family(d=8, m=3, seed=5):
 
 
 def core_matrix(core, n):
-    """The square matrix a core factors, assembled densely from its blocks."""
+    """The square matrix a core factors, assembled densely from its blocks:
+    ``u diag(w) vh`` where it holds vectors, else the held block."""
     m = np.zeros((n, n), dtype=complex)
-    for index, u, w, vh in core.factors:
-        m[index[:, :, None], index[:, None, :]] = (u * w[:, None, :]) @ vh
+    for f, (index, u, w, vh) in enumerate(core.factors):
+        block = core.stacks[f] if u is None else (u * w[:, None, :]) @ vh
+        m[index[:, :, None], index[:, None, :]] = block
     return m
 
 
 def core_factors(core):
-    return [f for _, u, _, vh in core.factors for f in (u, vh)]
+    """The arrays a core keeps beside ``w``: its vectors or its held blocks."""
+    return [f for _, u, _, vh in core.factors for f in (u, vh) if f is not None] + list(core.stacks or ())
 
 
 def test_family_validation():
@@ -234,6 +238,68 @@ def test_complex_core_is_bitwise_the_svd(make):
     assert np.array_equal(core_vh, vh[None])
 
 
+def demo_family(name):
+    return kl.KrausFamily.from_json(json.loads((DEMO_DATA / f"{name}.json").read_text()))
+
+
+def real_symmetric_generators(seed, d=5, m=3):
+    g = np.random.default_rng(seed).standard_normal((m, d, d))
+    return kl.KrausFamily([(x + x.T) / (2 * d) for x in g])
+
+
+BLOCK_PATH = {
+    "luders8": lambda: cuntz.luders_family(8),
+    "luders16": lambda: cuntz.luders_family(16),
+    "luders48": lambda: cuntz.luders_family(48),
+    "pinching.json": lambda: demo_family("pinching"),
+    "reflection_mix.json": lambda: demo_family("reflection_mix"),
+    "real-symmetric": lambda: real_symmetric_generators(18),
+    "real-diagonal": lambda: kl.KrausFamily([np.diag([1.2, 0.5, 0.9])]),
+}
+
+
+@pytest.mark.parametrize("make", BLOCK_PATH.values(), ids=BLOCK_PATH.keys())
+def test_s_commutes_with_the_transpose_swap_bitwise_on_the_block_path(make):
+    # P S P = conj(S) for every Kraus map, and S is exactly real here, so the
+    # swap pairs of channel._swap_pairs may share one stack
+    fam = make()
+    assert isinstance(channel._s_minus_identity(fam), opcore.BlockSplit)
+    d = fam.dim
+    s = kl.superoperator(fam)
+    swap = (np.arange(d * d) % d) * d + np.arange(d * d) // d
+    assert np.array_equal(s[swap][:, swap], s)
+
+
+@pytest.mark.parametrize("n", [16, 32])
+def test_paired_lazy_core_answers_like_a_dense_eigh(n):
+    fam = cuntz.luders_family(n)
+    core = kl.spectral_core(fam)
+    assert len({id(s) for s in core.stacks}) < len(core.factors)
+    a = (kl.superoperator(fam) - np.eye(n * n)).real
+    w, q = np.linalg.eigh(a)
+    tol = kl.fix_tol(n)
+    np.testing.assert_allclose(core.sv, np.sort(np.abs(w))[::-1], rtol=0.0, atol=1e-12)
+    k, ref = core.kernel(tol), q[:, np.abs(w) <= tol]
+    assert k.shape == ref.shape
+    assert np.linalg.norm(k @ k.conj().T - ref @ ref.T, 2) <= 1e-12
+    y = np.diag(cuntz.t_sequence(n).values).astype(complex)
+    b = opcore.vectorize(y - kl.apply(fam, y))
+    inv = np.zeros_like(w)
+    np.divide(1.0, w, out=inv, where=np.abs(w) > tol)
+    np.testing.assert_allclose(core.solve(b, tol), q @ (inv * (q.T @ b)), rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.filterwarnings("ignore:fixed_space of a non-unital family")
+@pytest.mark.parametrize("make", BLOCK_PATH.values(), ids=BLOCK_PATH.keys())
+def test_block_gap_report_reads_the_same_values_with_or_without_the_core(make):
+    fam = make()
+    values_only = kl.gap_report(fam)
+    assert fam._spectral_core is None
+    kl.spectral_core(fam)
+    assert kl.gap_report(fam) == values_only
+    assert len(kl.fixed_space(fam)) == values_only.fix_dim
+
+
 def test_tensor_family_splits_but_keeps_one_svd():
     # its exact pattern has many components, yet S - I is complex: one SVD
     fam = tensor_family()
@@ -245,7 +311,7 @@ def test_tensor_family_splits_but_keeps_one_svd():
     assert kl.spectral_core(fam).blocks == 1
 
 
-def test_real_core_is_bitwise_the_stable_sorted_eigh():
+def test_real_core_is_bitwise_the_stable_sorted_eigvalsh():
     fam = cuntz.luders_family(8)
     core = kl.spectral_core(fam)
     n = fam.dim**2
@@ -255,45 +321,65 @@ def test_real_core_is_bitwise_the_stable_sorted_eigh():
     seen = np.concatenate([index.ravel() for index, _, _, _ in core.factors])
     assert np.array_equal(np.sort(seen), np.arange(n))
     on_blocks = np.zeros((n, n), dtype=bool)
-    for index, u, w, vh in core.factors:
+    for (index, u, w, vh), stack in zip(core.factors, core.stacks):
         on_blocks[index[:, :, None], index[:, None, :]] = True
-        ref_w, ref_q = np.linalg.eigh(a[index[:, :, None], index[:, None, :]])
-        assert np.array_equal(w, ref_w) and np.array_equal(u, ref_q)
-        # vh is the transposed view of q, not a copy
-        assert np.array_equal(vh, ref_q.swapaxes(1, 2)) and np.shares_memory(u, vh)
+        # each held block is S - I's on its index, an image block's too
+        assert np.array_equal(stack, a[index[:, :, None], index[:, None, :]])
+        assert np.array_equal(w, np.linalg.eigvalsh(stack)) and u is None and vh is None
     assert not a[~on_blocks].any()
     absw = np.concatenate([np.abs(w).ravel() for _, _, w, _ in core.factors])
     assert np.array_equal(core.sv, absw[np.argsort(-absw, kind="stable")])
 
 
-def test_connected_real_core_is_bitwise_the_stable_sorted_eigh():
+def test_swap_pairs_share_one_stack_and_its_values():
+    # n = 48: 819 blocks, 403 swap pairs and 13 blocks the swap maps to themselves
+    fam = cuntz.luders_family(48)
+    d, core = fam.dim, kl.spectral_core(fam)
+    assert core.blocks == 819
+    held = {id(stack): stack for stack in core.stacks}
+    first = {}
+    for (index, _, w, _), stack in zip(core.factors, core.stacks):
+        if id(stack) in first:
+            # the image lists the swapped indices of its partner, over its arrays
+            partner, partner_w = first[id(stack)]
+            assert np.array_equal(index, partner % d * d + partner // d) and w is partner_w
+        else:
+            first[id(stack)] = index, w
+    paired = sum(index.shape[0] for index, _, _, _ in core.factors) - sum(s.shape[0] for s in held.values())
+    assert paired == 403 and sum(s.shape[0] for s in held.values()) == 403 + 13
+    # the held blocks take fewer bytes than one eigenvector stack per factor did
+    assert sum(s.nbytes for s in held.values()) < sum(8 * w.size * w.shape[1] for _, _, w, _ in core.factors)
+
+
+def test_connected_real_core_is_bitwise_the_stable_sorted_eigvalsh():
     # real symmetric generators with full patterns: S - I is one component
     g = np.random.default_rng(12).standard_normal((2, 3, 3))
     fam = kl.KrausFamily([(x + x.T) / 4.0 for x in g])
     core = kl.spectral_core(fam)
     n = fam.dim**2
-    w, q = np.linalg.eigh((kl.superoperator(fam) - np.eye(n)).real.copy())
-    # one block covering every row and column
+    a = (kl.superoperator(fam) - np.eye(n)).real.copy()
+    w = np.linalg.eigvalsh(a)
+    # one block covering every row and column, held as it is
     ((index, u, core_w, vh),) = core.factors
     assert np.array_equal(index, np.arange(n)[None])
-    assert np.array_equal(core_w, w[None]) and np.array_equal(u, q[None])
-    assert np.array_equal(vh, q.T[None]) and np.shares_memory(u, vh)
+    assert np.array_equal(core_w, w[None]) and u is None and vh is None
+    assert np.array_equal(core.stacks[0], a[None])
     assert np.array_equal(core.sv, np.abs(w)[np.argsort(-np.abs(w), kind="stable")])
 
 
-def test_no_complex_superoperator_is_live_during_the_real_eigh(monkeypatch):
+def test_no_complex_superoperator_is_live_during_the_real_eigvalsh(monkeypatch):
     # real symmetric generators with full patterns: S - I is exactly real
     # symmetric and connected, one block of n = 144
     g = np.random.default_rng(16).standard_normal((2, 12, 12))
     connected = kl.KrausFamily([(x + x.T) / 8.0 for x in g])
-    eigh = np.linalg.eigh
+    eigvalsh = np.linalg.eigvalsh
     traced = []
 
     def watching(a, *args, **kwargs):
         traced.append((np.shape(a), np.asarray(a).dtype, tracemalloc.get_traced_memory()[0]))
-        return eigh(a, *args, **kwargs)
+        return eigvalsh(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigh", watching)
+    monkeypatch.setattr(np.linalg, "eigvalsh", watching)
     for fam, split in ((cuntz.luders_family(16), True), (connected, False)):
         n = fam.dim**2
         traced.clear()
@@ -302,12 +388,15 @@ def test_no_complex_superoperator_is_live_during_the_real_eigh(monkeypatch):
             core = kl.spectral_core(fam)
         finally:
             tracemalloc.stop()
-        # one stacked real eigh per block size, and never a complex S (16 n^2
-        # bytes) live while they run: split blocks hold less than a real
-        # S - I, and one block little more than the real S - I it is
-        assert len(traced) == len(core.factors)
+        # one stacked real eigvalsh per held stack, a swap pair's image
+        # taking none, and never a complex S (16 n^2 bytes) live while they
+        # run: split blocks hold less than a real S - I, and one block little
+        # more than the real S - I it is
+        held = {id(s): s for s in core.stacks}.values()
+        assert len(traced) == len(held)
         assert (len(traced) > 1) == split
-        assert sum(np.prod(shape[:-1]) for shape, _, _ in traced) == n
+        assert sum(np.prod(shape[:-1]) for shape, _, _ in traced) == sum(s.shape[0] * s.shape[1] for s in held)
+        assert (sum(s.shape[0] * s.shape[1] for s in held) < n) == split
         assert all(dtype == np.float64 for _, dtype, _ in traced)
         assert max(mem for _, _, mem in traced) < 8 * n * n * (1.0 if split else 1.25)
 
@@ -325,20 +414,29 @@ def test_no_complex_superoperator_is_live_during_the_real_eigh(monkeypatch):
 def test_family_queries_build_and_factorize_once(make, path, monkeypatch):
     fam = make()
     n = fam.dim * fam.dim
-    calls = {"kron_entries": 0, "svd": 0, "eigh": 0}
+    calls = {"kron_entries": 0, "factorize": 0, "svd": 0}
+    held = []
 
     def counting(name, fn):
-        # a factorization of S - I covers its n rows, dense or in stacked blocks
+        # a dense factorization of S - I covers its n rows
         def wrapper(*args, **kwargs):
-            if name == "kron_entries" or np.prod(np.shape(args[0])[:-1]) == n:
+            if name != "svd" or np.prod(np.shape(args[0])[:-1]) == n:
                 calls[name] += 1
             return fn(*args, **kwargs)
 
         return wrapper
 
+    def recording(fn):
+        def wrapper(a, *args, **kwargs):
+            held.append(a)
+            return fn(a, *args, **kwargs)
+
+        return wrapper
+
     monkeypatch.setattr(opcore, "kron_entries", counting("kron_entries", opcore.kron_entries))
+    monkeypatch.setattr(opcore, "factorize", counting("factorize", opcore.factorize))
     monkeypatch.setattr(np.linalg, "svd", counting("svd", np.linalg.svd))
-    monkeypatch.setattr(np.linalg, "eigh", counting("eigh", np.linalg.eigh))
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording(np.linalg.eigvalsh))
     y = ginibre(trial_rng(21, 8), fam.dim)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -346,8 +444,14 @@ def test_family_queries_build_and_factorize_once(make, path, monkeypatch):
         kl.gap_report(fam)
         kl.solve_perturbation(fam, y)
         trace = tracelab.extract_trace(fam)
-    assert calls == {"kron_entries": 1, "svd": int(path == "svd"), "eigh": int(path == "eigh")}
-    if path == "eigh":
+    assert calls == {"kron_entries": 1, "factorize": 1, "svd": int(path == "svd")}
+    stacks = fam._spectral_core.stacks
+    if path == "svd":
+        assert stacks is None
+    else:
+        # every held stack's values are read once, and nothing else of S - I
+        distinct = {id(s) for s in stacks}
+        assert sorted(id(a) for a in held if id(a) in distinct) == sorted(distinct)
         np.testing.assert_allclose(trace.density, np.diag([0.0, 0.0, 1.0]), atol=1e-12)
 
 
@@ -477,9 +581,6 @@ def test_gap_report_json_maps_infinite_gap_to_null():
     finite = kl.gap_report(pinching()).to_json()
     assert finite["restricted_gap"] == pytest.approx(1.0, abs=1e-12)
     assert finite["diagnostics"] == {"blocks": 4, "largest_block": 1}
-
-
-DEMO_DATA = pathlib.Path(__file__).resolve().parent.parent / "demos" / "data"
 
 
 @pytest.mark.parametrize(

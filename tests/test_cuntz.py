@@ -237,42 +237,50 @@ def test_experiment_allocates_no_dense_superoperator():
 
 
 def test_experiment_factors_each_block_once(monkeypatch):
-    # the gap report reads the full core, so S - I gets one eigh per block size and no eigvalsh
+    # the gap report reads the full core, so each swap pair of blocks gets its
+    # values once, and only the solve takes eigenvectors, of the kernel's block
     calls = []
     inside = []
-    factorize = opcore.factorize
+    factorize, solve = opcore.factorize, opcore.SpectralCore.solve
 
-    def tracking(*args, **kwargs):
-        inside.append(True)
-        try:
-            core = factorize(*args, **kwargs)
-        finally:
-            inside.pop()
-        calls.append(("core", len(core.factors)))
-        return core
+    def tracking(fn, tag):
+        def wrapper(*args, **kwargs):
+            inside.append(tag)
+            try:
+                out = fn(*args, **kwargs)
+            finally:
+                inside.pop()
+            if tag == "core":
+                calls.append(("core", len(out.factors), len({id(s) for s in out.stacks})))
+            return out
+
+        return wrapper
 
     def watching(name):
         fn = getattr(np.linalg, name)
 
         def wrapper(a, *args, **kwargs):
             if inside:
-                calls.append((name, np.shape(a)))
+                calls.append((name, inside[-1], np.shape(a)))
             return fn(a, *args, **kwargs)
 
         return wrapper
 
-    monkeypatch.setattr(opcore, "factorize", tracking)
-    for name in ("eigh", "eigvalsh", "svd"):
+    monkeypatch.setattr(opcore, "factorize", tracking(factorize, "core"))
+    monkeypatch.setattr(opcore.SpectralCore, "solve", tracking(solve, "solve"))
+    for name in ("eigh", "eigvalsh", "svd", "solve"):
         monkeypatch.setattr(np.linalg, name, watching(name))
     rep = cuntz.experiment(16)
-    (core,) = [c for c in calls if c[0] == "core"]
-    eighs = [c for c in calls if c[0] == "eigh"]
-    assert [c for c in calls if c[0] in ("eigvalsh", "svd")] == []
-    assert len(eighs) == core[1] > 1
-    # one stack per block size, covering the 256 indices of S - I once
-    assert sum(int(np.prod(shape[:-1])) for _, shape in eighs) == 256
-    assert len({shape[-1] for _, shape in eighs}) == len(eighs)
-    assert rep.gap.blocks == sum(shape[0] for _, shape in eighs)
+    ((_, factors, held),) = [c for c in calls if c[0] == "core"]
+    values = [c for c in calls if c[0] == "eigvalsh"]
+    assert [c for c in calls if c[0] == "svd"] == []
+    # one eigvalsh per held stack, inside factorize; the images share them
+    assert len(values) == held < factors and {c[1] for c in values} == {"core"}
+    assert sum(int(np.prod(shape[:-1])) for _, _, shape in values) < 256
+    # fix_dim 1: one eigh, of the one block holding the kernel; the rest are solved directly
+    assert [(tag, shape[0]) for name, tag, shape in calls if name == "eigh"] == [("solve", 1)]
+    assert {tag for name, tag, _ in calls if name == "solve"} == {"solve"}
+    assert rep.gap.blocks == 97 and rep.gap.fix_dim == 1
 
 
 def test_experiment_builds_the_isometries_once_and_takes_no_svd(monkeypatch):

@@ -774,12 +774,18 @@ def test_every_core_kind_answers_like_its_matrix(kind):
     rows, cols = m.shape
     tol = 1e-10
     assert (core.blocks > 1) == (kind == "luders8")
-    # block b is u diag(w) vh on its rows and columns, and m is zero off the blocks
+    # block b is u diag(w) vh on its rows and columns, or held whole with its
+    # eigenvalues w when u and vh are not computed; m is zero off the blocks
     on = np.zeros(m.shape, dtype=bool)
-    for index, u, w, vh in core.factors:
+    for f, (index, u, w, vh) in enumerate(core.factors):
         assert np.isrealobj(w)
-        r, c = index[:, : u.shape[1], None], index[:, None, : vh.shape[2]]
-        np.testing.assert_allclose((u * w[:, None, :]) @ vh, m[r, c], atol=1e-12)
+        if u is None:
+            r, c = index[:, :, None], index[:, None, :]
+            assert vh is None and np.array_equal(core.stacks[f], m[r, c])
+            np.testing.assert_allclose(np.linalg.eigvalsh(core.stacks[f]), w, atol=1e-12)
+        else:
+            r, c = index[:, : u.shape[1], None], index[:, None, : vh.shape[2]]
+            np.testing.assert_allclose((u * w[:, None, :]) @ vh, m[r, c], atol=1e-12)
         on[r, c] = True
     assert not m[~on].any()
     # sv: the singular values, padded with zeros when m is wide
