@@ -57,7 +57,7 @@ __all__ = [
 
 
 def fix_tol(dim: int) -> float:
-    """Singular-value cutoff of numerical fixed spaces, commutants and repairs."""
+    """Singular-value cutoff of numerical fixed spaces and repairs (scaled in :func:`commutant`)."""
     return 1e-8 * dim
 
 
@@ -368,12 +368,15 @@ def commutant(mats) -> SubspaceBasis:
     """Joint commutant {x : a_j x = x a_j for all j} as a numerical null space.
 
     It is :func:`opcore.sylvester_null_space` of the pairs ``(a_j, a_j)``,
-    with right singular vectors at most ``fix_tol(d)`` kept.  Always contains
-    the normalized identity.
+    cut at ``fix_tol(d) * s`` with ``s = ||(a_1; ...; a_m)||_F / sqrt(d)``
+    (1 for a trace-preserving family), so the commutant of ``{t a_j}`` is
+    that of ``{a_j}``.  Always contains the normalized identity.
     """
     sq = opcore.square_family(mats, "mats")
     d = sq[0].shape[0]
-    basis = opcore.sylvester_null_space(sq, sq, fix_tol(d))
+    # hypot squares no entry, so no scale overflows or underflows
+    s = np.hypot.reduce(np.abs(np.concatenate(sq)), axis=None) / math.sqrt(d)
+    basis = opcore.sylvester_null_space(sq, sq, fix_tol(d) * s)
     return SubspaceBasis(rows=d, cols=d, basis=basis)
 
 

@@ -5,18 +5,16 @@ stacking, so ``vec(A @ X @ B) = kron(B.T, A) @ vec(X)``.  This module is the
 one place that convention, the PSD tolerance and the validation of matrix
 families are written down: superoperators come from :func:`kron_entries`
 (densely from :func:`kron_sum`, their action from :func:`product_map`),
-solution spaces of ``l_j x = x r_j`` from :func:`sylvester_null_space` (the
-stack is cut into the column components the generators' patterns allow, a
-connected stack being one, and reduced to its R factors per component shape
-by one stacked QR), PSD inputs pass :func:`require_psd` and families pass
-:func:`square_family` (their defects from :func:`completeness_defects`).
+solution spaces of ``l_j x = x r_j`` from :func:`sylvester_null_space` (one
+SVD per component of the stack's nonzero pattern), PSD inputs pass
+:func:`require_psd` and families pass :func:`square_family` (their defects
+from :func:`completeness_defects`).
 Every kernel and solve is cut from a :class:`SpectralCore`, which holds the
 blocks in one form: :func:`factorize` reads the choice off the input's type,
 a stacked ``eigvalsh`` per stack of a :class:`BlockSplit` (the connected
 components of an exact nonzero pattern, from :func:`block_split`; a
 connected pattern is one block), with ``eigh`` left to the blocks a kernel
-or solve needs, and one SVD in its own dtype for any 2-D array; a Sylvester
-stack gets the same stacked SVD factor per component shape.  A query that
+or solve needs, and one SVD in its own dtype for any 2-D array.  A query that
 reads only singular values asks :func:`factorize` for values only and gets
 the same blocks and values, and no vectors.
 """
@@ -484,7 +482,7 @@ def factorize(m, vectors: bool = True) -> SpectralCore:
     gets an SVD without U and V*.
     """
     if not isinstance(m, BlockSplit):
-        return _core((_svd_factor(np.arange(max(m.shape))[None], m[None], vectors),))
+        return _core((_svd_factor(m, vectors),))
     values = {}
     for stack in m.stacks:
         if id(stack) not in values:
@@ -493,11 +491,12 @@ def factorize(m, vectors: bool = True) -> SpectralCore:
     return _core(factors, m.stacks if vectors else None)
 
 
-def _svd_factor(index: np.ndarray, stack: np.ndarray, vectors: bool = True) -> tuple:
-    """The ``(index, u, w, vh)`` factor of one stacked SVD of ``stack``
-    (k, rows, n), with full V* only when ``rows < n``; the extra rows of V*
-    get zero singular values.  ``u`` and ``vh`` are None unless ``vectors``."""
-    rows, n = stack.shape[1:]
+def _svd_factor(m: np.ndarray, vectors: bool = True) -> tuple:
+    """The ``(index, u, w, vh)`` factor of the SVD of the 2-D ``m``, one block,
+    with full V* only when ``m`` is wide; the extra rows of V* get zero
+    singular values.  ``u`` and ``vh`` are None unless ``vectors``."""
+    rows, n = m.shape
+    index, stack = np.arange(max(rows, n))[None], m[None]
     if not vectors:
         s = np.linalg.svd(stack, compute_uv=False)
         return index, None, np.pad(s, ((0, 0), (0, max(n - rows, 0)))), None
@@ -623,96 +622,27 @@ def sylvester_null_space(lefts, rights, tol: float) -> tuple:
     With p x p matrices ``l_j`` and q x q matrices ``r_j`` the blocks
     ``kron(I_q, l_j) - kron(r_j.T, I_p)`` are stacked and their numerical
     null space (singular values at most ``tol``) is returned as p x q
-    matrices.  The stack is cut into column components, two columns joining
-    when they share a row that the generators' nonzero patterns allow to be
-    nonzero (see :func:`_sylvester_components`); a connected stack is one
-    component.  The stack is formed per component only: each component
-    shape gets one stacked ``qr(mode="r")`` of its tall blocks and one
-    stacked SVD, and the null space is the kernel of that block core.
+    matrices.  The stack is cut into the connected components of its own
+    nonzero pattern; each component's nonzero rows are reduced to their R
+    factor by ``qr(mode="r")`` when they outnumber its columns, and its
+    kernel is read off one SVD.  A column no row reaches solves alone.
     """
-    lefts, rights, p, q = _paired(lefts, rights)
-    label = _sylvester_components(lefts, rights, p, q)
-    kernel = _sylvester_core(lefts, rights, p, label).kernel(tol)
-    return tuple(devectorize(k, p, q) for k in kernel.T)
-
-
-def _sylvester_components(lefts, rights, p: int, q: int) -> np.ndarray:
-    """Component labels of the columns and rows of the Sylvester stack.
-
-    Column ``j * p + i`` is ``x[i, j]``, and row ``jj * p + ii`` of every
-    pair's block holds ``l[ii, i]`` at column ``(i, jj)`` and ``-r[j, jj]``
-    at column ``(ii, j)``.  Columns are nodes ``0 .. pq - 1``, rows nodes
-    ``pq .. 2pq - 1``, and a row is joined to every column where some
-    ``l_t`` (resp. ``r_t``) puts an entry: a superset of the stack's nonzero
-    entries, so a component never cuts a nonzero row.  These edges repeat
-    the bipartite graph of the left pattern (columns, then rows) in every
-    slice of fixed ``jj`` and that of the right pattern in every slice of
-    fixed ``ii``, so each node is joined only to the root of its pattern
-    component there: at most 4pq edges.  A row no column reaches keeps its
-    own label, which is at least pq.
-    """
+    lefts, rights, p, q = _paired(square_family(lefts, "lefts"), square_family(rights, "rights"))
     n = p * q
-    ii, i = np.nonzero(np.logical_or.reduce([l != 0 for l in lefts]))
-    j, jj = np.nonzero(np.logical_or.reduce([r != 0 for r in rights]))
-    left, right = components(2 * p, i, p + ii), components(2 * q, j, q + jj)
-    kl, kr = np.flatnonzero(left != np.arange(2 * p)), np.flatnonzero(right != np.arange(2 * q))
-
-    def in_slices(k, size, step, slices):
-        # pattern node k (a column below size, else a row) in every slice
-        return ((k >= size) * n + (k % size) * step + slices).ravel()
-
-    at_q, at_p = np.arange(q)[:, None] * p, np.arange(p)[:, None]
-    nodes = np.concatenate([in_slices(kl, p, 1, at_q), in_slices(kr, q, p, at_p)])
-    roots = np.concatenate([in_slices(left[kl], p, 1, at_q), in_slices(right[kr], q, p, at_p)])
-    return components(2 * n, nodes, roots)
-
-
-def _sylvester_core(lefts, rights, p: int, label: np.ndarray) -> SpectralCore:
-    """A :class:`SpectralCore` with the singular values and right singular
-    vectors of a Sylvester stack, one block per column component.
-
-    Each component's rows of every pair's block are stacked over its
-    columns; components of one shape form one stack, reduced to its R
-    factors by one ``qr(mode="r")`` when tall, and those get one SVD.  The
-    core's blocks are these R factors on their columns: they share the
-    stack's singular values and right singular vectors, not its left ones.
-    A column that no row reaches is a zero 1 x 1 block.
-    """
-    n = label.size // 2
-    roots, comp, width = np.unique(label[:n], return_inverse=True, return_counts=True)
-    reached = np.flatnonzero(label[n:] < n)
-    row_comp = np.searchsorted(roots, label[n + reached])
-    height = np.bincount(row_comp, minlength=roots.size)
-    # members list the columns (rows) component by component, ascending in each
-    col_members, col_first = np.argsort(comp, kind="stable"), np.cumsum(width) - width
-    row_members, row_first = reached[np.argsort(row_comp, kind="stable")], np.cumsum(height) - height
-    kinds, group = np.unique(height * (n + 1) + width, return_inverse=True)
-    factors = []
-    for g, kind in enumerate(kinds):
-        mine = np.flatnonzero(group == g)
-        nr, nc = divmod(int(kind), n + 1)
-        cols = col_members[col_first[mine][:, None] + np.arange(nc)]
-        if nr == 0:
-            stack = np.zeros((mine.size, 1, 1))
-        else:
-            rows = row_members[row_first[mine][:, None] + np.arange(nr)]
-            stack = _sylvester_blocks(lefts, rights, p, rows, cols)
-            if stack.shape[1] > nc:
-                stack = np.linalg.qr(stack, mode="r")
-        factors.append(_svd_factor(cols, stack))
-    return _core(tuple(factors))
-
-
-def _sylvester_blocks(lefts, rights, p: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Stack b of the result holds rows ``rows[b]`` of every pair's block of
-    the Sylvester stack, pair after pair, on columns ``cols[b]``."""
-    ii, jj = (rows % p)[:, :, None], (rows // p)[:, :, None]
-    i, j = (cols % p)[:, None, :], (cols // p)[:, None, :]
-    same_j, same_i = jj == j, ii == i
-    return np.concatenate(
-        [np.where(same_j, l[ii, i], 0) - np.where(same_i, r[j, jj], 0) for l, r in zip(lefts, rights)],
-        axis=1,
-    )
+    stack = np.vstack([kron_sum([l, -np.eye(p)], [np.eye(q), r]) for l, r in zip(lefts, rights)])
+    rows, cols = np.nonzero(stack)
+    label = components(n + stack.shape[0], cols, n + rows)
+    kernels = []
+    for root in np.unique(label[:n]):
+        on = np.flatnonzero(label[:n] == root)
+        block = stack[np.flatnonzero(label[n:] == root)][:, on]
+        if block.shape[0] > on.size:
+            block = np.linalg.qr(block, mode="r")
+        kernel = factorize(block).kernel(tol) if block.size else np.eye(1)
+        full = np.zeros((n, kernel.shape[1]), dtype=kernel.dtype)
+        full[on] = kernel
+        kernels.append(full)
+    return tuple(devectorize(k, p, q) for k in np.concatenate(kernels, axis=1).T)
 
 
 def linear_map_matrix(fn: Callable[[np.ndarray], np.ndarray], rows: int, cols: int) -> np.ndarray:

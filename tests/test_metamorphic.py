@@ -4,7 +4,7 @@
 * Unitary covariance: Fix({V* a_j V}) = V* Fix({a_j}) V.
 * Both leave the singular values of S - I, and so the gap report, unchanged.
 * Scaling: both sides of the square-difference bounds are homogeneous of
-  degree 2 in (x, y).
+  degree 2 in (x, y), and the commutant of {t a_j} is that of {a_j}.
 """
 
 import numpy as np
@@ -123,3 +123,16 @@ def test_square_difference_bounds_scale_quadratically(s):
         scaled = kl.generalized_powers_stormer(b, s * x, s * yq)
         assert scaled.lhs == pytest.approx(s * s * base.lhs, rel=1e-10)
         assert scaled.rhs == pytest.approx(s * s * base.rhs, rel=1e-10)
+
+
+def test_commutant_is_invariant_under_scaling():
+    # each generator has distinct eigenvalues, so it commutes with exactly
+    # the polynomials in itself, span{1, a}, at every scale
+    for a in (np.array([[1.0, 1.0], [0.0, 2.0]]), np.diag([1.0, 2.0])):
+        for t in (1e-300, 1e-10, 1.0, 1e150, 1e300):
+            com = kl.commutant([t * a])
+            assert len(com) == 2, t
+            for x in com.basis:
+                np.testing.assert_allclose(a @ x, x @ a, atol=1e-12)
+    # the zero family commutes with everything
+    assert len(kl.commutant([np.zeros((2, 2))])) == 4

@@ -416,19 +416,29 @@ def _assert_solution_space(got, lefts, rights, dim):
             np.testing.assert_allclose(l @ x, x @ r, atol=1e-12)
 
 
-def test_sylvester_null_space_matches_the_explicit_stack():
+def test_sylvester_null_space_matches_the_explicit_stack(monkeypatch):
     rng = np.random.default_rng(43)
     u = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))[0]
     lam = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
     # commuting pair on C^3, and b_j* acting on C^2 with two shared joint eigenvalues
     lefts = [u @ np.diag(lam[j]) @ u.conj().T for j in range(2)]
     rights = [np.diag(lam[j, :2]) for j in range(2)]
-    # a connected stack is one component, factored like a split one
-    assert not opcore._sylvester_components(lefts, lefts, 3, 3)[:9].any()
-    _assert_solution_space(opcore.sylvester_null_space(lefts, lefts, 1e-8), lefts, lefts, 3)
+    svd, shapes = np.linalg.svd, []
+
+    def recorded(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recorded)
+    # a connected stack is one component: its 18 x 9 stack is one 9 x 9 R
+    basis = opcore.sylvester_null_space(lefts, lefts, 1e-8)
+    assert shapes == [(1, 9, 9)]
+    _assert_solution_space(basis, lefts, lefts, 3)
     # diagonal rights split the stack into one component per column of x
-    assert opcore._sylvester_components(lefts, rights, 3, 2)[:6].any()
-    _assert_solution_space(opcore.sylvester_null_space(lefts, rights, 1e-8), lefts, rights, 2)
+    shapes.clear()
+    basis = opcore.sylvester_null_space(lefts, rights, 1e-8)
+    assert shapes == [(1, 3, 3), (1, 3, 3)]
+    _assert_solution_space(basis, lefts, rights, 2)
 
 
 def _tensor_kind(d, seed=0, m=3):
@@ -438,23 +448,12 @@ def _tensor_kind(d, seed=0, m=3):
     return [np.sqrt(p) * np.kron(haar_unitary(rng, d // 4), np.eye(4)) for p in probs]
 
 
-def test_split_sylvester_stack_of_the_tensor_kind(monkeypatch):
+def test_split_sylvester_stack_of_the_tensor_kind():
     ops = _tensor_kind(8)
     _assert_solution_space(opcore.sylvester_null_space(ops, ops, 1e-8), ops, ops, 16)
-    # 16 components of (d/4)^2 columns, all of one shape: one stacked qr and one svd
     ops = _tensor_kind(24)
-    calls = {"qr": [], "svd": []}
-    for name in calls:
-        fn = getattr(np.linalg, name)
-
-        def counted(a, *args, _fn=fn, _name=name, **kwargs):
-            calls[_name].append(np.shape(a))
-            return _fn(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, counted)
     basis = opcore.sylvester_null_space(ops, ops, channel.fix_tol(24))
     assert len(basis) == 16
-    assert calls == {"qr": [(16, 108, 36)], "svd": [(16, 36, 36)]}
     for x in basis:
         for a in ops:
             assert np.linalg.norm(a @ x - x @ a) <= 1e-12
@@ -478,19 +477,14 @@ def test_commutant_of_a_generic_family_forms_no_kron(monkeypatch):
         assert np.linalg.norm(a @ x - x @ a) <= 1e-12
 
 
-def test_sylvester_components_are_those_of_the_stack_pattern():
-    # random values cancel nowhere, so the generator patterns give the stack's own components
-    rng = np.random.default_rng(61)
-    for _ in range(200):
-        p, q, m = (int(v) for v in rng.integers(1, 6, size=3))
-        density = rng.uniform(0.0, 0.6)
-        lefts = [rng.standard_normal((p, p)) * (rng.random((p, p)) < density) for _ in range(m)]
-        rights = [rng.standard_normal((q, q)) * (rng.random((q, q)) < density) for _ in range(m)]
-        stack = np.vstack([np.kron(np.eye(q), l) - np.kron(r.T, np.eye(p)) for l, r in zip(lefts, rights)])
-        rows, cols = np.nonzero(stack)
-        n = p * q
-        want = opcore.components(2 * n, cols, n + rows % n)
-        assert np.array_equal(opcore._sylvester_components(lefts, rights, p, q), want)
+def test_sylvester_null_space_validates_its_families():
+    for lefts, rights, message in (
+        ([np.eye(2), np.eye(3)], [np.eye(2), np.eye(2)], "lefts matrices must share one dimension"),
+        ([np.eye(2)], [np.ones((2, 3))], r"rights\[0\] must be square"),
+        ([np.array([[1.0, np.nan], [0.0, 1.0]])], [np.eye(2)], r"lefts\[0\] contains non-finite"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            opcore.sylvester_null_space(lefts, rights, 1e-8)
 
 
 def test_split_sylvester_oracles():
