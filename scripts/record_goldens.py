@@ -2,9 +2,9 @@
 
 Usage: python3 scripts/record_goldens.py
 
-Nine of ``report_diff.py``'s configurations draw no random numbers:
+Ten of ``report_diff.py``'s configurations draw no random numbers:
 ``analyze`` on pinching, unitary_mix, tensor_mix and reflection_mix,
-``cuntz`` 16, 32 and 48, and ``schur`` on measure and symbol.  Each one runs in
+``cuntz`` 16, 32, 48 and 64, and ``schur`` on measure and symbol.  Each one runs in
 this process on this checkout's ``src``, and its exit code, ``results``
 object and CSV rows are written to ``tests/golden/<name>.json``;
 ``tests/test_golden.py`` compares fresh runs against those files.

@@ -3,7 +3,7 @@
 Usage: python3 scripts/report_diff.py [REV]   (REV defaults to HEAD)
 
 REV's ``src`` is exported with ``git archive`` into a temporary directory.
-Thirteen fixed configurations then run on both trees, reading the same input
+Fourteen fixed configurations then run on both trees, reading the same input
 files from this checkout's ``demos/data``.  ``wall_time_ms`` is masked in
 each JSON report; every other byte must agree.  Each differing JSON field is
 printed as ``path: old -> new`` and each differing CSV row as ``old -> new``.
@@ -34,6 +34,7 @@ CONFIGS = [
     ["cuntz", "--dim", "16"],
     ["cuntz", "--dim", "32"],
     ["cuntz", "--dim", "48"],
+    ["cuntz", "--dim", "64"],
     ["commuting", "--dim", "6", "--trials", "10", "--seed", "3"],
     ["commuting", "--dim", "12", "--trials", "5", "--seed", "11"],
     ["commuting", "--dim", "12", "--trials", "20", "--seed", "3"],

@@ -16,7 +16,8 @@ values-only factorization, which is not cached: of the same blocks when
 matrix of ``psi - 1`` on the Hermitian matrices, which has the same
 singular values.  S is read from its entries; it is formed densely only
 when ``S - I`` is not exactly real symmetric, and then lives only while
-the factorization (or S_h) is built.
+the factorization (or S_h) is built.  Of each pair of blocks of a real
+split that the transpose swap exchanges, one is cut and factored.
 
 :func:`commutant` solves the Sylvester stack of the family; the check that
 Fix is the commutant forms no stack and reads only eigenvalues of its Gram
@@ -160,7 +161,7 @@ def spectral_core(family: KrausFamily) -> SpectralCore:
     S is read from :func:`opcore.kron_entries` and never formed densely
     when ``S - I`` is exactly real symmetric: it is then an
     :class:`opcore.BlockSplit` (one block when its exact nonzero pattern is
-    connected) with each swap pair on one stack, read by one stacked
+    connected) with each swap pair cut once, on one stack, read by one stacked
     ``eigvalsh`` per stack, and no complex S is live during it.  Any other
     ``S - I`` is assembled dense, formed in place and passed straight on to
     one complex SVD, so no copy of S outlives the factorization.
@@ -171,18 +172,24 @@ def spectral_core(family: KrausFamily) -> SpectralCore:
 
 
 def _s_minus_identity(family: KrausFamily, values_only: bool = False):
-    """``S - I`` as an :class:`opcore.BlockSplit` of :func:`_swap_pairs` when
-    it is exactly real and every block is symmetric.  Otherwise it is the
-    complex dense ``S - I``,
+    """``S - I`` as an :class:`opcore.BlockSplit` when it is exactly real and
+    every block is symmetric.  Otherwise it is the complex dense ``S - I``,
     or with ``values_only`` the real ``S_h - I`` of :func:`_hermitian_form`,
     which has the singular values of ``S - I`` but not its vectors.
+
+    The split is paired by the swap P taking ``vec`` index ``c * d + r`` to
+    ``r * d + c``.  As psi(x*) = psi(x)*, P S P = conj(S) entry for entry,
+    so an exactly real S commutes with P bitwise, and of each pair of blocks
+    P exchanges only one is cut (see :func:`opcore.block_split`).
     """
+    d = family.dim
     entries = opcore.kron_entries(family._adjoints, family.ops)
     if not entries.values.imag.any():
         rows, cols, values = entries.nonzero()
-        split = opcore.block_split(family.dim**2, rows, cols, values.real)
+        swap = np.arange(d * d) % d * d + np.arange(d * d) // d
+        split = opcore.block_split(d * d, rows, cols, values.real, swap)
         if all(np.array_equal(b, b.swapaxes(1, 2)) for b in split.stacks):
-            return _swap_pairs(opcore.minus_identity(split), family.dim)
+            return opcore.minus_identity(split)
         # only the entry values may stay live next to the dense S
         del rows, cols, values, split
     t = entries.tensor()
@@ -190,32 +197,7 @@ def _s_minus_identity(family: KrausFamily, values_only: bool = False):
     if values_only:
         return opcore.minus_identity(_hermitian_form(t))
     # t is fresh or a view of the dropped entries' values: it may be overwritten
-    return opcore.minus_identity(t.reshape(family.dim**2, family.dim**2))
-
-
-def _swap_pairs(split: opcore.BlockSplit, d: int) -> opcore.BlockSplit:
-    """``split`` with each swap pair of blocks listed as one stack twice.
-
-    The swap P takes ``vec`` index ``c * d + r`` to ``r * d + c``.  As
-    psi(x*) = psi(x)*, P S P = conj(S) entry for entry, so an exactly real S
-    commutes with P bitwise and P maps blocks onto blocks.  Of a pair, the
-    block with the smaller index is kept, and the other is listed as its
-    swapped indices over the same stack.
-    """
-    block = np.empty(d * d, dtype=np.intp)
-    index, stacks = [], []
-    for ix, stack in zip(split.index, split.stacks):
-        b = np.arange(ix.shape[0])
-        block[ix] = b[:, None]
-        image = ix % d * d + ix // d
-        partner = block[image[:, 0]]
-        first, alone = partner > b, partner == b
-        kept = stack[first]
-        for i, s in ((ix[alone], stack[alone]), (ix[first], kept), (image[first], kept)):
-            if i.size:
-                index.append(i)
-                stacks.append(s)
-    return opcore.BlockSplit(index=tuple(index), stacks=tuple(stacks))
+    return opcore.minus_identity(t.reshape(d * d, d * d))
 
 
 def _hermitian_form(t: np.ndarray) -> np.ndarray:

@@ -407,12 +407,13 @@ def _warn_incomplete(am: tuple, bm: tuple) -> None:
     """Warn, at the caller of the public function, when ``a`` is not
     row-complete (``sum a_j a_j* = 1``) or ``b`` not column-complete
     (``sum b_j* b_j = 1``) to ``unital_tol(n)``; no intertwiner solve needs
-    either, so neither raises."""
-    row_defect = opcore.completeness_defects(am)[1]
-    col_defect = opcore.completeness_defects(bm)[0]
-    if row_defect > unital_tol(am[0].shape[0]):
+    either, so neither raises.  An overflowing defect reads nan and warns."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        row_defect = opcore.completeness_defects(am)[1]
+        col_defect = opcore.completeness_defects(bm)[0]
+    if not row_defect <= unital_tol(am[0].shape[0]):
         warnings.warn(f"a is not row-complete (defect {row_defect:.3e})", stacklevel=3)
-    if col_defect > unital_tol(bm[0].shape[0]):
+    if not col_defect <= unital_tol(bm[0].shape[0]):
         warnings.warn(f"b is not column-complete (defect {col_defect:.3e})", stacklevel=3)
 
 
@@ -420,15 +421,20 @@ def intertwiner_space(a, b, tol: float | None = None) -> SubspaceBasis:
     """Numerical solution space of a_j x = x b_j* for all j.
 
     The families need not commute: the kron-stacked Sylvester system is
-    solved by :func:`opcore.sylvester_null_space` with cutoff ``tol``.
-    Completeness of the families (``sum a_j a_j* = 1`` row-wise for ``a``,
-    ``sum b_j* b_j = 1`` column-wise for ``b``) is checked to ``unital_tol(n)``
+    solved by :func:`opcore.sylvester_null_space` with the absolute cutoff
+    ``tol``, by default ``fix_tol(max(na, nb))`` times the larger scale
+    ``||(a_1; ...; a_m)||_F / sqrt(na)`` or ``||(b_1; ...)||_F / sqrt(nb)``,
+    so scaling both families leaves the space.  Completeness of the families
+    (``sum a_j a_j* = 1`` row-wise for ``a``, ``sum b_j* b_j = 1``
+    column-wise for ``b``) is checked to ``unital_tol(n)``
     and only warned about, since the solver itself does not need it.
     """
     am, bm = _family_pair(a, b, "ab")
     na, nb = am[0].shape[0], bm[0].shape[0]
     if tol is None:
-        tol = fix_tol(max(na, nb))
+        # hypot squares no entry, so no scale overflows or underflows
+        s = max(np.hypot.reduce(np.abs(np.concatenate(m)), axis=None) / np.sqrt(n) for m, n in ((am, na), (bm, nb)))
+        tol = fix_tol(max(na, nb)) * s
     _warn_incomplete(am, bm)
     basis = opcore.sylvester_null_space(am, [bj.conj().T for bj in bm], tol)
     return SubspaceBasis(rows=na, cols=nb, basis=basis)

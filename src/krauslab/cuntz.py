@@ -14,13 +14,15 @@ value ``t_j = t_{j//2}`` (even) or ``t_{(j-1)//2}`` (odd).  The odd rule makes
 ``diag(t)`` commute with V2 exactly, while the commutator with V1 stays small
 (a tail of squared differences of ``(k+1)^(-1/2)``) even though ``t`` stays
 far from every scalar line as n grows.  Splitting the real and imaginary
-parts of each truncated isometry into positive and negative parts yields a
-nine-element Kraus family of positive operators whose squares sum to the
-identity; the experiment report collects everything a run produces.
+parts of each truncated isometry into positive and negative parts (six
+positive parts from one stacked spectral map) yields a nine-element Kraus
+family of positive operators whose squares sum to the identity; the
+experiment report collects everything a run produces.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import asdict, dataclass
@@ -47,13 +49,21 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class CuntzTruncation:
-    """Truncated isometry pair with its isometry and completeness defects."""
+    """Truncated isometry pair; its defects are computed on first access."""
 
     n: int
     v1: np.ndarray
     v2: np.ndarray
-    isometry_defects: tuple
-    completeness_defect: float
+
+    @functools.cached_property
+    def isometry_defects(self) -> tuple:
+        """``||vi* vi - 1||_op`` for V1 and V2."""
+        return tuple(opcore.completeness_defects([v])[0] for v in (self.v1, self.v2))
+
+    @functools.cached_property
+    def completeness_defect(self) -> float:
+        """``||v1 v1* + v2 v2* - 1||_op``."""
+        return opcore.completeness_defects([self.v1, self.v2])[1]
 
 
 def build_isometries(n: int) -> CuntzTruncation:
@@ -72,13 +82,7 @@ def build_isometries(n: int) -> CuntzTruncation:
             v1[2 * j, j] = 1.0
         if 2 * j + 1 < n:
             v2[2 * j + 1, j] = 1.0
-    return CuntzTruncation(
-        n=n,
-        v1=v1,
-        v2=v2,
-        isometry_defects=tuple(opcore.completeness_defects([v])[0] for v in (v1, v2)),
-        completeness_defect=opcore.completeness_defects([v1, v2])[1],
-    )
+    return CuntzTruncation(n=n, v1=v1, v2=v2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,20 +181,21 @@ class LudersFamily(KrausFamily):
     component of the real and imaginary parts' patterns, so they are exactly
     zero off those components and S splits into many blocks.  Each
     imaginary part h is purely imaginary, so ``-h = conj(h)`` and its
-    negative part is taken as the conjugate of its positive part: six
-    spectral maps per family, and S is exactly real by construction.
+    negative part is taken as the conjugate of its positive part; the six
+    positive parts come from one spectral map of their stack, and S is
+    exactly real by construction.
     """
 
     def __init__(self, n: int):
         trunc = build_isometries(n)
         scale = 1.0 / math.sqrt(8.0)
-        parts = []
+        halves = []
         for v in (trunc.v1, trunc.v2):
             re = (v + v.conj().T) / 2.0
-            im = (v - v.conj().T) / 2.0j
-            parts += [scale * opcore.positive_part(re), scale * opcore.positive_part(-re)]
-            im_plus = scale * opcore.positive_part(im)
-            parts += [im_plus, im_plus.conj()]
+            halves += [re, -re, (v - v.conj().T) / 2.0j]
+        # [re+, re-, im+] of V1, then of V2, and im- = conj(im+)
+        plus = scale * opcore.positive_part(np.stack(halves))
+        parts = [x for j in (0, 3) for x in (plus[j], plus[j + 1], plus[j + 2], plus[j + 2].conj())]
         # summing the squared parts instead would leave rounding noise off
         # the diagonal of a_0 and join every block of S into one
         total = sum(v.conj().T @ v + v @ v.conj().T for v in (trunc.v1, trunc.v2)) / 16.0

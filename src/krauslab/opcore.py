@@ -8,21 +8,23 @@ families are written down: superoperators come from :func:`kron_entries`
 solution spaces of ``l_j x = x r_j`` from :func:`sylvester_null_space` (one
 SVD per component of the stack's nonzero pattern), PSD inputs pass
 :func:`require_psd` and families pass :func:`square_family` (their defects
-from :func:`completeness_defects`).
+from :func:`completeness_defects`, one Gram for a Hermitian family).
 Every kernel and solve is cut from a :class:`SpectralCore`, which holds the
 blocks in one form: :func:`factorize` reads the choice off the input's type,
 a stacked ``eigvalsh`` per stack of a :class:`BlockSplit` (the connected
 components of an exact nonzero pattern, from :func:`block_split`; a
-connected pattern is one block), with ``eigh`` left to the blocks a kernel
-or solve needs, and one SVD in its own dtype for any 2-D array.  A query that
-reads only singular values asks :func:`factorize` for values only and gets
-the same blocks and values, and no vectors.
+connected pattern is one block, and of each pair of blocks a given swap
+exchanges one is cut), with ``eigh`` kept for the blocks a kernel or solve
+needs (a solve reads only the blocks its right-hand side reaches), and one
+SVD in its own dtype for any 2-D array.  A query that reads only singular
+values asks :func:`factorize` for values only and gets the same blocks and
+values, and no vectors.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -163,33 +165,46 @@ def symmetrized(m, name: str = "matrix") -> np.ndarray:
 
 
 def positive_part(h) -> np.ndarray:
-    """Spectral positive part h_+ of a Hermitian matrix.
+    """Spectral positive part h_+ of a Hermitian matrix, or of each matrix of
+    a (k, n, n) stack.
 
     Satisfies h = positive_part(h) - positive_part(-h) after symmetrization.
     It is factored per component of the exact nonzero pattern of ``h``
     (see :func:`_spectral_map`), so it is exactly zero where ``h`` splits.
     """
-    return _spectral_map(symmetrized(h), lambda w: np.clip(w, 0.0, None))
+    return _spectral_map(h, lambda w: np.clip(w, 0.0, None))
 
 
-def _spectral_map(sym: np.ndarray, f: Callable, gate: Callable | None = None) -> np.ndarray:
-    """``v f(w) v*`` of the Hermitian ``sym = v diag(w) v*``, symmetrized.
+def _spectral_map(h, f: Callable, gate: Callable | None = None) -> np.ndarray:
+    """``v f(w) v*`` of each symmetrized ``h = v diag(w) v*``, symmetrized;
+    ``h`` is one matrix or a (k, n, n) stack, and the result has its shape.
 
-    ``sym`` is cut by :func:`block_split` (a connected ``sym`` is one
-    block), each block size gets one stacked ``eigh``, and the result is
-    exactly zero off the blocks.  ``gate`` sees all eigenvalues, block by
-    block, before any output is formed.
+    The direct sum of the stack is cut by :func:`block_split` (a connected
+    matrix is one block), each block size gets one stacked ``eigh``, and the
+    result is exactly zero off the blocks.  ``gate(w, name)`` sees each
+    matrix's eigenvalues, block by block, before any output is formed.
     """
-    rows, cols = np.nonzero(sym)
-    split = block_split(sym.shape[0], rows, cols, sym[rows, cols])
+    single = np.ndim(h) != 3
+    names = ["matrix"] if single else [f"matrix[{j}]" for j in range(len(h))]
+    # row j * n + r of flat is row r of matrix j, and of their direct sum
+    flat = symmetrized(h) if single else np.concatenate([symmetrized(m, name) for m, name in zip(h, names)])
+    k, n = len(names), flat.shape[1]
+    rows, cols = np.nonzero(flat)
+    split = block_split(k * n, rows, cols if single else cols + rows // n * n, flat[rows, cols])
     eigen = [np.linalg.eigh(stack) for stack in split.stacks]
     if gate is not None:
-        gate(np.concatenate([w.ravel() for w, _ in eigen]))
-    out = np.zeros(sym.shape, dtype=sym.dtype)
+        w = np.concatenate([w.ravel() for w, _ in eigen])
+        if single:
+            gate(w, names[0])
+        else:
+            owner = np.concatenate([np.repeat(index[:, 0] // n, index.shape[1]) for index in split.index])
+            for j, name in enumerate(names):
+                gate(w[owner == j], name)
+    out = np.zeros(flat.shape, dtype=flat.dtype)
     for index, (w, v) in zip(split.index, eigen):
         blocks = (v * f(w)[:, None, :]) @ v.conj().swapaxes(1, 2)
-        out[index[:, :, None], index[:, None, :]] = (blocks + blocks.conj().swapaxes(1, 2)) / 2.0
-    return out
+        out[index[:, :, None], index[:, None, :] % n] = (blocks + blocks.conj().swapaxes(1, 2)) / 2.0
+    return out if single else out.reshape(k, n, n)
 
 
 def _psd_gate(w: np.ndarray, name: str) -> None:
@@ -221,12 +236,13 @@ def psd_sqrt(p) -> np.ndarray:
     The matrix passes the same gate as :func:`require_psd`, read off the
     eigenvalues that also yield the root; eigenvalues in ``[-psd_tol, 0)``
     are clipped to zero.  Like :func:`positive_part` it is factored per
-    component of the input's exact nonzero pattern.
+    component of the input's exact nonzero pattern and takes a (k, n, n)
+    stack, gating each matrix alone.
     """
     return _spectral_map(
-        symmetrized(p),
+        p,
         lambda w: np.sqrt(np.clip(w, 0.0, None)),
-        lambda w: _psd_gate(w, "matrix"),
+        _psd_gate,
     )
 
 
@@ -254,13 +270,14 @@ def completeness_defects(mats) -> tuple:
     """Unital and counital defects ``||sum a_j* a_j - 1||_op``, ``||sum a_j a_j* - 1||_op``.
 
     Both defects are Hermitian, so each norm is the largest ``|lambda|`` of
-    one ``eigvalsh``.
+    one ``eigvalsh``.  When every ``a_j`` is exactly Hermitian the two sums
+    are one, formed and measured once.
     """
     eye = np.eye(mats[0].shape[0])
-    return tuple(
-        _hermitian_norm(sum(gram) - eye)
-        for gram in ((a.conj().T @ a for a in mats), (a @ a.conj().T for a in mats))
-    )
+    unital = _hermitian_norm(sum(a.conj().T @ a for a in mats) - eye)
+    if all((a == a.conj().T).all() for a in mats):
+        return unital, unital
+    return unital, _hermitian_norm(sum(a @ a.conj().T for a in mats) - eye)
 
 
 def _hermitian_norm(h: np.ndarray) -> float:
@@ -313,10 +330,10 @@ class BlockSplit(NamedTuple):
     """A square matrix cut along the connected components of its nonzero pattern.
 
     ``stacks[g][b]`` is the principal submatrix on rows and columns
-    ``index[g][b]``.  From :func:`block_split`, stack g holds every
-    component of one size, in the order of their smallest indices, each
-    listing its indices ascending.  A stack object listed twice holds the
-    blocks of both indices (``channel``'s swap pairs).  Every entry off
+    ``index[g][b]``.  From :func:`block_split`, a stack holds components of
+    one size, in the order of their smallest indices, each listing its
+    indices ascending; a stack object listed twice (a swap pair's
+    representatives) holds the blocks of both indices.  Every entry off
     these blocks is zero.
     """
 
@@ -324,10 +341,17 @@ class BlockSplit(NamedTuple):
     stacks: tuple
 
 
-def block_split(n: int, rows: np.ndarray, cols: np.ndarray, values: np.ndarray) -> BlockSplit:
+def block_split(n: int, rows: np.ndarray, cols: np.ndarray, values: np.ndarray, swap=None) -> BlockSplit:
     """The :class:`BlockSplit` of the n x n matrix whose nonzero entries are
     ``values`` at ``(rows, cols)`` (each position listed once).  A connected
-    pattern is one block; a full one is scattered straight into it."""
+    pattern is one block; a full one is scattered straight into it.
+
+    ``swap`` is an involution of the indices that the matrix commutes with
+    bitwise (``m[swap][:, swap] == m``).  Of each pair of blocks it
+    exchanges only the one with the smaller indices is cut, and the other is
+    listed as its swapped indices over the same stack: per size, the blocks
+    it maps to themselves, then the kept blocks, then their images.
+    """
     if rows.size == n * n:
         # every position is listed, so the scatter writes every entry
         stack = np.empty((1, n, n), dtype=values.dtype)
@@ -340,17 +364,28 @@ def block_split(n: int, rows: np.ndarray, cols: np.ndarray, values: np.ndarray) 
     pos = np.empty(n, dtype=np.intp)
     pos[members] = np.arange(n) - np.repeat(first, sizes)
     kinds, group = np.unique(sizes, return_inverse=True)
-    slot = np.empty_like(group)
-    entry_group = group[comp[rows]]
+    part = 2 * group
+    if swap is not None:
+        # part 2g + 1 holds the kept blocks of size g's pairs; images are not cut
+        label, partner = np.arange(sizes.size), comp[swap[members[first]]]
+        part = np.where(partner == label, part, np.where(partner > label, part + 1, -1))
+    slot = np.empty_like(part)
+    entry_part = part[comp[rows]]
     index, stacks = [], []
-    for g, size in enumerate(kinds):
-        mine = np.flatnonzero(group == g)
+    for p in range(0, 2 * kinds.size, 2 if swap is None else 1):
+        mine = np.flatnonzero(part == p)
+        if not mine.size:
+            continue
+        size = kinds[p // 2]
         slot[mine] = np.arange(mine.size)
-        e = np.flatnonzero(entry_group == g)
+        e = np.flatnonzero(entry_part == p)
         stack = np.zeros((mine.size, size, size), dtype=values.dtype)
         stack[slot[comp[rows[e]]], pos[rows[e]], pos[cols[e]]] = values[e]
         index.append(members[first[mine][:, None] + np.arange(size)])
         stacks.append(stack)
+        if p % 2:
+            index.append(swap[index[-1]])
+            stacks.append(stack)
     return BlockSplit(index=tuple(index), stacks=tuple(stacks))
 
 
@@ -364,17 +399,18 @@ class SpectralCore:
     ``m`` and is ``u[b] diag(w[b]) vh[b]``, and ``m`` is zero off its
     blocks.  Where ``u`` and ``vh`` are None the blocks are square, and a
     core with vectors holds factor f's real symmetric blocks as
-    ``stacks[f]`` (one array for a swap pair) and takes their ``eigh`` only
-    where a query needs it.  ``sv`` holds every ``|w|``, descending (ties in factor
-    order): the singular values of ``m``, padded with zeros when ``m`` is
-    wide.  A values-only core (``factorize(m, vectors=False)``) answers
-    ``sv``, ``blocks`` and ``largest_block``, and its ``kernel`` and
-    ``solve`` raise.
+    ``stacks[f]`` (one array for a swap pair) and keeps the ``eigh`` of the
+    blocks a query needs, once per stack and tol.  ``sv`` holds every
+    ``|w|``, descending (ties in factor order): the singular values of
+    ``m``, padded with zeros when ``m`` is wide.  A values-only core
+    (``factorize(m, vectors=False)``) answers ``sv``, ``blocks`` and
+    ``largest_block``, and its ``kernel`` and ``solve`` raise.
     """
 
     sv: np.ndarray
     factors: tuple
     stacks: tuple | None = None
+    _near: dict = field(default_factory=dict, repr=False)
 
     @property
     def blocks(self) -> int:
@@ -393,24 +429,31 @@ class SpectralCore:
                 "factorize with vectors=True for kernels and solves"
             )
 
-    def _cut(self, tol: float) -> tuple:
-        """Factors with vectors on the blocks holding some ``|w| <= tol`` (one
-        ``eigh`` per held stack, ``u = q`` and ``vh`` its transposed view),
-        and ``(stack, mask, indices)`` of each held stack's other blocks."""
-        whole, rest, eigen = [], {}, {}
+    def _cut(self, tol: float, b: np.ndarray | None = None) -> tuple:
+        """Factors with vectors on the blocks holding some ``|w| <= tol``
+        (``u = q`` of the kept ``eigh``, ``vh`` its transposed view), and
+        ``(stack, mask, indices)`` of each held stack's other blocks.  With
+        ``b``, a held block is taken only where some factor listing it meets
+        a nonzero of ``b`` (z is exactly zero on the others)."""
+        on = {}
+        for f, (index, _, _, vh) in enumerate(self.factors):
+            if vh is None:
+                hit = np.ones(len(index), dtype=bool) if b is None else b[index].any(axis=1)
+                on[id(self.stacks[f])] = on.get(id(self.stacks[f]), False) | hit
+        whole, rest = [], {}
         for f, (index, u, w, vh) in enumerate(self.factors):
             if vh is not None:
                 whole.append((index, u, w, vh))
                 continue
-            stack = self.stacks[f]
-            if id(stack) not in eigen:
-                near = (np.abs(w) <= tol).any(axis=1)
-                eigen[id(stack)] = near, np.linalg.eigh(stack[near])[1] if near.any() else None
-            near, q = eigen[id(stack)]
-            if q is not None:
-                whole.append((index[near], q, w[near], q.swapaxes(1, 2)))
-            if not near.all():
-                rest.setdefault(id(stack), (stack, ~near, []))[2].append(index[~near])
+            key, near = id(self.stacks[f]), (np.abs(w) <= tol).any(axis=1)
+            live = on[key]
+            if (near & live).any():
+                if (key, tol) not in self._near:
+                    self._near[key, tol] = np.linalg.eigh(self.stacks[f][near])[1]
+                q = self._near[key, tol][live[near]]
+                whole.append((index[near & live], q, w[near & live], q.swapaxes(1, 2)))
+            if (live & ~near).any():
+                rest.setdefault(key, (self.stacks[f], live & ~near, []))[2].append(index[live & ~near])
         return whole, list(rest.values())
 
     def kernel(self, tol: float) -> np.ndarray:
@@ -436,7 +479,7 @@ class SpectralCore:
         rows = sum(index.shape[0] * (w if u is None else u).shape[1] for index, u, w, _ in self.factors)
         if np.shape(b) != (rows,):
             raise ValueError(f"b has shape {np.shape(b)}, expected ({rows},)")
-        whole, rest = self._cut(tol)
+        whole, rest = self._cut(tol, b)
         z = np.zeros(self.sv.size, dtype=np.complex128)
         for index, u, w, vh in whole:
             inv = np.zeros_like(w)
@@ -447,22 +490,19 @@ class SpectralCore:
             coef = inv[:, None, :] * _vec_times(rhs, u).conj()
             z[index[:, : vh.shape[2]]] = _vec_times(coef.conj(), vh)[:, 0].conj()
         for stack, mask, indices in rest:
-            # nonsingular blocks: each factor's real and imaginary parts of b
-            # are columns of one solve, and a block whose b is zero keeps z = 0
+            # nonsingular blocks: each factor's real and imaginary parts of b are columns of one solve
             rhs = np.stack([part for index in indices for part in (b[index].real, b[index].imag)], axis=-1)
-            live = np.flatnonzero(rhs.any(axis=(1, 2)))
-            if live.size:
-                x = np.linalg.solve(stack[np.flatnonzero(mask)[live]], rhs[live])
-                for k, index in enumerate(indices):
-                    z[index[live]] = x[..., 2 * k] + 1j * x[..., 2 * k + 1]
+            x = np.linalg.solve(stack[mask], rhs)
+            for k, index in enumerate(indices):
+                z[index] = x[..., 2 * k] + 1j * x[..., 2 * k + 1]
         return z
 
 
 def minus_identity(m):
     """``m - I`` formed in place on a fresh square ``m`` or on a fresh
-    :class:`BlockSplit`'s blocks."""
+    :class:`BlockSplit`'s blocks (a stack listed twice once)."""
     if isinstance(m, BlockSplit):
-        for stack in m.stacks:
+        for stack in {id(s): s for s in m.stacks}.values():
             side = stack.shape[1]
             stack.reshape(stack.shape[0], side * side)[:, :: side + 1] -= 1.0
         return m

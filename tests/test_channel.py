@@ -260,8 +260,8 @@ BLOCK_PATH = {
 
 @pytest.mark.parametrize("make", BLOCK_PATH.values(), ids=BLOCK_PATH.keys())
 def test_s_commutes_with_the_transpose_swap_bitwise_on_the_block_path(make):
-    # P S P = conj(S) for every Kraus map, and S is exactly real here, so the
-    # swap pairs of channel._swap_pairs may share one stack
+    # P S P = conj(S) for every Kraus map, and S is exactly real here, so
+    # opcore.block_split may cut each swap pair's blocks once, on one stack
     fam = make()
     assert isinstance(channel._s_minus_identity(fam), opcore.BlockSplit)
     d = fam.dim
@@ -334,8 +334,12 @@ def test_real_core_is_bitwise_the_stable_sorted_eigvalsh():
 def test_swap_pairs_share_one_stack_and_its_values():
     # n = 48: 819 blocks, 403 swap pairs and 13 blocks the swap maps to themselves
     fam = cuntz.luders_family(48)
-    d, core = fam.dim, kl.spectral_core(fam)
-    assert core.blocks == 819
+    d = fam.dim
+    rows, cols, values = opcore.kron_entries(fam._adjoints, fam.ops).nonzero()
+    swap = np.arange(d * d) % d * d + np.arange(d * d) // d
+    split = opcore.minus_identity(opcore.block_split(d * d, rows, cols, values.real, swap))
+    core = opcore.factorize(split)
+    assert core.blocks == 819 and core.stacks == split.stacks
     held = {id(stack): stack for stack in core.stacks}
     first = {}
     for (index, _, w, _), stack in zip(core.factors, core.stacks):
@@ -349,6 +353,61 @@ def test_swap_pairs_share_one_stack_and_its_values():
     assert paired == 403 and sum(s.shape[0] for s in held.values()) == 403 + 13
     # the held blocks take fewer bytes than one eigenvector stack per factor did
     assert sum(s.nbytes for s in held.values()) < sum(8 * w.size * w.shape[1] for _, _, w, _ in core.factors)
+
+
+PAIRED = {name: BLOCK_PATH[name] for name in ("luders8", "luders16", "luders48", "pinching.json", "reflection_mix.json")}
+
+
+@pytest.mark.parametrize("make", PAIRED.values(), ids=PAIRED.keys())
+def test_paired_split_cuts_each_block_of_s_minus_identity_once(make):
+    fam = make()
+    d = fam.dim
+    n = d * d
+    a = (kl.superoperator(fam) - np.eye(n)).real
+    split = channel._s_minus_identity(fam)
+    swap = np.arange(n) % d * d + np.arange(n) // d
+    # every index lies in exactly one block
+    assert np.array_equal(np.sort(np.concatenate([index.ravel() for index in split.index])), np.arange(n))
+    kept = {}
+    for index, stack in zip(split.index, split.stacks):
+        if id(stack) in kept:
+            # an image: its representative's indices, swapped
+            assert np.array_equal(index, swap[kept[id(stack)]])
+        else:
+            kept[id(stack)] = index
+            assert np.array_equal(stack, a[index[:, :, None], index[:, None, :]])
+
+
+def test_fixed_space_and_solve_share_one_eigh_of_the_kernel_block(monkeypatch):
+    fam = cuntz.luders_family(16)
+    kl.spectral_core(fam)
+    eigh, shapes = np.linalg.eigh, []
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: shapes.append(np.shape(a)) or eigh(a))
+    kl.fixed_space(fam)
+    kl.solve_perturbation(fam, np.diag(cuntz.t_sequence(16).values).astype(complex))
+    # the kernel block once, and the Hermitian basis's Gram
+    assert shapes == [(1, 18, 18), (2, 2)]
+
+
+def test_solve_takes_only_the_blocks_the_defect_reaches(monkeypatch):
+    n = 48
+    fam = cuntz.luders_family(n)
+    tol = kl.fix_tol(n)
+    y = np.diag(cuntz.t_sequence(n).values).astype(complex)
+    b = opcore.vectorize(y - kl.apply(fam, y))
+    eigh, solve, blocks = np.linalg.eigh, np.linalg.solve, []
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: blocks.append(len(a)) or eigh(a))
+    monkeypatch.setattr(np.linalg, "solve", lambda a, x: blocks.append(len(a)) or solve(a, x))
+    z = kl.spectral_core(fam).solve(b, tol)
+    assert sum(blocks) == 11
+    # a full walk of a fresh core, its cut blind to b
+    cut = opcore.SpectralCore._cut
+    monkeypatch.setattr(opcore.SpectralCore, "_cut", lambda core, tol, b=None: cut(core, tol))
+    blocks.clear()
+    core = opcore.factorize(channel._s_minus_identity(fam))
+    full = core.solve(b, tol)
+    assert sum(blocks) == sum(s.shape[0] for s in {id(s): s for s in core.stacks}.values()) == 403 + 13
+    assert np.array_equal(z, full)
 
 
 def test_connected_real_core_is_bitwise_the_stable_sorted_eigvalsh():

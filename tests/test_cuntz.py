@@ -36,6 +36,16 @@ def test_completeness_exact_isometry_broken(n):
         assert tr.isometry_defects[1] == pytest.approx(1.0, abs=1e-15)
 
 
+def test_truncation_defects_are_computed_on_first_access(monkeypatch):
+    eigvalsh, calls = np.linalg.eigvalsh, []
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or eigvalsh(a))
+    tr = cuntz.build_isometries(8)
+    assert calls == []
+    assert tr.isometry_defects == pytest.approx((1.0, 1.0), abs=1e-15) and tr.completeness_defect == 0.0
+    reads = len(calls)
+    assert tr.isometry_defects and tr.completeness_defect == 0.0 and len(calls) == reads
+
+
 def test_t_sequence_oracle_n9():
     t = cuntz.t_sequence(9).values
     expected = [
@@ -217,6 +227,26 @@ def test_luders_core_splits_into_blocks():
     core = kl.spectral_core(fam)
     assert core.blocks >= 289 and core.largest_block <= 2016
     assert sum(index.size for index, _, _, _ in core.factors) == n * n
+
+
+@pytest.mark.parametrize("n", [4, 5, 8, 16, 48, 64, 128])
+def test_luders_operators_are_bitwise_the_per_matrix_parts(n):
+    # the six positive parts come from one stacked spectral map; each equals
+    # the spectral map of its own matrix, signs of zeros included
+    trunc = cuntz.build_isometries(n)
+    scale = 1.0 / math.sqrt(8.0)
+    parts = []
+    for v in (trunc.v1, trunc.v2):
+        re = (v + v.conj().T) / 2.0
+        im_plus = scale * opcore.positive_part((v - v.conj().T) / 2.0j)
+        parts += [scale * opcore.positive_part(re), scale * opcore.positive_part(-re), im_plus, im_plus.conj()]
+    total = sum(v.conj().T @ v + v @ v.conj().T for v in (trunc.v1, trunc.v2)) / 16.0
+    ops = [opcore.psd_sqrt(np.eye(n) - total)] + parts
+    fam = cuntz.luders_family(n)
+    assert len(fam.ops) == len(ops) == 9
+    for a, b in zip(fam.ops, ops):
+        assert np.array_equal(a.view(np.float64), b.view(np.float64))
+        assert np.array_equal(np.signbit(a.view(np.float64)), np.signbit(b.view(np.float64)))
 
 
 def test_luders_a0_is_exactly_diagonal():

@@ -1,4 +1,4 @@
-"""CLI reports of the nine deterministic configurations against recorded goldens.
+"""CLI reports of the ten deterministic configurations against recorded goldens.
 
 ``scripts/record_goldens.py`` wrote ``tests/golden/``.  Integers, booleans,
 strings and nulls must match exactly; floats must lie within

@@ -4,7 +4,8 @@
 * Unitary covariance: Fix({V* a_j V}) = V* Fix({a_j}) V.
 * Both leave the singular values of S - I, and so the gap report, unchanged.
 * Scaling: both sides of the square-difference bounds are homogeneous of
-  degree 2 in (x, y), and the commutant of {t a_j} is that of {a_j}.
+  degree 2 in (x, y), and the commutant of {t a_j} is that of {a_j}, as
+  are the intertwiners of {t a_j} and {t b_j} those of {a_j} and {b_j}.
 """
 
 import numpy as np
@@ -136,3 +137,14 @@ def test_commutant_is_invariant_under_scaling():
                 np.testing.assert_allclose(a @ x, x @ a, atol=1e-12)
     # the zero family commutes with everything
     assert len(kl.commutant([np.zeros((2, 2))])) == 4
+
+
+def test_intertwiner_space_is_invariant_under_scaling():
+    # a x = x a** = x a holds exactly on span{1, a}, at every scale
+    a = np.array([[1.0, 1.0], [0.0, 2.0]])
+    for t in (1e-300, 1e-10, 1.0, 1e150, 1e300):
+        with pytest.warns(UserWarning, match="is not (row|column)-complete"):
+            inter = kl.intertwiner_space([t * a], [t * a.T])
+        assert len(inter) == 2, t
+        for x in inter.basis:
+            np.testing.assert_allclose(a @ x, x @ a, atol=1e-12)

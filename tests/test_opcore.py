@@ -668,6 +668,79 @@ def test_components_oracle():
     np.testing.assert_array_equal(opcore.components(100, path[::-1], path[::-1] + 1), np.zeros(100))
 
 
+def _mixed_hermitian_stack(rng):
+    """Five 7 x 7 Hermitian matrices: full, split, diagonal, zero and real."""
+    g = rng.standard_normal((5, 7, 7)) + 1j * rng.standard_normal((5, 7, 7))
+    h = g + g.conj().swapaxes(1, 2)
+    h[1] = _block_diagonal_hermitian(rng)[0]
+    h[2] = np.diag(np.diag(h[2]).real)
+    h[3] = 0.0
+    h[4] = h[4].real
+    return h[rng.permutation(5)]
+
+
+def test_stacked_positive_part_and_psd_sqrt_are_bitwise_the_per_matrix_calls():
+    rng = np.random.default_rng(8)
+    for _ in range(4):
+        h = _mixed_hermitian_stack(rng)
+        p = h @ h
+        for fn, stack in ((opcore.positive_part, h), (opcore.psd_sqrt, p)):
+            out = fn(stack)
+            assert out.shape == stack.shape
+            for j, m in enumerate(stack):
+                assert np.array_equal(out[j], fn(m))
+
+
+def test_stacked_spectral_maps_validate_and_gate_each_matrix_alone():
+    # 1e-8 below zero passes against a stack-wide scale of 1e6, not against its own
+    with pytest.raises(ValueError, match=r"matrix\[1\] is not PSD: eigenvalue -1.000e-08"):
+        opcore.psd_sqrt(np.stack([np.diag([1e6, 0.0]), np.diag([1.0, -1e-8])]))
+    with pytest.raises(ValueError, match=r"matrix\[1\] is not Hermitian"):
+        opcore.positive_part(np.stack([np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]])]))
+
+
+def test_completeness_defects_of_a_hermitian_family_take_one_gram(monkeypatch):
+    rng = np.random.default_rng(61)
+    g = rng.standard_normal((3, 5, 5)) + 1j * rng.standard_normal((3, 5, 5))
+    families = [
+        cuntz.luders_family(16).ops,
+        [np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)],
+        list((g + g.conj().swapaxes(1, 2)) / 6.0),
+    ]
+    eigvalsh = np.linalg.eigvalsh
+    for mats in families:
+        assert all(np.array_equal(a, a.conj().T) for a in mats)
+        eye = np.eye(mats[0].shape[0])
+        # the two-Gram value
+        want = tuple(
+            float(np.abs(eigvalsh(sum(gram) - eye)).max())
+            for gram in ((a.conj().T @ a for a in mats), (a @ a.conj().T for a in mats))
+        )
+        calls = []
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or eigvalsh(a))
+        got = opcore.completeness_defects(mats)
+        monkeypatch.undo()
+        assert got == want and len(calls) == 1
+
+
+def test_block_split_cuts_each_swap_pair_once():
+    # components {0, 2} and {1, 3} are exchanged by the swap, {4, 5} maps to itself
+    swap = np.array([1, 0, 3, 2, 5, 4])
+    m = np.zeros((6, 6))
+    m[np.ix_([0, 2], [0, 2])] = m[np.ix_([1, 3], [1, 3])] = [[1.0, 2.0], [2.0, 3.0]]
+    m[np.ix_([4, 5], [4, 5])] = [[4.0, 5.0], [5.0, 4.0]]
+    assert np.array_equal(m[swap][:, swap], m)
+    rows, cols = np.nonzero(m)
+    split = opcore.block_split(6, rows, cols, m[rows, cols], swap)
+    assert [index.tolist() for index in split.index] == [[[4, 5]], [[0, 2]], [[1, 3]]]
+    assert split.stacks[1] is split.stacks[2] and split.stacks[0] is not split.stacks[1]
+    for index, stack in zip(split.index, split.stacks):
+        assert np.array_equal(stack, m[index[:, :, None], index[:, None, :]])
+    # minus_identity subtracts 1 once from the stack the pair shares
+    opcore.minus_identity(split)
+    assert np.array_equal(split.stacks[1][0], [[0.0, 2.0], [2.0, 2.0]])
+
+
 def test_block_split_oracle():
     h, _ = _block_diagonal_hermitian(np.random.default_rng(5))
     rows, cols = np.nonzero(h)
