@@ -17,3 +17,14 @@ python -m krauslab.cli commuting --dim 12 --trials 4 --tol 1e-12 > /dev/null
 python -m krauslab.cli fuzz --trials 20 > /dev/null
 python -m krauslab.cli schur --input demos/data/measure.json > /dev/null
 python -m krauslab.cli schur --input demos/data/symbol.json > /dev/null
+# one bad input: a family whose Gram sums overflow must exit 2, not write NaN
+bad=$(mktemp)
+trap 'rm -f "$bad"' EXIT
+echo '{"dim": 2, "kraus": [{"rows": 2, "cols": 2, "data": [[1e200, 0], [1e200, 0], [0, 0], [2e200, 0]]}]}' > "$bad"
+status=0
+err=$(python -m krauslab.cli analyze --input "$bad" 2>&1 > /dev/null) || status=$?
+if [ "$status" -ne 2 ]; then
+    echo "$err" >&2
+    echo "analyze of an overflowing family exited $status, expected 2" >&2
+    exit 1
+fi

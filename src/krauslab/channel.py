@@ -73,7 +73,8 @@ class KrausFamily:
     On construction the unital defect ``||sum a_j* a_j - 1||_op`` and the
     counital defect ``||sum a_j a_j* - 1||_op`` are computed once; the family
     is flagged unital (resp. trace-preserving) when the corresponding defect
-    is at most ``1e-9 * dim``.  Each operator is copied and frozen, so later
+    is at most ``1e-9 * dim``; a family whose sums overflow the float range
+    raises ``ValueError``.  Each operator is copied and frozen, so later
     writes to the caller's arrays cannot reach the family or its cached
     spectral core.
     """
@@ -83,7 +84,11 @@ class KrausFamily:
         self.dim = mats[0].shape[0]
         self.ops = mats
         self._adjoints = tuple(a.conj().T for a in mats)
-        self.unital_defect, self.counital_defect = opcore.completeness_defects(mats)
+        # the Gram sums of entries past about 1e154 overflow to inf or nan
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.unital_defect, self.counital_defect = opcore.completeness_defects(mats)
+        if not (math.isfinite(self.unital_defect) and math.isfinite(self.counital_defect)):
+            raise ValueError("kraus: sum a_j* a_j or sum a_j a_j* overflows the float range")
         self._spectral_core = None
         self._fixed_space = None
 
@@ -161,10 +166,11 @@ def spectral_core(family: KrausFamily) -> SpectralCore:
     S is read from :func:`opcore.kron_entries` and never formed densely
     when ``S - I`` is exactly real symmetric: it is then an
     :class:`opcore.BlockSplit` (one block when its exact nonzero pattern is
-    connected) with each swap pair cut once, on one stack, read by one stacked
-    ``eigvalsh`` per stack, and no complex S is live during it.  Any other
-    ``S - I`` is assembled dense, formed in place and passed straight on to
-    one complex SVD, so no copy of S outlives the factorization.
+    connected) with each swap pair cut once and listed twice, read by one
+    stacked ``eigvalsh`` per stack, and no complex S is live during it.
+    Any other ``S - I`` is assembled dense, formed in place and passed
+    straight on to one complex SVD, so no copy of S outlives the
+    factorization.
     """
     if family._spectral_core is None:
         family._spectral_core = opcore.factorize(_s_minus_identity(family))
@@ -180,7 +186,8 @@ def _s_minus_identity(family: KrausFamily, values_only: bool = False):
     The split is paired by the swap P taking ``vec`` index ``c * d + r`` to
     ``r * d + c``.  As psi(x*) = psi(x)*, P S P = conj(S) entry for entry,
     so an exactly real S commutes with P bitwise, and of each pair of blocks
-    P exchanges only one is cut (see :func:`opcore.block_split`).
+    P exchanges only one is cut, its index listing the image's rows too
+    (see :func:`opcore.block_split`).
     """
     d = family.dim
     entries = opcore.kron_entries(family._adjoints, family.ops)

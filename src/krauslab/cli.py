@@ -89,7 +89,8 @@ class Report:
             "results": self.results,
             "wall_time_ms": self.wall_time_ms,
         }
-        return (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode()
+        # NaN and Infinity are not JSON: a report holding one is an error
+        return (json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n").encode()
 
     @property
     def failures(self) -> int:

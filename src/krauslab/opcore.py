@@ -14,9 +14,9 @@ blocks in one form: :func:`factorize` reads the choice off the input's type,
 a stacked ``eigvalsh`` per stack of a :class:`BlockSplit` (the connected
 components of an exact nonzero pattern, from :func:`block_split`; a
 connected pattern is one block, and of each pair of blocks a given swap
-exchanges one is cut), with ``eigh`` kept for the blocks a kernel or solve
-needs (a solve reads only the blocks its right-hand side reaches), and one
-SVD in its own dtype for any 2-D array.  A query that reads only singular
+exchanges one is cut), with ``eigh`` of the blocks a kernel or solve reads
+(a solve reads only the blocks its right-hand side reaches), and one SVD in
+its own dtype for any 2-D array.  A query that reads only singular
 values asks :func:`factorize` for values only and gets the same blocks and
 values, and no vectors.
 """
@@ -24,7 +24,8 @@ values, and no vectors.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -133,23 +134,28 @@ class HermitianWitness:
     matrix: np.ndarray
     asymmetry: float
     tolerance: float
-
-    @property
-    def accepted(self) -> bool:
-        return self.asymmetry <= self.tolerance
+    accepted: bool
 
 
 def hermitian_witness(m, name: str = "matrix") -> HermitianWitness:
     """Measure ``||m - m*||_2`` against the scale-aware Hermitian tolerance.
 
     A matrix passes iff its asymmetry is at most ``1e-10 * (1 + ||m||_2)``.
+    Where a square overflows, both are retaken of ``m`` times a power of 2.
     """
     a = _square(m, name)
     adjoint = a.conj().T
+    scale = 1.0
+    with np.errstate(over="ignore"):
+        asymmetry, size = float(np.linalg.norm(a - adjoint)), float(np.linalg.norm(a))
+        if math.isinf(asymmetry + size):
+            scale = math.ldexp(1.0, -math.frexp(float(np.abs(a).max()))[1])
+            asymmetry, size = float(np.linalg.norm((a - adjoint) * scale)), float(np.linalg.norm(a * scale))
     return HermitianWitness(
         matrix=(a + adjoint) / 2.0,
-        asymmetry=float(np.linalg.norm(a - adjoint)),
-        tolerance=1e-10 * (1.0 + float(np.linalg.norm(a))),
+        asymmetry=asymmetry / scale,
+        tolerance=1e-10 * (1.0 + size / scale),
+        accepted=asymmetry <= 1e-10 * (scale + size),
     )
 
 
@@ -281,7 +287,9 @@ def completeness_defects(mats) -> tuple:
 
 
 def _hermitian_norm(h: np.ndarray) -> float:
-    """Operator norm of the Hermitian ``h``, from its ascending eigenvalues."""
+    """Operator norm of the Hermitian ``h``, from its eigenvalues; inf if ``h`` is not finite."""
+    if not np.isfinite(h).all():
+        return math.inf
     w = np.linalg.eigvalsh(h)
     return float(max(abs(w[0]), abs(w[-1])))
 
@@ -330,11 +338,11 @@ class BlockSplit(NamedTuple):
     """A square matrix cut along the connected components of its nonzero pattern.
 
     ``stacks[g][b]`` is the principal submatrix on rows and columns
-    ``index[g][b]``.  From :func:`block_split`, a stack holds components of
-    one size, in the order of their smallest indices, each listing its
-    indices ascending; a stack object listed twice (a swap pair's
-    representatives) holds the blocks of both indices.  Every entry off
-    these blocks is zero.
+    ``index[g][b]``, and on ``index[g][b + k]`` when ``index[g]`` lists the
+    k blocks twice (a swap pair's kept blocks, then their images).  From
+    :func:`block_split`, a stack holds components of one size, in the order
+    of their smallest indices, each listing its indices ascending.  Every
+    entry off these blocks is zero.
     """
 
     index: tuple
@@ -348,9 +356,9 @@ def block_split(n: int, rows: np.ndarray, cols: np.ndarray, values: np.ndarray, 
 
     ``swap`` is an involution of the indices that the matrix commutes with
     bitwise (``m[swap][:, swap] == m``).  Of each pair of blocks it
-    exchanges only the one with the smaller indices is cut, and the other is
-    listed as its swapped indices over the same stack: per size, the blocks
-    it maps to themselves, then the kept blocks, then their images.
+    exchanges only the one with the smaller indices is cut; per size, one
+    stack holds the blocks it maps to themselves and one the k kept blocks,
+    whose ``index`` has 2k rows: theirs, then their swapped indices.
     """
     if rows.size == n * n:
         # every position is listed, so the scatter writes every entry
@@ -381,11 +389,9 @@ def block_split(n: int, rows: np.ndarray, cols: np.ndarray, values: np.ndarray, 
         e = np.flatnonzero(entry_part == p)
         stack = np.zeros((mine.size, size, size), dtype=values.dtype)
         stack[slot[comp[rows[e]]], pos[rows[e]], pos[cols[e]]] = values[e]
-        index.append(members[first[mine][:, None] + np.arange(size)])
+        kept = members[first[mine][:, None] + np.arange(size)]
+        index.append(np.concatenate([kept, swap[kept]]) if p % 2 else kept)
         stacks.append(stack)
-        if p % 2:
-            index.append(swap[index[-1]])
-            stacks.append(stack)
     return BlockSplit(index=tuple(index), stacks=tuple(stacks))
 
 
@@ -397,20 +403,19 @@ class SpectralCore:
     real ``w`` for every block: block b of the stack sits on rows
     ``index[b, :u.shape[1]]`` and columns ``index[b, :vh.shape[2]]`` of
     ``m`` and is ``u[b] diag(w[b]) vh[b]``, and ``m`` is zero off its
-    blocks.  Where ``u`` and ``vh`` are None the blocks are square, and a
-    core with vectors holds factor f's real symmetric blocks as
-    ``stacks[f]`` (one array for a swap pair) and keeps the ``eigh`` of the
-    blocks a query needs, once per stack and tol.  ``sv`` holds every
-    ``|w|``, descending (ties in factor order): the singular values of
-    ``m``, padded with zeros when ``m`` is wide.  A values-only core
-    (``factorize(m, vectors=False)``) answers ``sv``, ``blocks`` and
-    ``largest_block``, and its ``kernel`` and ``solve`` raise.
+    blocks.  Where ``u`` and ``vh`` are None the blocks are square, may be
+    listed twice (see :class:`BlockSplit`), and a core with vectors holds
+    factor f's real symmetric blocks as ``stacks[f]``.  ``sv`` holds each
+    ``|w|`` once per listing, descending (ties in factor order): the
+    singular values of ``m``, padded with zeros when ``m`` is wide.  A
+    values-only core (``factorize(m, vectors=False)``) answers ``sv``,
+    ``blocks`` and ``largest_block``, and its ``kernel`` and ``solve``
+    raise.
     """
 
     sv: np.ndarray
     factors: tuple
     stacks: tuple | None = None
-    _near: dict = field(default_factory=dict, repr=False)
 
     @property
     def blocks(self) -> int:
@@ -430,31 +435,28 @@ class SpectralCore:
             )
 
     def _cut(self, tol: float, b: np.ndarray | None = None) -> tuple:
-        """Factors with vectors on the blocks holding some ``|w| <= tol``
-        (``u = q`` of the kept ``eigh``, ``vh`` its transposed view), and
-        ``(stack, mask, indices)`` of each held stack's other blocks.  With
-        ``b``, a held block is taken only where some factor listing it meets
-        a nonzero of ``b`` (z is exactly zero on the others)."""
-        on = {}
-        for f, (index, _, _, vh) in enumerate(self.factors):
-            if vh is None:
-                hit = np.ones(len(index), dtype=bool) if b is None else b[index].any(axis=1)
-                on[id(self.stacks[f])] = on.get(id(self.stacks[f]), False) | hit
-        whole, rest = [], {}
+        """Factors with vectors, one per listing, on the blocks holding some
+        ``|w| <= tol`` (``u = q`` of their ``eigh``, ``vh`` its transposed
+        view), and ``(stack, mask, indices)`` of each stack's other blocks.
+        With ``b``, only blocks a listing of which meets a nonzero of ``b``
+        are taken (z is exactly zero on the others)."""
+        whole, rest = [], []
         for f, (index, u, w, vh) in enumerate(self.factors):
             if vh is not None:
                 whole.append((index, u, w, vh))
                 continue
-            key, near = id(self.stacks[f]), (np.abs(w) <= tol).any(axis=1)
-            live = on[key]
-            if (near & live).any():
-                if (key, tol) not in self._near:
-                    self._near[key, tol] = np.linalg.eigh(self.stacks[f][near])[1]
-                q = self._near[key, tol][live[near]]
-                whole.append((index[near & live], q, w[near & live], q.swapaxes(1, 2)))
-            if (live & ~near).any():
-                rest.setdefault(key, (self.stacks[f], live & ~near, []))[2].append(index[live & ~near])
-        return whole, list(rest.values())
+            stack = self.stacks[f]
+            # listings[r, k] is listing r of block k
+            listings = index.reshape(-1, *stack.shape[:2])
+            near = (np.abs(w) <= tol).any(axis=1)
+            live = np.ones_like(near) if b is None else b[listings].any(axis=(0, 2))
+            on, off = live & near, live & ~near
+            if on.any():
+                q = np.linalg.eigh(stack[on])[1]
+                whole += [(at[on], q, w[on], q.swapaxes(1, 2)) for at in listings]
+            if off.any():
+                rest.append((stack, off, [at[off] for at in listings]))
+        return whole, rest
 
     def kernel(self, tol: float) -> np.ndarray:
         """Orthonormal columns of V whose singular value is at most ``tol``
@@ -499,10 +501,10 @@ class SpectralCore:
 
 
 def minus_identity(m):
-    """``m - I`` formed in place on a fresh square ``m`` or on a fresh
-    :class:`BlockSplit`'s blocks (a stack listed twice once)."""
+    """``m - I`` formed in place on a fresh square ``m`` or on each stack of
+    a fresh :class:`BlockSplit`."""
     if isinstance(m, BlockSplit):
-        for stack in {id(s): s for s in m.stacks}.values():
+        for stack in m.stacks:
             side = stack.shape[1]
             stack.reshape(stack.shape[0], side * side)[:, :: side + 1] -= 1.0
         return m
@@ -513,21 +515,17 @@ def minus_identity(m):
 def factorize(m, vectors: bool = True) -> SpectralCore:
     """The :class:`SpectralCore` of a :class:`BlockSplit` or of a 2-D array.
 
-    Each stack object of a :class:`BlockSplit` gets one stacked
-    ``eigvalsh``, shared by every factor listing it; with ``vectors`` the
-    core also keeps the stacks, which must be exactly real symmetric, and
-    without them they may be complex Hermitian.  A 2-D ``m``, whatever its entries, gets one SVD
-    in its own dtype (real or complex), one block covering every row and
+    Each stack of a :class:`BlockSplit` gets one stacked ``eigvalsh``,
+    listed by its index; with ``vectors`` the core also keeps the stacks,
+    which must be exactly real symmetric, and without them they may be
+    complex Hermitian.  A 2-D ``m``, whatever its entries, gets one SVD in
+    its own dtype (real or complex), one block covering every row and
     column, with full V only when ``m`` is wide; with ``vectors=False`` it
     gets an SVD without U and V*.
     """
     if not isinstance(m, BlockSplit):
         return _core((_svd_factor(m, vectors),))
-    values = {}
-    for stack in m.stacks:
-        if id(stack) not in values:
-            values[id(stack)] = np.linalg.eigvalsh(stack)
-    factors = tuple((index, None, values[id(stack)], None) for index, stack in zip(m.index, m.stacks))
+    factors = tuple((index, None, np.linalg.eigvalsh(stack), None) for index, stack in zip(m.index, m.stacks))
     return _core(factors, m.stacks if vectors else None)
 
 
@@ -548,7 +546,7 @@ def _svd_factor(m: np.ndarray, vectors: bool = True) -> tuple:
 
 def _core(factors: tuple, stacks: tuple | None = None) -> SpectralCore:
     """The :class:`SpectralCore` of ``factors``, with ``sv`` gathered from them."""
-    sv = np.concatenate([np.abs(w).ravel() for _, _, w, _ in factors])
+    sv = np.concatenate([np.abs(w).ravel() for index, _, w, _ in factors for _ in range(len(index) // len(w))])
     return SpectralCore(sv=sv[np.argsort(-sv, kind="stable")], factors=factors, stacks=stacks)
 
 

@@ -51,12 +51,19 @@ def tensor_family(d=8, m=3, seed=5):
 
 def core_matrix(core, n):
     """The square matrix a core factors, assembled densely from its blocks:
-    ``u diag(w) vh`` where it holds vectors, else the held block."""
+    ``u diag(w) vh`` where it holds vectors, else the held block, written at
+    each of its listings."""
     m = np.zeros((n, n), dtype=complex)
     for f, (index, u, w, vh) in enumerate(core.factors):
         block = core.stacks[f] if u is None else (u * w[:, None, :]) @ vh
-        m[index[:, :, None], index[:, None, :]] = block
+        at = listings(index, block)
+        m[at[..., :, None], at[..., None, :]] = block
     return m
+
+
+def listings(index, stack):
+    """``index`` as (listings, blocks, size): row r * len(stack) + k is listing r of block k."""
+    return index.reshape(-1, *stack.shape[:2])
 
 
 def core_factors(core):
@@ -274,7 +281,8 @@ def test_s_commutes_with_the_transpose_swap_bitwise_on_the_block_path(make):
 def test_paired_lazy_core_answers_like_a_dense_eigh(n):
     fam = cuntz.luders_family(n)
     core = kl.spectral_core(fam)
-    assert len({id(s) for s in core.stacks}) < len(core.factors)
+    # some stack is a swap pair's, listed twice under one factor
+    assert any(len(index) == 2 * len(s) for (index, _, _, _), s in zip(core.factors, core.stacks))
     a = (kl.superoperator(fam) - np.eye(n * n)).real
     w, q = np.linalg.eigh(a)
     tol = kl.fix_tol(n)
@@ -321,38 +329,49 @@ def test_real_core_is_bitwise_the_stable_sorted_eigvalsh():
     seen = np.concatenate([index.ravel() for index, _, _, _ in core.factors])
     assert np.array_equal(np.sort(seen), np.arange(n))
     on_blocks = np.zeros((n, n), dtype=bool)
+    absw = []
     for (index, u, w, vh), stack in zip(core.factors, core.stacks):
-        on_blocks[index[:, :, None], index[:, None, :]] = True
-        # each held block is S - I's on its index, an image block's too
-        assert np.array_equal(stack, a[index[:, :, None], index[:, None, :]])
+        for at in listings(index, stack):
+            on_blocks[at[:, :, None], at[:, None, :]] = True
+            # each held block is S - I's at each of its listings, an image's too
+            assert np.array_equal(stack, a[at[:, :, None], at[:, None, :]])
+            absw.append(np.abs(w).ravel())
         assert np.array_equal(w, np.linalg.eigvalsh(stack)) and u is None and vh is None
     assert not a[~on_blocks].any()
-    absw = np.concatenate([np.abs(w).ravel() for _, _, w, _ in core.factors])
+    # sv repeats a pair's values once per listing, in factor order
+    absw = np.concatenate(absw)
     assert np.array_equal(core.sv, absw[np.argsort(-absw, kind="stable")])
 
 
-def test_swap_pairs_share_one_stack_and_its_values():
+def test_swap_pairs_share_one_stack_and_its_values(monkeypatch):
     # n = 48: 819 blocks, 403 swap pairs and 13 blocks the swap maps to themselves
     fam = cuntz.luders_family(48)
     d = fam.dim
     rows, cols, values = opcore.kron_entries(fam._adjoints, fam.ops).nonzero()
     swap = np.arange(d * d) % d * d + np.arange(d * d) // d
     split = opcore.minus_identity(opcore.block_split(d * d, rows, cols, values.real, swap))
+    eigvalsh, calls = np.linalg.eigvalsh, []
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or eigvalsh(a))
     core = opcore.factorize(split)
     assert core.blocks == 819 and core.stacks == split.stacks
-    held = {id(stack): stack for stack in core.stacks}
-    first = {}
+    # one eigvalsh per stack, of that stack, and one factor per stack
+    assert len(calls) == len(core.factors) == len(core.stacks) == 28
+    assert all(a is s for a, s in zip(calls, core.stacks))
+    assert all(s is not t for j, s in enumerate(core.stacks) for t in core.stacks[:j])
+    paired = selfswapped = 0
     for (index, _, w, _), stack in zip(core.factors, core.stacks):
-        if id(stack) in first:
-            # the image lists the swapped indices of its partner, over its arrays
-            partner, partner_w = first[id(stack)]
-            assert np.array_equal(index, partner % d * d + partner // d) and w is partner_w
+        at = listings(index, stack)
+        assert w.shape == stack.shape[:2]
+        if len(at) == 2:
+            # the images list the swapped indices of the kept blocks, over one stack
+            assert np.array_equal(at[1], swap[at[0]])
+            paired += len(stack)
         else:
-            first[id(stack)] = index, w
-    paired = sum(index.shape[0] for index, _, _, _ in core.factors) - sum(s.shape[0] for s in held.values())
-    assert paired == 403 and sum(s.shape[0] for s in held.values()) == 403 + 13
-    # the held blocks take fewer bytes than one eigenvector stack per factor did
-    assert sum(s.nbytes for s in held.values()) < sum(8 * w.size * w.shape[1] for _, _, w, _ in core.factors)
+            assert np.array_equal(np.sort(swap[at[0]], axis=1), at[0])
+            selfswapped += len(stack)
+    assert (paired, selfswapped) == (403, 13)
+    # the held blocks take fewer bytes than one eigenvector stack per listing did
+    assert sum(s.nbytes for s in core.stacks) < sum(8 * len(index) * w.shape[1] ** 2 for index, _, w, _ in core.factors)
 
 
 PAIRED = {name: BLOCK_PATH[name] for name in ("luders8", "luders16", "luders48", "pinching.json", "reflection_mix.json")}
@@ -366,27 +385,18 @@ def test_paired_split_cuts_each_block_of_s_minus_identity_once(make):
     a = (kl.superoperator(fam) - np.eye(n)).real
     split = channel._s_minus_identity(fam)
     swap = np.arange(n) % d * d + np.arange(n) // d
-    # every index lies in exactly one block
+    # every index lies in exactly one block, and no stack is listed twice
     assert np.array_equal(np.sort(np.concatenate([index.ravel() for index in split.index])), np.arange(n))
-    kept = {}
+    assert all(s is not t for j, s in enumerate(split.stacks) for t in split.stacks[:j])
     for index, stack in zip(split.index, split.stacks):
-        if id(stack) in kept:
-            # an image: its representative's indices, swapped
-            assert np.array_equal(index, swap[kept[id(stack)]])
-        else:
-            kept[id(stack)] = index
-            assert np.array_equal(stack, a[index[:, :, None], index[:, None, :]])
-
-
-def test_fixed_space_and_solve_share_one_eigh_of_the_kernel_block(monkeypatch):
-    fam = cuntz.luders_family(16)
-    kl.spectral_core(fam)
-    eigh, shapes = np.linalg.eigh, []
-    monkeypatch.setattr(np.linalg, "eigh", lambda a: shapes.append(np.shape(a)) or eigh(a))
-    kl.fixed_space(fam)
-    kl.solve_perturbation(fam, np.diag(cuntz.t_sequence(16).values).astype(complex))
-    # the kernel block once, and the Hermitian basis's Gram
-    assert shapes == [(1, 18, 18), (2, 2)]
+        at = listings(index, stack)
+        assert len(at) in (1, 2)
+        if len(at) == 2:
+            # the images: the kept blocks' indices, swapped
+            assert np.array_equal(at[1], swap[at[0]])
+        # S - I's block at every listing is the held block
+        for idx in at:
+            assert np.array_equal(stack, a[idx[:, :, None], idx[:, None, :]])
 
 
 def test_solve_takes_only_the_blocks_the_defect_reaches(monkeypatch):
@@ -406,7 +416,7 @@ def test_solve_takes_only_the_blocks_the_defect_reaches(monkeypatch):
     blocks.clear()
     core = opcore.factorize(channel._s_minus_identity(fam))
     full = core.solve(b, tol)
-    assert sum(blocks) == sum(s.shape[0] for s in {id(s): s for s in core.stacks}.values()) == 403 + 13
+    assert sum(blocks) == sum(s.shape[0] for s in core.stacks) == 403 + 13
     assert np.array_equal(z, full)
 
 
@@ -451,7 +461,7 @@ def test_no_complex_superoperator_is_live_during_the_real_eigvalsh(monkeypatch):
         # taking none, and never a complex S (16 n^2 bytes) live while they
         # run: split blocks hold less than a real S - I, and one block little
         # more than the real S - I it is
-        held = {id(s): s for s in core.stacks}.values()
+        held = core.stacks
         assert len(traced) == len(held)
         assert (len(traced) > 1) == split
         assert sum(np.prod(shape[:-1]) for shape, _, _ in traced) == sum(s.shape[0] * s.shape[1] for s in held)
@@ -509,8 +519,7 @@ def test_family_queries_build_and_factorize_once(make, path, monkeypatch):
         assert stacks is None
     else:
         # every held stack's values are read once, and nothing else of S - I
-        distinct = {id(s) for s in stacks}
-        assert sorted(id(a) for a in held if id(a) in distinct) == sorted(distinct)
+        assert all(sum(a is s for a in held) == 1 for s in stacks)
         np.testing.assert_allclose(trace.density, np.diag([0.0, 0.0, 1.0]), atol=1e-12)
 
 

@@ -8,12 +8,13 @@ import re
 import subprocess
 import sys
 import time
+import warnings
 
 import numpy as np
 import pytest
 
 import krauslab as kl
-from krauslab import cli, cuntz, schur
+from krauslab import cli, cuntz, opcore, schur
 
 WALL = re.compile(rb'"wall_time_ms": \d+')
 
@@ -199,6 +200,33 @@ def test_exit_code_on_input_errors(tmp_path, capsys):
     sym.write_text(json.dumps(schur.symbol_to_json(schur.ToeplitzSymbol({0: 1.0}))))
     assert cli.main(["schur", "--input", str(sym), "--dim", "5"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+def test_analyze_exits_2_on_an_overflowing_family(scale, tmp_path, capsys):
+    # at 1e200 the Gram sums of the one generator overflow the float range
+    path, out = tmp_path / "family.json", tmp_path / "report.json"
+    a = scale * np.array([[1.0, 1.0], [0.0, 2.0]])
+    path.write_text(json.dumps({"dim": 2, "kraus": [opcore.matrix_to_json(a)]}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = cli.main(["analyze", "--input", str(path), "--json", str(out)])
+    err = capsys.readouterr().err
+    if scale > 1.0:
+        assert code == 2 and "overflows the float range" in err and not out.exists()
+    else:
+        assert code == 0 and err == ""
+        json.loads(out.read_text(), parse_constant=lambda name: pytest.fail(f"{name} in the report"))
+
+
+def test_a_report_holding_nan_exits_2(monkeypatch, capsys):
+    def with_nan(cfg):
+        return cli.Report("2", "cuntz", {}, {"sigma_min": float("nan")}, 0)
+
+    monkeypatch.setattr(cli, "run", with_nan)
+    assert cli.main(["cuntz", "--dim", "4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "not JSON compliant" in captured.err
 
 
 def test_out_of_memory_exits_2(monkeypatch, capsys):

@@ -269,7 +269,7 @@ def test_experiment_allocates_no_dense_superoperator():
 def test_experiment_factors_each_block_once(monkeypatch):
     # the gap report reads the full core, so each swap pair of blocks gets its
     # values once, and only the solve takes eigenvectors, of the kernel's block
-    calls = []
+    calls, cores = [], []
     inside = []
     factorize, solve = opcore.factorize, opcore.SpectralCore.solve
 
@@ -281,7 +281,7 @@ def test_experiment_factors_each_block_once(monkeypatch):
             finally:
                 inside.pop()
             if tag == "core":
-                calls.append(("core", len(out.factors), len({id(s) for s in out.stacks})))
+                cores.append(out)
             return out
 
         return wrapper
@@ -301,11 +301,13 @@ def test_experiment_factors_each_block_once(monkeypatch):
     for name in ("eigh", "eigvalsh", "svd", "solve"):
         monkeypatch.setattr(np.linalg, name, watching(name))
     rep = cuntz.experiment(16)
-    ((_, factors, held),) = [c for c in calls if c[0] == "core"]
+    (core,) = cores
     values = [c for c in calls if c[0] == "eigvalsh"]
     assert [c for c in calls if c[0] == "svd"] == []
-    # one eigvalsh per held stack, inside factorize; the images share them
-    assert len(values) == held < factors and {c[1] for c in values} == {"core"}
+    # one eigvalsh per held stack, inside factorize; a swap pair's images
+    # are listed over its stack, so fewer blocks are held than listed
+    assert len(values) == len(core.stacks) == len(core.factors) and {c[1] for c in values} == {"core"}
+    assert sum(len(s) for s in core.stacks) < core.blocks
     assert sum(int(np.prod(shape[:-1])) for _, _, shape in values) < 256
     # fix_dim 1: one eigh, of the one block holding the kernel; the rest are solved directly
     assert [(tag, shape[0]) for name, tag, shape in calls if name == "eigh"] == [("solve", 1)]

@@ -88,6 +88,21 @@ def test_hermitian_witness_is_bitwise_its_formulas():
     assert np.array_equal(m, g)
 
 
+def test_hermitian_gate_holds_past_the_square_overflow():
+    # entries past about 1e154 overflow a squared norm; the gate must still reject
+    skew = np.array([[1.0, 5.0], [0.0, 100.0]])
+    for t in (1.0, 1e160, 1e300):
+        assert not opcore.hermitian_witness(t * skew).accepted
+        with pytest.raises(ValueError, match="not Hermitian"):
+            opcore.require_psd(t * skew)
+    h = np.array([[1.0, 2.0], [2.0, 5.0]])
+    for t in (1.0, 1e300):
+        np.testing.assert_array_equal(opcore.require_psd(t * h), t * h)
+    w = opcore.hermitian_witness(1e300 * skew)
+    assert w.asymmetry == pytest.approx(5e300 * np.sqrt(2.0), rel=1e-15)
+    assert w.tolerance == pytest.approx(1e-10 * np.linalg.norm(skew) * 1e300, rel=1e-15)
+
+
 def test_positive_part_oracle_and_decomposition():
     np.testing.assert_allclose(
         opcore.positive_part(np.diag([3.0, -2.0])), np.diag([3.0, 0.0]), atol=1e-14
@@ -732,13 +747,94 @@ def test_block_split_cuts_each_swap_pair_once():
     assert np.array_equal(m[swap][:, swap], m)
     rows, cols = np.nonzero(m)
     split = opcore.block_split(6, rows, cols, m[rows, cols], swap)
-    assert [index.tolist() for index in split.index] == [[[4, 5]], [[0, 2]], [[1, 3]]]
-    assert split.stacks[1] is split.stacks[2] and split.stacks[0] is not split.stacks[1]
+    # the pair is one stack of one block, listed as the kept block, then its image
+    assert [index.tolist() for index in split.index] == [[[4, 5]], [[0, 2], [1, 3]]]
+    assert [len(stack) for stack in split.stacks] == [1, 1] and split.stacks[0] is not split.stacks[1]
     for index, stack in zip(split.index, split.stacks):
-        assert np.array_equal(stack, m[index[:, :, None], index[:, None, :]])
+        for b, idx in enumerate(index):
+            assert np.array_equal(stack[b % len(stack)], m[np.ix_(idx, idx)])
     # minus_identity subtracts 1 once from the stack the pair shares
     opcore.minus_identity(split)
     assert np.array_equal(split.stacks[1][0], [[0.0, 2.0], [2.0, 2.0]])
+
+
+def _swap_symmetric(rng, e, f, density):
+    """A real symmetric m of size e + f with ``m[swap][:, swap] == m``
+    bitwise, and the seeded involution ``swap``.
+
+    e indices, in a random order, form swap pairs whose first halves carry a
+    sparse symmetric pattern (each entry present with probability
+    ``density``), so the swap exchanges those blocks; the other f indices
+    carry a full symmetric block under an involution of their own (not the
+    identity), so the swap maps it to itself.
+    """
+    n = e + f
+    order = rng.permutation(n)
+    first, second, rest = order[: e // 2], order[e // 2 : e], order[e:]
+    k = rng.integers(1, f // 2 + 1) if f else 0
+    swap = np.arange(n)
+    swap[first], swap[second] = second, first
+    swap[rest[:k]], swap[rest[k : 2 * k]] = rest[k : 2 * k], rest[:k]
+    a = np.zeros((n, n))
+    a[np.ix_(first, first)] = rng.standard_normal((e // 2, e // 2)) * (rng.random((e // 2, e // 2)) < density)
+    a[np.ix_(rest, rest)] = rng.standard_normal((f, f))
+    a = a + a.T
+    # (x + y) and (y + x) are the same double, so m commutes with the swap bitwise
+    return a + a[swap][:, swap], swap
+
+
+@pytest.mark.parametrize(
+    "seed, e, f, kinds",
+    [
+        (0, 24, 0, {"exchanged"}),
+        (1, 30, 0, {"exchanged"}),
+        (2, 16, 8, {"exchanged", "self"}),
+        (3, 20, 10, {"exchanged", "self"}),
+        (4, 0, 12, {"full"}),
+    ],
+    ids=["exchanged24", "exchanged30", "mixed24", "mixed30", "full12"],
+)
+def test_swap_split_core_answers_like_a_dense_eigh(seed, e, f, kinds):
+    rng = np.random.default_rng(seed)
+    m, swap = _swap_symmetric(rng, e, f, 0.15)
+    n = e + f
+    assert np.array_equal(m[swap][:, swap], m)
+    rows, cols = np.nonzero(m)
+    split = opcore.block_split(n, rows, cols, m[rows, cols], swap)
+    # each stack object once, each index once, each listing of a block m's block
+    assert all(s is not t for j, s in enumerate(split.stacks) for t in split.stacks[:j])
+    assert np.array_equal(np.sort(np.concatenate([index.ravel() for index in split.index])), np.arange(n))
+    seen = set()
+    for index, stack in zip(split.index, split.stacks):
+        at = index.reshape(-1, *stack.shape[:2])
+        for idx in at:
+            assert np.array_equal(stack, m[idx[:, :, None], idx[:, None, :]])
+        if len(at) == 2:
+            assert np.array_equal(at[1], swap[at[0]])
+            seen.add("exchanged")
+        else:
+            # the full pattern's fast path ignores the swap: one block, listed once
+            assert len(at) == 1 and np.array_equal(np.sort(swap[at[0]], axis=1), at[0])
+            seen.add("full" if rows.size == n * n else "self")
+    assert seen == kinds
+    core = opcore.factorize(opcore.minus_identity(split))
+    a = m - np.eye(n)
+    w, q = np.linalg.eigh(a)
+    # S - I's blocks: connected components of m's pattern, each listed once
+    labels = opcore.components(n, rows, cols)
+    assert core.blocks == np.unique(labels).size
+    np.testing.assert_allclose(core.sv, np.sort(np.abs(w))[::-1], rtol=0.0, atol=1e-12)
+    # cut in the widest gap among the smallest |w|, so no cluster is split
+    absw = np.sort(np.abs(w))
+    g = int(np.argmax(np.diff(absw[: n // 2])))
+    tol = (absw[g] + absw[g + 1]) / 2.0
+    k, ref = core.kernel(tol), q[:, np.abs(w) <= tol]
+    assert k.shape == ref.shape and k.shape[1] > 0
+    assert np.linalg.norm(k @ k.conj().T - ref @ ref.T, 2) <= 1e-12
+    b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    inv = np.zeros_like(w)
+    np.divide(1.0, w, out=inv, where=np.abs(w) > tol)
+    np.testing.assert_allclose(core.solve(b, tol), q @ (inv * (q.T @ b)), rtol=0.0, atol=1e-12)
 
 
 def test_block_split_oracle():
@@ -847,8 +943,10 @@ def test_every_core_kind_answers_like_its_matrix(kind):
     for f, (index, u, w, vh) in enumerate(core.factors):
         assert np.isrealobj(w)
         if u is None:
-            r, c = index[:, :, None], index[:, None, :]
-            assert vh is None and np.array_equal(core.stacks[f], m[r, c])
+            # listing r of held block k is index[r * len(stack) + k]
+            at = index.reshape(-1, *core.stacks[f].shape[:2])
+            r, c = at[..., :, None], at[..., None, :]
+            assert vh is None and (m[r, c] == core.stacks[f]).all()
             np.testing.assert_allclose(np.linalg.eigvalsh(core.stacks[f]), w, atol=1e-12)
         else:
             r, c = index[:, : u.shape[1], None], index[:, None, : vh.shape[2]]
