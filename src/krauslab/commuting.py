@@ -9,15 +9,18 @@ Kraus-like variant ``sum_j a_j x b_j`` are exactly the intertwiners
 
 Every spectrum here comes from a Hermitian eigensolver.  One routine,
 :func:`_eigenbasis`, diagonalizes commuting normal matrices: one ``eigh`` of
-a fixed pseudorandom combination of their Hermitian and anti-Hermitian
-parts, each remaining block refined by every part in turn, blocks cut at
-gaps relative to the probe's Frobenius norm and the off-diagonal residual
-gated.  The joint spectra are the generators' diagonals in it; spec(theta)
-of an accepted pair, where theta is normal, is theta's own diagonal in it,
-certified by that residual.  Fix(theta) is read from the same eigenbasis:
-the eigenvectors with eigenvalue within ``tol`` of 1, corrected once to
-first order against the others; theta - I is never factorized.  The
-intertwiners of a gated pair are read from the two families' joint
+the probe ``m + m*``, with ``m`` a fixed pseudorandom combination of the
+matrices (so the probe combines their Hermitian and anti-Hermitian parts),
+cut at gaps relative to its Frobenius norm; only the clusters it leaves
+are refined, by each part in turn, and a part is formed only while a
+cluster remains; the off-diagonal residual is gated.  Every Frobenius norm
+there is scale-safe, so no gate is void where a square over- or
+underflows.  The joint spectra are the generators' diagonals in it;
+spec(theta) of an accepted pair, where theta is normal, is theta's own
+diagonal in it, certified by that residual.  Fix(theta) is read from the
+same eigenbasis: the eigenvectors with eigenvalue within ``tol`` of 1,
+corrected once to first order against the others; theta - I is never
+factorized.  The intertwiners of a gated pair are read from the two families' joint
 eigenbases: with ``a_j = U Lambda_j U*`` and ``b_j = V M_j V*`` they are
 spanned by the ``u_i v_k*`` whose tuples satisfy
 ``||lambda(i) - conj mu(k)|| <= tol``, the eigenvectors corrected once to
@@ -26,12 +29,16 @@ family is diagonalized once and keeps its eigenbasis, and theta once per
 pair: the intertwiner check leaves theta's diagonal on the first family
 for the spectrum check of the same pair.  :func:`intertwiner_space` still
 solves the Sylvester stack for any pair of families, commuting or not.
-The positivity check reads Bendixson bounds off the two parts.  No general
-(non-Hermitian) eigensolver runs.
+The product set of two joint spectra is one broadcast multiply-and-sum.
+The positivity check reads Bendixson bounds off the two parts, and solves
+theta itself when it is exactly Hermitian.  No general (non-Hermitian)
+eigensolver runs.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -175,60 +182,95 @@ class DiagonalizationResult:
     diags: tuple
 
 
-def _split(blk: np.ndarray, w: np.ndarray, gap: float) -> list:
-    """``blk`` cut wherever consecutive ascending eigenvalues ``w`` differ by
-    more than ``gap``."""
-    return np.split(blk, np.flatnonzero(np.diff(w) > gap) + 1)
+def _frobenius(m: np.ndarray) -> float:
+    """``||m||_F`` at any representable size.
 
-
-def _refine(basis: np.ndarray, blocks: list, probe: np.ndarray, gap: float) -> list:
-    """Diagonalize the Hermitian ``probe`` on every block of columns of ``basis``.
-
-    Each block of more than one column is rotated in place by the ``eigh`` of
-    ``probe`` compressed to it, and cut at the eigenvalue gaps above ``gap``;
-    the refined blocks are returned.
+    ``np.linalg.norm`` squares every entry, so its result overflows above
+    about 1e154 and loses bits to underflow below about 1e-154.  Only where
+    it reads inf or less than 1e-140 is the norm retaken, of the real and
+    imaginary parts of ``m`` divided by its largest ``|entry|`` (a real
+    division, so a subnormal divisor overflows nothing); in between it
+    costs the one pass of ``norm``.
     """
-    refined = []
-    for blk in blocks:
-        if blk.size == 1:
-            refined.append(blk)
-            continue
-        p = basis[:, blk]
-        h = p.conj().T @ probe @ p
-        h = (h + h.conj().T) / 2.0
-        w, v = np.linalg.eigh(h)
-        basis[:, blk] = p @ v
-        refined.extend(_split(blk, w, gap))
-    return refined
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(m))
+    if 1e-140 <= norm < math.inf:
+        return norm
+    peak = float(np.abs(m).max())
+    if not 0.0 < peak < math.inf:
+        return norm
+    return float(np.linalg.norm(np.stack((m.real, m.imag)) / peak)) * peak
+
+
+def _hermitian_part(m: np.ndarray) -> np.ndarray:
+    return (m + m.conj().T) / 2.0
+
+
+def _skew_part(m: np.ndarray) -> np.ndarray:
+    """The anti-Hermitian part of ``m`` divided by ``i``, itself Hermitian."""
+    return (m - m.conj().T) / 2.0j
+
+
+def _split(cols: np.ndarray, w: np.ndarray, gap: float) -> list:
+    """The clusters of ``cols``: its runs of at least two entries once cut
+    wherever consecutive ascending eigenvalues ``w`` differ by more than
+    ``gap``.  A single column is settled and is not listed."""
+    bounds = np.concatenate(([0], np.flatnonzero(np.diff(w) > gap) + 1, [w.size]))
+    return [cols[bounds[r] : bounds[r + 1]] for r in np.flatnonzero(np.diff(bounds) > 1)]
+
+
+def _refine(basis: np.ndarray, clusters: list, c: np.ndarray, part, scale: float) -> list:
+    """Diagonalize ``part(c)`` on every cluster of columns of ``basis``.
+
+    ``part`` is :func:`_hermitian_part` or :func:`_skew_part`.  The part of
+    ``c`` itself is formed only for its gap ``1e-6 * (scale + ||part(c)||_F)``;
+    the columns ``p`` of each cluster are rotated in place by the ``eigh`` of
+    the part of the compression ``p* c p`` and cut at its eigenvalue gaps
+    above that gap.  The clusters left (:func:`_split`) are returned.
+    """
+    gap = 1e-6 * (scale + _frobenius(part(c)))
+    left = []
+    for cols in clusters:
+        p = basis[:, cols]
+        w, v = np.linalg.eigh(part(p.conj().T @ c @ p))
+        basis[:, cols] = p @ v
+        left.extend(_split(cols, w, gap))
+    return left
 
 
 def _eigenbasis(mats, scale: float) -> tuple:
     """Common unitary eigenbasis of commuting normal ``mats``, and their diagonals.
 
-    One ``eigh`` of a fixed pseudorandom (seed ``0xD1A6``) combination of
-    every generator's Hermitian and anti-Hermitian parts splits the joint
-    eigenspaces generically; :func:`_refine` then rotates every block it
-    leaves with each part in turn, so all generators end scalar on each
-    block.  A probe's eigenvalues are cut at gaps above
-    ``1e-6 * (scale + ||probe||_F)``, and the off-diagonal Frobenius
-    residual of every rotated generator is gated at ``1e-8 * scale``
-    (``ValueError`` above it), so both tests follow the size of ``mats``.
+    One ``eigh`` of the probe ``m + m*``, ``m = sum_j alpha_j c_j`` with
+    ``alpha_j = (x_j - i y_j) / 2`` from a fixed pseudorandom normal draw
+    (seed ``0xD1A6``), splits the joint eigenspaces generically; the probe
+    is ``sum_j x_j H_j + y_j K_j`` over the generators' Hermitian and
+    anti-Hermitian parts, and no part is stored.  The probe's eigenvalues
+    are cut at gaps above ``1e-6 * (scale + ||probe||_F)``.  While a cluster
+    of at least two columns remains, :func:`_refine` rotates it by each
+    generator's parts in turn, so all generators end scalar on each
+    cluster; no part is formed once none remains.  The off-diagonal
+    Frobenius residual of every rotated generator is gated at
+    ``1e-8 * scale`` (``ValueError`` above it), so both tests follow the
+    size of ``mats``; every Frobenius norm is taken by :func:`_frobenius`,
+    so neither test is void where a square over- or underflows.
     """
-    pairs = [((c + c.conj().T) / 2.0, (c - c.conj().T) / 2.0j) for c in mats]
-    coeff = np.random.default_rng(0xD1A6).standard_normal((len(mats), 2))
-    probe = sum(x * h + y * k for (x, y), (h, k) in zip(coeff, pairs))
+    x, y = np.random.default_rng(0xD1A6).standard_normal((len(mats), 2)).T
+    mixed = sum(a * c for a, c in zip((x - 1j * y) / 2.0, mats))
+    probe = mixed + mixed.conj().T
     w, basis = np.linalg.eigh(probe)
-    blocks = _split(np.arange(w.size), w, 1e-6 * (scale + float(np.linalg.norm(probe))))
-    for pair in pairs:
-        for part in pair:
-            blocks = _refine(basis, blocks, part, 1e-6 * (scale + float(np.linalg.norm(part))))
+    clusters = _split(np.arange(w.size), w, 1e-6 * (scale + _frobenius(probe)))
+    for c, part in itertools.product(mats, (_hermitian_part, _skew_part)):
+        if not clusters:
+            break
+        clusters = _refine(basis, clusters, c, part, scale)
     diags = []
     limit = 1e-8 * scale
     for c in mats:
         rotated = basis.conj().T @ c @ basis
         diags.append(np.diagonal(rotated).copy())
         np.fill_diagonal(rotated, 0.0)
-        off = float(np.linalg.norm(rotated))
+        off = _frobenius(rotated)
         if off > limit:
             raise ValueError(
                 f"diagonalization residual {off:.3e} above tolerance {limit:.3e}"
@@ -324,6 +366,7 @@ def _sorted_complex(vals: np.ndarray) -> np.ndarray:
 def product_spectrum(sc: JointSpectrum, sd: JointSpectrum) -> np.ndarray:
     """All pointwise products sum_j lambda_j mu_j of two joint spectra.
 
+    They are one broadcast multiply-and-sum over the two point arrays.
     Every product is at most ``max ||lambda|| * max ||mu||`` in modulus (the
     maxima over the points of each spectrum), and products within ``1e-8``
     times that scale are merged.
@@ -332,13 +375,11 @@ def product_spectrum(sc: JointSpectrum, sd: JointSpectrum) -> np.ndarray:
         raise ValueError("joint spectra must be non-empty")
     if len(sc.points[0]) != len(sd.points[0]):
         raise ValueError("joint spectra have different tuple lengths")
-    vals = [
-        sum(l * m for l, m in zip(lam, mu))
-        for lam in sc.points
-        for mu in sd.points
-    ]
-    scale = _row_norms(sc.points).max() * _row_norms(sd.points).max()
-    return _merge(np.array(vals, dtype=np.complex128)[:, None], 1e-8 * scale)[:, 0]
+    lam = np.array(sc.points, dtype=np.complex128)
+    mu = np.array(sd.points, dtype=np.complex128)
+    vals = (lam[:, None, :] * mu[None, :, :]).sum(axis=-1).reshape(-1, 1)
+    scale = _row_norms(lam).max() * _row_norms(mu).max()
+    return _merge(vals, 1e-8 * scale)[:, 0]
 
 
 def hausdorff_distance(a, b) -> float:
@@ -366,7 +407,7 @@ def _normal_eigvals(theta: np.ndarray) -> np.ndarray:
     bounds the matching distance between them and spec(theta) by the gated
     off-diagonal residual, at most ``1e-8 * ||theta||_F``; a non-normal
     ``theta`` fails the gate and raises ``ValueError``."""
-    return _eigenbasis([theta], float(np.linalg.norm(theta)))[1][0]
+    return _eigenbasis([theta], _frobenius(theta))[1][0]
 
 
 def spectrum_product_check(c, d) -> SpectrumProductReport:
@@ -379,8 +420,8 @@ def spectrum_product_check(c, d) -> SpectrumProductReport:
     is then normal, and ``eigs`` are its diagonal in
     :func:`_eigenbasis` of ``[theta]`` alone, not in the joint eigenbases:
     one ``eigh`` of a fixed combination of its Hermitian and anti-Hermitian
-    parts, each remaining block refined by both parts, blocks cut at gaps
-    above ``1e-6 * (||theta||_F + ||probe||_F)``.  The off-diagonal residual
+    parts, cut at gaps above ``1e-6 * (||theta||_F + ||probe||_F)``, each
+    cluster it leaves refined by both parts.  The off-diagonal residual
     (at most ``1e-8 * ||theta||_F``, else ``ValueError``) bounds their
     distance to spec(theta).  The Hausdorff distance to the product set then
     vanishes up to rounding.
@@ -407,10 +448,11 @@ def _warn_incomplete(am: tuple, bm: tuple) -> None:
     """Warn, at the caller of the public function, when ``a`` is not
     row-complete (``sum a_j a_j* = 1``) or ``b`` not column-complete
     (``sum b_j* b_j = 1``) to ``unital_tol(n)``; no intertwiner solve needs
-    either, so neither raises.  An overflowing defect reads nan and warns."""
+    either, so neither raises.  Only those two defects are formed, one Gram
+    and one ``eigvalsh`` each.  An overflowing defect reads inf and warns."""
     with np.errstate(over="ignore", invalid="ignore"):
-        row_defect = opcore.completeness_defects(am)[1]
-        col_defect = opcore.completeness_defects(bm)[0]
+        row_defect = opcore.counital_defect(am)
+        col_defect = opcore.unital_defect(bm)
     if not row_defect <= unital_tol(am[0].shape[0]):
         warnings.warn(f"a is not row-complete (defect {row_defect:.3e})", stacklevel=3)
     if not col_defect <= unital_tol(bm[0].shape[0]):
@@ -432,8 +474,7 @@ def intertwiner_space(a, b, tol: float | None = None) -> SubspaceBasis:
     am, bm = _family_pair(a, b, "ab")
     na, nb = am[0].shape[0], bm[0].shape[0]
     if tol is None:
-        # hypot squares no entry, so no scale overflows or underflows
-        s = max(np.hypot.reduce(np.abs(np.concatenate(m)), axis=None) / np.sqrt(n) for m, n in ((am, na), (bm, nb)))
+        s = max(_frobenius(np.concatenate(m)) / np.sqrt(n) for m, n in ((am, na), (bm, nb)))
         tol = fix_tol(max(na, nb)) * s
     _warn_incomplete(am, bm)
     basis = opcore.sylvester_null_space(am, [bj.conj().T for bj in bm], tol)
@@ -509,7 +550,7 @@ def _theta_fixed_space(theta: np.ndarray, tol: float) -> tuple:
     by :func:`_first_order` against the columns whose eigenvalue lies more
     than ``1e-6 * ||theta||_F`` from theirs, and orthonormalized by QR.
     """
-    scale = float(np.linalg.norm(theta))
+    scale = _frobenius(theta)
     basis, (eigs,) = _eigenbasis([theta], scale)
     near = np.flatnonzero(np.abs(eigs - 1.0) <= tol)
     return _first_order(basis, [theta], eigs[:, None], near, scale), eigs
@@ -582,20 +623,23 @@ def positive_eigenvalue_check(c, d) -> PositiveSpectrumReport:
     nonzero anti-Hermitian part K; by Bendixson's theorem the spectrum lies
     in the rectangle with real parts at least ``lambda_min(H)`` and
     imaginary parts at most ``||K||_op`` in modulus, both read off
-    ``eigvalsh`` (the second skipped when K is exactly zero, giving
-    ``max_imag = 0.0``).  Commutativity is not required.  Non-PSD inputs
-    raise.
+    ``eigvalsh``.  When ``theta - theta*`` is exactly zero, theta is H
+    bit for bit: ``eigvalsh(theta)`` is taken without forming the copy H,
+    and K's solve is skipped (``max_imag = 0.0``).  Commutativity is not
+    required.  Non-PSD inputs raise.
     """
     cm, dm = _family_pair(c, d, "cd")
     for name, mats in (("c", cm), ("d", dm)):
         for j, m in enumerate(mats):
             opcore.require_psd(m, name=f"{name}[{j}]")
     theta = theta_superoperator(cm, dm)
-    adjoint = theta.conj().T
-    eigs = np.linalg.eigvalsh((theta + adjoint) / 2.0)
-    diff = theta - adjoint
-    # K = 0 exactly has only the eigenvalue 0.0, so its solve is skipped
-    max_imag = float(np.abs(np.linalg.eigvalsh(diff / 2.0j)).max()) if diff.any() else 0.0
+    diff = theta - theta.conj().T
+    if diff.any():
+        eigs = np.linalg.eigvalsh(_hermitian_part(theta))
+        max_imag = float(np.abs(np.linalg.eigvalsh(diff / 2.0j)).max())
+    else:
+        # theta is exactly H, and K = 0 has only the eigenvalue 0.0
+        eigs, max_imag = np.linalg.eigvalsh(theta), 0.0
     return PositiveSpectrumReport(
         eigs=eigs,
         min_real=float(eigs[0]),

@@ -58,12 +58,12 @@ class CuntzTruncation:
     @functools.cached_property
     def isometry_defects(self) -> tuple:
         """``||vi* vi - 1||_op`` for V1 and V2."""
-        return tuple(opcore.completeness_defects([v])[0] for v in (self.v1, self.v2))
+        return tuple(opcore.unital_defect([v]) for v in (self.v1, self.v2))
 
     @functools.cached_property
     def completeness_defect(self) -> float:
         """``||v1 v1* + v2 v2* - 1||_op``."""
-        return opcore.completeness_defects([self.v1, self.v2])[1]
+        return opcore.counital_defect([self.v1, self.v2])
 
 
 def build_isometries(n: int) -> CuntzTruncation:

@@ -46,6 +46,8 @@ __all__ = [
     "psd_sqrt",
     "square_family",
     "completeness_defects",
+    "unital_defect",
+    "counital_defect",
     "vectorize",
     "devectorize",
     "components",
@@ -141,7 +143,9 @@ def hermitian_witness(m, name: str = "matrix") -> HermitianWitness:
     """Measure ``||m - m*||_2`` against the scale-aware Hermitian tolerance.
 
     A matrix passes iff its asymmetry is at most ``1e-10 * (1 + ||m||_2)``.
-    Where a square overflows, both are retaken of ``m`` times a power of 2.
+    Where a square overflows, both are retaken of ``m`` times a power of 2,
+    and the symmetrized matrix is formed as ``m / 2 + m* / 2``, since
+    ``m + m*`` can overflow only there.
     """
     a = _square(m, name)
     adjoint = a.conj().T
@@ -152,7 +156,7 @@ def hermitian_witness(m, name: str = "matrix") -> HermitianWitness:
             scale = math.ldexp(1.0, -math.frexp(float(np.abs(a).max()))[1])
             asymmetry, size = float(np.linalg.norm((a - adjoint) * scale)), float(np.linalg.norm(a * scale))
     return HermitianWitness(
-        matrix=(a + adjoint) / 2.0,
+        matrix=(a + adjoint) / 2.0 if scale == 1.0 else a * 0.5 + adjoint * 0.5,
         asymmetry=asymmetry / scale,
         tolerance=1e-10 * (1.0 + size / scale),
         accepted=asymmetry <= 1e-10 * (scale + size),
@@ -279,11 +283,20 @@ def completeness_defects(mats) -> tuple:
     one ``eigvalsh``.  When every ``a_j`` is exactly Hermitian the two sums
     are one, formed and measured once.
     """
-    eye = np.eye(mats[0].shape[0])
-    unital = _hermitian_norm(sum(a.conj().T @ a for a in mats) - eye)
+    unital = unital_defect(mats)
     if all((a == a.conj().T).all() for a in mats):
         return unital, unital
-    return unital, _hermitian_norm(sum(a @ a.conj().T for a in mats) - eye)
+    return unital, counital_defect(mats)
+
+
+def unital_defect(mats) -> float:
+    """``||sum a_j* a_j - 1||_op``, the first of :func:`completeness_defects`."""
+    return _hermitian_norm(sum(a.conj().T @ a for a in mats) - np.eye(mats[0].shape[0]))
+
+
+def counital_defect(mats) -> float:
+    """``||sum a_j a_j* - 1||_op``, the second of :func:`completeness_defects`."""
+    return _hermitian_norm(sum(a @ a.conj().T for a in mats) - np.eye(mats[0].shape[0]))
 
 
 def _hermitian_norm(h: np.ndarray) -> float:

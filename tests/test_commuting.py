@@ -306,19 +306,19 @@ def test_normal_eigvals_separate_eigenvalues_sharing_a_real_part():
 
 
 def _recorded_refinements(monkeypatch):
-    """Block sizes going into and out of every ``commuting._refine`` call."""
+    """Cluster sizes going into and out of every ``commuting._refine`` call."""
     calls, refine = [], commuting._refine
 
-    def recording(basis, blocks, probe, gap):
-        out = refine(basis, blocks, probe, gap)
-        calls.append((basis.shape[0], [b.size for b in blocks], [b.size for b in out]))
+    def recording(basis, clusters, c, part, scale):
+        out = refine(basis, clusters, c, part, scale)
+        calls.append((basis.shape[0], part.__name__, [b.size for b in clusters], [b.size for b in out]))
         return out
 
     monkeypatch.setattr(commuting, "_refine", recording)
     return calls
 
 
-@pytest.mark.parametrize("scale", [1e-5, 1e5])
+@pytest.mark.parametrize("scale", [1e-100, 1e-5, 1e5, 1e100])
 def test_normal_eigvals_cluster_the_same_under_scaling(monkeypatch, scale):
     calls = _recorded_refinements(monkeypatch)
     pairs = [
@@ -333,17 +333,25 @@ def test_normal_eigvals_cluster_the_same_under_scaling(monkeypatch, scale):
         calls.clear()
         rep = kl.spectrum_product_check([scale * m for m in c], [scale * m for m in d])
         assert calls == unscaled
-        assert any(n == c[0].shape[0] * d[0].shape[0] for n, _, _ in calls)
         calls.clear()
         assert commuting.hausdorff_distance(rep.eigs, scale**2 * base.eigs) <= 1e-12 * scale**2
-        # the joint eigenbases refine the same blocks too, one call per part
+        # the joint eigenbases refine the same clusters too
         for fam in (c, d):
             kl.simultaneous_diagonalize(fam)
             unscaled = list(calls)
             calls.clear()
             kl.simultaneous_diagonalize([scale * m for m in fam])
-            assert calls == unscaled and len(calls) == 2 * len(fam)
+            assert calls == unscaled
             calls.clear()
+    # theta of the first two pairs holds a cluster (i and -i twice each, and
+    # eigenvalue 1 five times), refined at every scale; only clusters of at
+    # least two columns go into a refinement
+    for c, d in pairs[:2]:
+        c, d = commuting._family_pair(c, d, "cd")
+        kl.spectrum_product_check([scale * m for m in c], [scale * m for m in d])
+        assert any(rows == c[0].shape[0] * d[0].shape[0] for rows, *_ in calls)
+        assert all(size >= 2 for _, _, into, _ in calls for size in into)
+        calls.clear()
 
 
 def test_theta_of_an_intertwining_pair_takes_at_most_three_eigh(monkeypatch):
@@ -375,9 +383,23 @@ def test_theta_of_an_intertwining_pair_takes_at_most_three_eigh(monkeypatch):
 
 
 def test_normal_eigvals_gate_a_non_normal_input():
-    for jordan in (np.array([[1.0, 1.0], [0.0, 1.0]]), np.eye(3, k=1)):
-        with pytest.raises(ValueError, match="residual"):
-            commuting._normal_eigvals(jordan.astype(complex))
+    # squared entries overflow at 1e200 and underflow at 1e-200, where a
+    # plain np.linalg.norm would make the gate 1e-8 * inf or 0 <= 0
+    for scale in (1e-200, 1.0, 1e200):
+        for jordan in (np.array([[1.0, 1.0], [0.0, 1.0]]), np.eye(3, k=1)):
+            with pytest.raises(ValueError, match="residual"):
+                commuting._normal_eigvals(scale * jordan.astype(complex))
+
+
+@pytest.mark.parametrize("scale", [5e-324, 1e-300, 1e-200, 1e-150, 1.0, 1e150, 1e200, 1e300])
+def test_frobenius_norm_at_any_size(scale):
+    m = ginibre(trial_rng(66, 0), 6)
+    m /= np.abs(m).max()
+    want = np.hypot.reduce(np.abs(scale * m), axis=None)
+    assert commuting._frobenius(scale * m) == pytest.approx(want, rel=1e-13 if scale > 1e-300 else 1e-2)
+    assert commuting._frobenius(np.zeros((3, 3))) == 0.0
+    # a norm above the float range reads inf, without a warning
+    assert commuting._frobenius(np.full((4, 4), 1.5e308)) == np.inf
 
 
 def test_spectrum_product_check_gates_families_before_theta(monkeypatch):
@@ -639,6 +661,56 @@ def test_commuting_sweep_fixed_spaces_stay_at_rounding(capsys, seed):
     argv = ["commuting", "--dim", "12", "--ops", "3", "--trials", "20", "--seed", str(seed)]
     assert cli.main(argv) == 0
     assert json.loads(capsys.readouterr().out)["results"]["worst_subspace_distance"] <= 2e-14
+
+
+def test_commuting_sweep_solves_only_what_each_trial_reads(monkeypatch):
+    # the benchmark's sweep: per trial one eigh and one eigvalsh of the
+    # 144 x 144 theta, refinements only where theta holds a cluster, and of
+    # the 12 x 12 eigvalsh only the two completeness defects that are read
+    # and one PSD gate per coefficient
+    trials, events = [], []
+    eigh, eigvalsh = np.linalg.eigh, np.linalg.eigvalsh
+    refine, check = commuting._refine, commuting.intertwiner_fixed_point_check
+    inside = [False]
+
+    def recording(kind, solve):
+        def wrapped(a, *args, **kwargs):
+            events.append((kind, np.shape(a), inside[0]))
+            return solve(a, *args, **kwargs)
+
+        return wrapped
+
+    def refining(basis, *args):
+        inside[0] = basis.shape
+        try:
+            return refine(basis, *args)
+        finally:
+            inside[0] = False
+
+    def trial(*args, **kwargs):
+        trials.append(len(events))
+        return check(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording("eigh", eigh))
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording("eigvalsh", eigvalsh))
+    monkeypatch.setattr(commuting, "_refine", refining)
+    monkeypatch.setattr(commuting, "intertwiner_fixed_point_check", trial)
+    rep = cli.run(cli.RunConfig(command="commuting", dim=12, ops=3, trials=20, seed=0))
+    assert rep.results["failures"] == 0 and len(trials) == 20
+    for t, (start, stop) in enumerate(zip(trials, trials[1:] + [len(events)])):
+        row, seen = rep.csv_rows[t], events[start:stop]
+        assert row[-1] == 1 and row[1] == row[2] == (12 if t % 2 == 0 else 0)
+        assert seen.count(("eigh", (144, 144), False)) == 1
+        assert seen.count(("eigvalsh", (144, 144), False)) == 1
+        assert seen.count(("eigvalsh", (12, 12), False)) == 2 + 2 * 3
+        # only theta's basis is refined, never a family's, and only by eigh
+        assert {(kind, inside) for kind, _, inside in seen if inside} <= {("eigh", (144, 144))}
+        refined = [shape for _, shape, inside in seen if inside]
+        # eigenvalue 1 of multiplicity 12 is a cluster of every even theta,
+        # refined by both parts of its one generator; any other cluster is a
+        # few eigenvalues that share a probe value
+        assert refined.count((12, 12)) == (2 if t % 2 == 0 else 0)
+        assert all(shape[0] < 12 for shape in refined if shape != (12, 12))
 
 
 def _merge_loop(rows, radius):

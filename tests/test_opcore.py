@@ -103,6 +103,17 @@ def test_hermitian_gate_holds_past_the_square_overflow():
     assert w.tolerance == pytest.approx(1e-10 * np.linalg.norm(skew) * 1e300, rel=1e-15)
 
 
+def test_hermitian_gate_output_stays_finite_past_the_overflow():
+    # (m + m*) / 2 overflows to inf+nanj entries here, which require_psd's
+    # NaN eigenvalues would never reject
+    ones = np.ones((2, 2))
+    w = opcore.hermitian_witness(1.5e308 * ones)
+    assert w.accepted and np.array_equal(w.matrix, 1.5e308 * ones)
+    np.testing.assert_array_equal(opcore.require_psd(1.5e308 * ones), 1.5e308 * ones)
+    # and would put NaN on psd_sqrt's diagonal
+    np.testing.assert_array_equal(opcore.psd_sqrt(np.diag([1e308, 1e308])), np.diag([1e154, 1e154]))
+
+
 def test_positive_part_oracle_and_decomposition():
     np.testing.assert_allclose(
         opcore.positive_part(np.diag([3.0, -2.0])), np.diag([3.0, 0.0]), atol=1e-14
