@@ -55,7 +55,6 @@ from .commuting import (
     positive_eigenvalue_check,
     simultaneous_diagonalize,
     spectrum_product_check,
-    theta_apply,
     theta_superoperator,
 )
 from .inequalities import (
@@ -64,7 +63,6 @@ from .inequalities import (
     defect_bounds,
     gamma_curve,
     generalized_powers_stormer,
-    hermitian_embedding,
     powers_stormer,
 )
 from .tracelab import ApproxTrace, NearFixedReport, extract_trace, near_fixed_from_trace
@@ -114,7 +112,6 @@ __all__ = [
     "defect_bounds",
     "powers_stormer",
     "generalized_powers_stormer",
-    "hermitian_embedding",
     "gamma_curve",
     "ApproxTrace",
     "NearFixedReport",
@@ -123,7 +120,6 @@ __all__ = [
     "CommutingFamily",
     "simultaneous_diagonalize",
     "joint_spectrum",
-    "theta_apply",
     "theta_superoperator",
     "spectrum_product_check",
     "intertwiner_space",

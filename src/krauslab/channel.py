@@ -84,9 +84,8 @@ class KrausFamily:
         self.dim = mats[0].shape[0]
         self.ops = mats
         self._adjoints = tuple(a.conj().T for a in mats)
-        # the Gram sums of entries past about 1e154 overflow to inf or nan
-        with np.errstate(over="ignore", invalid="ignore"):
-            self.unital_defect, self.counital_defect = opcore.completeness_defects(mats)
+        # the Gram sums of entries past about 1e154 overflow, and read inf
+        self.unital_defect, self.counital_defect = opcore.completeness_defects(mats)
         if not (math.isfinite(self.unital_defect) and math.isfinite(self.counital_defect)):
             raise ValueError("kraus: sum a_j* a_j or sum a_j a_j* overflows the float range")
         self._spectral_core = None
@@ -256,12 +255,6 @@ class SubspaceBasis:
 
     def __len__(self) -> int:
         return len(self.basis)
-
-    @property
-    def dim(self) -> int:
-        if self.rows != self.cols:
-            raise ValueError("dim is only defined for square-matrix subspaces")
-        return self.rows
 
     def stacked(self) -> np.ndarray:
         """Vectorized basis as orthonormal columns, (rows*cols) x len."""

@@ -56,7 +56,6 @@ __all__ = [
     "PositiveSpectrumReport",
     "simultaneous_diagonalize",
     "joint_spectrum",
-    "theta_apply",
     "theta_superoperator",
     "product_spectrum",
     "spectrum_product_check",
@@ -347,11 +346,6 @@ def joint_spectrum(family: CommutingFamily) -> JointSpectrum:
     return JointSpectrum(points=tuple(tuple(complex(z) for z in r) for r in reps))
 
 
-def theta_apply(c, d, x) -> np.ndarray:
-    """Evaluate theta(x) = sum_j c_j x d_j for equal-length families."""
-    return opcore.product_map(*_family_pair(c, d, "cd"), x)
-
-
 def theta_superoperator(c, d) -> np.ndarray:
     """Matrix sum_j kron(d_j.T, c_j) of theta on column-stacked input."""
     cm, dm = _family_pair(c, d, "cd")
@@ -450,9 +444,8 @@ def _warn_incomplete(am: tuple, bm: tuple) -> None:
     (``sum b_j* b_j = 1``) to ``unital_tol(n)``; no intertwiner solve needs
     either, so neither raises.  Only those two defects are formed, one Gram
     and one ``eigvalsh`` each.  An overflowing defect reads inf and warns."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        row_defect = opcore.counital_defect(am)
-        col_defect = opcore.unital_defect(bm)
+    row_defect = opcore.counital_defect(am)
+    col_defect = opcore.unital_defect(bm)
     if not row_defect <= unital_tol(am[0].shape[0]):
         warnings.warn(f"a is not row-complete (defect {row_defect:.3e})", stacklevel=3)
     if not col_defect <= unital_tol(bm[0].shape[0]):

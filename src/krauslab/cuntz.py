@@ -22,7 +22,6 @@ experiment report collects everything a run produces.
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import asdict, dataclass
@@ -49,21 +48,11 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class CuntzTruncation:
-    """Truncated isometry pair; its defects are computed on first access."""
+    """Truncated isometry pair."""
 
     n: int
     v1: np.ndarray
     v2: np.ndarray
-
-    @functools.cached_property
-    def isometry_defects(self) -> tuple:
-        """``||vi* vi - 1||_op`` for V1 and V2."""
-        return tuple(opcore.unital_defect([v]) for v in (self.v1, self.v2))
-
-    @functools.cached_property
-    def completeness_defect(self) -> float:
-        """``||v1 v1* + v2 v2* - 1||_op``."""
-        return opcore.counital_defect([self.v1, self.v2])
 
 
 def build_isometries(n: int) -> CuntzTruncation:

@@ -34,7 +34,6 @@ __all__ = [
     "defect_bounds",
     "powers_stormer",
     "generalized_powers_stormer",
-    "hermitian_embedding",
     "gamma_curve",
 ]
 
@@ -125,30 +124,6 @@ def generalized_powers_stormer(b, x, y) -> InequalityReport:
     lhs = float(np.linalg.norm(bm @ sy - sx @ bm)) ** 2
     rhs = GAMMA * opcore.trace_norm(bm @ sy @ sy - sx @ sx @ bm) * opcore.op_norm(bm)
     return InequalityReport(lhs=lhs, rhs=rhs, inputs_digest=digest_inputs(bm, sx, sy))
-
-
-def hermitian_embedding(b, x, y) -> tuple:
-    """Block matrices reducing the rectangular case to the Hermitian one.
-
-    Returns ``B = [[0, b], [b*, 0]]`` and ``X = diag(x, y)``; running the
-    rectangular inequality on ``(B, X, X)`` doubles both sides of the report
-    for ``(b, x, y)`` exactly.
-    """
-    bm = opcore.as_matrix(b, "b")
-    sx = opcore.require_psd(x, "x")
-    sy = opcore.require_psd(y, "y")
-    if bm.shape != (sx.shape[0], sy.shape[0]):
-        raise ValueError(
-            f"b has shape {bm.shape}, expected {(sx.shape[0], sy.shape[0])}"
-        )
-    p, q = bm.shape
-    big_b = np.zeros((p + q, p + q), dtype=np.complex128)
-    big_b[:p, p:] = bm
-    big_b[p:, :p] = bm.conj().T
-    big_x = np.zeros((p + q, p + q), dtype=np.complex128)
-    big_x[:p, :p] = sx
-    big_x[p:, p:] = sy
-    return big_b, big_x
 
 
 def gamma_curve(beta: float, t) -> np.ndarray | float:

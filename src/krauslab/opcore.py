@@ -5,10 +5,9 @@ stacking, so ``vec(A @ X @ B) = kron(B.T, A) @ vec(X)``.  This module is the
 one place that convention, the PSD tolerance and the validation of matrix
 families are written down: superoperators come from :func:`kron_entries`
 (densely from :func:`kron_sum`, their action from :func:`product_map`),
-solution spaces of ``l_j x = x r_j`` from :func:`sylvester_null_space` (one
-SVD per component of the stack's nonzero pattern), PSD inputs pass
-:func:`require_psd` and families pass :func:`square_family` (their defects
-from :func:`completeness_defects`, one Gram for a Hermitian family).
+PSD inputs pass :func:`require_psd` and families pass :func:`square_family`
+(their defects from :func:`completeness_defects`, one Gram for a Hermitian
+family).
 Every kernel and solve is cut from a :class:`SpectralCore`, which holds the
 blocks in one form: :func:`factorize` reads the choice off the input's type,
 a stacked ``eigvalsh`` per stack of a :class:`BlockSplit` (the connected
@@ -19,10 +18,17 @@ exchanges one is cut), with ``eigh`` of the blocks a kernel or solve reads
 its own dtype for any 2-D array.  A query that reads only singular
 values asks :func:`factorize` for values only and gets the same blocks and
 values, and no vectors.
+
+Two reference solvers stand apart from that core, and no CLI report reads
+them: :func:`sylvester_null_space` solves ``l_j x = x r_j`` on the whole
+kron-stacked system (one SVD per component of its nonzero pattern), and
+:func:`linear_map_matrix` builds the matrix of any linear map column by
+column.  Tests compare the fast paths against them.
 """
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 from dataclasses import dataclass
@@ -31,12 +37,9 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 __all__ = [
-    "MatrixNorms",
     "HermitianWitness",
     "as_matrix",
-    "norms",
     "op_norm",
-    "hs_norm",
     "trace_norm",
     "hs_inner",
     "hermitian_witness",
@@ -86,33 +89,9 @@ def _square(x, name: str = "matrix") -> np.ndarray:
     return m
 
 
-class MatrixNorms(NamedTuple):
-    op: float
-    hs: float
-    tr: float
-
-
-def norms(x) -> MatrixNorms:
-    """Operator, Hilbert-Schmidt and trace norms, all read off one SVD.
-
-    The three values satisfy ``op <= hs <= tr`` up to rounding.
-    """
-    s = np.linalg.svd(as_matrix(x), compute_uv=False)
-    return MatrixNorms(
-        op=float(s[0]),
-        hs=float(np.sqrt(np.sum(s * s))),
-        tr=float(np.sum(s)),
-    )
-
-
 def op_norm(x) -> float:
     """Largest singular value."""
     return float(np.linalg.svd(as_matrix(x), compute_uv=False)[0])
-
-
-def hs_norm(x) -> float:
-    """Hilbert-Schmidt (Frobenius) norm, sqrt(tr(x* x))."""
-    return float(np.linalg.norm(as_matrix(x)))
 
 
 def trace_norm(x) -> float:
@@ -121,12 +100,25 @@ def trace_norm(x) -> float:
 
 
 def hs_inner(x, y) -> complex:
-    """Hilbert-Schmidt inner product tr(x* y), conjugate-linear in ``x``."""
+    """Hilbert-Schmidt inner product tr(x* y), conjugate-linear in ``x``.
+
+    Where the sum is not finite, it is retaken of ``x`` and ``y`` each
+    times a power of 2 that brings its largest part below 1, and scaled
+    back; a product beyond the float range raises a ``ValueError``.
+    """
     mx = as_matrix(x, "x")
     my = as_matrix(y, "y")
     if mx.shape != my.shape:
         raise ValueError(f"shape mismatch {mx.shape} vs {my.shape}")
-    return complex(np.vdot(mx, my))
+    z = complex(np.vdot(mx, my))
+    if cmath.isfinite(z):
+        return z
+    ex, ey = (math.frexp(float(np.abs(m.view(np.float64)).max()))[1] for m in (mx, my))
+    z = complex(np.vdot(mx * math.ldexp(1.0, -ex), my * math.ldexp(1.0, -ey)))
+    try:
+        return complex(math.ldexp(z.real, ex + ey), math.ldexp(z.imag, ex + ey))
+    except OverflowError:
+        raise ValueError("hs_inner overflows: tr(x* y) is beyond the float range") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -290,13 +282,19 @@ def completeness_defects(mats) -> tuple:
 
 
 def unital_defect(mats) -> float:
-    """``||sum a_j* a_j - 1||_op``, the first of :func:`completeness_defects`."""
-    return _hermitian_norm(sum(a.conj().T @ a for a in mats) - np.eye(mats[0].shape[0]))
+    """``||sum a_j* a_j - 1||_op``, the first of :func:`completeness_defects`;
+    inf, without a warning, where the sum overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = sum(a.conj().T @ a for a in mats)
+    return _hermitian_norm(gram - np.eye(mats[0].shape[0]))
 
 
 def counital_defect(mats) -> float:
-    """``||sum a_j a_j* - 1||_op``, the second of :func:`completeness_defects`."""
-    return _hermitian_norm(sum(a @ a.conj().T for a in mats) - np.eye(mats[0].shape[0]))
+    """``||sum a_j a_j* - 1||_op``, the second of :func:`completeness_defects`;
+    inf, without a warning, where the sum overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = sum(a @ a.conj().T for a in mats)
+    return _hermitian_norm(gram - np.eye(mats[0].shape[0]))
 
 
 def _hermitian_norm(h: np.ndarray) -> float:

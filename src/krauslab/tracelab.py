@@ -28,8 +28,6 @@ __all__ = [
     "approx_trace",
     "extract_trace",
     "near_fixed_from_trace",
-    "approx_trace_to_json",
-    "approx_trace_from_json",
 ]
 
 
@@ -157,26 +155,3 @@ def near_fixed_from_trace(family: KrausFamily, trace) -> NearFixedReport:
         certified_bound=certified,
     )
 
-
-def approx_trace_to_json(trace: ApproxTrace) -> dict:
-    """Encode as ``{"density": matrix, "defect": r, "normalization": r}``."""
-    return {
-        "density": opcore.matrix_to_json(trace.density),
-        "defect": float(trace.defect),
-        "normalization": float(trace.normalization),
-    }
-
-
-def approx_trace_from_json(obj) -> ApproxTrace:
-    """Decode and re-validate the density; defect and normalization are trusted."""
-    if not isinstance(obj, dict):
-        raise ValueError("approximate-trace object must be a JSON dict")
-    missing = {"density", "defect", "normalization"} - set(obj)
-    if missing:
-        raise ValueError(f"approximate-trace object missing keys {sorted(missing)}")
-    density = _check_density(opcore.matrix_from_json(obj["density"]))
-    return ApproxTrace(
-        density=density,
-        defect=float(obj["defect"]),
-        normalization=float(obj["normalization"]),
-    )

@@ -185,12 +185,12 @@ def test_theta_apply_matches_superoperator():
     d = [ginibre(rng, 4) for _ in range(2)]
     s = kl.theta_superoperator(c, d)
     # independent oracle: column-by-column assembly of the same map
-    direct = opcore.linear_map_matrix(lambda m: kl.theta_apply(c, d, m), 3, 4)
+    direct = opcore.linear_map_matrix(lambda m: opcore.product_map(c, d, m), 3, 4)
     np.testing.assert_allclose(s, direct, atol=1e-12)
     with pytest.raises(ValueError):
-        kl.theta_apply(c, d[:1], np.zeros((3, 4)))
+        opcore.product_map(c, d[:1], np.zeros((3, 4)))
     with pytest.raises(ValueError):
-        kl.theta_apply(c, d, np.zeros((4, 3)))
+        opcore.product_map(c, d, np.zeros((4, 3)))
 
 
 def test_theta_superoperator_is_bitwise_the_kron_sum():

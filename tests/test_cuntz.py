@@ -30,20 +30,10 @@ def test_build_isometries_oracle():
 def test_completeness_exact_isometry_broken(n):
     tr = cuntz.build_isometries(n)
     # every basis index is even or odd exactly once, so completeness is exact
-    assert tr.completeness_defect == 0.0
+    assert opcore.counital_defect([tr.v1, tr.v2]) == 0.0
     if n >= 3:
-        assert tr.isometry_defects[0] == pytest.approx(1.0, abs=1e-15)
-        assert tr.isometry_defects[1] == pytest.approx(1.0, abs=1e-15)
-
-
-def test_truncation_defects_are_computed_on_first_access(monkeypatch):
-    eigvalsh, calls = np.linalg.eigvalsh, []
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or eigvalsh(a))
-    tr = cuntz.build_isometries(8)
-    assert calls == []
-    assert tr.isometry_defects == pytest.approx((1.0, 1.0), abs=1e-15) and tr.completeness_defect == 0.0
-    reads = len(calls)
-    assert tr.isometry_defects and tr.completeness_defect == 0.0 and len(calls) == reads
+        assert opcore.unital_defect([tr.v1]) == pytest.approx(1.0, abs=1e-15)
+        assert opcore.unital_defect([tr.v2]) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_t_sequence_oracle_n9():

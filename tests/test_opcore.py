@@ -1,28 +1,17 @@
 """Matrix primitives: frozen small-case oracles plus randomized invariants."""
 
+import importlib
+import math
+import pkgutil
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
+import krauslab
 from krauslab import channel, commuting, cuntz, inequalities, opcore
 from krauslab.ensembles import ginibre, haar_unitary, intertwining_pair, mixed_unitary_family, trial_rng
-
-
-def test_norms_oracle_diagonal():
-    # singular values 4 and 3: op 4, hs 5, tr 7
-    n = opcore.norms(np.diag([3.0, 4.0]))
-    assert n.op == pytest.approx(4.0, abs=1e-14)
-    assert n.hs == pytest.approx(5.0, abs=1e-14)
-    assert n.tr == pytest.approx(7.0, abs=1e-14)
-
-
-def test_norms_oracle_nilpotent():
-    # single singular value 1, so all three norms agree
-    n = opcore.norms([[0.0, 1.0], [0.0, 0.0]])
-    assert n.op == pytest.approx(1.0, abs=1e-14)
-    assert n.hs == pytest.approx(1.0, abs=1e-14)
-    assert n.tr == pytest.approx(1.0, abs=1e-14)
 
 
 def test_norm_ordering_random():
@@ -30,12 +19,11 @@ def test_norm_ordering_random():
     for _ in range(25):
         d = int(rng.integers(1, 7))
         x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        n = opcore.norms(x)
-        assert n.op <= n.hs + 1e-12
-        assert n.hs <= n.tr + 1e-12
-        assert n.op == pytest.approx(opcore.op_norm(x), rel=1e-12)
-        assert n.hs == pytest.approx(opcore.hs_norm(x), rel=1e-12)
-        assert n.tr == pytest.approx(opcore.trace_norm(x), rel=1e-12)
+        op, hs, tr = opcore.op_norm(x), np.linalg.norm(x), opcore.trace_norm(x)
+        assert op <= hs + 1e-12
+        assert hs <= tr + 1e-12
+        assert op == pytest.approx(np.linalg.norm(x, 2), rel=1e-12)
+        assert tr == pytest.approx(np.linalg.norm(x, "nuc"), rel=1e-12)
 
 
 def test_as_matrix_rejects_bad_input():
@@ -54,9 +42,23 @@ def test_hs_inner_conjugate_linear_first_argument():
     c = 0.7 - 1.3j
     assert opcore.hs_inner(c * x, y) == pytest.approx(np.conj(c) * opcore.hs_inner(x, y))
     assert opcore.hs_inner(x, c * y) == pytest.approx(c * opcore.hs_inner(x, y))
-    assert opcore.hs_inner(x, x) == pytest.approx(opcore.hs_norm(x) ** 2)
+    assert opcore.hs_inner(x, x) == pytest.approx(np.linalg.norm(x) ** 2)
     # tr(x* y) written out entrywise
     assert opcore.hs_inner(x, y) == pytest.approx(np.trace(x.conj().T @ y))
+
+
+def test_hs_inner_retakes_an_overflowing_sum_scaled():
+    rng = np.random.default_rng(12)
+    a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    b = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    # a finite sum keeps np.vdot's bits
+    assert opcore.hs_inner(a, b) == complex(np.vdot(a, b))
+    assert opcore.hs_inner(1e150 * a, 1e150 * a) == pytest.approx(1e300 * opcore.hs_inner(a, a), rel=1e-14)
+    # the first product overflows, the sum 7.5e307 does not
+    assert opcore.hs_inner([[1.5e308, -1e308]], [[1.5, 1.5]]) == pytest.approx(7.5e307, rel=1e-15)
+    # np.vdot reads nan+nanj here, with no warning
+    with pytest.raises(ValueError, match="overflows"):
+        opcore.hs_inner(1e160 * a, 1e160 * a)
 
 
 def test_hermitian_witness_and_symmetrized():
@@ -127,7 +129,7 @@ def test_positive_part_oracle_and_decomposition():
         np.testing.assert_allclose(plus - minus, h, atol=1e-12)
         assert np.linalg.eigvalsh(plus)[0] >= -1e-12
         # positive and negative parts are orthogonal pieces of h
-        assert opcore.hs_norm(plus @ minus) <= 1e-12
+        assert np.linalg.norm(plus @ minus) <= 1e-12
 
 
 def test_psd_sqrt_oracle_and_roundtrip():
@@ -595,6 +597,27 @@ def test_completeness_defects_of_the_truncated_cuntz_pair():
     unital, counital = opcore.completeness_defects([tr.v1, tr.v2])
     assert counital == 0.0
     assert unital == pytest.approx(1.0, abs=1e-15)
+
+
+def test_overflowing_gram_sums_read_inf_without_a_warning():
+    rng = np.random.default_rng(60)
+    a = 1e160 * (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+    # the Grams' +inf and -inf off-diagonal entries sum to nan
+    pair = [1e160 * np.array([[1.0, 1.0], [0.0, 0.0]]), 1e160 * np.array([[1.0, -1.0], [0.0, 0.0]])]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert opcore.completeness_defects([a]) == (math.inf, math.inf)
+        assert opcore.unital_defect(pair) == math.inf
+        assert opcore.counital_defect(pair) == math.inf
+        with pytest.raises(ValueError, match="overflows the float range"):
+            channel.KrausFamily([a])
+
+
+def test_every_name_in_an_all_list_resolves():
+    # a deleted definition takes its __all__ entries and re-exports with it
+    modules = [krauslab] + [importlib.import_module(f"krauslab.{m.name}") for m in pkgutil.iter_modules(krauslab.__path__)]
+    stale = [f"{module.__name__}.{name}" for module in modules for name in module.__all__ if not hasattr(module, name)]
+    assert len(modules) > 1 and stale == []
 
 
 def test_wrong_shaped_input_names_its_argument():

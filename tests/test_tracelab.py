@@ -1,13 +1,12 @@
 """Approximate traces and the near-fixed elements recovered from them."""
 
-import json
 import warnings
 
 import numpy as np
 import pytest
 
 import krauslab as kl
-from krauslab import opcore, tracelab
+from krauslab import tracelab
 from krauslab.ensembles import (
     mixed_unitary_family,
     random_density,
@@ -124,19 +123,3 @@ def test_certified_bound_dominates_commutator():
         assert rep.commutator_hs <= bound + 1e-9 * (1.0 + bound), f"trial {trial}"
         # unital trace-preserving: defect is in turn bounded by the commutators
         assert rep.fixed_defect <= rep.commutator_hs + 1e-9, f"trial {trial}"
-
-
-def test_approx_trace_json_roundtrip():
-    fam = pinching()
-    tr = tracelab.approx_trace(fam, np.diag([0.6, 0.4]).astype(complex))
-    obj = json.loads(json.dumps(tracelab.approx_trace_to_json(tr)))
-    back = tracelab.approx_trace_from_json(obj)
-    np.testing.assert_allclose(back.density, tr.density, atol=1e-15)
-    assert back.defect == tr.defect
-    assert back.normalization == tr.normalization
-    with pytest.raises(ValueError):
-        tracelab.approx_trace_from_json({"density": opcore.matrix_to_json(np.eye(2))})
-    bad = tracelab.approx_trace_to_json(tr)
-    bad["density"]["data"][0] = [3.0, 0.0]  # breaks unit trace
-    with pytest.raises(ValueError):
-        tracelab.approx_trace_from_json(bad)
