@@ -356,8 +356,7 @@ def commutant(mats) -> SubspaceBasis:
     """
     sq = opcore.square_family(mats, "mats")
     d = sq[0].shape[0]
-    # hypot squares no entry, so no scale overflows or underflows
-    s = np.hypot.reduce(np.abs(np.concatenate(sq)), axis=None) / math.sqrt(d)
+    s = opcore.frobenius(np.concatenate(sq)) / math.sqrt(d)
     basis = opcore.sylvester_null_space(sq, sq, fix_tol(d) * s)
     return SubspaceBasis(rows=d, cols=d, basis=basis)
 

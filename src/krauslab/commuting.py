@@ -14,11 +14,11 @@ matrices (so the probe combines their Hermitian and anti-Hermitian parts),
 cut at gaps relative to its Frobenius norm; only the clusters it leaves
 are refined, by each part in turn, and a part is formed only while a
 cluster remains; the off-diagonal residual is gated.  Every Frobenius norm
-there is scale-safe, so no gate is void where a square over- or
-underflows.  The joint spectra are the generators' diagonals in it;
-spec(theta) of an accepted pair, where theta is normal, is theta's own
-diagonal in it, certified by that residual.  Fix(theta) is read from the
-same eigenbasis: the eigenvectors with eigenvalue within ``tol`` of 1,
+is :func:`opcore.frobenius` (opcore's one rescale rule), so no gate is void
+where a square over- or underflows.  The joint spectra are the generators'
+diagonals in it; spec(theta) of an accepted pair, where theta is normal, is
+theta's own diagonal in it, certified by that residual.  Fix(theta) is read
+from the same eigenbasis: the eigenvectors with eigenvalue within ``tol`` of 1,
 corrected once to first order against the others; theta - I is never
 factorized.  The intertwiners of a gated pair are read from the two families' joint
 eigenbases: with ``a_j = U Lambda_j U*`` and ``b_j = V M_j V*`` they are
@@ -38,7 +38,6 @@ eigensolver runs.
 from __future__ import annotations
 
 import itertools
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -181,26 +180,6 @@ class DiagonalizationResult:
     diags: tuple
 
 
-def _frobenius(m: np.ndarray) -> float:
-    """``||m||_F`` at any representable size.
-
-    ``np.linalg.norm`` squares every entry, so its result overflows above
-    about 1e154 and loses bits to underflow below about 1e-154.  Only where
-    it reads inf or less than 1e-140 is the norm retaken, of the real and
-    imaginary parts of ``m`` divided by its largest ``|entry|`` (a real
-    division, so a subnormal divisor overflows nothing); in between it
-    costs the one pass of ``norm``.
-    """
-    with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(m))
-    if 1e-140 <= norm < math.inf:
-        return norm
-    peak = float(np.abs(m).max())
-    if not 0.0 < peak < math.inf:
-        return norm
-    return float(np.linalg.norm(np.stack((m.real, m.imag)) / peak)) * peak
-
-
 def _hermitian_part(m: np.ndarray) -> np.ndarray:
     return (m + m.conj().T) / 2.0
 
@@ -227,7 +206,7 @@ def _refine(basis: np.ndarray, clusters: list, c: np.ndarray, part, scale: float
     the part of the compression ``p* c p`` and cut at its eigenvalue gaps
     above that gap.  The clusters left (:func:`_split`) are returned.
     """
-    gap = 1e-6 * (scale + _frobenius(part(c)))
+    gap = 1e-6 * (scale + opcore.frobenius(part(c)))
     left = []
     for cols in clusters:
         p = basis[:, cols]
@@ -251,14 +230,13 @@ def _eigenbasis(mats, scale: float) -> tuple:
     cluster; no part is formed once none remains.  The off-diagonal
     Frobenius residual of every rotated generator is gated at
     ``1e-8 * scale`` (``ValueError`` above it), so both tests follow the
-    size of ``mats``; every Frobenius norm is taken by :func:`_frobenius`,
-    so neither test is void where a square over- or underflows.
+    size of ``mats``.
     """
     x, y = np.random.default_rng(0xD1A6).standard_normal((len(mats), 2)).T
     mixed = sum(a * c for a, c in zip((x - 1j * y) / 2.0, mats))
     probe = mixed + mixed.conj().T
     w, basis = np.linalg.eigh(probe)
-    clusters = _split(np.arange(w.size), w, 1e-6 * (scale + _frobenius(probe)))
+    clusters = _split(np.arange(w.size), w, 1e-6 * (scale + opcore.frobenius(probe)))
     for c, part in itertools.product(mats, (_hermitian_part, _skew_part)):
         if not clusters:
             break
@@ -269,7 +247,7 @@ def _eigenbasis(mats, scale: float) -> tuple:
         rotated = basis.conj().T @ c @ basis
         diags.append(np.diagonal(rotated).copy())
         np.fill_diagonal(rotated, 0.0)
-        off = _frobenius(rotated)
+        off = opcore.frobenius(rotated)
         if off > limit:
             raise ValueError(
                 f"diagonalization residual {off:.3e} above tolerance {limit:.3e}"
@@ -401,7 +379,7 @@ def _normal_eigvals(theta: np.ndarray) -> np.ndarray:
     bounds the matching distance between them and spec(theta) by the gated
     off-diagonal residual, at most ``1e-8 * ||theta||_F``; a non-normal
     ``theta`` fails the gate and raises ``ValueError``."""
-    return _eigenbasis([theta], _frobenius(theta))[1][0]
+    return _eigenbasis([theta], opcore.frobenius(theta))[1][0]
 
 
 def spectrum_product_check(c, d) -> SpectrumProductReport:
@@ -467,7 +445,7 @@ def intertwiner_space(a, b, tol: float | None = None) -> SubspaceBasis:
     am, bm = _family_pair(a, b, "ab")
     na, nb = am[0].shape[0], bm[0].shape[0]
     if tol is None:
-        s = max(_frobenius(np.concatenate(m)) / np.sqrt(n) for m, n in ((am, na), (bm, nb)))
+        s = max(opcore.frobenius(np.concatenate(m)) / np.sqrt(n) for m, n in ((am, na), (bm, nb)))
         tol = fix_tol(max(na, nb)) * s
     _warn_incomplete(am, bm)
     basis = opcore.sylvester_null_space(am, [bj.conj().T for bj in bm], tol)
@@ -543,7 +521,7 @@ def _theta_fixed_space(theta: np.ndarray, tol: float) -> tuple:
     by :func:`_first_order` against the columns whose eigenvalue lies more
     than ``1e-6 * ||theta||_F`` from theirs, and orthonormalized by QR.
     """
-    scale = _frobenius(theta)
+    scale = opcore.frobenius(theta)
     basis, (eigs,) = _eigenbasis([theta], scale)
     near = np.flatnonzero(np.abs(eigs - 1.0) <= tol)
     return _first_order(basis, [theta], eigs[:, None], near, scale), eigs

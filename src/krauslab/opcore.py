@@ -24,6 +24,11 @@ them: :func:`sylvester_null_space` solves ``l_j x = x r_j`` on the whole
 kron-stacked system (one SVD per component of its nonzero pattern), and
 :func:`linear_map_matrix` builds the matrix of any linear map column by
 column.  Tests compare the fast paths against them.
+
+One rescale rule serves each norm or product that could over- or underflow:
+:func:`_rescaled` brings an array whose largest part leaves ``[2**-400,
+2**400]`` into ``[1/2, 1)`` by an exact power of two, and :func:`frobenius`,
+:func:`hs_inner` and :func:`hermitian_witness` compute on that and scale back.
 """
 
 from __future__ import annotations
@@ -41,6 +46,7 @@ __all__ = [
     "as_matrix",
     "op_norm",
     "trace_norm",
+    "frobenius",
     "hs_inner",
     "hermitian_witness",
     "symmetrized",
@@ -99,26 +105,48 @@ def trace_norm(x) -> float:
     return float(np.sum(np.linalg.svd(as_matrix(x), compute_uv=False)))
 
 
-def hs_inner(x, y) -> complex:
-    """Hilbert-Schmidt inner product tr(x* y), conjugate-linear in ``x``.
+def _rescaled(m: np.ndarray) -> tuple:
+    """``(m * 2**-e, e)`` of a float64 or complex128 array, the rule above:
+    ``e >= -1022`` is the binade of its largest real or imaginary part, read
+    off its float64 view, and 0 (with ``m`` itself) where that part lies in
+    ``[2**-400, 2**400]`` or is 0 or not finite.  Exact but for entries it
+    takes below the normal range, negligible against the largest."""
+    parts = np.ascontiguousarray(m).view(np.float64)
+    peak = max(parts.max(initial=0.0), -parts.min(initial=0.0))
+    e = 0 if 2.0**-400 <= peak <= 2.0**400 else max(math.frexp(peak)[1], -1022)
+    return (m, 0) if e == 0 else (m * math.ldexp(1.0, -e), e)
 
-    Where the sum is not finite, it is retaken of ``x`` and ``y`` each
-    times a power of 2 that brings its largest part below 1, and scaled
-    back; a product beyond the float range raises a ``ValueError``.
-    """
-    mx = as_matrix(x, "x")
-    my = as_matrix(y, "y")
+
+def _scaled_back(x: float, e: int) -> float:
+    """``x * 2**e``, exact where normal, and an infinity of ``x``'s sign beyond the float range."""
+    try:
+        return math.ldexp(x, e)
+    except OverflowError:
+        return math.copysign(math.inf, x)
+
+
+def frobenius(m) -> float:
+    """``||m||_F`` of a real or complex array: ``np.linalg.norm`` (bitwise in
+    the safe range) of :func:`_rescaled` ``m``, scaled back, so no square
+    over- or underflows; inf, without a warning, only beyond the float range."""
+    m = np.asarray(m)
+    s, e = _rescaled(m.astype(np.result_type(m.dtype, np.float64), copy=False))
+    return _scaled_back(float(np.linalg.norm(s)), e)
+
+
+def hs_inner(x, y) -> complex:
+    """Hilbert-Schmidt inner product tr(x* y), conjugate-linear in ``x``: one
+    ``np.vdot`` of :func:`_rescaled` ``x`` and ``y`` (bitwise in the safe
+    range), scaled back; a ``ValueError`` beyond the float range."""
+    mx, my = as_matrix(x, "x"), as_matrix(y, "y")
     if mx.shape != my.shape:
         raise ValueError(f"shape mismatch {mx.shape} vs {my.shape}")
-    z = complex(np.vdot(mx, my))
-    if cmath.isfinite(z):
-        return z
-    ex, ey = (math.frexp(float(np.abs(m.view(np.float64)).max()))[1] for m in (mx, my))
-    z = complex(np.vdot(mx * math.ldexp(1.0, -ex), my * math.ldexp(1.0, -ey)))
-    try:
-        return complex(math.ldexp(z.real, ex + ey), math.ldexp(z.imag, ex + ey))
-    except OverflowError:
-        raise ValueError("hs_inner overflows: tr(x* y) is beyond the float range") from None
+    (sx, ex), (sy, ey) = _rescaled(mx), _rescaled(my)
+    z = complex(np.vdot(sx, sy))
+    z = complex(_scaled_back(z.real, ex + ey), _scaled_back(z.imag, ex + ey))
+    if not cmath.isfinite(z):
+        raise ValueError("hs_inner overflows: tr(x* y) is beyond the float range")
+    return z
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,26 +160,24 @@ class HermitianWitness:
 
 
 def hermitian_witness(m, name: str = "matrix") -> HermitianWitness:
-    """Measure ``||m - m*||_2`` against the scale-aware Hermitian tolerance.
+    """Measure ``||m - m*||_F`` against the scale-aware Hermitian tolerance.
 
-    A matrix passes iff its asymmetry is at most ``1e-10 * (1 + ||m||_2)``.
-    Where a square overflows, both are retaken of ``m`` times a power of 2,
-    and the symmetrized matrix is formed as ``m / 2 + m* / 2``, since
-    ``m + m*`` can overflow only there.
+    A matrix passes iff its asymmetry is at most ``1e-10 * (1 + ||m||_F)``,
+    absolute below unit norm.  ``m - m*``, both norms and the verdict are
+    taken of :func:`_rescaled` ``m``: the asymmetry reads inf only beyond the
+    float range, the tolerance is finite wherever representable, and the
+    symmetrized ``m / 2 + m* / 2`` cannot overflow.
     """
     a = _square(m, name)
-    adjoint = a.conj().T
-    scale = 1.0
-    with np.errstate(over="ignore"):
-        asymmetry, size = float(np.linalg.norm(a - adjoint)), float(np.linalg.norm(a))
-        if math.isinf(asymmetry + size):
-            scale = math.ldexp(1.0, -math.frexp(float(np.abs(a).max()))[1])
-            asymmetry, size = float(np.linalg.norm((a - adjoint) * scale)), float(np.linalg.norm(a * scale))
+    s, e = _rescaled(a)
+    asymmetry, size = float(np.linalg.norm(s - s.conj().T)), float(np.linalg.norm(s))
+    tolerance = 1e-10 * (_scaled_back(1.0, -e) + size)
+    half = a * 0.5
     return HermitianWitness(
-        matrix=(a + adjoint) / 2.0 if scale == 1.0 else a * 0.5 + adjoint * 0.5,
-        asymmetry=asymmetry / scale,
-        tolerance=1e-10 * (1.0 + size / scale),
-        accepted=asymmetry <= 1e-10 * (scale + size),
+        matrix=half + half.conj().T,
+        asymmetry=_scaled_back(asymmetry, e),
+        tolerance=_scaled_back(tolerance, e),
+        accepted=asymmetry <= tolerance,
     )
 
 
@@ -282,26 +308,22 @@ def completeness_defects(mats) -> tuple:
 
 
 def unital_defect(mats) -> float:
-    """``||sum a_j* a_j - 1||_op``, the first of :func:`completeness_defects`;
-    inf, without a warning, where the sum overflows."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        gram = sum(a.conj().T @ a for a in mats)
-    return _hermitian_norm(gram - np.eye(mats[0].shape[0]))
+    """``||sum a_j* a_j - 1||_op`` (inf where it overflows), the first of :func:`completeness_defects`."""
+    return _gram_defect(a.conj().T @ a for a in mats)
 
 
 def counital_defect(mats) -> float:
-    """``||sum a_j a_j* - 1||_op``, the second of :func:`completeness_defects`;
-    inf, without a warning, where the sum overflows."""
+    """``||sum a_j a_j* - 1||_op`` (inf where it overflows), the second of :func:`completeness_defects`."""
+    return _gram_defect(a @ a.conj().T for a in mats)
+
+
+def _gram_defect(grams) -> float:
+    """``||sum grams - 1||_op`` of Hermitian grams; inf, without a warning, where the sum overflows."""
     with np.errstate(over="ignore", invalid="ignore"):
-        gram = sum(a @ a.conj().T for a in mats)
-    return _hermitian_norm(gram - np.eye(mats[0].shape[0]))
-
-
-def _hermitian_norm(h: np.ndarray) -> float:
-    """Operator norm of the Hermitian ``h``, from its eigenvalues; inf if ``h`` is not finite."""
+        h = sum(grams)
     if not np.isfinite(h).all():
         return math.inf
-    w = np.linalg.eigvalsh(h)
+    w = np.linalg.eigvalsh(h - np.eye(h.shape[0]))
     return float(max(abs(w[0]), abs(w[-1])))
 
 

@@ -6,12 +6,20 @@
 * Scaling: both sides of the square-difference bounds are homogeneous of
   degree 2 in (x, y), and the commutant of {t a_j} is that of {a_j}, as
   are the intertwiners of {t a_j} and {t b_j} those of {a_j} and {b_j}.
+* The scaling table (SCALING): every name of opcore.__all__, commutant and
+  intertwiner_space states its law under x -> t x, checked at t = 2**e
+  from e = -1000 to 1000.
 """
+
+import math
+import warnings
+from typing import Callable, NamedTuple
 
 import numpy as np
 import pytest
 
 import krauslab as kl
+from krauslab import opcore
 from krauslab.channel import SubspaceBasis
 from krauslab.ensembles import (
     ginibre,
@@ -148,3 +156,177 @@ def test_intertwiner_space_is_invariant_under_scaling():
         assert len(inter) == 2, t
         for x in inter.basis:
             np.testing.assert_allclose(a @ x, x @ a, atol=1e-12)
+
+
+# The scaling table: each name's law under x -> t x, run at t = 2**e.
+#
+# A law is Degree(k): f(t x) = t**k f(x), with Degree(0) (invariant) for the
+# subspace solvers, read as the orthogonal projector onto the space; or
+# NoLaw, with the reason, whose reading must still never be NaN.  No name
+# here refuses at every t: a refusal is what ``beyond`` names, or a gate's
+# verdict on a non-Hermitian or non-PSD input.  An exact law holds
+# bitwise wherever t**k f(x) is normal, and an approximate one to ``rtol``
+# of its largest entry.  Where t**k f(x) is beyond the float range the
+# function raises ValueError or reads inf, as ``beyond`` says; where it is
+# below, it reads 0 or a subnormal within a few ulps.  No run may warn
+# (the suite turns a RuntimeWarning into an error) or read NaN.
+#
+# Tolerance policies, as they are: the Hermitian gate passes an asymmetry
+# of at most 1e-10 (1 + ||m||_F) and the PSD gate an eigenvalue of at least
+# -1e-10 (1 + ||m||_op), so each is relative above unit norm and absolute
+# below it (test_gates_are_absolute_below_unit_norm); sylvester_null_space
+# cuts at an absolute tol, scaled here with its families; commutant and
+# intertwiner_space cut at fix_tol(d) times their generators' scale, so
+# their spaces follow no common factor.
+
+EXPONENTS = (-1000, -500, -100, 0, 100, 500, 1000)
+
+
+class Degree(NamedTuple):
+    k: float
+    reading: Callable
+    exact: bool = False
+    rtol: float = 1e-12
+    beyond: str = "never"
+
+
+class NoLaw(NamedTuple):
+    reason: str
+    reading: Callable | None = None
+
+
+def bounded(rng, *shape):
+    """Complex entries whose parts lie in +-[1/2, 2), so t x is exact for every t of the table."""
+    parts = rng.uniform(0.5, 2.0, (2, *shape)) * rng.choice([-1.0, 1.0], (2, *shape))
+    return parts[0] + 1j * parts[1]
+
+
+_rng = trial_rng(75, 0)
+X, Y = bounded(_rng, 4, 4), bounded(_rng, 4, 4)
+H = X + X.conj().T
+P = X.conj().T @ X
+P = (P + P.conj().T) / 2.0
+# distinct eigenvalues, so span{1, A} is its commutant and its intertwiners with A
+A = np.array([[1.0, 1.0], [0.0, 2.0]], dtype=complex)
+
+
+def projector(space) -> np.ndarray:
+    """Orthogonal projector onto the span of HS-orthonormal matrices."""
+    v = np.array([opcore.vectorize(x) for x in (space.basis if hasattr(space, "basis") else space)])
+    return v.T @ v.conj()
+
+
+def quiet(fn):
+    """``fn`` with the incomplete-family UserWarning of intertwiner_space silenced."""
+
+    def call(*args):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            return fn(*args)
+
+    return call
+
+
+def _block_stacks(t):
+    m = t * np.kron(np.eye(2), X[:2, :2] + X[:2, :2].conj().T)
+    rows, cols = np.nonzero(m)
+    return opcore.block_split(4, rows, cols, m[rows, cols])
+
+
+SCALING = {
+    "HermitianWitness": NoLaw("a record: its fields are the hermitian_witness row"),
+    "as_matrix": Degree(1, lambda t: opcore.as_matrix(t * X), exact=True),
+    "op_norm": Degree(1, lambda t: opcore.op_norm(t * X)),
+    "trace_norm": Degree(1, lambda t: opcore.trace_norm(t * X)),
+    "frobenius": Degree(1, lambda t: opcore.frobenius(t * X), exact=True, beyond="inf"),
+    # sesquilinear, so degree 2 with both arguments scaled
+    "hs_inner": Degree(2, lambda t: opcore.hs_inner(t * X, t * Y), exact=True, beyond="ValueError"),
+    "hermitian_witness": Degree(1, lambda t: opcore.hermitian_witness(t * X).asymmetry, exact=True, beyond="inf"),
+    "symmetrized": Degree(1, lambda t: opcore.symmetrized(t * H), exact=True),
+    "positive_part": Degree(1, lambda t: opcore.positive_part(t * H)),
+    "require_psd": Degree(1, lambda t: opcore.require_psd(t * P), exact=True),
+    "psd_sqrt": Degree(0.5, lambda t: opcore.psd_sqrt(t * P)),
+    "square_family": Degree(1, lambda t: np.stack(opcore.square_family([t * X, t * Y])), exact=True),
+    "completeness_defects": NoLaw(
+        "affine: ||sum a* a - 1|| subtracts the identity; reads inf where the Gram overflows",
+        lambda t: opcore.completeness_defects([t * X, t * Y]),
+    ),
+    "unital_defect": NoLaw("affine, as completeness_defects", lambda t: opcore.unital_defect([t * X])),
+    "counital_defect": NoLaw("affine, as completeness_defects", lambda t: opcore.counital_defect([t * X])),
+    "vectorize": Degree(1, lambda t: opcore.vectorize(t * X), exact=True),
+    "devectorize": Degree(1, lambda t: opcore.devectorize(t * X.ravel(), 4, 4), exact=True),
+    "components": NoLaw("labels an index graph; it reads no entries"),
+    "BlockSplit": NoLaw("a record: its stacks are the block_split row"),
+    "block_split": Degree(1, lambda t: np.concatenate([s.ravel() for s in _block_stacks(t).stacks]), exact=True),
+    "SpectralCore": NoLaw("a record: its values are the factorize row"),
+    "minus_identity": NoLaw("affine: m - I", lambda t: opcore.minus_identity(t * X)),
+    "factorize": Degree(1, lambda t: opcore.factorize(t * X).sv),
+    "KronEntries": NoLaw("a record: its values are the kron_entries row"),
+    # linear in each family; the lefts are scaled
+    "kron_entries": Degree(1, lambda t: opcore.kron_entries([t * X], [Y]).values, exact=True),
+    "kron_sum": Degree(1, lambda t: opcore.kron_sum([t * X, t * Y], [Y, X]), exact=True),
+    "product_map": Degree(1, lambda t: opcore.product_map([X, Y], [Y, X], t * H)),
+    # the cutoff is absolute, so it is scaled with the families
+    "sylvester_null_space": Degree(0, lambda t: projector(opcore.sylvester_null_space([t * A], [t * A], t * 1e-8))),
+    "linear_map_matrix": Degree(1, lambda t: opcore.linear_map_matrix(lambda x: (t * X) @ x, 4, 4), exact=True),
+    "matrix_to_json": NoLaw("a codec"),
+    "matrix_from_json": NoLaw("a codec"),
+    "channel.commutant": Degree(0, lambda t: projector(kl.commutant([t * A]))),
+    "commuting.intertwiner_space": Degree(0, quiet(lambda t: projector(kl.intertwiner_space([t * A], [t * A.T])))),
+}
+
+
+def test_every_opcore_name_has_a_scaling_row():
+    assert set(opcore.__all__) <= set(SCALING)
+    assert not set(SCALING) - set(opcore.__all__) - {"channel.commutant", "commuting.intertwiner_space"}
+
+
+def _scaled(base: np.ndarray, shift: float) -> np.ndarray:
+    """``base * 2**shift``, exact where it is normal (``shift`` an integer)."""
+    shift = int(shift)
+    if np.iscomplexobj(base):
+        return np.ldexp(base.real, shift) + 1j * np.ldexp(base.imag, shift)
+    return np.ldexp(base, shift)
+
+
+@pytest.mark.parametrize("e", EXPONENTS)
+@pytest.mark.parametrize("name", sorted(SCALING))
+def test_scaling_law(name, e):
+    law, t = SCALING[name], math.ldexp(1.0, e)
+    if isinstance(law, NoLaw):
+        if law.reading is not None:
+            out = np.asarray(law.reading(t), dtype=complex)
+            assert not np.isnan(out).any()
+        return
+    base = np.atleast_1d(law.reading(1.0))
+    parts = np.abs(base.astype(complex).view(float))
+    shift = law.k * e
+    if shift + math.log2(parts.max()) >= 1024:
+        if law.beyond == "ValueError":
+            with pytest.raises(ValueError):
+                law.reading(t)
+        else:
+            assert law.beyond == "inf" and np.isinf(law.reading(t)).all()
+        return
+    got, want = np.atleast_1d(law.reading(t)), _scaled(base, shift)
+    assert got.shape == want.shape and not np.isnan(got).any()
+    normal = shift + math.log2(parts[parts > 0].min()) >= -1022 if parts.any() else True
+    if law.exact and normal:
+        assert np.array_equal(got, want), name
+    else:
+        slack = law.rtol * float(np.abs(want).max()) + math.ldexp(1.0, -1020)
+        assert float(np.abs(got - want).max()) <= slack, name
+
+
+def test_gates_are_absolute_below_unit_norm():
+    # the 1 + in both tolerances: a matrix far from Hermitian (or PSD) at
+    # unit scale passes once its norm is far below 1e-10
+    negative = -P
+    for e in EXPONENTS:
+        t = math.ldexp(1.0, e)
+        assert opcore.hermitian_witness(t * X).accepted is (e <= -100)
+        if e <= -100:
+            np.testing.assert_array_equal(opcore.require_psd(t * negative), t * negative)
+        else:
+            with pytest.raises(ValueError, match="not PSD"):
+                opcore.require_psd(t * negative)

@@ -116,6 +116,34 @@ def test_hermitian_gate_output_stays_finite_past_the_overflow():
     np.testing.assert_array_equal(opcore.psd_sqrt(np.diag([1e308, 1e308])), np.diag([1e154, 1e154]))
 
 
+@pytest.mark.parametrize(
+    "m",
+    [np.array([[1.0, 1e308j], [1e308j, 1.0]]), np.array([[1.5e308 + 1.5e308j, 0.0], [0.0, 1.0]])],
+    ids=["skew-1e308", "diagonal-1.5e308"],
+)
+def test_hermitian_gate_rejects_an_overflowing_difference_without_a_warning(m):
+    # ||m - m*|| is beyond the float range for both, and 1e-10 (1 + ||m||) is
+    # not (||m|| itself is, for the second); the suite turns any
+    # RuntimeWarning into an error
+    w = opcore.hermitian_witness(m)
+    assert not w.accepted
+    assert w.asymmetry == math.inf
+    half_norm = math.hypot(*np.abs(m.view(float)).ravel() / 2.0)
+    assert w.tolerance == pytest.approx(2e-10 * half_norm, rel=1e-15)
+    for gate in (opcore.symmetrized, opcore.require_psd):
+        with pytest.raises(ValueError, match="not Hermitian: asymmetry inf"):
+            gate(m)
+
+
+def test_hermitian_asymmetry_reads_inf_only_beyond_the_float_range():
+    # ||m - m*|| = 2**1023 * sqrt(2) overflows; one binade lower it is finite
+    for e, want in ((1022, math.ldexp(math.sqrt(2.0), 1023)), (1023, math.inf)):
+        m = np.array([[0.0, math.ldexp(1.0, e)], [-math.ldexp(1.0, e), 0.0]])
+        w = opcore.hermitian_witness(m)
+        assert w.asymmetry == want and not w.accepted
+        assert w.tolerance == 1e-10 * (math.ldexp(1.0, -e) + math.sqrt(2.0)) * math.ldexp(1.0, e)
+
+
 def test_positive_part_oracle_and_decomposition():
     np.testing.assert_allclose(
         opcore.positive_part(np.diag([3.0, -2.0])), np.diag([3.0, 0.0]), atol=1e-14
