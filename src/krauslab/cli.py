@@ -220,9 +220,8 @@ def _fuzz_reports(rng: np.random.Generator, dim: int, ops: int) -> list:
     x = ginibre(rng, d) * float(rng.uniform(0.2, 3.0))
     first, second = inequalities.defect_bounds(fam, x)
     scale = float(rng.uniform(0.2, 3.0))
-    ps = inequalities.powers_stormer(
-        scale * random_psd(rng, d), scale * random_psd(rng, d)
-    )
+    x, y = random_psd_coefficients(rng, d, 2)
+    ps = inequalities.powers_stormer(scale * x, scale * y)
     p = int(rng.integers(1, dim + 1))
     q = int(rng.integers(1, dim + 1))
     gps = inequalities.generalized_powers_stormer(

@@ -98,7 +98,7 @@ class CommutingFamily:
         sq = opcore.square_family(mats, "mats")
         self.dim = sq[0].shape[0]
         self.mats = sq
-        self.scale = max(opcore.op_norm(c) for c in sq)
+        self.scale = float(np.linalg.svd(np.stack(sq), compute_uv=False)[:, 0].max())
         self.defect_gate = DEFECT_GATE * self.scale * self.scale
         unit = [c / self.scale for c in sq] if self.scale > 0.0 else sq
         self._relative_defects = (

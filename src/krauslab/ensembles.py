@@ -4,6 +4,15 @@ Every trial draws from its own Philox4x64 stream keyed by
 ``(master_seed, trial_index)``, a counter-based scheme: trial i is
 reproducible in isolation, independent of how many other trials ran, and
 identical across processes and platforms that share numpy's Generator.
+
+A family draws its generators in the order one call per generator would,
+then factors them together: one stacked QR for its Haar unitaries, one
+stacked Gram and one stacked SVD (for the norms) for its PSD effects, and
+one :func:`opcore.psd_sqrt` of the stack for its Lüders roots.
+:func:`haar_unitary` and :func:`random_psd` are the one-matrix case of the
+same helpers.  Stacked ``matmul``, ``qr``, ``svd`` and ``eigh`` return the
+per-matrix results bit for bit on the builds tested (OpenBLAS 0.3.31,
+numpy 2.4), so each family equals its per-generator draws bitwise.
 """
 
 from __future__ import annotations
@@ -45,18 +54,33 @@ def ginibre(rng: np.random.Generator, rows: int, cols: int | None = None) -> np.
     ) / np.sqrt(2.0)
 
 
+def _ginibres(rng: np.random.Generator, d: int, k: int) -> np.ndarray:
+    """(k, d, d) stack of k :func:`ginibre` draws, in the order k calls make them."""
+    return np.stack([ginibre(rng, d) for _ in range(k)])
+
+
+def _haar_unitaries(rng: np.random.Generator, d: int, k: int) -> np.ndarray:
+    """(k, d, d) stack of k :func:`haar_unitary` draws, factored by one stacked QR."""
+    q, r = np.linalg.qr(_ginibres(rng, d, k))
+    diag = np.diagonal(r, axis1=1, axis2=2)
+    return q * (diag / np.abs(diag))[:, None, :]
+
+
+def _random_psds(rng: np.random.Generator, d: int, k: int) -> np.ndarray:
+    """(k, d, d) stack of k :func:`random_psd` draws: one stacked Gram, one stacked SVD for the norms."""
+    g = _ginibres(rng, d, k)
+    p = g.conj().swapaxes(1, 2) @ g
+    return p / np.linalg.svd(p, compute_uv=False)[:, :1, None]
+
+
 def haar_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
     """Haar-distributed unitary via phase-corrected QR of a Ginibre matrix."""
-    q, r = np.linalg.qr(ginibre(rng, d))
-    diag = np.diagonal(r)
-    return q * (diag / np.abs(diag))
+    return _haar_unitaries(rng, d, 1)[0]
 
 
 def random_psd(rng: np.random.Generator, d: int) -> np.ndarray:
     """PSD matrix g* g with Ginibre g, scaled to unit operator norm."""
-    g = ginibre(rng, d)
-    p = g.conj().T @ g
-    return p / opcore.op_norm(p)
+    return _random_psds(rng, d, 1)[0]
 
 
 def random_density(rng: np.random.Generator, d: int) -> np.ndarray:
@@ -72,8 +96,7 @@ def mixed_unitary_family(rng: np.random.Generator, d: int, m: int) -> KrausFamil
     Unital and trace-preserving up to floating-point rounding.
     """
     probs = rng.dirichlet(np.ones(m))
-    ops = [np.sqrt(p) * haar_unitary(rng, d) for p in probs]
-    return KrausFamily(ops)
+    return KrausFamily(np.sqrt(probs)[:, None, None] * _haar_unitaries(rng, d, m))
 
 
 def random_luders_family(rng: np.random.Generator, d: int, m: int) -> KrausFamily:
@@ -83,14 +106,13 @@ def random_luders_family(rng: np.random.Generator, d: int, m: int) -> KrausFamil
     q_j = T^(-1/2) p_j T^(-1/2) of the identity, and takes a_j = sqrt(q_j).
     Hermitian generators make the family unital and trace-preserving at once.
     """
-    effects = [random_psd(rng, d) for _ in range(m)]
+    effects = _random_psds(rng, d, m)
     total = sum(effects)
     w, v = np.linalg.eigh((total + total.conj().T) / 2.0)
     if float(w[0]) <= 1e-12:
         raise ValueError("degenerate effect total; retry with another stream")
     root_inv = (v / np.sqrt(w)) @ v.conj().T
-    ops = [opcore.psd_sqrt(root_inv @ p @ root_inv) for p in effects]
-    return KrausFamily(ops)
+    return KrausFamily(opcore.psd_sqrt(root_inv @ effects @ root_inv))
 
 
 def commuting_normal_family(rng: np.random.Generator, d: int, m: int) -> CommutingFamily:
@@ -129,4 +151,4 @@ def intertwining_pair(
 
 def random_psd_coefficients(rng: np.random.Generator, d: int, m: int) -> list:
     """Independent PSD coefficient matrices for product-map positivity checks."""
-    return [random_psd(rng, d) for _ in range(m)]
+    return list(_random_psds(rng, d, m))

@@ -25,10 +25,15 @@ kron-stacked system (one SVD per component of its nonzero pattern), and
 :func:`linear_map_matrix` builds the matrix of any linear map column by
 column.  Tests compare the fast paths against them.
 
-One rescale rule serves each norm or product that could over- or underflow:
-:func:`_rescaled` brings an array whose largest part leaves ``[2**-400,
-2**400]`` into ``[1/2, 1)`` by an exact power of two, and :func:`frobenius`,
-:func:`hs_inner` and :func:`hermitian_witness` compute on that and scale back.
+One rescale rule serves each norm, product or spectrum that could over- or
+underflow: :func:`_rescaled` brings an array whose largest part leaves
+``[2**-400, 2**400]`` into ``[1/2, 1)`` by an exact power of two, and
+:func:`frobenius`, :func:`hs_inner` and :func:`hermitian_witness` compute on
+that and scale back.  :func:`positive_part` and :func:`psd_sqrt` take each
+matrix at an even power, so the root scales back exactly, and gate it in
+the input's units; their answer is finite or a ``ValueError``, never NaN.
+A stack of matrices whose nonzero patterns are all full skips the split:
+each matrix is its own block, and the stack takes one ``eigh``.
 """
 
 from __future__ import annotations
@@ -105,15 +110,19 @@ def trace_norm(x) -> float:
     return float(np.sum(np.linalg.svd(as_matrix(x), compute_uv=False)))
 
 
-def _rescaled(m: np.ndarray) -> tuple:
+def _rescaled(m: np.ndarray, even: bool = False) -> tuple:
     """``(m * 2**-e, e)`` of a float64 or complex128 array, the rule above:
     ``e >= -1022`` is the binade of its largest real or imaginary part, read
     off its float64 view, and 0 (with ``m`` itself) where that part lies in
     ``[2**-400, 2**400]`` or is 0 or not finite.  Exact but for entries it
-    takes below the normal range, negligible against the largest."""
+    takes below the normal range, negligible against the largest.  With
+    ``even``, an odd ``e`` is raised by one, so ``2**(e/2)`` is exact too and
+    the largest part lies in ``[1/4, 1)``."""
     parts = np.ascontiguousarray(m).view(np.float64)
     peak = max(parts.max(initial=0.0), -parts.min(initial=0.0))
     e = 0 if 2.0**-400 <= peak <= 2.0**400 else max(math.frexp(peak)[1], -1022)
+    if even:
+        e += e & 1
     return (m, 0) if e == 0 else (m * math.ldexp(1.0, -e), e)
 
 
@@ -199,52 +208,85 @@ def positive_part(h) -> np.ndarray:
     Satisfies h = positive_part(h) - positive_part(-h) after symmetrization.
     It is factored per component of the exact nonzero pattern of ``h``
     (see :func:`_spectral_map`), so it is exactly zero where ``h`` splits.
+    A ``ValueError`` where h_+ itself lies beyond the float range.
     """
-    return _spectral_map(h, lambda w: np.clip(w, 0.0, None))
+    return _spectral_map(h, lambda w: np.clip(w, 0.0, None), 1)
 
 
-def _spectral_map(h, f: Callable, gate: Callable | None = None) -> np.ndarray:
+def _spectral_map(h, f: Callable, degree: float, gate: Callable | None = None) -> np.ndarray:
     """``v f(w) v*`` of each symmetrized ``h = v diag(w) v*``, symmetrized;
     ``h`` is one matrix or a (k, n, n) stack, and the result has its shape.
 
-    The direct sum of the stack is cut by :func:`block_split` (a connected
-    matrix is one block), each block size gets one stacked ``eigh``, and the
-    result is exactly zero off the blocks.  ``gate(w, name)`` sees each
-    matrix's eigenvalues, block by block, before any output is formed.
+    ``f`` is positively homogeneous of ``degree`` (1 or 1/2).  Each matrix
+    is mapped at :func:`_rescaled` with an even ``e`` of its own, so no
+    eigenvalue overflows, and scaled back by ``2**(degree e)``: the result is
+    finite, or a ``ValueError`` where it lies beyond the float range.  In
+    ``[2**-400, 2**400]`` nothing is scaled.  When every matrix has a full
+    nonzero pattern, each is its own block and the stack takes one ``eigh``;
+    otherwise the direct sum of the stack is cut by :func:`block_split` (a
+    connected matrix is one block), each block size gets one stacked
+    ``eigh``, and the result is exactly zero off the blocks.  ``gate(w,
+    name, e)`` sees each matrix's eigenvalues in units of ``2**e``, block by
+    block, before any output is formed.
     """
     single = np.ndim(h) != 3
     names = ["matrix"] if single else [f"matrix[{j}]" for j in range(len(h))]
-    # row j * n + r of flat is row r of matrix j, and of their direct sum
-    flat = symmetrized(h) if single else np.concatenate([symmetrized(m, name) for m, name in zip(h, names)])
-    k, n = len(names), flat.shape[1]
-    rows, cols = np.nonzero(flat)
-    split = block_split(k * n, rows, cols if single else cols + rows // n * n, flat[rows, cols])
-    eigen = [np.linalg.eigh(stack) for stack in split.stacks]
-    if gate is not None:
-        w = np.concatenate([w.ravel() for w, _ in eigen])
-        if single:
-            gate(w, names[0])
-        else:
-            owner = np.concatenate([np.repeat(index[:, 0] // n, index.shape[1]) for index in split.index])
-            for j, name in enumerate(names):
-                gate(w[owner == j], name)
-    out = np.zeros(flat.shape, dtype=flat.dtype)
-    for index, (w, v) in zip(split.index, eigen):
+    scaled = [_rescaled(symmetrized(m, name), even=True) for m, name in zip([h] if single else h, names)]
+    exps = [e for _, e in scaled]
+    sym = np.stack([s for s, _ in scaled])
+    k, n = sym.shape[:2]
+
+    def image(w, v):
         blocks = (v * f(w)[:, None, :]) @ v.conj().swapaxes(1, 2)
-        out[index[:, :, None], index[:, None, :] % n] = (blocks + blocks.conj().swapaxes(1, 2)) / 2.0
-    return out if single else out.reshape(k, n, n)
+        return (blocks + blocks.conj().swapaxes(1, 2)) / 2.0
+
+    if sym.all():
+        w, v = np.linalg.eigh(sym)
+        if gate is not None:
+            for wj, name, e in zip(w, names, exps):
+                gate(wj, name, e)
+        out = image(w, v)
+    else:
+        # row j * n + r of flat is row r of matrix j, and of their direct sum
+        flat = sym.reshape(k * n, n)
+        rows, cols = np.nonzero(flat)
+        split = block_split(k * n, rows, cols + rows // n * n, flat[rows, cols])
+        eigen = [np.linalg.eigh(stack) for stack in split.stacks]
+        if gate is not None:
+            w = np.concatenate([w.ravel() for w, _ in eigen])
+            owner = np.concatenate([np.repeat(index[:, 0] // n, index.shape[1]) for index in split.index])
+            for j, (name, e) in enumerate(zip(names, exps)):
+                gate(w[owner == j], name, e)
+        out = np.zeros(flat.shape, dtype=flat.dtype)
+        for index, (w, v) in zip(split.index, eigen):
+            out[index[:, :, None], index[:, None, :] % n] = image(w, v)
+        out = out.reshape(k, n, n)
+    for j, e in enumerate(exps):
+        if e:
+            # two exact factors, since 2**1024 itself is not a float
+            back = int(degree * e)
+            parts = out[j].view(np.float64)
+            with np.errstate(over="ignore"):
+                parts *= math.ldexp(1.0, back // 2)
+                parts *= math.ldexp(1.0, back - back // 2)
+            if not np.isfinite(parts).all():
+                raise ValueError(f"the image of {names[j]} lies beyond the float range")
+    return out[0] if single else out
 
 
-def _psd_gate(w: np.ndarray, name: str) -> None:
-    """Raise unless the eigenvalues ``w``, in any order, are all at least -psd_tol.
+def _psd_gate(w: np.ndarray, name: str, e: int = 0) -> None:
+    """Raise unless the eigenvalues ``w * 2**e``, in any order, are all at least -psd_tol.
 
-    ``psd_tol = 1e-10 * (1 + max|w|)``, which is ``1e-10 * (1 + ||m||_op)``
-    for the Hermitian matrix the eigenvalues belong to.
+    ``psd_tol = 1e-10 * (1 + max|w| 2**e)``, which is ``1e-10 * (1 + ||m||_op)``
+    for the Hermitian matrix the eigenvalues belong to; the test is taken on
+    ``w`` itself, against ``1e-10 * (2**-e + max|w|)``.
     """
     least = float(w.min())
-    ptol = 1e-10 * (1.0 + float(np.abs(w).max()))
+    ptol = 1e-10 * (_scaled_back(1.0, -e) + float(np.abs(w).max()))
     if least < -ptol:
-        raise ValueError(f"{name} is not PSD: eigenvalue {least:.3e} below -{ptol:.3e}")
+        raise ValueError(
+            f"{name} is not PSD: eigenvalue {_scaled_back(least, e):.3e} below -{_scaled_back(ptol, e):.3e}"
+        )
 
 
 def require_psd(m, name: str = "matrix") -> np.ndarray:
@@ -267,11 +309,7 @@ def psd_sqrt(p) -> np.ndarray:
     component of the input's exact nonzero pattern and takes a (k, n, n)
     stack, gating each matrix alone.
     """
-    return _spectral_map(
-        p,
-        lambda w: np.sqrt(np.clip(w, 0.0, None)),
-        _psd_gate,
-    )
+    return _spectral_map(p, lambda w: np.sqrt(np.clip(w, 0.0, None)), 0.5, _psd_gate)
 
 
 def square_family(mats, name: str = "mats") -> tuple:

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from krauslab import ensembles, opcore
-from krauslab.channel import unital_tol
+from krauslab import cli, ensembles, inequalities, opcore
+from krauslab.channel import KrausFamily, unital_tol
 
 
 def test_trial_rng_is_keyed_by_seed_and_trial():
@@ -82,3 +82,87 @@ def test_random_psd_coefficients():
     assert len(mats) == 4
     for m in mats:
         assert np.linalg.eigvalsh((m + m.conj().T) / 2)[0] >= -1e-12
+
+
+# Per-generator constructions: each family's generators drawn and factored
+# one call at a time.  The stacked ensembles must equal them bitwise.
+
+
+def _haar_one(rng, d):
+    q, r = np.linalg.qr(ensembles.ginibre(rng, d))
+    diag = np.diagonal(r)
+    return q * (diag / np.abs(diag))
+
+
+def _psd_one(rng, d):
+    g = ensembles.ginibre(rng, d)
+    p = g.conj().T @ g
+    return p / opcore.op_norm(p)
+
+
+def _mixed_unitary_ops(rng, d, m):
+    probs = rng.dirichlet(np.ones(m))
+    return [np.sqrt(p) * _haar_one(rng, d) for p in probs]
+
+
+def _luders_ops(rng, d, m):
+    effects = [_psd_one(rng, d) for _ in range(m)]
+    total = sum(effects)
+    w, v = np.linalg.eigh((total + total.conj().T) / 2.0)
+    root_inv = (v / np.sqrt(w)) @ v.conj().T
+    return [opcore.psd_sqrt(root_inv @ p @ root_inv) for p in effects]
+
+
+def _assert_bitwise(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        # bytes, so a flipped bit or a zero's sign fails too
+        assert np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_stacked_ensembles_are_bitwise_the_per_generator_draws(d):
+    for m in range(1, 7):
+        key = 10 * d + m
+        pairs = (
+            (lambda rng: ensembles.mixed_unitary_family(rng, d, m).ops, lambda rng: _mixed_unitary_ops(rng, d, m)),
+            (lambda rng: ensembles.random_luders_family(rng, d, m).ops, lambda rng: _luders_ops(rng, d, m)),
+            (lambda rng: ensembles.random_psd_coefficients(rng, d, m), lambda rng: [_psd_one(rng, d) for _ in range(m)]),
+            (lambda rng: [ensembles.haar_unitary(rng, d)], lambda rng: [_haar_one(rng, d)]),
+            (lambda rng: [ensembles.random_psd(rng, d)], lambda rng: [_psd_one(rng, d)]),
+        )
+        for stacked, reference in pairs:
+            got_rng, want_rng = ensembles.trial_rng(29, key), ensembles.trial_rng(29, key)
+            _assert_bitwise(stacked(got_rng), reference(want_rng))
+            # and the stream is left where the per-generator draws leave it
+            assert got_rng.standard_normal() == want_rng.standard_normal()
+
+
+def _fuzz_trial_one_at_a_time(rng, dim, ops):
+    """``cli._fuzz_reports`` with every generator drawn by its own call."""
+    d = int(rng.integers(2, dim + 1))
+    m = int(rng.integers(1, ops + 1))
+    draw = _mixed_unitary_ops if int(rng.integers(0, 2)) == 0 else _luders_ops
+    fam = KrausFamily(draw(rng, d, m))
+    x = ensembles.ginibre(rng, d) * float(rng.uniform(0.2, 3.0))
+    first, second = inequalities.defect_bounds(fam, x)
+    scale = float(rng.uniform(0.2, 3.0))
+    ps = inequalities.powers_stormer(scale * _psd_one(rng, d), scale * _psd_one(rng, d))
+    p = int(rng.integers(1, dim + 1))
+    q = int(rng.integers(1, dim + 1))
+    gps = inequalities.generalized_powers_stormer(
+        ensembles.ginibre(rng, p, q),
+        float(rng.uniform(0.2, 3.0)) * _psd_one(rng, p),
+        float(rng.uniform(0.2, 3.0)) * _psd_one(rng, q),
+    )
+    return [first, second, ps, gps]
+
+
+def test_fuzz_trial_draws_are_bitwise_the_per_generator_draws():
+    # each report's digest hashes the bytes of its inputs, so equal reports
+    # mean bitwise-equal families, Powers-Stormer pairs and coefficients
+    for trial in range(48):
+        got = cli._fuzz_reports(ensembles.trial_rng(0, trial), 8, 6)
+        want = _fuzz_trial_one_at_a_time(ensembles.trial_rng(0, trial), 8, 6)
+        assert got == want, trial

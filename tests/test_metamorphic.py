@@ -206,6 +206,8 @@ X, Y = bounded(_rng, 4, 4), bounded(_rng, 4, 4)
 H = X + X.conj().T
 P = X.conj().T @ X
 P = (P + P.conj().T) / 2.0
+# np.full((2, 2), 1e308) at t = 2**1000, whose eigenvalue 2e308 is beyond the float range
+FULL = np.full((2, 2), math.ldexp(1e308, -1000))
 # distinct eigenvalues, so span{1, A} is its commutant and its intertwiners with A
 A = np.array([[1.0, 1.0], [0.0, 2.0]], dtype=complex)
 
@@ -243,9 +245,9 @@ SCALING = {
     "hs_inner": Degree(2, lambda t: opcore.hs_inner(t * X, t * Y), exact=True, beyond="ValueError"),
     "hermitian_witness": Degree(1, lambda t: opcore.hermitian_witness(t * X).asymmetry, exact=True, beyond="inf"),
     "symmetrized": Degree(1, lambda t: opcore.symmetrized(t * H), exact=True),
-    "positive_part": Degree(1, lambda t: opcore.positive_part(t * H)),
+    "positive_part": Degree(1, lambda t: np.concatenate([opcore.positive_part(m).ravel() for m in (t * H, t * FULL)])),
     "require_psd": Degree(1, lambda t: opcore.require_psd(t * P), exact=True),
-    "psd_sqrt": Degree(0.5, lambda t: opcore.psd_sqrt(t * P)),
+    "psd_sqrt": Degree(0.5, lambda t: np.concatenate([opcore.psd_sqrt(m).ravel() for m in (t * P, t * FULL)])),
     "square_family": Degree(1, lambda t: np.stack(opcore.square_family([t * X, t * Y])), exact=True),
     "completeness_defects": NoLaw(
         "affine: ||sum a* a - 1|| subtracts the identity; reads inf where the Gram overflows",

@@ -3,6 +3,7 @@
 import importlib
 import math
 import pkgutil
+import re
 import tracemalloc
 import warnings
 
@@ -766,6 +767,57 @@ def test_stacked_positive_part_and_psd_sqrt_are_bitwise_the_per_matrix_calls():
             assert out.shape == stack.shape
             for j, m in enumerate(stack):
                 assert np.array_equal(out[j], fn(m))
+
+
+def _bytes_equal(a, b) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 2, 5, 8])
+def test_dense_spectral_maps_are_bitwise_the_split_path(d):
+    # a full pattern takes one stacked eigh and no split; one more block,
+    # or one more matrix that is not full, sends the same matrices through
+    # block_split, whose blocks must come out bit for bit the same
+    rng = np.random.default_rng(200 + d)
+    g = rng.standard_normal((3, d, d)) + 1j * rng.standard_normal((3, d, d))
+    h = g + g.conj().swapaxes(1, 2)
+    p = g @ g.conj().swapaxes(1, 2)
+    for fn, stack in ((opcore.positive_part, h), (opcore.psd_sqrt, p)):
+        assert stack.all()
+        for m in stack:
+            padded = np.zeros((d + 1, d + 1), dtype=complex)
+            padded[:d, :d], padded[d, d] = m, 0.5
+            assert _bytes_equal(fn(m), fn(padded)[:d, :d])
+        mixed = fn(np.concatenate([stack, np.zeros((1, d, d))]))
+        assert _bytes_equal(fn(stack), mixed[:3])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_spectral_maps_stay_finite_at_the_top_of_the_float_range():
+    # the eigenvalue 2e308 is beyond the float range; the map scales each
+    # matrix by an even power of two, so the answer is finite, not NaN
+    full = np.full((2, 2), 1e308)
+    np.testing.assert_array_equal(opcore.require_psd(full), full)
+    plus, root = opcore.positive_part(full), opcore.psd_sqrt(full)
+    np.testing.assert_allclose(plus, full, rtol=1e-15)
+    np.testing.assert_allclose(root, np.full((2, 2), math.sqrt(5e307)), rtol=1e-15)
+    # a positive part that itself lies beyond the float range is refused
+    with pytest.raises(ValueError, match="matrix lies beyond the float range"):
+        opcore.positive_part(1.6e308 * np.array([[1.0, 1.0], [1.0, -1.0]]))
+    # each matrix of a stack takes its own power: a small one beside a huge one keeps its digits
+    small = 1e-300 * np.array([[2.0, 1.0], [1.0, 2.0]])
+    out = opcore.psd_sqrt(np.stack([full, small]))
+    assert _bytes_equal(out[0], root) and _bytes_equal(out[1], opcore.psd_sqrt(small))
+    w, v = np.linalg.eigh(np.array([[2.0, 1.0], [1.0, 2.0]]))
+    np.testing.assert_allclose(out[1], 1e-150 * (v * np.sqrt(w)) @ v.T, rtol=1e-14)
+    # the gate is decided, and reported, in the input's units
+    for m, least, tol in (
+        (1e308 * np.diag([1.0, -1e-9]), "1.000e+299", "1.000e+298"),
+        (np.full((2, 2), 1e308) - 1e299 * np.diag([1.0, 3.0]), "2.000e+299", "2.000e+298"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(f"matrix is not PSD: eigenvalue -{least} below -{tol}")):
+            opcore.psd_sqrt(m)
+    np.testing.assert_array_equal(opcore.psd_sqrt(1e308 * np.diag([1.0, -1e-11])), np.diag([1e154, 0.0]))
 
 
 def test_stacked_spectral_maps_validate_and_gate_each_matrix_alone():
