@@ -27,10 +27,10 @@ column.  Tests compare the fast paths against them.
 
 One rescale rule serves each norm, product or spectrum that could over- or
 underflow: :func:`_rescaled` brings an array whose largest part leaves
-``[2**-400, 2**400]`` into ``[1/2, 1)`` by an exact power of two, and
+``[2**-400, 2**400]`` into ``[1/4, 1)`` by an even power of two, and
 :func:`frobenius`, :func:`hs_inner` and :func:`hermitian_witness` compute on
 that and scale back.  :func:`positive_part` and :func:`psd_sqrt` take each
-matrix at an even power, so the root scales back exactly, and gate it in
+matrix at its own power, so the root scales back exactly, and gate it in
 the input's units; their answer is finite or a ``ValueError``, never NaN.
 A stack of matrices whose nonzero patterns are all full skips the split:
 each matrix is its own block, and the stack takes one ``eigh``.
@@ -110,19 +110,18 @@ def trace_norm(x) -> float:
     return float(np.sum(np.linalg.svd(as_matrix(x), compute_uv=False)))
 
 
-def _rescaled(m: np.ndarray, even: bool = False) -> tuple:
+def _rescaled(m: np.ndarray) -> tuple:
     """``(m * 2**-e, e)`` of a float64 or complex128 array, the rule above:
-    ``e >= -1022`` is the binade of its largest real or imaginary part, read
-    off its float64 view, and 0 (with ``m`` itself) where that part lies in
-    ``[2**-400, 2**400]`` or is 0 or not finite.  Exact but for entries it
-    takes below the normal range, negligible against the largest.  With
-    ``even``, an odd ``e`` is raised by one, so ``2**(e/2)`` is exact too and
-    the largest part lies in ``[1/4, 1)``."""
+    ``e >= -1022`` is the even exponent, rounded up from the binade of its
+    largest real or imaginary part (read off its float64 view), that brings
+    that part into ``[1/4, 1)``, so ``2**(e/2)`` is exact too; and 0 (with
+    ``m`` itself) where that part lies in ``[2**-400, 2**400]`` or is 0 or
+    not finite.  Exact but for entries it takes below the normal range,
+    negligible against the largest."""
     parts = np.ascontiguousarray(m).view(np.float64)
     peak = max(parts.max(initial=0.0), -parts.min(initial=0.0))
     e = 0 if 2.0**-400 <= peak <= 2.0**400 else max(math.frexp(peak)[1], -1022)
-    if even:
-        e += e & 1
+    e += e & 1
     return (m, 0) if e == 0 else (m * math.ldexp(1.0, -e), e)
 
 
@@ -218,7 +217,7 @@ def _spectral_map(h, f: Callable, degree: float, gate: Callable | None = None) -
     ``h`` is one matrix or a (k, n, n) stack, and the result has its shape.
 
     ``f`` is positively homogeneous of ``degree`` (1 or 1/2).  Each matrix
-    is mapped at :func:`_rescaled` with an even ``e`` of its own, so no
+    is mapped at :func:`_rescaled` with an ``e`` of its own, so no
     eigenvalue overflows, and scaled back by ``2**(degree e)``: the result is
     finite, or a ``ValueError`` where it lies beyond the float range.  In
     ``[2**-400, 2**400]`` nothing is scaled.  When every matrix has a full
@@ -231,7 +230,7 @@ def _spectral_map(h, f: Callable, degree: float, gate: Callable | None = None) -
     """
     single = np.ndim(h) != 3
     names = ["matrix"] if single else [f"matrix[{j}]" for j in range(len(h))]
-    scaled = [_rescaled(symmetrized(m, name), even=True) for m, name in zip([h] if single else h, names)]
+    scaled = [_rescaled(symmetrized(m, name)) for m, name in zip([h] if single else h, names)]
     exps = [e for _, e in scaled]
     sym = np.stack([s for s, _ in scaled])
     k, n = sym.shape[:2]
@@ -263,14 +262,13 @@ def _spectral_map(h, f: Callable, degree: float, gate: Callable | None = None) -
         out = out.reshape(k, n, n)
     for j, e in enumerate(exps):
         if e:
-            # two exact factors, since 2**1024 itself is not a float
             back = int(degree * e)
             parts = out[j].view(np.float64)
-            with np.errstate(over="ignore"):
-                parts *= math.ldexp(1.0, back // 2)
-                parts *= math.ldexp(1.0, back - back // 2)
-            if not np.isfinite(parts).all():
+            if _scaled_back(float(np.abs(parts).max()), back) == math.inf:
                 raise ValueError(f"the image of {names[j]} lies beyond the float range")
+            # two exact factors, since 2**1024 itself is not a float
+            parts *= math.ldexp(1.0, back // 2)
+            parts *= math.ldexp(1.0, back - back // 2)
     return out[0] if single else out
 
 
