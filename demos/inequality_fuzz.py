@@ -3,14 +3,12 @@
 Every report carries lhs, rhs and a digest of its inputs, so a counterexample
 would be reproducible from the printed line alone.  None is expected; the
 interesting output is how tight each bound gets.  The script then shows the
-single-unitary family, where the second defect bound is an exact equality,
-and the Hermitian gate every PSD input passes.
+single-unitary family, where the second defect bound is an exact equality.
 """
 
 import numpy as np
 
 import krauslab as kl
-from krauslab import opcore
 from krauslab.ensembles import (
     ginibre,
     haar_unitary,
@@ -59,18 +57,6 @@ print("\nsingle unitary family on M4:")
 print(f"   lhs = {second.lhs:.12f}")
 print(f"   rhs = {second.rhs:.12f}")
 print(f"   the defect bound degenerates to ||xu - ux|| = ||psi(x) - x|| exactly")
-
-# the PSD inputs of the square-difference bounds pass the Hermitian gate:
-# an asymmetry within 1e-10 (1 + ||x||_F) is rounding and is symmetrized away
-x = random_psd(np.random.default_rng(6), 4)
-skew = np.zeros((4, 4))
-skew[0, 1] = 1.0
-print("\nHermitian gate on x + eps e12, x PSD of unit norm:")
-for eps in (1e-12, 1e-6):
-    w = opcore.hermitian_witness(x + eps * skew)
-    print(f"   eps = {eps:.0e}   asymmetry {w.asymmetry:.1e}   tolerance {w.tolerance:.1e}   accepted {w.accepted}")
-sym = opcore.symmetrized(x + 1e-12 * skew)
-print(f"   symmetrized at eps = 1e-12: ||sym - sym*||_F = {np.linalg.norm(sym - sym.conj().T):.1e}")
 
 print(f"\ngamma = 8 sqrt(3) / 9 = {kl.GAMMA!r}")
 ts = np.linspace(0.2, 3.0, 5)

@@ -27,25 +27,20 @@ column.  Tests compare the fast paths against them.
 
 The gates take stacks: :func:`require_psd`, :func:`psd_sqrt` and
 :func:`positive_part` accept one matrix or a (k, n, n) stack, one matrix
-being the k = 1 case of the same code, and a stack passes the Hermitian
-gate (and the PSD gate) in one pass, with one stacked ``eigvalsh`` or
-``eigh``; :func:`hermitian_witness` and :func:`symmetrized` are that gate
-for one matrix.  The first matrix of a stack that fails is named, a
-Hermitian failure before a PSD one.
+being the k = 1 case, and pass it through one Hermitian gate (and, but for
+:func:`positive_part`, the PSD gate) with one stacked ``eigvalsh`` or
+``eigh``.  The first matrix that fails is named, a Hermitian failure before
+a PSD one.
 
 One rescale rule serves each norm, product or spectrum that could over- or
 underflow: :func:`_exponent` reads the even power of two that brings an
-array whose largest part leaves ``[2**-400, 2**400]`` into ``[1/4, 1)``
-(:func:`_exponents` for each matrix of a stack), and :func:`frobenius`,
-:func:`hs_inner` and the Hermitian gate compute on the scaled array
-(:func:`_rescaled`) and scale back.  The gates, :func:`positive_part` and
-:func:`psd_sqrt` take each matrix of a stack at its own power, so a root
-scales back exactly, and gate it in the input's units; their answer is
+array whose largest part leaves ``[2**-400, 2**400]`` into ``[1/4, 1)``,
+and :func:`frobenius`, :func:`hs_inner` and the gates compute on each
+matrix at that power (:func:`_to_units`) and scale back, so a root scales
+back exactly and a gate judges in the input's units; their answer is
 finite or a ``ValueError``, never NaN.  :func:`kron_entries` and
 :func:`product_map` refuse, with a ``ValueError``, a sum of products that
 overflows the float range.
-A stack of matrices whose nonzero patterns are all full skips the split:
-each matrix is its own block, and the stack takes one ``eigh``.
 """
 
 from __future__ import annotations
@@ -59,14 +54,11 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 __all__ = [
-    "HermitianWitness",
     "as_matrix",
     "op_norm",
     "trace_norm",
     "frobenius",
     "hs_inner",
-    "hermitian_witness",
-    "symmetrized",
     "positive_part",
     "require_psd",
     "psd_sqrt",
@@ -141,25 +133,17 @@ def _exponent(peak: float) -> int:
     return e + (e & 1)
 
 
-def _exponents(stack: np.ndarray) -> list:
-    """:func:`_exponent` of each entry of a (k, ...) stack."""
-    return [_exponent(peak) for peak in _peaks(stack)]
-
-
-def _at_units(stack: np.ndarray, exps: list) -> np.ndarray:
-    """``stack`` with matrix j times ``2**-exps[j]``; ``stack`` itself where
-    every exponent is 0."""
-    if not any(exps):
-        return stack
-    return stack * np.array([math.ldexp(1.0, -e) for e in exps])[:, None, None]
-
-
-def _rescaled(m: np.ndarray) -> tuple:
-    """``(m * 2**-e, e)`` of a float64 or complex128 array, with ``e`` of
-    :func:`_exponent` (``m`` itself where ``e`` is 0).  Exact but for
+def _to_units(stack: np.ndarray, exps: list | None = None) -> tuple:
+    """``(scaled, exps)`` of a float64 or complex128 (k, ...) stack: entry j
+    times ``2**-exps[j]``, ``exps`` the :func:`_exponent` of each entry
+    unless given; ``stack`` itself where every exponent is 0.  Exact but for
     entries it takes below the normal range, negligible against the largest."""
-    e = _exponents(np.asarray(m)[None])[0]
-    return (m, 0) if e == 0 else (m * math.ldexp(1.0, -e), e)
+    if exps is None:
+        exps = [_exponent(peak) for peak in _peaks(stack)]
+    if not any(exps):
+        return stack, exps
+    scale = np.array([math.ldexp(1.0, -e) for e in exps])
+    return stack * scale.reshape(-1, *(1,) * (stack.ndim - 1)), exps
 
 
 def _scaled_back(x: float, e: int) -> float:
@@ -172,21 +156,21 @@ def _scaled_back(x: float, e: int) -> float:
 
 def frobenius(m) -> float:
     """``||m||_F`` of a real or complex array: ``np.linalg.norm`` (bitwise in
-    the safe range) of :func:`_rescaled` ``m``, scaled back, so no square
+    the safe range) of ``m`` at :func:`_to_units`, scaled back, so no square
     over- or underflows; inf, without a warning, only beyond the float range."""
     m = np.asarray(m)
-    s, e = _rescaled(m.astype(np.result_type(m.dtype, np.float64), copy=False))
+    s, (e,) = _to_units(m.astype(np.result_type(m.dtype, np.float64), copy=False)[None])
     return _scaled_back(float(np.linalg.norm(s)), e)
 
 
 def hs_inner(x, y) -> complex:
     """Hilbert-Schmidt inner product tr(x* y), conjugate-linear in ``x``: one
-    ``np.vdot`` of :func:`_rescaled` ``x`` and ``y`` (bitwise in the safe
+    ``np.vdot`` of ``x`` and ``y`` at :func:`_to_units` (bitwise in the safe
     range), scaled back; a ``ValueError`` beyond the float range."""
     mx, my = as_matrix(x, "x"), as_matrix(y, "y")
     if mx.shape != my.shape:
         raise ValueError(f"shape mismatch {mx.shape} vs {my.shape}")
-    (sx, ex), (sy, ey) = _rescaled(mx), _rescaled(my)
+    (sx, (ex,)), (sy, (ey,)) = _to_units(mx[None]), _to_units(my[None])
     z = complex(np.vdot(sx, sy))
     z = complex(_scaled_back(z.real, ex + ey), _scaled_back(z.imag, ex + ey))
     if not cmath.isfinite(z):
@@ -194,75 +178,14 @@ def hs_inner(x, y) -> complex:
     return z
 
 
-@dataclass(frozen=True, eq=False)
-class HermitianWitness:
-    """Symmetrized matrix together with how far the input was from Hermitian."""
-
-    matrix: np.ndarray
-    asymmetry: float
-    tolerance: float
-    accepted: bool
-
-
-def hermitian_witness(m, name: str = "matrix") -> HermitianWitness:
-    """Measure ``||m - m*||_F`` against the scale-aware Hermitian tolerance.
-
-    A matrix passes iff its asymmetry is at most ``1e-10 * (1 + ||m||_F)``,
-    absolute below unit norm.  ``m - m*``, both norms and the verdict are
-    taken of ``m 2**-e``, ``e`` of :func:`_exponents`: the asymmetry reads
-    inf only beyond the float range, the tolerance is finite wherever
-    representable, and the symmetrized ``m / 2 + m* / 2`` cannot overflow.
-    It is the k = 1 case of the stacked gate :func:`_hermitian_pass`.
-    """
-    a = _square(m, name)[None]
-    sym, asymmetry, tolerance, (e,) = _hermitian_pass(a, _exponents(a))
-    return HermitianWitness(
-        matrix=sym[0],
-        asymmetry=_scaled_back(asymmetry[0], e),
-        tolerance=_scaled_back(tolerance[0], e),
-        accepted=asymmetry[0] <= tolerance[0],
-    )
-
-
-def _hermitian_pass(a: np.ndarray, exps: list) -> tuple:
-    """``(m / 2 + m* / 2, asymmetry, tolerance, exps)`` of each matrix m of
-    a finite (k, n, n) complex stack, given its :func:`_exponents`: the
-    Hermitian gate of :func:`hermitian_witness`, with both norms taken of
-    ``s = m 2**-e`` and, as lists of floats, left in those units.
-
-    Each norm is ``np.linalg.norm``'s bit for bit: the ``dot`` of the real
-    parts plus that of the imaginary parts, ``s - s*`` read in row-major
-    order and ``s`` in the order its entries lie in memory, all 2k of them
-    in one stacked ``matmul`` per part.
-    """
-    k, n = a.shape[:2]
-    s = _at_units(a, exps)
-    both = np.empty((2 * k, n, n), dtype=np.complex128)
-    np.subtract(s, s.conj().swapaxes(1, 2), out=both[:k])
-    both[k:] = s.swapaxes(1, 2) if abs(s.strides[2]) > abs(s.strides[1]) else s
-    parts = both.view(np.float64).reshape(2 * k, 1, 2 * n * n)
-    re, im = parts[..., 0::2], parts[..., 1::2]
-    norms = re @ re.swapaxes(1, 2)
-    norms += im @ im.swapaxes(1, 2)
-    norms = np.sqrt(norms.ravel()).tolist()
-    tolerance = [1e-10 * (math.ldexp(1.0, -e) + size) for e, size in zip(exps, norms[k:])]
-    half = a * 0.5
-    sym = np.add(half, half.conj().swapaxes(1, 2), order="C")
-    return sym, norms[:k], tolerance, exps
-
-
 def _stack(m, name) -> tuple:
-    """``(a, names)``: ``m`` as a complex128 (k, n, n) stack and the names
-    of its matrices.  A ``m`` that is not 3-D is one matrix named ``name``,
-    and a shape :func:`_square` refuses is refused with its message;
-    finiteness is left to the gate, whose message is the same.  The
-    matrices of a stack are named ``name[j]``, or by ``name`` itself when
-    it is a sequence of k names."""
+    """``(a, names)``: ``m`` as a complex128 (k, n, n) stack and the names of
+    its matrices: ``name`` for one matrix, which passes :func:`_square`, and
+    ``name[j]``, or ``name`` itself when it is a sequence of k names, for a
+    stack, whose shape alone is checked here and finiteness by the gate."""
     a = np.asarray(m, dtype=np.complex128)
     if a.ndim != 3:
-        if not (a.ndim == 2 and a.shape[0] == a.shape[1] > 0):
-            _square(a, name)
-        return a[None], (name,)
+        return _square(a, name)[None], (name,)
     names = tuple(f"{name}[{j}]" for j in range(len(a))) if isinstance(name, str) else tuple(name)
     if not names:
         raise ValueError(f"{name} must hold at least one matrix")
@@ -277,53 +200,58 @@ def _gated(m, name, spectrum: Callable, psd: bool = True) -> tuple:
     """One pass of the Hermitian gate, and with ``psd`` of the PSD gate,
     over ``m``: one matrix or a (k, n, n) stack (see :func:`_stack`).
 
-    The stack takes one reduction for its peaks, which also tells which
-    matrices are finite (a non-finite one is gated as zeros), and one
-    :func:`_hermitian_pass`.  Its symmetrized matrices are brought to their
-    own :func:`_exponents` ``e``, and ``spectrum`` of that stack returns
-    ``(least, peak, payload)``: lists of each matrix's least eigenvalue and
-    largest ``|eigenvalue|`` in units of ``2**e``.  The PSD gate passes a
-    matrix iff ``least >= -psd_tol`` with ``psd_tol = 1e-10 * (2**-e +
-    peak)``, which is ``1e-10 * (1 + ||m||_op)`` in the input's units.  The
-    first matrix that fails is named, with the first check it fails of
-    finite, Hermitian and PSD.  Returns ``(sym, e, payload, names)``.
+    One reduction reads each matrix's peak and whether it is finite (one
+    that is not is gated as zeros).  A matrix passes the Hermitian gate iff
+    ``||m - m*||_F <= 1e-10 * (1 + ||m||_F)``, both norms ``np.linalg.norm``'s
+    bits of ``m 2**-e`` at :func:`_to_units`, all 2k of them in one stacked
+    ``matmul`` per part: the asymmetry reads inf only beyond the float range.
+    The symmetrized ``m / 2 + m* / 2`` cannot overflow; ``spectrum`` of it,
+    at its own :func:`_to_units` ``e``, returns ``(least, peak, payload)``:
+    lists of each matrix's least eigenvalue and largest ``|eigenvalue|`` in
+    units of ``2**e``.  The PSD gate passes a matrix iff ``least >=
+    -1e-10 * (2**-e + peak)``, ``1e-10 * (1 + ||m||_op)`` in the input's
+    units.  The first matrix that fails is named, with the first check it
+    fails of finite, Hermitian and PSD.  Returns ``(sym, e, payload, names)``.
     """
     a, names = _stack(m, name)
+    k, n = a.shape[:2]
     peaks = _peaks(a)
     finite = [math.isfinite(peak) for peak in peaks]
     if not all(finite):
         a = np.where(np.array(finite)[:, None, None], a, 0.0)
     # a peak that is not finite reads the exponent 0, as the zeros put in its place
-    sym, asymmetry, tolerance, e = _hermitian_pass(a, [_exponent(peak) for peak in peaks])
-    exps = _exponents(sym)
-    least, peak, payload = spectrum(_at_units(sym, exps))
+    s, e = _to_units(a, [_exponent(peak) for peak in peaks])
+    # s - s* read in row-major order and s in memory order, as np.linalg.norm reads them
+    both = np.empty((2 * k, n, n), dtype=np.complex128)
+    np.subtract(s, s.conj().swapaxes(1, 2), out=both[:k])
+    both[k:] = s.swapaxes(1, 2) if abs(s.strides[2]) > abs(s.strides[1]) else s
+    parts = both.view(np.float64).reshape(2 * k, 1, 2 * n * n)
+    re, im = parts[..., 0::2], parts[..., 1::2]
+    norms = re @ re.swapaxes(1, 2)
+    norms += im @ im.swapaxes(1, 2)
+    norms = np.sqrt(norms.ravel()).tolist()
+    asymmetry, size = norms[:k], norms[k:]
+    half = a * 0.5
+    sym = np.add(half, half.conj().swapaxes(1, 2), order="C")
+    scaled, exps = _to_units(sym)
+    least, peak, payload = spectrum(scaled)
     for j, back in enumerate(exps):
+        tolerance = 1e-10 * (math.ldexp(1.0, -e[j]) + size[j])
         psd_tol = 1e-10 * (math.ldexp(1.0, -back) + peak[j])
-        if finite[j] and asymmetry[j] <= tolerance[j] and not (psd and least[j] < -psd_tol):
+        if finite[j] and asymmetry[j] <= tolerance and not (psd and least[j] < -psd_tol):
             continue
         if not finite[j]:
             raise ValueError(f"{names[j]} contains non-finite entries")
-        if not asymmetry[j] <= tolerance[j]:
+        if not asymmetry[j] <= tolerance:
             raise ValueError(
                 f"{names[j]} is not Hermitian: asymmetry {_scaled_back(asymmetry[j], e[j]):.3e} "
-                f"exceeds tolerance {_scaled_back(tolerance[j], e[j]):.3e}"
+                f"exceeds tolerance {_scaled_back(tolerance, e[j]):.3e}"
             )
         raise ValueError(
             f"{names[j]} is not PSD: eigenvalue {_scaled_back(least[j], back):.3e} "
             f"below -{_scaled_back(psd_tol, back):.3e}"
         )
     return sym, exps, payload, names
-
-
-def symmetrized(m, name: str = "matrix") -> np.ndarray:
-    """Return (m + m*)/2, raising if the asymmetry exceeds tolerance."""
-    w = hermitian_witness(m, name)
-    if not w.accepted:
-        raise ValueError(
-            f"{name} is not Hermitian: asymmetry {w.asymmetry:.3e} "
-            f"exceeds tolerance {w.tolerance:.3e}"
-        )
-    return w.matrix
 
 
 def positive_part(h) -> np.ndarray:
@@ -345,14 +273,13 @@ def _spectral_map(h, f: Callable, degree: float, psd: bool = False) -> np.ndarra
     ``f`` is positively homogeneous of ``degree`` (1 or 1/2).  The stack
     passes :func:`_gated` (its PSD gate too with ``psd``), read off the
     eigenvalues that also yield the map, before any output is formed.  Each
-    matrix is mapped at its own :func:`_exponents` ``e``, so no eigenvalue
+    matrix is mapped at its own :func:`_to_units` ``e``, so no eigenvalue
     overflows, and scaled back by ``2**(degree e)``: the result is finite,
-    or a ``ValueError`` where it lies beyond the float range.  In
-    ``[2**-400, 2**400]`` nothing is scaled.  When every matrix has a full
-    nonzero pattern, each is its own block and the stack takes one ``eigh``;
-    otherwise the direct sum of the stack is cut by :func:`block_split` (a
-    connected matrix is one block), each block size gets one stacked
-    ``eigh``, and the result is exactly zero off the blocks.
+    or a ``ValueError`` where it lies beyond the float range.  When every
+    matrix has a full nonzero pattern, each is its own block and the stack
+    takes one ``eigh``; otherwise the direct sum of the stack is cut by
+    :func:`block_split` (a connected matrix is one block), each block size
+    gets one stacked ``eigh``, and the result is exactly zero off the blocks.
     """
 
     def spectrum(sym):

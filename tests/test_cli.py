@@ -3,6 +3,7 @@
 import argparse
 import dataclasses
 import json
+import math
 import os
 import pathlib
 import re
@@ -352,6 +353,50 @@ def test_schur_far_k_exits_2_quickly(tmp_path, capsys):
 def test_demo_inputs_decode(command, demo, capsys):
     assert cli.main([command, "--input", str(DEMO_DATA / demo)]) == 0
     json.loads(capsys.readouterr().out)
+
+
+def _scaled_input(obj: dict, e: int) -> dict:
+    """A decoded demo input with each Kraus entry, symbol coefficient and
+    measure weight (atoms and density) times ``2**e``."""
+    t = lambda x: math.ldexp(x, e)
+    for m in obj.get("kraus", []):
+        m["data"] = [[t(re), t(im)] for re, im in m["data"]]
+    if "coeffs" in obj:
+        obj["coeffs"] = [[k, t(re), t(im)] for k, re, im in obj["coeffs"]]
+    if "atoms" in obj:
+        obj["atoms"] = [[zr, zi, t(wr), t(wi)] for zr, zi, wr, wi in obj["atoms"]]
+    if obj.get("density"):
+        obj["density"]["values"] = [t(v) for v in obj["density"]["values"]]
+    return obj
+
+
+# the exponents of the scaling table in test_metamorphic.py
+@pytest.mark.parametrize("e", [-1000, -500, -100, 0, 100, 500, 1000])
+@pytest.mark.parametrize(
+    "command, demo",
+    [
+        ("analyze", "pinching.json"),
+        ("analyze", "reflection_mix.json"),
+        ("analyze", "unitary_mix.json"),
+        ("analyze", "tensor_mix.json"),
+        ("schur", "symbol.json"),
+        ("schur", "measure.json"),
+    ],
+)
+def test_scaled_inputs_exit_as_at_unit_scale_or_2(command, demo, e, tmp_path, capsys):
+    # each run exits as the unscaled one does, or with 2 and a message; the
+    # suite turns any RuntimeWarning into an error
+    codes = []
+    for shift in (0, e):
+        path, out = tmp_path / f"in{shift}.json", tmp_path / f"out{shift}.json"
+        path.write_text(json.dumps(_scaled_input(json.loads((DEMO_DATA / demo).read_text()), shift)))
+        codes.append(cli.main([command, "--input", str(path), "--json", str(out)]))
+        err = capsys.readouterr().err
+        if codes[-1] == 2:
+            assert err.startswith("error: ") and not out.exists()
+        else:
+            json.loads(out.read_text(), parse_constant=lambda name: pytest.fail(f"{name} in the report"))
+    assert codes[1] in (codes[0], 2)
 
 
 @pytest.mark.parametrize("demo, fix_dim", [("pinching.json", 2), ("unitary_mix.json", 1), ("tensor_mix.json", 4)])

@@ -8,10 +8,13 @@
   are the intertwiners of {t a_j} and {t b_j} those of {a_j} and {b_j}.
 * The scaling table (SCALING): every name of opcore.__all__, commutant and
   intertwiner_space states its law under x -> t x, checked at t = 2**e
-  from e = -1000 to 1000; require_psd also for a stack of t x beside x.
+  from e = -1000 to 1000; require_psd, psd_sqrt and positive_part also for
+  a stack of t x beside x, exactly.  The Hermitian gate has no row of its
+  own: require_psd and positive_part run it.
 """
 
 import math
+import re
 import warnings
 from typing import Callable, NamedTuple
 
@@ -244,20 +247,19 @@ def _block_stacks(t):
 
 
 SCALING = {
-    "HermitianWitness": NoLaw("a record: its fields are the hermitian_witness row"),
     "as_matrix": Degree(1, lambda t: opcore.as_matrix(t * X), exact=True),
     "op_norm": Degree(1, lambda t: opcore.op_norm(t * X)),
     "trace_norm": Degree(1, lambda t: opcore.trace_norm(t * X)),
     "frobenius": Degree(1, lambda t: opcore.frobenius(t * X), exact=True, beyond="inf"),
     # sesquilinear, so degree 2 with both arguments scaled
     "hs_inner": Degree(2, lambda t: opcore.hs_inner(t * X, t * Y), exact=True, beyond="ValueError"),
-    "hermitian_witness": Degree(1, lambda t: opcore.hermitian_witness(t * X).asymmetry, exact=True, beyond="inf"),
-    "symmetrized": Degree(1, lambda t: opcore.symmetrized(t * H), exact=True),
     "positive_part": Degree(1, lambda t: np.concatenate([opcore.positive_part(m).ravel() for m in (t * H, t * FULL)])),
+    "positive_part (stack)": Degree(1, lambda t: _beside_fixed(opcore.positive_part, t * H, H), exact=True),
     "require_psd": Degree(1, lambda t: opcore.require_psd(t * P), exact=True),
     # a stack: t P beside a fixed P, each matrix gated at its own power
     "require_psd (stack)": Degree(1, lambda t: _beside_fixed(opcore.require_psd, t * P, P), exact=True),
     "psd_sqrt": Degree(0.5, lambda t: np.concatenate([opcore.psd_sqrt(m).ravel() for m in (t * P, t * FULL)])),
+    "psd_sqrt (stack)": Degree(0.5, lambda t: _beside_fixed(opcore.psd_sqrt, t * P, P), exact=True),
     "square_family": Degree(1, lambda t: np.stack(opcore.square_family([t * X, t * Y])), exact=True),
     "completeness_defects": NoLaw(
         "affine: ||sum a* a - 1|| subtracts the identity; reads inf where the Gram overflows",
@@ -290,7 +292,13 @@ SCALING = {
 
 def test_every_opcore_name_has_a_scaling_row():
     assert set(opcore.__all__) <= set(SCALING)
-    others = {"channel.commutant", "commuting.intertwiner_space", "require_psd (stack)"}
+    others = {
+        "channel.commutant",
+        "commuting.intertwiner_space",
+        "require_psd (stack)",
+        "psd_sqrt (stack)",
+        "positive_part (stack)",
+    }
     assert not set(SCALING) - set(opcore.__all__) - others
 
 
@@ -333,13 +341,17 @@ def test_scaling_law(name, e):
 
 def test_gates_are_absolute_below_unit_norm():
     # the 1 + in both tolerances: a matrix far from Hermitian (or PSD) at
-    # unit scale passes once its norm is far below 1e-10
-    negative = -P
+    # unit scale passes once its norm is far below 1e-10; positive_part runs
+    # the Hermitian gate without the PSD gate
+    negative, asymmetry = -P, float(np.linalg.norm(X - X.conj().T))
     for e in EXPONENTS:
         t = math.ldexp(1.0, e)
-        assert opcore.hermitian_witness(t * X).accepted is (e <= -100)
         if e <= -100:
+            opcore.positive_part(t * X)
             np.testing.assert_array_equal(opcore.require_psd(t * negative), t * negative)
         else:
+            # the asymmetry it reports is t ||X - X*||_F
+            with pytest.raises(ValueError, match=re.escape(f"not Hermitian: asymmetry {t * asymmetry:.3e} ")):
+                opcore.positive_part(t * X)
             with pytest.raises(ValueError, match="not PSD"):
                 opcore.require_psd(t * negative)

@@ -62,56 +62,74 @@ def test_hs_inner_retakes_an_overflowing_sum_scaled():
         opcore.hs_inner(1e160 * a, 1e160 * a)
 
 
+def _not_hermitian(asymmetry: float, tolerance: float) -> str:
+    """The pattern of the gate's message for a matrix it finds not Hermitian."""
+    return re.escape(f"is not Hermitian: asymmetry {asymmetry:.3e} exceeds tolerance {tolerance:.3e}")
+
+
+def _assert_gate_formulas(m):
+    """positive_part runs the Hermitian gate without the PSD gate, and
+    require_psd returns the symmetrized m / 2 + m* / 2 of a PSD m."""
+    a = np.asarray(m, dtype=np.complex128)
+    sym = (a + a.conj().T) / 2.0
+    asymmetry = float(np.linalg.norm(a - a.conj().T))
+    tolerance = 1e-10 * (1.0 + float(np.linalg.norm(a)))
+    if asymmetry > tolerance:
+        for gate in (opcore.positive_part, opcore.require_psd):
+            with pytest.raises(ValueError, match=_not_hermitian(asymmetry, tolerance)):
+                gate(m)
+        return False
+    opcore.positive_part(m)
+    if np.linalg.eigvalsh(sym)[0] >= 0.0:
+        assert np.array_equal(opcore.require_psd(m), sym)
+    else:
+        with pytest.raises(ValueError, match="not PSD"):
+            opcore.require_psd(m)
+    return True
+
+
 def test_hermitian_witness_and_symmetrized():
+    # the gate's accept and reject cases, read through the public gates
     h = np.array([[1.0, 2.0 + 1j], [2.0 - 1j, -3.0]])
-    w = opcore.hermitian_witness(h)
-    assert w.accepted and w.asymmetry == 0.0
+    assert _assert_gate_formulas(h)
+    # the symmetrized h is h itself: its positive and negative parts give it back
+    np.testing.assert_allclose(opcore.positive_part(h) - opcore.positive_part(-h), h, atol=1e-14)
     skew = h + np.array([[0.0, 1e-3], [0.0, 0.0]])
-    assert not opcore.hermitian_witness(skew).accepted
-    with pytest.raises(ValueError):
-        opcore.symmetrized(skew)
-    np.testing.assert_allclose(opcore.symmetrized(h), h)
+    assert not _assert_gate_formulas(skew)
 
 
 def test_hermitian_witness_is_bitwise_its_formulas():
     rng = np.random.default_rng(14)
     for d in (1, 2, 4, 8):
         g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        for m in (g, g + g.conj().T + 1e-11 * g, np.real(g + g.T)):
-            w = opcore.hermitian_witness(m)
-            a = np.asarray(m, dtype=np.complex128)
-            assert np.array_equal(w.matrix, (a + a.conj().T) / 2.0)
-            assert w.asymmetry == float(np.linalg.norm(a - a.conj().T))
-            assert w.tolerance == 1e-10 * (1.0 + float(np.linalg.norm(a)))
-            if w.accepted:
-                assert np.array_equal(opcore.symmetrized(m), w.matrix)
-    # the witness never writes to its input
-    m = g.copy()
-    opcore.hermitian_witness(m)
-    assert np.array_equal(m, g)
+        p = g @ g.conj().T
+        for m in (g, g + g.conj().T + 1e-11 * g, np.real(g + g.T), p + 1e-11 * g, p.real):
+            _assert_gate_formulas(m)
+    # the gate never writes to its input
+    m = p.copy()
+    opcore.require_psd(m)
+    assert np.array_equal(m, p)
 
 
 def test_hermitian_gate_holds_past_the_square_overflow():
     # entries past about 1e154 overflow a squared norm; the gate must still reject
     skew = np.array([[1.0, 5.0], [0.0, 100.0]])
     for t in (1.0, 1e160, 1e300):
-        assert not opcore.hermitian_witness(t * skew).accepted
-        with pytest.raises(ValueError, match="not Hermitian"):
-            opcore.require_psd(t * skew)
+        for gate in (opcore.positive_part, opcore.require_psd):
+            with pytest.raises(ValueError, match="not Hermitian"):
+                gate(t * skew)
     h = np.array([[1.0, 2.0], [2.0, 5.0]])
     for t in (1.0, 1e300):
         np.testing.assert_array_equal(opcore.require_psd(t * h), t * h)
-    w = opcore.hermitian_witness(1e300 * skew)
-    assert w.asymmetry == pytest.approx(5e300 * np.sqrt(2.0), rel=1e-15)
-    assert w.tolerance == pytest.approx(1e-10 * np.linalg.norm(skew) * 1e300, rel=1e-15)
+    # ||skew - skew*||_F = 5 sqrt(2), at the scale of 1e300
+    with pytest.raises(ValueError, match=_not_hermitian(5e300 * np.sqrt(2.0), 1e-10 * np.linalg.norm(skew) * 1e300)):
+        opcore.positive_part(1e300 * skew)
 
 
 def test_hermitian_gate_output_stays_finite_past_the_overflow():
     # (m + m*) / 2 overflows to inf+nanj entries here, which require_psd's
     # NaN eigenvalues would never reject
     ones = np.ones((2, 2))
-    w = opcore.hermitian_witness(1.5e308 * ones)
-    assert w.accepted and np.array_equal(w.matrix, 1.5e308 * ones)
     np.testing.assert_array_equal(opcore.require_psd(1.5e308 * ones), 1.5e308 * ones)
     # and would put NaN on psd_sqrt's diagonal
     np.testing.assert_array_equal(opcore.psd_sqrt(np.diag([1e308, 1e308])), np.diag([1e154, 1e154]))
@@ -126,13 +144,9 @@ def test_hermitian_gate_rejects_an_overflowing_difference_without_a_warning(m):
     # ||m - m*|| is beyond the float range for both, and 1e-10 (1 + ||m||) is
     # not (||m|| itself is, for the second); the suite turns any
     # RuntimeWarning into an error
-    w = opcore.hermitian_witness(m)
-    assert not w.accepted
-    assert w.asymmetry == math.inf
     half_norm = math.hypot(*np.abs(m.view(float)).ravel() / 2.0)
-    assert w.tolerance == pytest.approx(2e-10 * half_norm, rel=1e-15)
-    for gate in (opcore.symmetrized, opcore.require_psd):
-        with pytest.raises(ValueError, match="not Hermitian: asymmetry inf"):
+    for gate in (opcore.positive_part, opcore.require_psd):
+        with pytest.raises(ValueError, match=_not_hermitian(math.inf, 2e-10 * half_norm)):
             gate(m)
 
 
@@ -140,9 +154,20 @@ def test_hermitian_asymmetry_reads_inf_only_beyond_the_float_range():
     # ||m - m*|| = 2**1023 * sqrt(2) overflows; one binade lower it is finite
     for e, want in ((1022, math.ldexp(math.sqrt(2.0), 1023)), (1023, math.inf)):
         m = np.array([[0.0, math.ldexp(1.0, e)], [-math.ldexp(1.0, e), 0.0]])
-        w = opcore.hermitian_witness(m)
-        assert w.asymmetry == want and not w.accepted
-        assert w.tolerance == 1e-10 * (math.ldexp(1.0, -e) + math.sqrt(2.0)) * math.ldexp(1.0, e)
+        tolerance = 1e-10 * (math.ldexp(1.0, -e) + math.sqrt(2.0)) * math.ldexp(1.0, e)
+        with pytest.raises(ValueError, match=_not_hermitian(want, tolerance)):
+            opcore.positive_part(m)
+
+
+def test_rescale_rule_copies_no_stack_whose_exponents_are_all_zero():
+    stack = np.stack([np.eye(2), 3.0 * np.eye(2)]).astype(complex)
+    scaled, exps = opcore._to_units(stack)
+    assert scaled is stack and exps == [0, 0]
+    # 6 * 2**500 leaves the band; the even power 2**504 brings it to 0.375
+    stack[1] *= 2.0**501
+    scaled, exps = opcore._to_units(stack)
+    assert exps == [0, 504]
+    assert np.array_equal(scaled, stack * np.array([1.0, 2.0**-504])[:, None, None])
 
 
 def test_positive_part_oracle_and_decomposition():
@@ -720,7 +745,8 @@ def test_dense_psd_sqrt_and_positive_part_are_bitwise_the_plain_eigh_formula(d, 
         (opcore.positive_part, g + g.conj().T, lambda w: np.clip(w, 0.0, None)),
     )
     for fn, m, f in cases:
-        sym = opcore.symmetrized(m)
+        half = np.asarray(m, dtype=complex) * 0.5
+        sym = half + half.conj().T
         # a full pattern: one block
         assert np.count_nonzero(sym) == d * d
         w, v = np.linalg.eigh(sym)
