@@ -1,17 +1,20 @@
 """Two-sided maps from commuting normal families: spectra and intertwiners.
 
-theta(x) = sum_j c_j x d_j* is diagonalized by the tensor product of the two
+theta(x) = sum_j c_j x d_j is diagonalized by the tensor product of the two
 common eigenbases, so its spectrum is exactly the product set of the joint
 spectra.  When the coefficient families are spectrally matched, the fixed
 space of theta coincides with the intertwiner space of the pair; for
-independent families both are trivial.
+independent families both are trivial.  For an abelian A = C*(a_j), the map
+psi(x) = sum_j a_j* x a_j is theta with c_j = a_j* and d_j = a_j, whose
+intertwiners are the commutant A'; repeated joint tuples give A' (and so
+Fix(psi)) the dimension sum_t mult(t)^2.
 """
 
 import numpy as np
 
 import krauslab as kl
 from krauslab.commuting import joint_spectrum
-from krauslab.ensembles import commuting_normal_family, intertwining_pair
+from krauslab.ensembles import commuting_normal_family, haar_unitary, intertwining_pair
 
 rng = np.random.default_rng(12)
 
@@ -30,6 +33,20 @@ a, b = intertwining_pair(rng, 4, 3)
 print("spectrally matched pair on M4, three generators")
 fx = kl.intertwiner_fixed_point_check(a, b)
 print(f"   dim Fix(theta) = {fx.fix_dim}, dim intertwiners = {fx.intertwiner_dim}")
+print(f"   subspace distance between the two = {fx.subspace_distance:.3e}")
+print(f"   check passed: {fx.passed}\n")
+
+# the abelian case with multiplicities: unit joint tuples t1, t2, t3 taken
+# 3, 2 and 1 times, so psi is unital and dim A' = 3^2 + 2^2 + 1^2 = 14
+tuples = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
+tuples /= np.linalg.norm(tuples, axis=1, keepdims=True)
+lam = tuples[[0, 0, 0, 1, 1, 2]]
+u = haar_unitary(rng, 6)
+a = kl.CommutingFamily([u @ np.diag(lam[:, j]) @ u.conj().T for j in range(2)])
+a_star = kl.CommutingFamily([m.conj().T for m in a.mats])
+print("abelian A = C*(a_j) on M6, joint tuples of multiplicity 3, 2, 1")
+fx = kl.intertwiner_fixed_point_check(a_star, a)
+print(f"   dim Fix(psi) = {fx.fix_dim}, dim A' = {fx.intertwiner_dim}")
 print(f"   subspace distance between the two = {fx.subspace_distance:.3e}")
 print(f"   check passed: {fx.passed}\n")
 

@@ -16,11 +16,16 @@ are refined, by each part in turn, and a part is formed only while a
 cluster remains; the off-diagonal residual is gated.  Every Frobenius norm
 is :func:`opcore.frobenius` (opcore's one rescale rule), so no gate is void
 where a square over- or underflows.  The joint spectra are the generators'
-diagonals in it; spec(theta) of an accepted pair, where theta is normal, is
-theta's own diagonal in it, certified by that residual.  Fix(theta) is read
-from the same eigenbasis: the eigenvectors with eigenvalue within ``tol`` of 1,
-corrected once to first order against the others; theta - I is never
-factorized.  The intertwiners of a gated pair are read from the two families' joint
+diagonals in it.  Theta is diagonalized from its own entries
+(:func:`_kron_eigenbasis`): rearranged (Van Loan-Pitsianis), its entries
+give m combinations in each of span{d_j.T} and span{c_j}, the routine
+diagonalizes each set, and ``W = kron(V, U)``; spec(theta) of an accepted
+pair, where theta is normal, is theta's diagonal in W, certified by its
+gated off-diagonal residual.  Fix(theta) is read from the same eigenbasis:
+the eigenvectors with eigenvalue within ``tol`` of 1, corrected once to
+first order against the others; theta - I is never factorized, and no
+eigensolver sees a matrix of theta's size but the positivity check's.
+The intertwiners of a gated pair are read from the two families' joint
 eigenbases: with ``a_j = U Lambda_j U*`` and ``b_j = V M_j V*`` they are
 spanned by the ``u_i v_k*`` whose tuples satisfy
 ``||lambda(i) - conj mu(k)|| <= tol``, the eigenvectors corrected once to
@@ -373,13 +378,43 @@ class SpectrumProductReport:
     hausdorff: float
 
 
-def _normal_eigvals(theta: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a normal matrix: its diagonal in :func:`_eigenbasis` at
-    ``||theta||_F``.  For a normal ``theta`` the Hoffman-Wielandt theorem
-    bounds the matching distance between them and spec(theta) by the gated
-    off-diagonal residual, at most ``1e-8 * ||theta||_F``; a non-normal
-    ``theta`` fails the gate and raises ``ValueError``."""
-    return _eigenbasis([theta], opcore.frobenius(theta))[1][0]
+def _kron_eigenbasis(theta: np.ndarray, p: int, q: int, m: int) -> tuple:
+    """Unitary eigenbasis ``W = kron(V, U)`` of ``theta = sum_j kron(d_j.T, c_j)``
+    (p x p ``c_j``, q x q ``d_j``, m terms), read from theta's own entries,
+    and theta's diagonal in it.
+
+    Theta read through its (q, p, q, p) layout (:meth:`opcore.KronEntries.tensor`)
+    and rearranged to ``r = sum_j vec(d_j.T) vec(c_j).T`` (q^2 x p^2, Van
+    Loan and Pitsianis) has its columns in span{d_j.T} and its rows in
+    span{c_j}.  So m fixed pseudorandom unit combinations (seed ``0x7E7A``)
+    of its columns, reshaped to q x q, and of its rows, reshaped to p x p,
+    are commuting normal matrices whenever the two families are, and
+    together they carry all of theta.  :func:`_eigenbasis` of each set, at
+    the set's Frobenius norm, each column then corrected once by
+    :func:`_first_order` against the set's diagonals (its m-entry tuples
+    separate the eigenvectors better than the probe's one value), gives
+    ``V`` and ``U``.  The off-diagonal Frobenius residual of ``W* theta W``
+    is gated at ``1e-8 * ||theta||_F`` (``ValueError`` above it), so, theta
+    being normal, its diagonal is within that of spec(theta)
+    (Hoffman-Wielandt).  The families themselves are never read.
+    """
+    scale = opcore.frobenius(theta)
+    r = theta.reshape(q, p, q, p).transpose(0, 2, 1, 3).reshape(q * q, p * p)
+    rng, bases = np.random.default_rng(0x7E7A), []
+    for span, n in ((r, q), (r.T, p)):
+        g = rng.standard_normal((span.shape[1], m, 2)) @ [1.0, 1.0j]
+        mats = (span @ (g / np.linalg.norm(g, axis=0))).T.reshape(m, n, n)
+        size = opcore.frobenius(mats)
+        basis, diags = _eigenbasis(list(mats), size)
+        bases.append(_first_order(basis, mats, np.stack(diags, axis=1), np.arange(n), size))
+    basis = np.kron(*bases)
+    rotated = basis.conj().T @ theta @ basis
+    eigs = np.diagonal(rotated).copy()
+    np.fill_diagonal(rotated, 0.0)
+    off, limit = opcore.frobenius(rotated), 1e-8 * scale
+    if off > limit:
+        raise ValueError(f"diagonalization residual {off:.3e} above tolerance {limit:.3e}")
+    return basis, eigs
 
 
 def spectrum_product_check(c, d) -> SpectrumProductReport:
@@ -390,13 +425,12 @@ def spectrum_product_check(c, d) -> SpectrumProductReport:
     ``ValueError`` before any eigensolver runs.  The joint spectra come from
     the families' stored eigenbases (see :class:`CommutingFamily`).  Theta
     is then normal, and ``eigs`` are its diagonal in
-    :func:`_eigenbasis` of ``[theta]`` alone, not in the joint eigenbases:
-    one ``eigh`` of a fixed combination of its Hermitian and anti-Hermitian
-    parts, cut at gaps above ``1e-6 * (||theta||_F + ||probe||_F)``, each
-    cluster it leaves refined by both parts.  The off-diagonal residual
-    (at most ``1e-8 * ||theta||_F``, else ``ValueError``) bounds their
-    distance to spec(theta).  The Hausdorff distance to the product set then
-    vanishes up to rounding.
+    :func:`_kron_eigenbasis`, read from theta's own entries, not from the
+    joint eigenbases.  The off-diagonal residual (at most
+    ``1e-8 * ||theta||_F``, else ``ValueError``) bounds their distance to
+    spec(theta).  Theta is built before the product set is formed, so
+    families whose theta leaves the float range raise ``ValueError`` there.
+    The Hausdorff distance to the product set then vanishes up to rounding.
 
     When :func:`intertwiner_fixed_point_check` of the same two family
     objects ran first, theta's diagonal is read from the cache it left on
@@ -404,11 +438,11 @@ def spectrum_product_check(c, d) -> SpectrumProductReport:
     eigenbasis, without building or diagonalizing theta again.
     """
     cf, df = _gated_family(c), _gated_family(d)
-    product = product_spectrum(joint_spectrum(cf), joint_spectrum(df))
     partner, eigs = cf._theta_spectrum
     if partner is not df:
-        eigs = _normal_eigvals(theta_superoperator(cf, df))
+        eigs = _kron_eigenbasis(theta_superoperator(cf, df), cf.dim, df.dim, len(cf))[1]
     eigs = _sorted_complex(eigs)
+    product = product_spectrum(joint_spectrum(cf), joint_spectrum(df))
     return SpectrumProductReport(
         eigs=eigs,
         product=product,
@@ -513,18 +547,18 @@ class IntertwinerFixedReport:
     passed: bool
 
 
-def _theta_fixed_space(theta: np.ndarray, tol: float) -> tuple:
-    """Orthonormal columns spanning Fix(theta) of a normal ``theta``, and
-    theta's diagonal in :func:`_eigenbasis` at ``||theta||_F``.
+def _theta_fixed_space(theta: np.ndarray, p: int, q: int, m: int, tol: float) -> tuple:
+    """Orthonormal columns spanning Fix(theta) of a normal
+    ``theta = sum_j kron(d_j.T, c_j)`` of m terms (p x p ``c_j``, q x q
+    ``d_j``), and theta's diagonal in :func:`_kron_eigenbasis`.
 
     The eigenvectors with ``|lambda - 1| <= tol`` are kept, corrected once
     by :func:`_first_order` against the columns whose eigenvalue lies more
     than ``1e-6 * ||theta||_F`` from theirs, and orthonormalized by QR.
     """
-    scale = opcore.frobenius(theta)
-    basis, (eigs,) = _eigenbasis([theta], scale)
+    basis, eigs = _kron_eigenbasis(theta, p, q, m)
     near = np.flatnonzero(np.abs(eigs - 1.0) <= tol)
-    return _first_order(basis, [theta], eigs[:, None], near, scale), eigs
+    return _first_order(basis, [theta], eigs[:, None], near, opcore.frobenius(theta)), eigs
 
 
 def intertwiner_fixed_point_check(a, b, tol: float = 1e-7) -> IntertwinerFixedReport:
@@ -533,8 +567,10 @@ def intertwiner_fixed_point_check(a, b, tol: float = 1e-7) -> IntertwinerFixedRe
     Both families must pass the commuting-normal gates; a family that fails
     raises ``ValueError`` before theta is built.  Theta is then normal, so
     the singular values of theta - I are ``|lambda - 1|`` over spec(theta).
-    Fix(theta) is read from theta's eigenbasis (:func:`_theta_fixed_space`):
-    the eigenvectors whose ``lambda``, theta's diagonal in that basis, has
+    Fix(theta) is read from theta's Kronecker eigenbasis, which
+    :func:`_kron_eigenbasis` reads from theta's entries alone
+    (:func:`_theta_fixed_space`): the eigenvectors whose ``lambda``,
+    theta's diagonal in that basis, has
     ``|lambda - 1| <= tol``.  By the Hoffman-Wielandt theorem that diagonal
     is within the gated off-diagonal residual (at most
     ``1e-8 * ||theta||_F``) of spec(theta), so the cut is
@@ -554,7 +590,7 @@ def intertwiner_fixed_point_check(a, b, tol: float = 1e-7) -> IntertwinerFixedRe
     am, bm = _family_pair(af, bf, "ab")
     _warn_incomplete(am, bm)
     na, nb = am[0].shape[0], bm[0].shape[0]
-    kernel, eigs = _theta_fixed_space(theta_superoperator(am, bm), tol)
+    kernel, eigs = _theta_fixed_space(theta_superoperator(am, bm), na, nb, len(am), tol)
     af._theta_spectrum = (bf, eigs)
     fixed = SubspaceBasis(
         rows=na, cols=nb, basis=tuple(opcore.devectorize(k, na, nb) for k in kernel.T)

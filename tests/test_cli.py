@@ -658,8 +658,9 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
         ["fuzz", "--trials", "40", "--seed", "0"],
         ["cuntz", "--dim", "16"],
         ["analyze", "--input", str(ROOT / "demos" / "data" / "tensor_mix.json")],
+        ["commuting", "--dim", "12", "--trials", "5", "--seed", "11"],
     ],
-    ids=["fuzz", "cuntz", "analyze"],
+    ids=["fuzz", "cuntz", "analyze", "commuting"],
 )
 def test_reports_are_byte_identical_at_one_and_two_blas_threads(argv, tmp_path):
     # the stacked eigvalsh, eigh, svd, qr and matmul calls must return the

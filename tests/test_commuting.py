@@ -263,7 +263,8 @@ def test_spectrum_product_check_takes_no_general_eigensolver(monkeypatch, capsys
 
 
 def _seeded_normal_thetas():
-    """theta of seeded commuting and intertwining pairs at d <= 8."""
+    """theta of seeded commuting and intertwining pairs at d <= 8, with the
+    pair's dimension and number of generators."""
     for trial in range(12):
         rng = trial_rng(61, trial)
         dim, ops = (3, 5, 8)[trial % 3], 1 + trial % 3
@@ -271,36 +272,59 @@ def _seeded_normal_thetas():
             a, b = intertwining_pair(rng, dim, ops)
         else:
             a, b = commuting_normal_family(rng, dim, ops), commuting_normal_family(rng, dim, ops)
-        yield trial % 2 == 0, dim, kl.theta_superoperator(a, b)
+        yield trial % 2 == 0, dim, ops, kl.theta_superoperator(a, b)
+
+
+def _normal_eigvals(theta):
+    """theta's diagonal in the one-matrix eigenbasis at ||theta||_F."""
+    return commuting._eigenbasis([theta], opcore.frobenius(theta))[1][0]
+
+
+def _assert_normal_spectrum(eigs, theta, dim, intertwining):
+    want = np.linalg.eigvals(theta)
+    norm = np.linalg.norm(theta, 2)
+    assert eigs.shape == want.shape
+    assert commuting.hausdorff_distance(eigs, want) <= 1e-12 * norm
+    # multiplicities agree: as many values of each set near every eigenvalue
+    radius = 1e-8 * norm
+    for z in want:
+        assert (np.abs(eigs - z) <= radius).sum() == (np.abs(want - z) <= radius).sum()
+    if intertwining:
+        # the joint tuples are unit vectors: eigenvalue 1 of multiplicity dim
+        assert (np.abs(eigs - 1.0) <= radius).sum() == dim
 
 
 def test_normal_eigvals_match_the_general_eigensolver():
-    for intertwining, dim, theta in _seeded_normal_thetas():
-        eigs = commuting._normal_eigvals(theta)
-        want = np.linalg.eigvals(theta)
-        norm = np.linalg.norm(theta, 2)
-        assert eigs.shape == want.shape
-        assert commuting.hausdorff_distance(eigs, want) <= 1e-12 * norm
-        # multiplicities agree: as many values of each set near every eigenvalue
-        radius = 1e-8 * norm
-        for z in want:
-            assert (np.abs(eigs - z) <= radius).sum() == (np.abs(want - z) <= radius).sum()
-        if intertwining:
-            # the joint tuples are unit vectors: eigenvalue 1 of multiplicity dim
-            assert (np.abs(eigs - 1.0) <= radius).sum() == dim
+    for intertwining, dim, _, theta in _seeded_normal_thetas():
+        _assert_normal_spectrum(_normal_eigvals(theta), theta, dim, intertwining)
+
+
+def test_kron_eigenbasis_matches_the_general_eigensolver():
+    for intertwining, dim, ops, theta in _seeded_normal_thetas():
+        basis, eigs = commuting._kron_eigenbasis(theta, dim, dim, ops)
+        _assert_normal_spectrum(eigs, theta, dim, intertwining)
+        np.testing.assert_allclose(basis.conj().T @ basis, np.eye(dim * dim), atol=1e-13)
+        rotated = basis.conj().T @ theta @ basis
+        np.testing.assert_allclose(rotated, np.diag(eigs), atol=1e-13 * np.linalg.norm(theta))
 
 
 def test_normal_eigvals_separate_eigenvalues_sharing_a_real_part():
     # i and -i share the real part 0, so H = 0 and the combined probe is a
     # multiple of K, which splits the four eigenvalues into i and -i at once
-    rep = kl.spectrum_product_check([np.diag([1j, -1j])], [np.eye(2)])
+    pair = ([np.diag([1j, -1j])], [np.eye(2)])
+    eigs = commuting._sorted_complex(_normal_eigvals(kl.theta_superoperator(*pair)))
+    np.testing.assert_allclose(eigs, [-1j, -1j, 1j, 1j], atol=1e-14)
+    rep = kl.spectrum_product_check(*pair)
     np.testing.assert_allclose(rep.eigs, [-1j, -1j, 1j, 1j], atol=1e-14)
     assert rep.hausdorff <= 1e-14
     # 1 + i and 1 - i share a real part, 1 + i and -1 + i an imaginary part
     u = haar_unitary(trial_rng(62, 0), 3)
     c = [u @ np.diag([1 + 1j, 1 - 1j, -1 + 1j]) @ u.conj().T]
+    want = [-1 + 1j, -1 + 1j, 1 - 1j, 1 - 1j, 1 + 1j, 1 + 1j]
+    eigs = commuting._sorted_complex(_normal_eigvals(kl.theta_superoperator(c, [np.eye(2)])))
+    np.testing.assert_allclose(eigs, want, atol=1e-13)
     rep = kl.spectrum_product_check(c, [np.eye(2)])
-    np.testing.assert_allclose(rep.eigs, [-1 + 1j, -1 + 1j, 1 - 1j, 1 - 1j, 1 + 1j, 1 + 1j], atol=1e-13)
+    assert commuting.hausdorff_distance(rep.eigs, want) <= 1e-13
     np.testing.assert_allclose(rep.product, [-1 + 1j, 1 - 1j, 1 + 1j], atol=1e-13)
     assert rep.hausdorff <= 1e-13
 
@@ -328,13 +352,18 @@ def test_normal_eigvals_cluster_the_same_under_scaling(monkeypatch, scale):
     ]
     for c, d in pairs:
         c, d = commuting._family_pair(c, d, "cd")
-        base = kl.spectrum_product_check(c, d)
-        unscaled = list(calls)
-        calls.clear()
-        rep = kl.spectrum_product_check([scale * m for m in c], [scale * m for m in d])
-        assert calls == unscaled
-        calls.clear()
-        assert commuting.hausdorff_distance(rep.eigs, scale**2 * base.eigs) <= 1e-12 * scale**2
+        # theta's factor eigenbases, and theta's own one-matrix eigenbasis
+        for spectrum in (
+            lambda c, d: kl.spectrum_product_check(c, d).eigs,
+            lambda c, d: _normal_eigvals(kl.theta_superoperator(c, d)),
+        ):
+            base = spectrum(c, d)
+            unscaled = list(calls)
+            calls.clear()
+            eigs = spectrum([scale * m for m in c], [scale * m for m in d])
+            assert calls == unscaled
+            calls.clear()
+            assert commuting.hausdorff_distance(eigs, scale**2 * base) <= 1e-12 * scale**2
         # the joint eigenbases refine the same clusters too
         for fam in (c, d):
             kl.simultaneous_diagonalize(fam)
@@ -348,15 +377,24 @@ def test_normal_eigvals_cluster_the_same_under_scaling(monkeypatch, scale):
     # least two columns go into a refinement
     for c, d in pairs[:2]:
         c, d = commuting._family_pair(c, d, "cd")
-        kl.spectrum_product_check([scale * m for m in c], [scale * m for m in d])
+        _normal_eigvals(kl.theta_superoperator([scale * m for m in c], [scale * m for m in d]))
         assert any(rows == c[0].shape[0] * d[0].shape[0] for rows, *_ in calls)
         assert all(size >= 2 for _, _, into, _ in calls for size in into)
+        calls.clear()
+    # of theta's two factors, only the first pair's d = [1] side is a cluster,
+    # which no part splits: refined by H and then by K at every scale
+    for (c, d), want in zip(pairs, ([(2, "_hermitian_part", [2], [2]), (2, "_skew_part", [2], [2])], [], [])):
+        cf, df = (kl.CommutingFamily([scale * m for m in f]) for f in commuting._family_pair(c, d, "cd"))
+        kl.joint_spectrum(cf), kl.joint_spectrum(df)
+        calls.clear()
+        kl.spectrum_product_check(cf, df)
+        assert calls == want
         calls.clear()
 
 
 def test_theta_of_an_intertwining_pair_takes_at_most_three_eigh(monkeypatch):
-    # the combined probe separates theta's conjugate eigenvalue pairs, so only
-    # eigenvalue 1 of multiplicity d is refined, by H and then by K
+    # theta is diagonalized through its two 12 x 12 factors, one eigh of a
+    # probe each; eigenvalue 1 of multiplicity d is no cluster of either
     a, b = intertwining_pair(trial_rng(65, 0), 12, 3)
     shapes, eigh = [], np.linalg.eigh
     diagonalized, eigenbasis = [], commuting._eigenbasis
@@ -375,11 +413,10 @@ def test_theta_of_an_intertwining_pair_takes_at_most_three_eigh(monkeypatch):
     kl.joint_spectrum(b)
     spectra, families = len(shapes), len(diagonalized)
     assert kl.spectrum_product_check(a, b).hausdorff <= 1e-12
-    theta = shapes[spectra:]
-    assert theta[0] == (144, 144) and len(theta) <= 3
+    assert shapes[spectra:] == [(12, 12)] * 2
     # the spectrum check reads both families' stored eigenbases: no
-    # family-sized diagonalization runs, only theta's
-    assert families == 2 and diagonalized[families:] == [[(144, 144)]]
+    # family is diagonalized again, only theta's two factor spans
+    assert families == 2 and diagonalized[families:] == [[(12, 12)] * 3] * 2
 
 
 def test_normal_eigvals_gate_a_non_normal_input():
@@ -387,8 +424,54 @@ def test_normal_eigvals_gate_a_non_normal_input():
     # plain np.linalg.norm would make the gate 1e-8 * inf or 0 <= 0
     for scale in (1e-200, 1.0, 1e200):
         for jordan in (np.array([[1.0, 1.0], [0.0, 1.0]]), np.eye(3, k=1)):
+            m = scale * jordan.astype(complex)
             with pytest.raises(ValueError, match="residual"):
-                commuting._normal_eigvals(scale * jordan.astype(complex))
+                _normal_eigvals(m)
+            # as a factor of theta, on either side
+            for c, d in (([m], [np.eye(2)]), ([np.eye(2)], [m])):
+                theta = kl.theta_superoperator(c, d)
+                with pytest.raises(ValueError, match="residual"):
+                    commuting._kron_eigenbasis(theta, c[0].shape[0], d[0].shape[0], 1)
+
+
+def test_kron_eigenbasis_gates_theta_itself(monkeypatch):
+    # factors that each pass their own gate but leave theta off-diagonal (a
+    # factor basis of the wrong span) are refused by theta's residual gate
+    a, b = intertwining_pair(trial_rng(65, 1), 4, 2)
+    theta = kl.theta_superoperator(a, b)
+    eigenbasis = commuting._eigenbasis
+
+    def scrambled(mats, scale):
+        basis, diags = eigenbasis(mats, scale)
+        return haar_unitary(trial_rng(65, 2), basis.shape[0]), diags
+
+    monkeypatch.setattr(commuting, "_eigenbasis", scrambled)
+    with pytest.raises(ValueError, match="residual"):
+        commuting._kron_eigenbasis(theta, 4, 4, 2)
+
+
+def test_kron_eigenbasis_takes_any_factor_spans():
+    # unequal sizes, linearly dependent generators, the identity and the zero
+    # family: theta's diagonal is its spectrum in each case
+    rng = trial_rng(66, 50)
+    c3, d5 = commuting_normal_family(rng, 3, 2), commuting_normal_family(rng, 5, 2)
+    c = commuting_normal_family(rng, 4, 1).mats[0]
+    d = commuting_normal_family(rng, 4, 2).mats
+    cases = [
+        (c3.mats, d5.mats),
+        ([c, 2.0 * c], d),
+        ([np.eye(3)], [np.eye(4)]),
+        ([np.zeros((3, 3))] * 2, [np.zeros((2, 2))] * 2),
+    ]
+    for cm, dm in cases:
+        theta = kl.theta_superoperator(cm, dm)
+        p, q = cm[0].shape[0], dm[0].shape[0]
+        basis, eigs = commuting._kron_eigenbasis(theta, p, q, len(cm))
+        assert eigs.shape == (p * q,)
+        np.testing.assert_allclose(basis.conj().T @ basis, np.eye(p * q), atol=1e-13)
+        want = np.linalg.eigvals(theta)
+        assert commuting.hausdorff_distance(eigs, want) <= 1e-12 * max(1.0, np.linalg.norm(theta, 2))
+    assert not eigs.any()
 
 
 @pytest.mark.parametrize("scale", [5e-324, 1e-300, 1e-200, 1e-150, 1.0, 1e150, 1e200, 1e300])
@@ -497,12 +580,14 @@ def _seeded_fix_pairs():
 def test_theta_fixed_space_spans_the_kernel_of_theta_minus_identity():
     for (a, b), dim in _seeded_fix_pairs():
         theta = kl.theta_superoperator(a, b)
-        got, eigs = commuting._theta_fixed_space(theta, 1e-7)
+        a, b = commuting._family_pair(a, b, "ab")
+        shape = (a[0].shape[0], b[0].shape[0], len(a))
+        got, eigs = commuting._theta_fixed_space(theta, *shape, 1e-7)
         want = opcore.factorize(opcore.minus_identity(theta.copy())).kernel(1e-7)
         assert got.shape == want.shape == (theta.shape[0], dim)
         np.testing.assert_allclose(got.conj().T @ got, np.eye(dim), atol=1e-13)
         assert np.linalg.norm(got @ got.conj().T - want @ want.conj().T, 2) <= 1e-13
-        assert np.array_equal(eigs, commuting._normal_eigvals(theta))
+        assert np.array_equal(eigs, commuting._kron_eigenbasis(theta, *shape)[1])
     rep = kl.intertwiner_fixed_point_check(*_real_diagonal_pair())
     assert rep.passed and rep.fix_dim == rep.intertwiner_dim == 5
 
@@ -510,8 +595,9 @@ def test_theta_fixed_space_spans_the_kernel_of_theta_minus_identity():
 def test_both_checks_of_one_pair_build_and_diagonalize_theta_once(monkeypatch):
     a, b = intertwining_pair(trial_rng(67, 0), 5, 3)
     uncached = kl.spectrum_product_check(a.mats, b.mats)
-    built, shapes = [], []
+    built, shapes, diagonalized = [], [], []
     theta_superoperator, eigh = commuting.theta_superoperator, np.linalg.eigh
+    kron_eigenbasis = commuting._kron_eigenbasis
 
     def building(c, d):
         built.append((c, d))
@@ -521,15 +607,22 @@ def test_both_checks_of_one_pair_build_and_diagonalize_theta_once(monkeypatch):
         shapes.append(np.shape(x))
         return eigh(x, *args, **kwargs)
 
+    def counting(theta, *args):
+        diagonalized.append(theta.shape)
+        return kron_eigenbasis(theta, *args)
+
     def refused(m):
         raise AssertionError("opcore.minus_identity called")
 
     monkeypatch.setattr(commuting, "theta_superoperator", building)
     monkeypatch.setattr(np.linalg, "eigh", recording)
+    monkeypatch.setattr(commuting, "_kron_eigenbasis", counting)
     monkeypatch.setattr(opcore, "minus_identity", refused)
     assert kl.intertwiner_fixed_point_check(a, b).passed
     rep = kl.spectrum_product_check(a, b)
-    assert len(built) == 1 and shapes.count((25, 25)) == 1
+    # theta is diagonalized once, through its 5 x 5 factors: no eigh of theta
+    assert len(built) == 1 and diagonalized == [(25, 25)]
+    assert set(shapes) == {(5, 5)}
     # the cached diagonal is bitwise the one a fresh diagonalization reads
     assert np.array_equal(rep.eigs, uncached.eigs) and rep.hausdorff == uncached.hausdorff
 
@@ -634,7 +727,8 @@ def test_each_family_is_diagonalized_once_across_both_checks(monkeypatch):
     kl.joint_spectrum(b)
     assert [m is a.mats for m in calls].count(True) == 1
     assert [m is b.mats for m in calls].count(True) == 1
-    assert len(calls) == 3 and [m[0].shape for m in calls].count((36, 36)) == 1
+    # the other two are theta's factor spans, two 6 x 6 matrices each
+    assert len(calls) == 4 and [np.shape(m) for m in calls] == [(2, 6, 6)] * 4
     # the stored eigenbasis is bitwise a fresh family's, and read-only
     assert np.array_equal(stored.unitary, fresh.unitary)
     assert all(np.array_equal(x, y) for x, y in zip(stored.diags, fresh.diags))
@@ -664,10 +758,11 @@ def test_commuting_sweep_fixed_spaces_stay_at_rounding(capsys, seed):
 
 
 def test_commuting_sweep_solves_only_what_each_trial_reads(monkeypatch):
-    # the benchmark's sweep: per trial one eigh and one eigvalsh of the
-    # 144 x 144 theta, refinements only where theta holds a cluster, and of
-    # the 12 x 12 eigvalsh only the two completeness defects that are read
-    # and one stacked PSD gate per side of coefficients
+    # the benchmark's sweep: per trial no eigh and one eigvalsh of the
+    # 144 x 144 theta, one 12 x 12 eigh per family and per factor of theta,
+    # no refinement (no probe leaves a cluster), and of the 12 x 12 eigvalsh
+    # only the two completeness defects that are read and one stacked PSD
+    # gate per side of coefficients
     trials, events = [], []
     eigh, eigvalsh = np.linalg.eigh, np.linalg.eigvalsh
     refine, check = commuting._refine, commuting.intertwiner_fixed_point_check
@@ -700,18 +795,11 @@ def test_commuting_sweep_solves_only_what_each_trial_reads(monkeypatch):
     for t, (start, stop) in enumerate(zip(trials, trials[1:] + [len(events)])):
         row, seen = rep.csv_rows[t], events[start:stop]
         assert row[-1] == 1 and row[1] == row[2] == (12 if t % 2 == 0 else 0)
-        assert seen.count(("eigh", (144, 144), False)) == 1
+        assert [event for event in seen if event[0] == "eigh"] == [("eigh", (12, 12), False)] * 4
         assert seen.count(("eigvalsh", (144, 144), False)) == 1
         small = sorted(shape for kind, shape, _ in seen if kind == "eigvalsh" and shape[-2:] == (12, 12))
         assert small == [(1, 12, 12)] * 2 + [(3, 12, 12)] * 2
-        # only theta's basis is refined, never a family's, and only by eigh
-        assert {(kind, inside) for kind, _, inside in seen if inside} <= {("eigh", (144, 144))}
-        refined = [shape for _, shape, inside in seen if inside]
-        # eigenvalue 1 of multiplicity 12 is a cluster of every even theta,
-        # refined by both parts of its one generator; any other cluster is a
-        # few eigenvalues that share a probe value
-        assert refined.count((12, 12)) == (2 if t % 2 == 0 else 0)
-        assert all(shape[0] < 12 for shape in refined if shape != (12, 12))
+        assert not any(inside for *_, inside in seen)
 
 
 def _merge_loop(rows, radius):

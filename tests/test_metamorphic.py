@@ -6,8 +6,9 @@
 * Scaling: both sides of the square-difference bounds are homogeneous of
   degree 2 in (x, y), and the commutant of {t a_j} is that of {a_j}, as
   are the intertwiners of {t a_j} and {t b_j} those of {a_j} and {b_j}.
-* The scaling table (SCALING): every name of opcore.__all__, commutant and
-  intertwiner_space states its law under x -> t x, checked at t = 2**e
+* The scaling table (SCALING): every name of opcore.__all__, commutant,
+  intertwiner_space and the two checks of theta (intertwiner and spectrum)
+  states its law under x -> t x, checked at t = 2**e
   from e = -1000 to 1000; require_psd, psd_sqrt and positive_part also for
   a stack of t x beside x, exactly.  The Hermitian gate has no row of its
   own: require_psd and positive_part run it.
@@ -240,6 +241,43 @@ def _beside_fixed(gate, m, fixed):
     return out[0]
 
 
+def _commuting_pair():
+    """Commuting normal families a, b on C^3 with two generators, rotated by
+    seeded Haar unitaries, whose joint tuples meet twice: a's first tuple is
+    conj of b's first two.  So at every scale t the pair t a, t b has two
+    intertwiners, and theta (eigenvalue ||lambda||^2 t^2 = 2.2 t^2 at the
+    meeting pairs, none near 1 at t = 1) no fixed point.  The other tuples
+    are seeded draws, so no two eigenvalues of theta share a real part and
+    the sorted spectrum keeps its order at every scale."""
+    rng = trial_rng(76, 0)
+    lam = ginibre(rng, 3, 2)
+    lam[0] *= np.sqrt(2.2) / np.linalg.norm(lam[0])
+    mu = np.vstack([lam[[0, 0]].conj(), ginibre(rng, 1, 2)])
+    u, v = haar_unitary(rng, 3), haar_unitary(rng, 3)
+    return tuple(np.stack([w @ np.diag(col) @ w.conj().T for col in tuples.T]) for w, tuples in ((u, lam), (v, mu)))
+
+
+CA, CB = _commuting_pair()
+
+
+@quiet
+def _intertwiner_theta_eigs(t):
+    """spec(theta) as the intertwiner check of t a, t b leaves it (read back
+    through the spectrum check's cache); its cut tol is scaled with t, and
+    the check's dimensions and verdict must not move."""
+    a, b = kl.CommutingFamily(t * CA), kl.CommutingFamily(t * CB)
+    rep = kl.intertwiner_fixed_point_check(a, b, t * 1e-7)
+    assert (rep.fix_dim, rep.intertwiner_dim, rep.passed) == (0, 2, False)
+    return kl.spectrum_product_check(a, b).eigs
+
+
+def _spectrum_theta_eigs(t):
+    """spec(theta) of fresh families t a, t b; the product set must meet it."""
+    rep = kl.spectrum_product_check(t * CA, t * CB)
+    assert rep.hausdorff <= 1e-12 * float(np.abs(rep.eigs).max()) + math.ldexp(1.0, -1020)
+    return rep.eigs
+
+
 def _block_stacks(t):
     m = t * np.kron(np.eye(2), X[:2, :2] + X[:2, :2].conj().T)
     rows, cols = np.nonzero(m)
@@ -287,6 +325,9 @@ SCALING = {
     "matrix_from_json": NoLaw("a codec"),
     "channel.commutant": Degree(0, lambda t: projector(kl.commutant([t * A]))),
     "commuting.intertwiner_space": Degree(0, quiet(lambda t: projector(kl.intertwiner_space([t * A], [t * A.T])))),
+    # theta is quadratic in (a, b); theta beyond the float range is refused
+    "commuting.intertwiner_fixed_point_check": Degree(2, _intertwiner_theta_eigs, beyond="ValueError"),
+    "commuting.spectrum_product_check": Degree(2, _spectrum_theta_eigs, beyond="ValueError"),
 }
 
 
@@ -295,6 +336,8 @@ def test_every_opcore_name_has_a_scaling_row():
     others = {
         "channel.commutant",
         "commuting.intertwiner_space",
+        "commuting.intertwiner_fixed_point_check",
+        "commuting.spectrum_product_check",
         "require_psd (stack)",
         "psd_sqrt (stack)",
         "positive_part (stack)",
