@@ -246,18 +246,19 @@ def _eigenbasis(mats, scale: float) -> tuple:
         if not clusters:
             break
         clusters = _refine(basis, clusters, c, part, scale)
-    diags = []
-    limit = 1e-8 * scale
-    for c in mats:
-        rotated = basis.conj().T @ c @ basis
-        diags.append(np.diagonal(rotated).copy())
-        np.fill_diagonal(rotated, 0.0)
-        off = opcore.frobenius(rotated)
-        if off > limit:
-            raise ValueError(
-                f"diagonalization residual {off:.3e} above tolerance {limit:.3e}"
-            )
-    return basis, tuple(diags)
+    return basis, tuple(_gated_diagonal(basis, c, 1e-8 * scale) for c in mats)
+
+
+def _gated_diagonal(basis: np.ndarray, c: np.ndarray, limit: float) -> np.ndarray:
+    """The diagonal of ``basis* c basis``, or a ``ValueError`` when the
+    Frobenius norm of its off-diagonal part exceeds ``limit``."""
+    rotated = basis.conj().T @ c @ basis
+    diag = np.diagonal(rotated).copy()
+    np.fill_diagonal(rotated, 0.0)
+    off = opcore.frobenius(rotated)
+    if off > limit:
+        raise ValueError(f"diagonalization residual {off:.3e} above tolerance {limit:.3e}")
+    return diag
 
 
 def simultaneous_diagonalize(family: CommutingFamily) -> DiagonalizationResult:
@@ -378,28 +379,30 @@ class SpectrumProductReport:
     hausdorff: float
 
 
-def _kron_eigenbasis(theta: np.ndarray, p: int, q: int, m: int) -> tuple:
-    """Unitary eigenbasis ``W = kron(V, U)`` of ``theta = sum_j kron(d_j.T, c_j)``
-    (p x p ``c_j``, q x q ``d_j``, m terms), read from theta's own entries,
-    and theta's diagonal in it.
+def _kron_eigenbasis(entries: opcore.KronEntries, m: int) -> tuple:
+    """Theta, its unitary eigenbasis ``W = kron(V, U)`` and its diagonal in
+    ``W``, for ``theta = sum_j kron(d_j.T, c_j)`` (p x p ``c_j``, q x q
+    ``d_j``, m terms) given by its :func:`opcore.kron_entries`.
 
-    Theta read through its (q, p, q, p) layout (:meth:`opcore.KronEntries.tensor`)
-    and rearranged to ``r = sum_j vec(d_j.T) vec(c_j).T`` (q^2 x p^2, Van
-    Loan and Pitsianis) has its columns in span{d_j.T} and its rows in
-    span{c_j}.  So m fixed pseudorandom unit combinations (seed ``0x7E7A``)
-    of its columns, reshaped to q x q, and of its rows, reshaped to p x p,
-    are commuting normal matrices whenever the two families are, and
-    together they carry all of theta.  :func:`_eigenbasis` of each set, at
-    the set's Frobenius norm, each column then corrected once by
-    :func:`_first_order` against the set's diagonals (its m-entry tuples
-    separate the eigenvectors better than the probe's one value), gives
-    ``V`` and ``U``.  The off-diagonal Frobenius residual of ``W* theta W``
-    is gated at ``1e-8 * ||theta||_F`` (``ValueError`` above it), so, theta
-    being normal, its diagonal is within that of spec(theta)
-    (Hoffman-Wielandt).  The families themselves are never read.
+    Theta's (q, p, q, p) :meth:`opcore.KronEntries.tensor`, its indices
+    reordered, is ``r = sum_j vec(d_j.T) vec(c_j).T`` (q^2 x p^2, Van Loan
+    and Pitsianis; a view of the entries when their pattern is full), with
+    its columns in span{d_j.T} and its rows in span{c_j}.  So m fixed
+    pseudorandom unit combinations (seed ``0x7E7A``) of its columns,
+    reshaped to q x q, and of its rows, reshaped to p x p, are commuting
+    normal matrices whenever the two families are, and together they carry
+    all of theta.  :func:`_eigenbasis` of each set, at the set's Frobenius
+    norm, each column then corrected once by :func:`_first_order` against
+    the set's diagonals (its m-entry tuples separate the eigenvectors better
+    than the probe's one value), gives ``V`` and ``U``.  The off-diagonal
+    Frobenius residual of ``W* theta W`` is gated at ``1e-8 * ||theta||_F``
+    (:func:`_gated_diagonal`), so, theta being normal, its diagonal is
+    within that of spec(theta) (Hoffman-Wielandt).  Only theta's entries
+    are read, never the families.
     """
-    scale = opcore.frobenius(theta)
-    r = theta.reshape(q, p, q, p).transpose(0, 2, 1, 3).reshape(q * q, p * p)
+    p, q = entries.p, entries.q
+    theta = entries.dense()
+    r = entries.tensor().transpose(0, 2, 1, 3).reshape(q * q, p * p)
     rng, bases = np.random.default_rng(0x7E7A), []
     for span, n in ((r, q), (r.T, p)):
         g = rng.standard_normal((span.shape[1], m, 2)) @ [1.0, 1.0j]
@@ -408,13 +411,7 @@ def _kron_eigenbasis(theta: np.ndarray, p: int, q: int, m: int) -> tuple:
         basis, diags = _eigenbasis(list(mats), size)
         bases.append(_first_order(basis, mats, np.stack(diags, axis=1), np.arange(n), size))
     basis = np.kron(*bases)
-    rotated = basis.conj().T @ theta @ basis
-    eigs = np.diagonal(rotated).copy()
-    np.fill_diagonal(rotated, 0.0)
-    off, limit = opcore.frobenius(rotated), 1e-8 * scale
-    if off > limit:
-        raise ValueError(f"diagonalization residual {off:.3e} above tolerance {limit:.3e}")
-    return basis, eigs
+    return theta, basis, _gated_diagonal(basis, theta, 1e-8 * opcore.frobenius(theta))
 
 
 def spectrum_product_check(c, d) -> SpectrumProductReport:
@@ -440,7 +437,7 @@ def spectrum_product_check(c, d) -> SpectrumProductReport:
     cf, df = _gated_family(c), _gated_family(d)
     partner, eigs = cf._theta_spectrum
     if partner is not df:
-        eigs = _kron_eigenbasis(theta_superoperator(cf, df), cf.dim, df.dim, len(cf))[1]
+        eigs = _kron_eigenbasis(opcore.kron_entries(*_family_pair(cf, df, "cd")), len(cf))[2]
     eigs = _sorted_complex(eigs)
     product = product_spectrum(joint_spectrum(cf), joint_spectrum(df))
     return SpectrumProductReport(
@@ -547,16 +544,17 @@ class IntertwinerFixedReport:
     passed: bool
 
 
-def _theta_fixed_space(theta: np.ndarray, p: int, q: int, m: int, tol: float) -> tuple:
+def _theta_fixed_space(entries: opcore.KronEntries, m: int, tol: float) -> tuple:
     """Orthonormal columns spanning Fix(theta) of a normal
     ``theta = sum_j kron(d_j.T, c_j)`` of m terms (p x p ``c_j``, q x q
-    ``d_j``), and theta's diagonal in :func:`_kron_eigenbasis`.
+    ``d_j``) given by its :func:`opcore.kron_entries`, and theta's diagonal
+    in :func:`_kron_eigenbasis`.
 
     The eigenvectors with ``|lambda - 1| <= tol`` are kept, corrected once
     by :func:`_first_order` against the columns whose eigenvalue lies more
     than ``1e-6 * ||theta||_F`` from theirs, and orthonormalized by QR.
     """
-    basis, eigs = _kron_eigenbasis(theta, p, q, m)
+    theta, basis, eigs = _kron_eigenbasis(entries, m)
     near = np.flatnonzero(np.abs(eigs - 1.0) <= tol)
     return _first_order(basis, [theta], eigs[:, None], near, opcore.frobenius(theta)), eigs
 
@@ -590,7 +588,7 @@ def intertwiner_fixed_point_check(a, b, tol: float = 1e-7) -> IntertwinerFixedRe
     am, bm = _family_pair(af, bf, "ab")
     _warn_incomplete(am, bm)
     na, nb = am[0].shape[0], bm[0].shape[0]
-    kernel, eigs = _theta_fixed_space(theta_superoperator(am, bm), na, nb, len(am), tol)
+    kernel, eigs = _theta_fixed_space(opcore.kron_entries(am, bm), len(am), tol)
     af._theta_spectrum = (bf, eigs)
     fixed = SubspaceBasis(
         rows=na, cols=nb, basis=tuple(opcore.devectorize(k, na, nb) for k in kernel.T)

@@ -272,7 +272,12 @@ def _seeded_normal_thetas():
             a, b = intertwining_pair(rng, dim, ops)
         else:
             a, b = commuting_normal_family(rng, dim, ops), commuting_normal_family(rng, dim, ops)
-        yield trial % 2 == 0, dim, ops, kl.theta_superoperator(a, b)
+        yield trial % 2 == 0, dim, ops, _theta_entries(a, b)
+
+
+def _theta_entries(c, d):
+    """:func:`opcore.kron_entries` of theta = sum_j kron(d_j.T, c_j)."""
+    return opcore.kron_entries(*commuting._family_pair(c, d, "cd"))
 
 
 def _normal_eigvals(theta):
@@ -295,13 +300,15 @@ def _assert_normal_spectrum(eigs, theta, dim, intertwining):
 
 
 def test_normal_eigvals_match_the_general_eigensolver():
-    for intertwining, dim, _, theta in _seeded_normal_thetas():
+    for intertwining, dim, _, entries in _seeded_normal_thetas():
+        theta = entries.dense()
         _assert_normal_spectrum(_normal_eigvals(theta), theta, dim, intertwining)
 
 
 def test_kron_eigenbasis_matches_the_general_eigensolver():
-    for intertwining, dim, ops, theta in _seeded_normal_thetas():
-        basis, eigs = commuting._kron_eigenbasis(theta, dim, dim, ops)
+    for intertwining, dim, ops, entries in _seeded_normal_thetas():
+        theta, basis, eigs = commuting._kron_eigenbasis(entries, ops)
+        assert np.array_equal(theta, entries.dense())
         _assert_normal_spectrum(eigs, theta, dim, intertwining)
         np.testing.assert_allclose(basis.conj().T @ basis, np.eye(dim * dim), atol=1e-13)
         rotated = basis.conj().T @ theta @ basis
@@ -324,7 +331,11 @@ def test_normal_eigvals_separate_eigenvalues_sharing_a_real_part():
     eigs = commuting._sorted_complex(_normal_eigvals(kl.theta_superoperator(c, [np.eye(2)])))
     np.testing.assert_allclose(eigs, want, atol=1e-13)
     rep = kl.spectrum_product_check(c, [np.eye(2)])
-    assert commuting.hausdorff_distance(rep.eigs, want) <= 1e-13
+    # each value with its multiplicity; the lexicographic order of 1 - i and
+    # 1 + i follows rounding in their real parts
+    assert rep.eigs.shape == (6,)
+    for z in want:
+        assert (np.abs(rep.eigs - z) <= 1e-13).sum() == want.count(z)
     np.testing.assert_allclose(rep.product, [-1 + 1j, 1 - 1j, 1 + 1j], atol=1e-13)
     assert rep.hausdorff <= 1e-13
 
@@ -429,16 +440,15 @@ def test_normal_eigvals_gate_a_non_normal_input():
                 _normal_eigvals(m)
             # as a factor of theta, on either side
             for c, d in (([m], [np.eye(2)]), ([np.eye(2)], [m])):
-                theta = kl.theta_superoperator(c, d)
                 with pytest.raises(ValueError, match="residual"):
-                    commuting._kron_eigenbasis(theta, c[0].shape[0], d[0].shape[0], 1)
+                    commuting._kron_eigenbasis(_theta_entries(c, d), 1)
 
 
 def test_kron_eigenbasis_gates_theta_itself(monkeypatch):
     # factors that each pass their own gate but leave theta off-diagonal (a
     # factor basis of the wrong span) are refused by theta's residual gate
     a, b = intertwining_pair(trial_rng(65, 1), 4, 2)
-    theta = kl.theta_superoperator(a, b)
+    entries = _theta_entries(a, b)
     eigenbasis = commuting._eigenbasis
 
     def scrambled(mats, scale):
@@ -447,7 +457,7 @@ def test_kron_eigenbasis_gates_theta_itself(monkeypatch):
 
     monkeypatch.setattr(commuting, "_eigenbasis", scrambled)
     with pytest.raises(ValueError, match="residual"):
-        commuting._kron_eigenbasis(theta, 4, 4, 2)
+        commuting._kron_eigenbasis(entries, 2)
 
 
 def test_kron_eigenbasis_takes_any_factor_spans():
@@ -464,9 +474,8 @@ def test_kron_eigenbasis_takes_any_factor_spans():
         ([np.zeros((3, 3))] * 2, [np.zeros((2, 2))] * 2),
     ]
     for cm, dm in cases:
-        theta = kl.theta_superoperator(cm, dm)
         p, q = cm[0].shape[0], dm[0].shape[0]
-        basis, eigs = commuting._kron_eigenbasis(theta, p, q, len(cm))
+        theta, basis, eigs = commuting._kron_eigenbasis(_theta_entries(cm, dm), len(cm))
         assert eigs.shape == (p * q,)
         np.testing.assert_allclose(basis.conj().T @ basis, np.eye(p * q), atol=1e-13)
         want = np.linalg.eigvals(theta)
@@ -579,15 +588,14 @@ def _seeded_fix_pairs():
 
 def test_theta_fixed_space_spans_the_kernel_of_theta_minus_identity():
     for (a, b), dim in _seeded_fix_pairs():
-        theta = kl.theta_superoperator(a, b)
-        a, b = commuting._family_pair(a, b, "ab")
-        shape = (a[0].shape[0], b[0].shape[0], len(a))
-        got, eigs = commuting._theta_fixed_space(theta, *shape, 1e-7)
+        entries, ops = _theta_entries(a, b), len(commuting._family_mats(a, "a"))
+        theta = entries.dense()
+        got, eigs = commuting._theta_fixed_space(entries, ops, 1e-7)
         want = opcore.factorize(opcore.minus_identity(theta.copy())).kernel(1e-7)
         assert got.shape == want.shape == (theta.shape[0], dim)
         np.testing.assert_allclose(got.conj().T @ got, np.eye(dim), atol=1e-13)
         assert np.linalg.norm(got @ got.conj().T - want @ want.conj().T, 2) <= 1e-13
-        assert np.array_equal(eigs, commuting._kron_eigenbasis(theta, *shape)[1])
+        assert np.array_equal(eigs, commuting._kron_eigenbasis(entries, ops)[2])
     rep = kl.intertwiner_fixed_point_check(*_real_diagonal_pair())
     assert rep.passed and rep.fix_dim == rep.intertwiner_dim == 5
 
@@ -596,32 +604,32 @@ def test_both_checks_of_one_pair_build_and_diagonalize_theta_once(monkeypatch):
     a, b = intertwining_pair(trial_rng(67, 0), 5, 3)
     uncached = kl.spectrum_product_check(a.mats, b.mats)
     built, shapes, diagonalized = [], [], []
-    theta_superoperator, eigh = commuting.theta_superoperator, np.linalg.eigh
+    kron_entries, eigh = opcore.kron_entries, np.linalg.eigh
     kron_eigenbasis = commuting._kron_eigenbasis
 
     def building(c, d):
         built.append((c, d))
-        return theta_superoperator(c, d)
+        return kron_entries(c, d)
 
     def recording(x, *args, **kwargs):
         shapes.append(np.shape(x))
         return eigh(x, *args, **kwargs)
 
-    def counting(theta, *args):
-        diagonalized.append(theta.shape)
-        return kron_eigenbasis(theta, *args)
+    def counting(entries, m):
+        diagonalized.append((entries.p, entries.q, m))
+        return kron_eigenbasis(entries, m)
 
     def refused(m):
         raise AssertionError("opcore.minus_identity called")
 
-    monkeypatch.setattr(commuting, "theta_superoperator", building)
+    monkeypatch.setattr(opcore, "kron_entries", building)
     monkeypatch.setattr(np.linalg, "eigh", recording)
     monkeypatch.setattr(commuting, "_kron_eigenbasis", counting)
     monkeypatch.setattr(opcore, "minus_identity", refused)
     assert kl.intertwiner_fixed_point_check(a, b).passed
     rep = kl.spectrum_product_check(a, b)
     # theta is diagonalized once, through its 5 x 5 factors: no eigh of theta
-    assert len(built) == 1 and diagonalized == [(25, 25)]
+    assert len(built) == 1 and diagonalized == [(5, 5, 3)]
     assert set(shapes) == {(5, 5)}
     # the cached diagonal is bitwise the one a fresh diagonalization reads
     assert np.array_equal(rep.eigs, uncached.eigs) and rep.hausdorff == uncached.hausdorff
@@ -637,7 +645,7 @@ def test_intertwiner_fixed_point_check_gates_families_before_theta(monkeypatch):
     def refused(*args):
         raise AssertionError("theta built")
 
-    monkeypatch.setattr(commuting, "theta_superoperator", refused)
+    monkeypatch.setattr(opcore, "kron_entries", refused)
     for c, d in ((good, [sx, sz]), ([sx, sz], good), (single, [jordan]), ([jordan], single)):
         with pytest.raises(ValueError, match="commuting-normal gates"):
             kl.intertwiner_fixed_point_check(c, d)
