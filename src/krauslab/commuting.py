@@ -9,35 +9,25 @@ Kraus-like variant ``sum_j a_j x b_j`` are exactly the intertwiners
 
 Every spectrum here comes from a Hermitian eigensolver.  One routine,
 :func:`_eigenbasis`, diagonalizes commuting normal matrices: one ``eigh`` of
-the probe ``m + m*``, with ``m`` a fixed pseudorandom combination of the
-matrices (so the probe combines their Hermitian and anti-Hermitian parts),
-cut at gaps relative to its Frobenius norm; only the clusters it leaves
-are refined, by each part in turn, and a part is formed only while a
-cluster remains; the off-diagonal residual is gated.  Every Frobenius norm
-is :func:`opcore.frobenius` (opcore's one rescale rule), so no gate is void
-where a square over- or underflows.  The joint spectra are the generators'
-diagonals in it.  Theta is diagonalized from its own entries
-(:func:`_kron_eigenbasis`): rearranged (Van Loan-Pitsianis), its entries
-give m combinations in each of span{d_j.T} and span{c_j}, the routine
-diagonalizes each set, and ``W = kron(V, U)``; spec(theta) of an accepted
-pair, where theta is normal, is theta's diagonal in W, certified by its
-gated off-diagonal residual.  Fix(theta) is read from the same eigenbasis:
-the eigenvectors with eigenvalue within ``tol`` of 1, corrected once to
-first order against the others; theta - I is never factorized, and no
-eigensolver sees a matrix of theta's size but the positivity check's.
-The intertwiners of a gated pair are read from the two families' joint
-eigenbases: with ``a_j = U Lambda_j U*`` and ``b_j = V M_j V*`` they are
-spanned by the ``u_i v_k*`` whose tuples satisfy
-``||lambda(i) - conj mu(k)|| <= tol``, the eigenvectors corrected once to
-first order in the same way; no Sylvester stack is built for them.  Each
-family is diagonalized once and keeps its eigenbasis, and theta once per
-pair: the intertwiner check leaves theta's diagonal on the first family
-for the spectrum check of the same pair.  :func:`intertwiner_space` still
-solves the Sylvester stack for any pair of families, commuting or not.
-The product set of two joint spectra is one broadcast multiply-and-sum.
-The positivity check reads Bendixson bounds off the two parts, and solves
-theta itself when it is exactly Hermitian.  No general (non-Hermitian)
-eigensolver runs.
+the probe ``m + m*`` (``m`` a fixed pseudorandom combination of them), cut
+at gaps relative to its Frobenius norm, with only the clusters it leaves
+refined, part by part; the off-diagonal residual is gated.  Every
+Frobenius norm is :func:`opcore.frobenius`, opcore's one rescale rule.
+A family is diagonalized once and keeps its eigenbasis; its joint spectrum
+is the generators' diagonals there.  Theta is diagonalized from its factor
+pairs (:func:`_kron_eigenbasis`): random combinations of {d_j.T} and of
+{c_j} give ``V`` and ``U``, theta is built in its eigenbasis from the
+rotated factors, and its diagonal there is spec(theta), certified by the
+gated off-diagonal residual.  Fix(theta) is read from that matrix: the
+columns with eigenvalue within ``tol`` of 1, corrected once to first order;
+theta - I is never factorized.  The intertwiners of a gated pair are the
+``u_i v_k*`` of the two joint eigenbases with
+``||lambda(i) - conj mu(k)|| <= tol``, corrected the same way; neither
+space is read from the other's basis.  A pair's theta is diagonalized once:
+the intertwiner check leaves its diagonal for the spectrum check.
+:func:`intertwiner_space` still solves the Sylvester stack for any pair.
+The positivity check reads Bendixson bounds off theta's two parts.  No
+general (non-Hermitian) eigensolver runs.
 """
 
 from __future__ import annotations
@@ -246,16 +236,14 @@ def _eigenbasis(mats, scale: float) -> tuple:
         if not clusters:
             break
         clusters = _refine(basis, clusters, c, part, scale)
-    return basis, tuple(_gated_diagonal(basis, c, 1e-8 * scale) for c in mats)
+    return basis, tuple(_gated_diagonal(basis.conj().T @ c @ basis, 1e-8 * scale) for c in mats)
 
 
-def _gated_diagonal(basis: np.ndarray, c: np.ndarray, limit: float) -> np.ndarray:
-    """The diagonal of ``basis* c basis``, or a ``ValueError`` when the
-    Frobenius norm of its off-diagonal part exceeds ``limit``."""
-    rotated = basis.conj().T @ c @ basis
+def _gated_diagonal(rotated: np.ndarray, limit: float) -> np.ndarray:
+    """The diagonal of ``rotated``, or a ``ValueError`` when the Frobenius
+    norm of its off-diagonal part exceeds ``limit``."""
     diag = np.diagonal(rotated).copy()
-    np.fill_diagonal(rotated, 0.0)
-    off = opcore.frobenius(rotated)
+    off = opcore.frobenius(rotated - np.diag(diag))
     if off > limit:
         raise ValueError(f"diagonalization residual {off:.3e} above tolerance {limit:.3e}")
     return diag
@@ -344,20 +332,25 @@ def _sorted_complex(vals: np.ndarray) -> np.ndarray:
 def product_spectrum(sc: JointSpectrum, sd: JointSpectrum) -> np.ndarray:
     """All pointwise products sum_j lambda_j mu_j of two joint spectra.
 
-    They are one broadcast multiply-and-sum over the two point arrays.
-    Every product is at most ``max ||lambda|| * max ||mu||`` in modulus (the
-    maxima over the points of each spectrum), and products within ``1e-8``
-    times that scale are merged.
+    Every product is at most ``s = max ||lambda|| * max ||mu||`` in modulus
+    (the maxima over the points of each spectrum).  They are one broadcast
+    multiply-and-sum of the points divided by those maxima, merged within
+    ``1e-8`` there, that is within ``1e-8 * s``, and scaled back, so none
+    underflows into a merge; a ``ValueError`` where one overflows.
     """
     if not sc.points or not sd.points:
         raise ValueError("joint spectra must be non-empty")
     if len(sc.points[0]) != len(sd.points[0]):
         raise ValueError("joint spectra have different tuple lengths")
-    lam = np.array(sc.points, dtype=np.complex128)
-    mu = np.array(sd.points, dtype=np.complex128)
-    vals = (lam[:, None, :] * mu[None, :, :]).sum(axis=-1).reshape(-1, 1)
-    scale = _row_norms(lam).max() * _row_norms(mu).max()
-    return _merge(vals, 1e-8 * scale)[:, 0]
+    scales, units = [], []
+    for points in (sc.points, sd.points):
+        pts = np.array(points, dtype=np.complex128)
+        scales.append(float(_row_norms(pts).max()) or 1.0)
+        units.append(pts / scales[-1])
+    merged = _merge((units[0][:, None, :] * units[1][None, :, :]).sum(axis=-1).reshape(-1, 1), 1e-8)[:, 0]
+    return opcore._finite_sum(
+        lambda: merged * max(scales) * min(scales), "product_spectrum: the products overflow the float range"
+    )
 
 
 def hausdorff_distance(a, b) -> float:
@@ -372,46 +365,42 @@ def hausdorff_distance(a, b) -> float:
 
 @dataclass(frozen=True, eq=False)
 class SpectrumProductReport:
-    """Eigenvalues of theta against the product of the joint spectra."""
+    """Eigenvalues of theta against the product of the joint spectra.
+
+    ``eigs`` and ``product`` are in lexicographic (real, imaginary) order,
+    so rounding can permute values whose real parts tie: compare them
+    across code paths as multisets.
+    """
 
     eigs: np.ndarray
     product: np.ndarray
     hausdorff: float
 
 
-def _kron_eigenbasis(entries: opcore.KronEntries, m: int) -> tuple:
-    """Theta, its unitary eigenbasis ``W = kron(V, U)`` and its diagonal in
-    ``W``, for ``theta = sum_j kron(d_j.T, c_j)`` (p x p ``c_j``, q x q
-    ``d_j``, m terms) given by its :func:`opcore.kron_entries`.
+def _kron_eigenbasis(c, d) -> tuple:
+    """``(U, V, T, eigs)`` for ``theta = sum_j kron(d_j.T, c_j)`` of the
+    factor pairs ``(c_j, d_j)``, with ``T`` theta in its eigenbasis
+    ``kron(V, U)`` and ``eigs`` the diagonal of ``T``.
 
-    Theta's (q, p, q, p) :meth:`opcore.KronEntries.tensor`, its indices
-    reordered, is ``r = sum_j vec(d_j.T) vec(c_j).T`` (q^2 x p^2, Van Loan
-    and Pitsianis; a view of the entries when their pattern is full), with
-    its columns in span{d_j.T} and its rows in span{c_j}.  So m fixed
-    pseudorandom unit combinations (seed ``0x7E7A``) of its columns,
-    reshaped to q x q, and of its rows, reshaped to p x p, are commuting
-    normal matrices whenever the two families are, and together they carry
-    all of theta.  :func:`_eigenbasis` of each set, at the set's Frobenius
-    norm, each column then corrected once by :func:`_first_order` against
-    the set's diagonals (its m-entry tuples separate the eigenvectors better
-    than the probe's one value), gives ``V`` and ``U``.  The off-diagonal
-    Frobenius residual of ``W* theta W`` is gated at ``1e-8 * ||theta||_F``
-    (:func:`_gated_diagonal`), so, theta being normal, its diagonal is
-    within that of spec(theta) (Hoffman-Wielandt).  Only theta's entries
-    are read, never the families.
+    m fixed pseudorandom unit combinations (seed ``0x7E7A``) of {d_j.T} and
+    of {c_j} are commuting normal whenever the families are;
+    :func:`_eigenbasis` of each set at its Frobenius norm, each column
+    corrected once by :func:`_first_order` against the set's m-entry
+    diagonals, gives ``V`` and ``U``.  ``T`` is built from the rotated
+    factors (Van Loan and Pitsianis), ``sum_j kron(V* d_j.T V, U* c_j U)``,
+    and its off-diagonal residual is gated at ``1e-8 * ||T||_F``: theta
+    being normal, ``eigs`` lie that close to spec(theta) (Hoffman-Wielandt).
     """
-    p, q = entries.p, entries.q
-    theta = entries.dense()
-    r = entries.tensor().transpose(0, 2, 1, 3).reshape(q * q, p * p)
     rng, bases = np.random.default_rng(0x7E7A), []
-    for span, n in ((r, q), (r.T, p)):
-        g = rng.standard_normal((span.shape[1], m, 2)) @ [1.0, 1.0j]
-        mats = (span @ (g / np.linalg.norm(g, axis=0))).T.reshape(m, n, n)
+    for family in (np.stack([x.T for x in d]), np.stack(c)):
+        g = rng.standard_normal((len(family), len(family), 2)) @ [1.0, 1.0j]
+        mats = np.tensordot(g / np.linalg.norm(g, axis=0), family, axes=(0, 0))
         size = opcore.frobenius(mats)
         basis, diags = _eigenbasis(list(mats), size)
-        bases.append(_first_order(basis, mats, np.stack(diags, axis=1), np.arange(n), size))
-    basis = np.kron(*bases)
-    return theta, basis, _gated_diagonal(basis, theta, 1e-8 * opcore.frobenius(theta))
+        bases.append(_first_order(basis, mats, np.stack(diags, axis=1), np.arange(len(basis)), size))
+    v, u = bases
+    rotated = opcore.kron_entries([u.conj().T @ x @ u for x in c], [v.T @ x @ v.conj() for x in d]).dense()
+    return u, v, rotated, _gated_diagonal(rotated, 1e-8 * opcore.frobenius(rotated))
 
 
 def spectrum_product_check(c, d) -> SpectrumProductReport:
@@ -422,12 +411,11 @@ def spectrum_product_check(c, d) -> SpectrumProductReport:
     ``ValueError`` before any eigensolver runs.  The joint spectra come from
     the families' stored eigenbases (see :class:`CommutingFamily`).  Theta
     is then normal, and ``eigs`` are its diagonal in
-    :func:`_kron_eigenbasis`, read from theta's own entries, not from the
-    joint eigenbases.  The off-diagonal residual (at most
-    ``1e-8 * ||theta||_F``, else ``ValueError``) bounds their distance to
-    spec(theta).  Theta is built before the product set is formed, so
-    families whose theta leaves the float range raise ``ValueError`` there.
-    The Hausdorff distance to the product set then vanishes up to rounding.
+    :func:`_kron_eigenbasis`, not read from the joint eigenbases, within
+    the gated residual ``1e-8 * ||theta||_F`` of spec(theta).  Theta is
+    built before the product set, so families whose theta leaves the float
+    range raise ``ValueError`` there.  The Hausdorff distance to the
+    product set then vanishes up to rounding.
 
     When :func:`intertwiner_fixed_point_check` of the same two family
     objects ran first, theta's diagonal is read from the cache it left on
@@ -437,7 +425,7 @@ def spectrum_product_check(c, d) -> SpectrumProductReport:
     cf, df = _gated_family(c), _gated_family(d)
     partner, eigs = cf._theta_spectrum
     if partner is not df:
-        eigs = _kron_eigenbasis(opcore.kron_entries(*_family_pair(cf, df, "cd")), len(cf))[2]
+        eigs = _kron_eigenbasis(*_family_pair(cf, df, "cd"))[3]
     eigs = _sorted_complex(eigs)
     product = product_spectrum(joint_spectrum(cf), joint_spectrum(df))
     return SpectrumProductReport(
@@ -498,14 +486,19 @@ def _first_order(basis: np.ndarray, mats, tuples: np.ndarray, cols: np.ndarray, 
     eigenspace) are left out.  All of it is read on the generators divided
     by ``scale``, so nothing under- or overflows.
     """
+    coupling = np.stack([basis.conj().T @ (c @ basis[:, cols]) for c in mats], axis=-1)
+    return np.linalg.qr(basis[:, cols] + basis @ _first_order_step(coupling, tuples, cols, scale))[0]
+
+
+def _first_order_step(coupling: np.ndarray, tuples: np.ndarray, cols: np.ndarray, scale: float) -> np.ndarray:
+    """The coefficients ``X`` of :func:`_first_order`, from the couplings
+    ``coupling[m, i, j] = (U* c_j U)[m, cols[i]]``."""
     unit = scale if scale > 0.0 else 1.0
     lam = tuples / unit
     delta = lam[:, None, :] - lam[None, cols, :]
-    coupling = np.stack([basis.conj().T @ (c @ basis[:, cols]) for c in mats], axis=-1) / unit
     far = _row_norms(delta) > 1e-6
     weight = np.where(far, (delta.real**2 + delta.imag**2).sum(axis=-1), 1.0)
-    step = np.where(far, -(delta.conj() * coupling).sum(axis=-1) / weight, 0.0)
-    return np.linalg.qr(basis[:, cols] + basis @ step)[0]
+    return np.where(far, -(delta.conj() * (coupling / unit)).sum(axis=-1) / weight, 0.0)
 
 
 def _joint_intertwiners(af: CommutingFamily, bf: CommutingFamily, tol: float) -> SubspaceBasis:
@@ -544,19 +537,23 @@ class IntertwinerFixedReport:
     passed: bool
 
 
-def _theta_fixed_space(entries: opcore.KronEntries, m: int, tol: float) -> tuple:
-    """Orthonormal columns spanning Fix(theta) of a normal
-    ``theta = sum_j kron(d_j.T, c_j)`` of m terms (p x p ``c_j``, q x q
-    ``d_j``) given by its :func:`opcore.kron_entries`, and theta's diagonal
-    in :func:`_kron_eigenbasis`.
+def _theta_fixed_space(c, d, tol: float) -> tuple:
+    """Fix(theta) of a normal ``theta = sum_j kron(d_j.T, c_j)`` (p x p
+    ``c_j``, q x q ``d_j``) as a (k, p, q) stack of HS-orthonormal matrices,
+    and theta's diagonal ``eigs`` in :func:`_kron_eigenbasis`.
 
-    The eigenvectors with ``|lambda - 1| <= tol`` are kept, corrected once
-    by :func:`_first_order` against the columns whose eigenvalue lies more
-    than ``1e-6 * ||theta||_F`` from theirs, and orthonormalized by QR.
+    The columns of ``T`` with ``|lambda - 1| <= tol`` are corrected once by
+    :func:`_first_order_step` against those whose eigenvalue lies more than
+    ``1e-6 * ||T||_F`` from theirs, and orthonormalized by QR to ``Q``
+    (pq x k); each column ``Q_k`` is the matrix ``U Q_k V.T``, so the
+    eigenbasis ``kron(V, U)`` is never formed.
     """
-    theta, basis, eigs = _kron_eigenbasis(entries, m)
+    u, v, rotated, eigs = _kron_eigenbasis(c, d)
     near = np.flatnonzero(np.abs(eigs - 1.0) <= tol)
-    return _first_order(basis, [theta], eigs[:, None], near, opcore.frobenius(theta)), eigs
+    step = _first_order_step(rotated[:, near, None], eigs[:, None], near, opcore.frobenius(rotated))
+    step[near, np.arange(near.size)] = 1.0
+    q = np.linalg.qr(step)[0]
+    return u @ q.T.reshape(-1, len(v), len(u)).transpose(0, 2, 1) @ v.T, eigs
 
 
 def intertwiner_fixed_point_check(a, b, tol: float = 1e-7) -> IntertwinerFixedReport:
@@ -565,16 +562,12 @@ def intertwiner_fixed_point_check(a, b, tol: float = 1e-7) -> IntertwinerFixedRe
     Both families must pass the commuting-normal gates; a family that fails
     raises ``ValueError`` before theta is built.  Theta is then normal, so
     the singular values of theta - I are ``|lambda - 1|`` over spec(theta).
-    Fix(theta) is read from theta's Kronecker eigenbasis, which
-    :func:`_kron_eigenbasis` reads from theta's entries alone
-    (:func:`_theta_fixed_space`): the eigenvectors whose ``lambda``,
-    theta's diagonal in that basis, has
-    ``|lambda - 1| <= tol``.  By the Hoffman-Wielandt theorem that diagonal
-    is within the gated off-diagonal residual (at most
-    ``1e-8 * ||theta||_F``) of spec(theta), so the cut is
-    ``sigma(theta - I) <= tol`` up to that residual.  The intertwiners are
-    read from the two families' stored joint eigenbases
-    (:func:`_joint_intertwiners`): ``u_i v_k*`` wherever the tuples satisfy
+    Fix(theta) is read from theta in its own eigenbasis
+    (:func:`_theta_fixed_space`): the eigenvectors with ``|lambda - 1| <= tol``
+    for ``lambda`` theta's diagonal there, which lies within the gated
+    residual ``1e-8 * ||theta||_F`` of spec(theta) (Hoffman-Wielandt).  The
+    intertwiners are read from the two families' stored joint eigenbases
+    (:func:`_joint_intertwiners`): ``u_i v_k*`` wherever
     ``||lambda(i) - conj mu(k)||_2 <= tol``, the same cut as
     :func:`intertwiner_space`'s Sylvester null space up to the gated
     diagonalization residuals, with no stack formed.  Neither space is read
@@ -587,12 +580,9 @@ def intertwiner_fixed_point_check(a, b, tol: float = 1e-7) -> IntertwinerFixedRe
     af, bf = _gated_family(a), _gated_family(b)
     am, bm = _family_pair(af, bf, "ab")
     _warn_incomplete(am, bm)
-    na, nb = am[0].shape[0], bm[0].shape[0]
-    kernel, eigs = _theta_fixed_space(opcore.kron_entries(am, bm), len(am), tol)
+    kernel, eigs = _theta_fixed_space(am, bm, tol)
     af._theta_spectrum = (bf, eigs)
-    fixed = SubspaceBasis(
-        rows=na, cols=nb, basis=tuple(opcore.devectorize(k, na, nb) for k in kernel.T)
-    )
+    fixed = SubspaceBasis(rows=af.dim, cols=bf.dim, basis=tuple(kernel))
     inter = _joint_intertwiners(af, bf, tol)
     dist = subspace_distance(fixed, inter)
     passed = len(fixed) == len(inter) and dist <= tol

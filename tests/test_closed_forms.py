@@ -9,10 +9,14 @@ form, so a core can be checked against values it did not record itself:
   spec(S) = {c(k - i)} with c(s) = sum_j w_j z_j^s, and Fix is the diagonal
   matrices (dim n), since one z_j is a primitive n-th root of unity.
 
+Either family u_j of size n, tensored as u_j (x) I_k, has the spectrum of
+the u family with each value k^2 times, Fix(u) (x) M_k as its fixed space
+(dim n k^2) and the u family's gap.
+
 S is normal, so the singular values of S - I are |lambda - 1|.  Each
 family is read through theta's Kronecker eigenbasis
-(``commuting._kron_eigenbasis`` of S = sum_j kron(a_j.T, a_j*)) and through
-``channel.gap_report``.
+(``commuting._kron_eigenbasis`` of the factor pairs (a_j*, a_j), S =
+sum_j kron(a_j.T, a_j*)) and through ``channel.gap_report``.
 
 One tolerance rule, tied to the input's scale: ``m * d * eps * max_j
 ||a_j||_op^2`` times 4, for m operators on C^d.
@@ -55,6 +59,16 @@ def diagonal_unitaries(n):
 
 
 FAMILIES = {"shift_mix": shift_mix, "diagonal_unitaries": diagonal_unitaries}
+# the tensor families: u_j of size 6, each tensored with I_4 (d = 24)
+TENSOR_N, TENSOR_K = 6, 4
+
+
+def tensored(kind):
+    """The family u_j (x) I_k of ``kind`` at n = TENSOR_N, and the distinct
+    values of spec(S) with their counts: the u family's, each k^2 times."""
+    ops, values, counts = FAMILIES[kind](TENSOR_N)
+    eye = np.eye(TENSOR_K)
+    return [np.kron(a, eye) for a in ops], values, counts * TENSOR_K**2
 
 
 def _closed_form(kind, n):
@@ -81,7 +95,7 @@ def test_kron_eigenbasis_reads_the_closed_form_spectrum(kind, n):
     ops, values, counts, fix_dim, gap = _closed_form(kind, n)
     tol = tolerance(ops)
     fam = kl.KrausFamily(ops)
-    eigs = commuting._kron_eigenbasis(opcore.kron_entries(fam._adjoints, fam.ops), len(ops))[2]
+    eigs = commuting._kron_eigenbasis(fam._adjoints, fam.ops)[3]
     _assert_spectrum(eigs, values, counts, tol)
     dist = np.abs(eigs - 1.0)
     cut = dist <= kl.fix_tol(n)
@@ -111,3 +125,18 @@ def test_the_closed_forms_hold_their_stated_structure():
             assert counts.sum() == n * n and fix_dim == n
             # unital and trace-preserving: sum_j a_j* a_j = sum_j a_j a_j* = 1
             assert max(opcore.unital_defect(ops), opcore.counital_defect(ops)) <= tolerance(ops)
+
+
+@pytest.mark.parametrize("kind", sorted(FAMILIES))
+def test_tensor_family_reads_the_closed_form_of_its_factor(kind):
+    ops, values, counts = tensored(kind)
+    _, _, _, fix_dim, gap = _closed_form(kind, TENSOR_N)
+    fix_dim *= TENSOR_K**2
+    tol = tolerance(ops)
+    fam = kl.KrausFamily(ops)
+    eigs = commuting._kron_eigenbasis(fam._adjoints, fam.ops)[3]
+    _assert_spectrum(eigs, values, counts, tol)
+    rep = kl.gap_report(fam)
+    assert rep.fix_dim == fix_dim == int((np.abs(eigs - 1.0) <= kl.fix_tol(fam.dim)).sum())
+    assert rep.sigma_min <= tol
+    assert abs(rep.restricted_gap - gap) <= tol

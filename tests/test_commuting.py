@@ -225,6 +225,22 @@ def test_product_spectrum_oracle():
     np.testing.assert_allclose(np.sort(prod.real), [0.0, 2.0, 6.0], atol=1e-12)
 
 
+def test_product_spectrum_refuses_products_beyond_the_float_range():
+    # joint spectra near 1e160 each: their products pass 1e308
+    sc = kl.joint_spectrum(kl.CommutingFamily([np.diag([2e160, 1e160])]))
+    sd = kl.joint_spectrum(kl.CommutingFamily([np.diag([3e160, 1.0])]))
+    with pytest.raises(ValueError, match="product_spectrum: the products overflow the float range"):
+        commuting.product_spectrum(sc, sd)
+    # products of tiny spectra keep their count, {1, 2, 4} times 1e-340 or
+    # 1e-400, although the latter are all 0.0 in floats: none underflows
+    # into a merge
+    for size in (1e-170, 1e-200):
+        tiny = [kl.joint_spectrum(kl.CommutingFamily([np.diag([2 * size, size])])) for _ in range(2)]
+        got = commuting.product_spectrum(*tiny)
+        np.testing.assert_allclose(got, np.array([1.0, 2.0, 4.0]) * size * size, rtol=1e-2, atol=0.0)
+        assert got.shape == (3,)
+
+
 def test_spectrum_product_check_oracle():
     rep = kl.spectrum_product_check([np.diag([2.0, 0.0])], [np.diag([3.0, 1.0])])
     assert rep.hausdorff <= 1e-12
@@ -272,12 +288,12 @@ def _seeded_normal_thetas():
             a, b = intertwining_pair(rng, dim, ops)
         else:
             a, b = commuting_normal_family(rng, dim, ops), commuting_normal_family(rng, dim, ops)
-        yield trial % 2 == 0, dim, ops, _theta_entries(a, b)
+        yield trial % 2 == 0, dim, ops, _pair(a, b)
 
 
-def _theta_entries(c, d):
-    """:func:`opcore.kron_entries` of theta = sum_j kron(d_j.T, c_j)."""
-    return opcore.kron_entries(*commuting._family_pair(c, d, "cd"))
+def _pair(c, d):
+    """theta's factor pairs (c_j, d_j) as two matrix tuples."""
+    return commuting._family_pair(c, d, "cd")
 
 
 def _normal_eigvals(theta):
@@ -300,43 +316,50 @@ def _assert_normal_spectrum(eigs, theta, dim, intertwining):
 
 
 def test_normal_eigvals_match_the_general_eigensolver():
-    for intertwining, dim, _, entries in _seeded_normal_thetas():
-        theta = entries.dense()
+    for intertwining, dim, _, pair in _seeded_normal_thetas():
+        theta = kl.theta_superoperator(*pair)
         _assert_normal_spectrum(_normal_eigvals(theta), theta, dim, intertwining)
 
 
 def test_kron_eigenbasis_matches_the_general_eigensolver():
-    for intertwining, dim, ops, entries in _seeded_normal_thetas():
-        theta, basis, eigs = commuting._kron_eigenbasis(entries, ops)
-        assert np.array_equal(theta, entries.dense())
+    for intertwining, dim, _, pair in _seeded_normal_thetas():
+        u, v, rotated, eigs = commuting._kron_eigenbasis(*pair)
+        theta = kl.theta_superoperator(*pair)
         _assert_normal_spectrum(eigs, theta, dim, intertwining)
+        basis, norm = np.kron(v, u), np.linalg.norm(theta)
         np.testing.assert_allclose(basis.conj().T @ basis, np.eye(dim * dim), atol=1e-13)
-        rotated = basis.conj().T @ theta @ basis
-        np.testing.assert_allclose(rotated, np.diag(eigs), atol=1e-13 * np.linalg.norm(theta))
+        # theta in its eigenbasis kron(V, U), built from the rotated factors
+        np.testing.assert_allclose(rotated, basis.conj().T @ theta @ basis, atol=1e-13 * norm)
+        np.testing.assert_allclose(rotated, np.diag(eigs), atol=1e-13 * norm)
+        assert np.array_equal(np.diagonal(rotated), eigs)
 
 
 def test_normal_eigvals_separate_eigenvalues_sharing_a_real_part():
     # i and -i share the real part 0, so H = 0 and the combined probe is a
     # multiple of K, which splits the four eigenvalues into i and -i at once
+    # (each spectrum is compared as a multiset: the real parts of i and -i
+    # tie, so rounding may order them either way)
     pair = ([np.diag([1j, -1j])], [np.eye(2)])
-    eigs = commuting._sorted_complex(_normal_eigvals(kl.theta_superoperator(*pair)))
-    np.testing.assert_allclose(eigs, [-1j, -1j, 1j, 1j], atol=1e-14)
-    rep = kl.spectrum_product_check(*pair)
-    np.testing.assert_allclose(rep.eigs, [-1j, -1j, 1j, 1j], atol=1e-14)
-    assert rep.hausdorff <= 1e-14
+    for eigs in (_normal_eigvals(kl.theta_superoperator(*pair)), kl.spectrum_product_check(*pair).eigs):
+        assert eigs.shape == (4,)
+        for z in (1j, -1j):
+            assert (np.abs(eigs - z) <= 1e-14).sum() == 2
+    assert kl.spectrum_product_check(*pair).hausdorff <= 1e-14
     # 1 + i and 1 - i share a real part, 1 + i and -1 + i an imaginary part
     u = haar_unitary(trial_rng(62, 0), 3)
     c = [u @ np.diag([1 + 1j, 1 - 1j, -1 + 1j]) @ u.conj().T]
     want = [-1 + 1j, -1 + 1j, 1 - 1j, 1 - 1j, 1 + 1j, 1 + 1j]
-    eigs = commuting._sorted_complex(_normal_eigvals(kl.theta_superoperator(c, [np.eye(2)])))
-    np.testing.assert_allclose(eigs, want, atol=1e-13)
     rep = kl.spectrum_product_check(c, [np.eye(2)])
     # each value with its multiplicity; the lexicographic order of 1 - i and
     # 1 + i follows rounding in their real parts
-    assert rep.eigs.shape == (6,)
-    for z in want:
-        assert (np.abs(rep.eigs - z) <= 1e-13).sum() == want.count(z)
-    np.testing.assert_allclose(rep.product, [-1 + 1j, 1 - 1j, 1 + 1j], atol=1e-13)
+    for eigs, values in (
+        (_normal_eigvals(kl.theta_superoperator(c, [np.eye(2)])), want),
+        (rep.eigs, want),
+        (rep.product, [-1 + 1j, 1 - 1j, 1 + 1j]),
+    ):
+        assert eigs.shape == (len(values),)
+        for z in values:
+            assert (np.abs(eigs - z) <= 1e-13).sum() == values.count(z)
     assert rep.hausdorff <= 1e-13
 
 
@@ -441,14 +464,13 @@ def test_normal_eigvals_gate_a_non_normal_input():
             # as a factor of theta, on either side
             for c, d in (([m], [np.eye(2)]), ([np.eye(2)], [m])):
                 with pytest.raises(ValueError, match="residual"):
-                    commuting._kron_eigenbasis(_theta_entries(c, d), 1)
+                    commuting._kron_eigenbasis(c, d)
 
 
 def test_kron_eigenbasis_gates_theta_itself(monkeypatch):
     # factors that each pass their own gate but leave theta off-diagonal (a
     # factor basis of the wrong span) are refused by theta's residual gate
-    a, b = intertwining_pair(trial_rng(65, 1), 4, 2)
-    entries = _theta_entries(a, b)
+    pair = _pair(*intertwining_pair(trial_rng(65, 1), 4, 2))
     eigenbasis = commuting._eigenbasis
 
     def scrambled(mats, scale):
@@ -457,7 +479,7 @@ def test_kron_eigenbasis_gates_theta_itself(monkeypatch):
 
     monkeypatch.setattr(commuting, "_eigenbasis", scrambled)
     with pytest.raises(ValueError, match="residual"):
-        commuting._kron_eigenbasis(entries, 2)
+        commuting._kron_eigenbasis(*pair)
 
 
 def test_kron_eigenbasis_takes_any_factor_spans():
@@ -475,9 +497,11 @@ def test_kron_eigenbasis_takes_any_factor_spans():
     ]
     for cm, dm in cases:
         p, q = cm[0].shape[0], dm[0].shape[0]
-        theta, basis, eigs = commuting._kron_eigenbasis(_theta_entries(cm, dm), len(cm))
+        u, v, _, eigs = commuting._kron_eigenbasis(cm, dm)
         assert eigs.shape == (p * q,)
-        np.testing.assert_allclose(basis.conj().T @ basis, np.eye(p * q), atol=1e-13)
+        np.testing.assert_allclose(u.conj().T @ u, np.eye(p), atol=1e-13)
+        np.testing.assert_allclose(v.conj().T @ v, np.eye(q), atol=1e-13)
+        theta = kl.theta_superoperator(cm, dm)
         want = np.linalg.eigvals(theta)
         assert commuting.hausdorff_distance(eigs, want) <= 1e-12 * max(1.0, np.linalg.norm(theta, 2))
     assert not eigs.any()
@@ -588,14 +612,17 @@ def _seeded_fix_pairs():
 
 def test_theta_fixed_space_spans_the_kernel_of_theta_minus_identity():
     for (a, b), dim in _seeded_fix_pairs():
-        entries, ops = _theta_entries(a, b), len(commuting._family_mats(a, "a"))
-        theta = entries.dense()
-        got, eigs = commuting._theta_fixed_space(entries, ops, 1e-7)
+        pair = _pair(a, b)
+        theta = kl.theta_superoperator(*pair)
+        fixed, eigs = commuting._theta_fixed_space(*pair, 1e-7)
+        # each fixed matrix, p x q, is read as its column-stacked vector
+        assert fixed.shape == (dim, len(pair[0][0]), len(pair[1][0]))
+        got = fixed.transpose(2, 1, 0).reshape(theta.shape[0], dim)
         want = opcore.factorize(opcore.minus_identity(theta.copy())).kernel(1e-7)
         assert got.shape == want.shape == (theta.shape[0], dim)
         np.testing.assert_allclose(got.conj().T @ got, np.eye(dim), atol=1e-13)
         assert np.linalg.norm(got @ got.conj().T - want @ want.conj().T, 2) <= 1e-13
-        assert np.array_equal(eigs, commuting._kron_eigenbasis(entries, ops)[2])
+        assert np.array_equal(eigs, commuting._kron_eigenbasis(*pair)[3])
     rep = kl.intertwiner_fixed_point_check(*_real_diagonal_pair())
     assert rep.passed and rep.fix_dim == rep.intertwiner_dim == 5
 
@@ -615,9 +642,9 @@ def test_both_checks_of_one_pair_build_and_diagonalize_theta_once(monkeypatch):
         shapes.append(np.shape(x))
         return eigh(x, *args, **kwargs)
 
-    def counting(entries, m):
-        diagonalized.append((entries.p, entries.q, m))
-        return kron_eigenbasis(entries, m)
+    def counting(c, d):
+        diagonalized.append((len(c[0]), len(d[0]), len(c)))
+        return kron_eigenbasis(c, d)
 
     def refused(m):
         raise AssertionError("opcore.minus_identity called")
@@ -628,11 +655,75 @@ def test_both_checks_of_one_pair_build_and_diagonalize_theta_once(monkeypatch):
     monkeypatch.setattr(opcore, "minus_identity", refused)
     assert kl.intertwiner_fixed_point_check(a, b).passed
     rep = kl.spectrum_product_check(a, b)
-    # theta is diagonalized once, through its 5 x 5 factors: no eigh of theta
+    # theta is diagonalized once, through its 5 x 5 factors: no eigh of
+    # theta, and it is built once, from the rotated factors
     assert len(built) == 1 and diagonalized == [(5, 5, 3)]
+    assert not any(x is y for side in built[0] for x in side for y in (*a.mats, *b.mats))
     assert set(shapes) == {(5, 5)}
     # the cached diagonal is bitwise the one a fresh diagonalization reads
     assert np.array_equal(rep.eigs, uncached.eigs) and rep.hausdorff == uncached.hausdorff
+
+
+def _off_diagonal_share(m):
+    """||m - diag(m)||_F / ||m||_F (0 for the zero matrix)."""
+    norm = np.linalg.norm(m)
+    return np.linalg.norm(m - np.diag(np.diagonal(m))) / norm if norm else 0.0
+
+
+def test_neither_check_forms_theta_of_the_unrotated_families(monkeypatch):
+    # no np.kron anywhere, and theta is built once per pair, in its own
+    # eigenbasis: every factor handed to kron_entries is already diagonal
+    # to the gate, which the families' own generators are not
+    built, kron_entries = [], opcore.kron_entries
+
+    def building(lefts, rights):
+        built.append((lefts, rights))
+        return kron_entries(lefts, rights)
+
+    def refused(*args):
+        raise AssertionError("np.kron called")
+
+    monkeypatch.setattr(opcore, "kron_entries", building)
+    monkeypatch.setattr(np, "kron", refused)
+    rng = trial_rng(73, 0)
+    pairs = [intertwining_pair(rng, 6, 3), (commuting_normal_family(rng, 5, 2), commuting_normal_family(rng, 4, 2))]
+    for a, b in pairs:
+        assert kl.intertwiner_fixed_point_check(a, b).passed
+        assert kl.spectrum_product_check(a, b).hausdorff <= 1e-12
+        # a fresh pair of families, so the spectrum check builds theta itself
+        assert kl.spectrum_product_check(a.mats, b.mats).hausdorff <= 1e-12
+        assert all(_off_diagonal_share(m) > 0.1 for m in (*a.mats, *b.mats))
+    assert len(built) == 2 * len(pairs)
+    for lefts, rights in built:
+        assert all(_off_diagonal_share(m) <= 1e-8 for m in (*lefts, *rights))
+    with pytest.raises(AssertionError, match="np.kron"):
+        np.kron(np.eye(2), np.eye(2))
+
+
+def test_theta_eigenbasis_never_reads_the_family_eigenbases(monkeypatch):
+    # Fix(theta) and spec(theta) stay separate computations from the joint
+    # eigenbases they are compared with
+    inside, reads = [False], []
+    kron_eigenbasis, diagonalized = commuting._kron_eigenbasis, kl.CommutingFamily._diagonalized
+
+    def building(c, d):
+        inside[0] = True
+        try:
+            return kron_eigenbasis(c, d)
+        finally:
+            inside[0] = False
+
+    def reading(self):
+        reads.append(inside[0])
+        return diagonalized(self)
+
+    monkeypatch.setattr(commuting, "_kron_eigenbasis", building)
+    monkeypatch.setattr(kl.CommutingFamily, "_diagonalized", reading)
+    a, b = intertwining_pair(trial_rng(74, 0), 6, 2)
+    assert kl.intertwiner_fixed_point_check(a, b).passed
+    assert kl.spectrum_product_check(a.mats, b.mats).hausdorff <= 1e-12
+    # the joint eigenbases are read, but never while theta is diagonalized
+    assert reads and not any(reads)
 
 
 def test_intertwiner_fixed_point_check_gates_families_before_theta(monkeypatch):
@@ -770,9 +861,11 @@ def test_commuting_sweep_solves_only_what_each_trial_reads(monkeypatch):
     # 144 x 144 theta, one 12 x 12 eigh per family and per factor of theta,
     # no refinement (no probe leaves a cluster), and of the 12 x 12 eigvalsh
     # only the two completeness defects that are read and one stacked PSD
-    # gate per side of coefficients
+    # gate per side of coefficients; theta is built twice, in its eigenbasis
+    # from the rotated 12 x 12 factors and densely for the positivity check,
+    # and no np.kron runs
     trials, events = [], []
-    eigh, eigvalsh = np.linalg.eigh, np.linalg.eigvalsh
+    eigh, eigvalsh, kron_entries = np.linalg.eigh, np.linalg.eigvalsh, opcore.kron_entries
     refine, check = commuting._refine, commuting.intertwiner_fixed_point_check
     inside = [False]
 
@@ -794,10 +887,19 @@ def test_commuting_sweep_solves_only_what_each_trial_reads(monkeypatch):
         trials.append(len(events))
         return check(*args, **kwargs)
 
+    def building(lefts, rights):
+        events.append(("kron_entries", (len(lefts[0]), len(rights[0])), inside[0]))
+        return kron_entries(lefts, rights)
+
+    def refused(*args):
+        raise AssertionError("np.kron called")
+
     monkeypatch.setattr(np.linalg, "eigh", recording("eigh", eigh))
     monkeypatch.setattr(np.linalg, "eigvalsh", recording("eigvalsh", eigvalsh))
     monkeypatch.setattr(commuting, "_refine", refining)
     monkeypatch.setattr(commuting, "intertwiner_fixed_point_check", trial)
+    monkeypatch.setattr(opcore, "kron_entries", building)
+    monkeypatch.setattr(np, "kron", refused)
     rep = cli.run(cli.RunConfig(command="commuting", dim=12, ops=3, trials=20, seed=0))
     assert rep.results["failures"] == 0 and len(trials) == 20
     for t, (start, stop) in enumerate(zip(trials, trials[1:] + [len(events)])):
@@ -805,6 +907,7 @@ def test_commuting_sweep_solves_only_what_each_trial_reads(monkeypatch):
         assert row[-1] == 1 and row[1] == row[2] == (12 if t % 2 == 0 else 0)
         assert [event for event in seen if event[0] == "eigh"] == [("eigh", (12, 12), False)] * 4
         assert seen.count(("eigvalsh", (144, 144), False)) == 1
+        assert [event for event in seen if event[0] == "kron_entries"] == [("kron_entries", (12, 12), False)] * 2
         small = sorted(shape for kind, shape, _ in seen if kind == "eigvalsh" and shape[-2:] == (12, 12))
         assert small == [(1, 12, 12)] * 2 + [(3, 12, 12)] * 2
         assert not any(inside for *_, inside in seen)

@@ -7,10 +7,10 @@
   degree 2 in (x, y), and the commutant of {t a_j} is that of {a_j}, as
   are the intertwiners of {t a_j} and {t b_j} those of {a_j} and {b_j}.
 * The scaling table (SCALING): every name of opcore.__all__, commutant,
-  intertwiner_space and the two checks of theta (intertwiner and spectrum)
-  states its law under x -> t x, checked at t = 2**e
-  from e = -1000 to 1000; require_psd, psd_sqrt and positive_part also for
-  a stack of t x beside x, exactly.  The Hermitian gate has no row of its
+  intertwiner_space, the two checks of theta (intertwiner and spectrum) and
+  the product of two joint spectra states its law under x -> t x, checked
+  at t = 2**e from e = -1000 to 1000; require_psd, psd_sqrt and
+  positive_part also for a stack of t x beside x, exactly.  The Hermitian gate has no row of its
   own: require_psd and positive_part run it.
 """
 
@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 
 import krauslab as kl
-from krauslab import opcore
+from krauslab import commuting, opcore
 from krauslab.channel import SubspaceBasis
 from krauslab.ensembles import (
     ginibre,
@@ -278,6 +278,11 @@ def _spectrum_theta_eigs(t):
     return rep.eigs
 
 
+def _product_spectrum(t):
+    """The product set of the joint spectra of t a and t b."""
+    return commuting.product_spectrum(kl.joint_spectrum(t * CA), kl.joint_spectrum(t * CB))
+
+
 def _block_stacks(t):
     m = t * np.kron(np.eye(2), X[:2, :2] + X[:2, :2].conj().T)
     rows, cols = np.nonzero(m)
@@ -328,6 +333,8 @@ SCALING = {
     # theta is quadratic in (a, b); theta beyond the float range is refused
     "commuting.intertwiner_fixed_point_check": Degree(2, _intertwiner_theta_eigs, beyond="ValueError"),
     "commuting.spectrum_product_check": Degree(2, _spectrum_theta_eigs, beyond="ValueError"),
+    # products of the two joint spectra; beyond the float range they are refused
+    "commuting.product_spectrum": Degree(2, _product_spectrum, beyond="ValueError"),
 }
 
 
@@ -338,6 +345,7 @@ def test_every_opcore_name_has_a_scaling_row():
         "commuting.intertwiner_space",
         "commuting.intertwiner_fixed_point_check",
         "commuting.spectrum_product_check",
+        "commuting.product_spectrum",
         "require_psd (stack)",
         "psd_sqrt (stack)",
         "positive_part (stack)",
