@@ -24,14 +24,13 @@ print("independent commuting families on M3, two generators each")
 sc, sd = joint_spectrum(c), joint_spectrum(d)
 print(f"   joint spectrum of c: {len(sc.points)} points")
 print(f"   joint spectrum of d: {len(sd.points)} points")
-chk = kl.spectrum_product_check(c, d)
+chk = kl.product_map_check(c, d)
 print(f"   Hausdorff(spec(theta), products) = {chk.hausdorff:.3e}")
-fx = kl.intertwiner_fixed_point_check(c, d)
-print(f"   dim Fix(theta) = {fx.fix_dim}, dim intertwiners = {fx.intertwiner_dim}\n")
+print(f"   dim Fix(theta) = {chk.fix_dim}, dim intertwiners = {chk.intertwiner_dim}\n")
 
 a, b = intertwining_pair(rng, 4, 3)
 print("spectrally matched pair on M4, three generators")
-fx = kl.intertwiner_fixed_point_check(a, b)
+fx = kl.product_map_check(a, b)
 print(f"   dim Fix(theta) = {fx.fix_dim}, dim intertwiners = {fx.intertwiner_dim}")
 print(f"   subspace distance between the two = {fx.subspace_distance:.3e}")
 print(f"   check passed: {fx.passed}\n")
@@ -45,7 +44,7 @@ u = haar_unitary(rng, 6)
 a = kl.CommutingFamily([u @ np.diag(lam[:, j]) @ u.conj().T for j in range(2)])
 a_star = kl.CommutingFamily([m.conj().T for m in a.mats])
 print("abelian A = C*(a_j) on M6, joint tuples of multiplicity 3, 2, 1")
-fx = kl.intertwiner_fixed_point_check(a_star, a)
+fx = kl.product_map_check(a_star, a)
 print(f"   dim Fix(psi) = {fx.fix_dim}, dim A' = {fx.intertwiner_dim}")
 print(f"   subspace distance between the two = {fx.subspace_distance:.3e}")
 print(f"   check passed: {fx.passed}\n")

@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # Run every demo and one small run of each CLI subcommand, failing on the
-# first error or RuntimeWarning.  Run from the repository root:
+# first error, RuntimeWarning or UserWarning (such as a spurious
+# incomplete-family warning).  Run from the repository root:
 #   bash scripts/smoke.sh
 set -e
 export PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH}
-export PYTHONWARNINGS=error::RuntimeWarning
+export PYTHONWARNINGS=error::RuntimeWarning,error::UserWarning
 for demo in demos/*.py; do python "$demo" > /dev/null; done
 python -m krauslab.cli analyze --input demos/data/pinching.json > /dev/null
 python -m krauslab.cli analyze --input demos/data/unitary_mix.json > /dev/null

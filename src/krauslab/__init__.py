@@ -49,12 +49,11 @@ from .channel import (
 )
 from .commuting import (
     CommutingFamily,
-    intertwiner_fixed_point_check,
     intertwiner_space,
     joint_spectrum,
     positive_eigenvalue_check,
+    product_map_check,
     simultaneous_diagonalize,
-    spectrum_product_check,
     theta_superoperator,
 )
 from .inequalities import (
@@ -121,8 +120,7 @@ __all__ = [
     "simultaneous_diagonalize",
     "joint_spectrum",
     "theta_superoperator",
-    "spectrum_product_check",
     "intertwiner_space",
-    "intertwiner_fixed_point_check",
+    "product_map_check",
     "positive_eigenvalue_check",
 ]

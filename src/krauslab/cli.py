@@ -168,20 +168,19 @@ def _run_commuting(cfg: RunConfig) -> tuple:
         else:
             a = commuting_normal_family(rng, dim, ops)
             b = commuting_normal_family(rng, dim, ops)
-        chk = commuting.intertwiner_fixed_point_check(a, b, tol)
-        spect = commuting.spectrum_product_check(a, b)
+        chk = commuting.product_map_check(a, b, tol)
         pos = commuting.positive_eigenvalue_check(
             random_psd_coefficients(rng, dim, ops),
             random_psd_coefficients(rng, dim, ops),
         )
         ok = (
             chk.passed
-            and spect.hausdorff <= tol
+            and chk.hausdorff <= tol
             and pos.min_real >= -1e-9
             and pos.max_imag <= 1e-9
         )
         failures += 0 if ok else 1
-        worst_hausdorff = max(worst_hausdorff, spect.hausdorff)
+        worst_hausdorff = max(worst_hausdorff, chk.hausdorff)
         worst_distance = max(worst_distance, chk.subspace_distance)
         worst_min_real = min(worst_min_real, pos.min_real)
         worst_max_imag = max(worst_max_imag, pos.max_imag)
@@ -191,7 +190,7 @@ def _run_commuting(cfg: RunConfig) -> tuple:
                 chk.fix_dim,
                 chk.intertwiner_dim,
                 repr(chk.subspace_distance),
-                repr(spect.hausdorff),
+                repr(chk.hausdorff),
                 repr(pos.min_real),
                 repr(pos.max_imag),
                 int(ok),

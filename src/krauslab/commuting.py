@@ -5,7 +5,8 @@ For families ``c = (c_j)`` and ``d = (d_j)`` the product map is
 two families diagonalize simultaneously, the spectrum of ``theta`` is the set
 of pointwise products of joint-spectrum tuples, and the fixed points of the
 Kraus-like variant ``sum_j a_j x b_j`` are exactly the intertwiners
-``{x : a_j x = x b_j*}``.  The checks here quantify each of those statements.
+``{x : a_j x = x b_j*}``.  :func:`product_map_check` quantifies both
+statements for one pair.
 
 Every spectrum here comes from a Hermitian eigensolver.  One routine,
 :func:`_eigenbasis`, diagonalizes commuting normal matrices: one ``eigh`` of
@@ -23,8 +24,9 @@ columns with eigenvalue within ``tol`` of 1, corrected once to first order;
 theta - I is never factorized.  The intertwiners of a gated pair are the
 ``u_i v_k*`` of the two joint eigenbases with
 ``||lambda(i) - conj mu(k)|| <= tol``, corrected the same way; neither
-space is read from the other's basis.  A pair's theta is diagonalized once:
-the intertwiner check leaves its diagonal for the spectrum check.
+space is read from the other's basis.  One check of a pair diagonalizes
+its theta once and reads both Fix(theta) and spec(theta) from it; no check
+leaves state on its arguments but a family's own eigenbasis.
 :func:`intertwiner_space` still solves the Sylvester stack for any pair.
 The positivity check reads Bendixson bounds off theta's two parts.  No
 general (non-Hermitian) eigensolver runs.
@@ -45,17 +47,15 @@ __all__ = [
     "CommutingFamily",
     "DiagonalizationResult",
     "JointSpectrum",
-    "SpectrumProductReport",
-    "IntertwinerFixedReport",
+    "ProductMapReport",
     "PositiveSpectrumReport",
     "simultaneous_diagonalize",
     "joint_spectrum",
     "theta_superoperator",
     "product_spectrum",
-    "spectrum_product_check",
     "hausdorff_distance",
     "intertwiner_space",
-    "intertwiner_fixed_point_check",
+    "product_map_check",
     "positive_eigenvalue_check",
 ]
 
@@ -76,17 +76,12 @@ class CommutingFamily:
     defects times ``scale^2``.  Completeness is not recorded here;
     :func:`opcore.completeness_defects` measures it.
 
-    The family stores two results.  Its joint eigenbasis and diagonals,
-    :func:`_eigenbasis` of the generators at ``scale``, are computed once,
-    on first use by a check that gated the family, and kept frozen:
-    :func:`simultaneous_diagonalize`, :func:`joint_spectrum` and the
-    intertwiner check all read them, so a family is diagonalized once
-    however many of those run.  And :func:`intertwiner_fixed_point_check` of
-    the pair ``(self, partner)`` stores ``(partner, spec(theta))``, the
-    diagonal of theta in its certified eigenbasis (``self.dim * partner.dim``
-    values), which :func:`spectrum_product_check` of the same pair reads
-    instead of building and diagonalizing theta again.  The partner object
-    itself is that entry's key; a check against another partner replaces it.
+    The family's joint eigenbasis and diagonals, :func:`_eigenbasis` of the
+    generators at ``scale``, are computed once, on first use by a check
+    that gated the family, and kept frozen:
+    :func:`simultaneous_diagonalize`, :func:`joint_spectrum` and
+    :func:`product_map_check` all read them, so a family is diagonalized
+    once however many of those run.  It stores nothing else.
     """
 
     def __init__(self, mats):
@@ -107,7 +102,6 @@ class CommutingFamily:
             v * self.scale * self.scale for v in self._relative_defects
         )
         self._eigen = None
-        self._theta_spectrum = (None, None)
 
     def __len__(self) -> int:
         return len(self.mats)
@@ -354,27 +348,17 @@ def product_spectrum(sc: JointSpectrum, sd: JointSpectrum) -> np.ndarray:
 
 
 def hausdorff_distance(a, b) -> float:
-    """Hausdorff distance between two finite sets of complex numbers."""
+    """Hausdorff distance between two finite sets of complex numbers; a
+    ``ValueError`` where a gap between a point of ``a`` and one of ``b``
+    overflows the float range."""
     av = np.asarray(a, dtype=np.complex128).ravel()
     bv = np.asarray(b, dtype=np.complex128).ravel()
     if av.size == 0 or bv.size == 0:
         raise ValueError("Hausdorff distance needs non-empty sets")
-    gaps = np.abs(av[:, None] - bv[None, :])
+    gaps = opcore._finite_sum(
+        lambda: np.abs(av[:, None] - bv[None, :]), "hausdorff_distance: a gap overflows the float range"
+    )
     return float(max(gaps.min(axis=1).max(), gaps.min(axis=0).max()))
-
-
-@dataclass(frozen=True, eq=False)
-class SpectrumProductReport:
-    """Eigenvalues of theta against the product of the joint spectra.
-
-    ``eigs`` and ``product`` are in lexicographic (real, imaginary) order,
-    so rounding can permute values whose real parts tie: compare them
-    across code paths as multisets.
-    """
-
-    eigs: np.ndarray
-    product: np.ndarray
-    hausdorff: float
 
 
 def _kron_eigenbasis(c, d) -> tuple:
@@ -401,38 +385,6 @@ def _kron_eigenbasis(c, d) -> tuple:
     v, u = bases
     rotated = opcore.kron_entries([u.conj().T @ x @ u for x in c], [v.T @ x @ v.conj() for x in d]).dense()
     return u, v, rotated, _gated_diagonal(rotated, 1e-8 * opcore.frobenius(rotated))
-
-
-def spectrum_product_check(c, d) -> SpectrumProductReport:
-    """Compare spec(theta) with the product set of the two joint spectra.
-
-    Both families must pass the commuting-normal gates, and both are gated
-    before either joint spectrum is read, so a family that fails raises
-    ``ValueError`` before any eigensolver runs.  The joint spectra come from
-    the families' stored eigenbases (see :class:`CommutingFamily`).  Theta
-    is then normal, and ``eigs`` are its diagonal in
-    :func:`_kron_eigenbasis`, not read from the joint eigenbases, within
-    the gated residual ``1e-8 * ||theta||_F`` of spec(theta).  Theta is
-    built before the product set, so families whose theta leaves the float
-    range raise ``ValueError`` there.  The Hausdorff distance to the
-    product set then vanishes up to rounding.
-
-    When :func:`intertwiner_fixed_point_check` of the same two family
-    objects ran first, theta's diagonal is read from the cache it left on
-    ``c`` (see :class:`CommutingFamily`): the same values, from the same
-    eigenbasis, without building or diagonalizing theta again.
-    """
-    cf, df = _gated_family(c), _gated_family(d)
-    partner, eigs = cf._theta_spectrum
-    if partner is not df:
-        eigs = _kron_eigenbasis(*_family_pair(cf, df, "cd"))[3]
-    eigs = _sorted_complex(eigs)
-    product = product_spectrum(joint_spectrum(cf), joint_spectrum(df))
-    return SpectrumProductReport(
-        eigs=eigs,
-        product=product,
-        hausdorff=hausdorff_distance(eigs, product),
-    )
 
 
 def _warn_incomplete(am: tuple, bm: tuple) -> None:
@@ -527,16 +479,6 @@ def _joint_intertwiners(af: CommutingFamily, bf: CommutingFamily, tol: float) ->
     return SubspaceBasis(rows=af.dim, cols=bf.dim, basis=basis)
 
 
-@dataclass(frozen=True)
-class IntertwinerFixedReport:
-    """Fixed points of sum_j a_j x b_j versus the intertwiner space."""
-
-    fix_dim: int
-    intertwiner_dim: int
-    subspace_distance: float
-    passed: bool
-
-
 def _theta_fixed_space(c, d, tol: float) -> tuple:
     """Fix(theta) of a normal ``theta = sum_j kron(d_j.T, c_j)`` (p x p
     ``c_j``, q x q ``d_j``) as a (k, p, q) stack of HS-orthonormal matrices,
@@ -556,41 +498,68 @@ def _theta_fixed_space(c, d, tol: float) -> tuple:
     return u @ q.T.reshape(-1, len(v), len(u)).transpose(0, 2, 1) @ v.T, eigs
 
 
-def intertwiner_fixed_point_check(a, b, tol: float = 1e-7) -> IntertwinerFixedReport:
-    """Check that fixed points of x -> sum_j a_j x b_j are the intertwiners.
+@dataclass(frozen=True, eq=False)
+class ProductMapReport:
+    """Both claims about one pair's ``theta(x) = sum_j a_j x b_j``.
 
-    Both families must pass the commuting-normal gates; a family that fails
-    raises ``ValueError`` before theta is built.  Theta is then normal, so
-    the singular values of theta - I are ``|lambda - 1|`` over spec(theta).
-    Fix(theta) is read from theta in its own eigenbasis
-    (:func:`_theta_fixed_space`): the eigenvectors with ``|lambda - 1| <= tol``
-    for ``lambda`` theta's diagonal there, which lies within the gated
-    residual ``1e-8 * ||theta||_F`` of spec(theta) (Hoffman-Wielandt).  The
-    intertwiners are read from the two families' stored joint eigenbases
-    (:func:`_joint_intertwiners`): ``u_i v_k*`` wherever
+    ``fix_dim`` and ``intertwiner_dim`` are the dimensions of Fix(theta)
+    and of the intertwiners, ``subspace_distance`` their mutual distance,
+    and ``passed`` holds when the dimensions agree and that distance is at
+    most the check's ``tol``.  ``eigs`` is spec(theta), ``product`` the
+    product set of the two joint spectra and ``hausdorff`` the distance
+    between them, which scales as the families squared and so is not part
+    of ``passed``.  ``eigs`` and ``product`` are in lexicographic (real,
+    imaginary) order, so rounding can permute values whose real parts tie:
+    compare them across code paths as multisets.
+    """
+
+    fix_dim: int
+    intertwiner_dim: int
+    subspace_distance: float
+    passed: bool
+    eigs: np.ndarray
+    product: np.ndarray
+    hausdorff: float
+
+
+def product_map_check(a, b, tol: float = 1e-7) -> ProductMapReport:
+    """Check Fix(theta) against the intertwiners, and spec(theta) against
+    the product set of the joint spectra, for ``theta(x) = sum_j a_j x b_j``.
+
+    Both families must pass the commuting-normal gates, and both are gated
+    before theta is built, so a family that fails raises ``ValueError``
+    before any eigensolver runs.  Theta is then normal, so the singular
+    values of theta - I are ``|lambda - 1|`` over spec(theta).  Theta is
+    diagonalized once (:func:`_theta_fixed_space`): its diagonal in its own
+    eigenbasis, within the gated residual ``1e-8 * ||theta||_F`` of
+    spec(theta) (Hoffman-Wielandt), is ``eigs``, and Fix(theta) is the
+    eigenvectors with ``|lambda - 1| <= tol``.  A theta beyond the float
+    range raises ``ValueError`` there.  The intertwiners and the joint
+    spectra are read from the two families' stored joint eigenbases: the
+    intertwiners (:func:`_joint_intertwiners`) are ``u_i v_k*`` wherever
     ``||lambda(i) - conj mu(k)||_2 <= tol``, the same cut as
     :func:`intertwiner_space`'s Sylvester null space up to the gated
-    diagonalization residuals, with no stack formed.  Neither space is read
-    from the other's basis, so the comparison stays a check.  The check
-    passes when the dimensions agree and the mutual subspace distance is at
-    most ``tol``.  Incomplete families are warned about as in
-    :func:`intertwiner_space`.  Theta's diagonal is left on ``a`` for
-    :func:`spectrum_product_check`.
+    diagonalization residuals, with no stack formed.  Theta's eigenbasis is
+    never read from the families' bases, so both comparisons stay checks.
+    Incomplete families are warned about as in :func:`intertwiner_space`.
     """
     af, bf = _gated_family(a), _gated_family(b)
     am, bm = _family_pair(af, bf, "ab")
     _warn_incomplete(am, bm)
-    kernel, eigs = _theta_fixed_space(am, bm, tol)
-    af._theta_spectrum = (bf, eigs)
+    kernel, diagonal = _theta_fixed_space(am, bm, tol)
     fixed = SubspaceBasis(rows=af.dim, cols=bf.dim, basis=tuple(kernel))
     inter = _joint_intertwiners(af, bf, tol)
     dist = subspace_distance(fixed, inter)
-    passed = len(fixed) == len(inter) and dist <= tol
-    return IntertwinerFixedReport(
+    eigs = _sorted_complex(diagonal)
+    product = product_spectrum(joint_spectrum(af), joint_spectrum(bf))
+    return ProductMapReport(
         fix_dim=len(fixed),
         intertwiner_dim=len(inter),
         subspace_distance=dist,
-        passed=passed,
+        passed=len(fixed) == len(inter) and dist <= tol,
+        eigs=eigs,
+        product=product,
+        hausdorff=hausdorff_distance(eigs, product),
     )
 
 

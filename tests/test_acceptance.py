@@ -131,7 +131,7 @@ def test_04_intertwiner_pairs():
             a = commuting_normal_family(rng, d, m)
             b = commuting_normal_family(rng, d, m)
             want = 0
-        chk = kl.intertwiner_fixed_point_check(a, b, tol=1e-7)
+        chk = kl.product_map_check(a, b, tol=1e-7)
         ok = ok and chk.passed and chk.fix_dim == want and chk.intertwiner_dim == want
         ok = ok and chk.subspace_distance <= 1e-7
     elapsed = time.perf_counter() - start
@@ -147,7 +147,7 @@ def test_05_spectrum_products():
         m = int(rng.integers(1, 4))
         c = commuting_normal_family(rng, d, m)
         e = commuting_normal_family(rng, d, m)
-        chk = kl.spectrum_product_check(c, e)
+        chk = kl.product_map_check(c, e)
         ok = ok and chk.hausdorff <= 1e-7
         directed = float(
             np.abs(chk.eigs[:, None] - chk.product[None, :]).min(axis=1).max()

@@ -180,7 +180,7 @@ def test_commuting_determinism(tmp_path):
 
 
 def test_exit_code_on_failures(capsys):
-    # an impossible tolerance turns the spectrum check into a failure
+    # an impossible tolerance turns the trials' checks into failures
     code = cli.main(["commuting", "--dim", "4", "--ops", "2", "--trials", "2",
                      "--seed", "1", "--tol", "1e-30"])
     assert code == 1

@@ -19,6 +19,11 @@ from krauslab.ensembles import (
 )
 
 
+# product_map_check warns about incomplete families, which the spectrum
+# tests below take on purpose
+spectrum_only = pytest.mark.filterwarnings("ignore:[ab] is not (row|column)-complete:UserWarning")
+
+
 def test_family_defect_oracles():
     nil = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
     fam = kl.CommutingFamily([np.diag([1.0, 2.0]).astype(complex), nil])
@@ -241,14 +246,16 @@ def test_product_spectrum_refuses_products_beyond_the_float_range():
         assert got.shape == (3,)
 
 
+@spectrum_only
 def test_spectrum_product_check_oracle():
-    rep = kl.spectrum_product_check([np.diag([2.0, 0.0])], [np.diag([3.0, 1.0])])
+    rep = kl.product_map_check([np.diag([2.0, 0.0])], [np.diag([3.0, 1.0])])
     assert rep.hausdorff <= 1e-12
     np.testing.assert_allclose(
         np.sort(rep.eigs.real), [0.0, 0.0, 2.0, 6.0], atol=1e-12
     )
 
 
+@spectrum_only
 @pytest.mark.parametrize("scale", [1.0, 1e-5, 1e5])
 def test_spectrum_product_check_random(scale):
     for trial in range(10):
@@ -256,7 +263,7 @@ def test_spectrum_product_check_random(scale):
         c = commuting_normal_family(rng, 5, 2)
         d = commuting_normal_family(rng, 5, 2)
         unscaled = commuting.product_spectrum(kl.joint_spectrum(c), kl.joint_spectrum(d))
-        rep = kl.spectrum_product_check(
+        rep = kl.product_map_check(
             [scale * m for m in c.mats], [scale * m for m in d.mats]
         )
         assert rep.product.size == unscaled.size, f"trial {trial}"
@@ -273,7 +280,7 @@ def _refuse_eigvals(monkeypatch):
 def test_spectrum_product_check_takes_no_general_eigensolver(monkeypatch, capsys):
     _refuse_eigvals(monkeypatch)
     a, b = intertwining_pair(trial_rng(60, 0), 4, 2)
-    assert kl.spectrum_product_check(a, b).hausdorff <= 1e-12
+    assert kl.product_map_check(a, b).hausdorff <= 1e-12
     assert cli.main(["commuting", "--dim", "4", "--trials", "4"]) == 0
     assert json.loads(capsys.readouterr().out)["results"]["failures"] == 0
 
@@ -334,22 +341,24 @@ def test_kron_eigenbasis_matches_the_general_eigensolver():
         assert np.array_equal(np.diagonal(rotated), eigs)
 
 
+@spectrum_only
 def test_normal_eigvals_separate_eigenvalues_sharing_a_real_part():
     # i and -i share the real part 0, so H = 0 and the combined probe is a
     # multiple of K, which splits the four eigenvalues into i and -i at once
     # (each spectrum is compared as a multiset: the real parts of i and -i
     # tie, so rounding may order them either way)
     pair = ([np.diag([1j, -1j])], [np.eye(2)])
-    for eigs in (_normal_eigvals(kl.theta_superoperator(*pair)), kl.spectrum_product_check(*pair).eigs):
+    rep = kl.product_map_check(*pair)
+    for eigs in (_normal_eigvals(kl.theta_superoperator(*pair)), rep.eigs):
         assert eigs.shape == (4,)
         for z in (1j, -1j):
             assert (np.abs(eigs - z) <= 1e-14).sum() == 2
-    assert kl.spectrum_product_check(*pair).hausdorff <= 1e-14
+    assert rep.hausdorff <= 1e-14
     # 1 + i and 1 - i share a real part, 1 + i and -1 + i an imaginary part
     u = haar_unitary(trial_rng(62, 0), 3)
     c = [u @ np.diag([1 + 1j, 1 - 1j, -1 + 1j]) @ u.conj().T]
     want = [-1 + 1j, -1 + 1j, 1 - 1j, 1 - 1j, 1 + 1j, 1 + 1j]
-    rep = kl.spectrum_product_check(c, [np.eye(2)])
+    rep = kl.product_map_check(c, [np.eye(2)])
     # each value with its multiplicity; the lexicographic order of 1 - i and
     # 1 + i follows rounding in their real parts
     for eigs, values in (
@@ -376,6 +385,7 @@ def _recorded_refinements(monkeypatch):
     return calls
 
 
+@spectrum_only
 @pytest.mark.parametrize("scale", [1e-100, 1e-5, 1e5, 1e100])
 def test_normal_eigvals_cluster_the_same_under_scaling(monkeypatch, scale):
     calls = _recorded_refinements(monkeypatch)
@@ -388,7 +398,7 @@ def test_normal_eigvals_cluster_the_same_under_scaling(monkeypatch, scale):
         c, d = commuting._family_pair(c, d, "cd")
         # theta's factor eigenbases, and theta's own one-matrix eigenbasis
         for spectrum in (
-            lambda c, d: kl.spectrum_product_check(c, d).eigs,
+            lambda c, d: kl.product_map_check(c, d).eigs,
             lambda c, d: _normal_eigvals(kl.theta_superoperator(c, d)),
         ):
             base = spectrum(c, d)
@@ -421,7 +431,7 @@ def test_normal_eigvals_cluster_the_same_under_scaling(monkeypatch, scale):
         cf, df = (kl.CommutingFamily([scale * m for m in f]) for f in commuting._family_pair(c, d, "cd"))
         kl.joint_spectrum(cf), kl.joint_spectrum(df)
         calls.clear()
-        kl.spectrum_product_check(cf, df)
+        kl.product_map_check(cf, df)
         assert calls == want
         calls.clear()
 
@@ -446,9 +456,9 @@ def test_theta_of_an_intertwining_pair_takes_at_most_three_eigh(monkeypatch):
     kl.joint_spectrum(a)
     kl.joint_spectrum(b)
     spectra, families = len(shapes), len(diagonalized)
-    assert kl.spectrum_product_check(a, b).hausdorff <= 1e-12
+    assert kl.product_map_check(a, b).hausdorff <= 1e-12
     assert shapes[spectra:] == [(12, 12)] * 2
-    # the spectrum check reads both families' stored eigenbases: no
+    # the check reads both families' stored eigenbases: no
     # family is diagonalized again, only theta's two factor spans
     assert families == 2 and diagonalized[families:] == [[(12, 12)] * 3] * 2
 
@@ -531,7 +541,7 @@ def test_spectrum_product_check_gates_families_before_theta(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", recording)
     for c, d in ((good, [sx, sz]), ([sx, sz], good)):
         with pytest.raises(ValueError, match="commuting-normal gates"):
-            kl.spectrum_product_check(c, d)
+            kl.product_map_check(c, d)
     assert shapes == []
 
 
@@ -540,6 +550,9 @@ def test_hausdorff_oracle():
     assert commuting.hausdorff_distance([1j], [1.0]) == pytest.approx(np.sqrt(2.0))
     with pytest.raises(ValueError):
         commuting.hausdorff_distance([], [1.0])
+    # a gap beyond the float range is refused, not warned about
+    with pytest.raises(ValueError, match="hausdorff_distance: a gap overflows the float range"):
+        commuting.hausdorff_distance([1e308], [-1e308])
 
 
 def test_intertwiner_space_oracles():
@@ -575,7 +588,7 @@ def test_intertwiner_space_warns_at_the_unital_tolerance(scale, warns):
 def test_intertwiner_fixed_point_check_shared_pair():
     for trial in range(5):
         a, b = intertwining_pair(trial_rng(54, trial), 5, 3)
-        rep = kl.intertwiner_fixed_point_check(a, b)
+        rep = kl.product_map_check(a, b)
         assert rep.passed
         assert rep.fix_dim == 5 and rep.intertwiner_dim == 5
         assert rep.subspace_distance <= 1e-7
@@ -586,7 +599,7 @@ def test_intertwiner_fixed_point_check_fresh_pair():
         rng = trial_rng(55, trial)
         a = commuting_normal_family(rng, 5, 3)
         b = commuting_normal_family(rng, 5, 3)
-        rep = kl.intertwiner_fixed_point_check(a, b)
+        rep = kl.product_map_check(a, b)
         # independent generic families share no intertwiners
         assert rep.passed
         assert rep.fix_dim == 0 and rep.intertwiner_dim == 0
@@ -623,13 +636,15 @@ def test_theta_fixed_space_spans_the_kernel_of_theta_minus_identity():
         np.testing.assert_allclose(got.conj().T @ got, np.eye(dim), atol=1e-13)
         assert np.linalg.norm(got @ got.conj().T - want @ want.conj().T, 2) <= 1e-13
         assert np.array_equal(eigs, commuting._kron_eigenbasis(*pair)[3])
-    rep = kl.intertwiner_fixed_point_check(*_real_diagonal_pair())
+    rep = kl.product_map_check(*_real_diagonal_pair())
     assert rep.passed and rep.fix_dim == rep.intertwiner_dim == 5
 
 
 def test_both_checks_of_one_pair_build_and_diagonalize_theta_once(monkeypatch):
+    # Fix(theta) and spec(theta) of one pair come from one product_map_check,
+    # which leaves nothing on the families but their own eigenbases
     a, b = intertwining_pair(trial_rng(67, 0), 5, 3)
-    uncached = kl.spectrum_product_check(a.mats, b.mats)
+    before = [dict(vars(f)) for f in (a, b)]
     built, shapes, diagonalized = [], [], []
     kron_entries, eigh = opcore.kron_entries, np.linalg.eigh
     kron_eigenbasis = commuting._kron_eigenbasis
@@ -653,15 +668,17 @@ def test_both_checks_of_one_pair_build_and_diagonalize_theta_once(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", recording)
     monkeypatch.setattr(commuting, "_kron_eigenbasis", counting)
     monkeypatch.setattr(opcore, "minus_identity", refused)
-    assert kl.intertwiner_fixed_point_check(a, b).passed
-    rep = kl.spectrum_product_check(a, b)
+    rep = kl.product_map_check(a, b)
+    assert rep.passed and rep.hausdorff <= 1e-12
     # theta is diagonalized once, through its 5 x 5 factors: no eigh of
     # theta, and it is built once, from the rotated factors
     assert len(built) == 1 and diagonalized == [(5, 5, 3)]
     assert not any(x is y for side in built[0] for x in side for y in (*a.mats, *b.mats))
     assert set(shapes) == {(5, 5)}
-    # the cached diagonal is bitwise the one a fresh diagonalization reads
-    assert np.array_equal(rep.eigs, uncached.eigs) and rep.hausdorff == uncached.hausdorff
+    # each family gains its stored eigenbasis and nothing else
+    for family, old in zip((a, b), before):
+        assert vars(family).keys() == old.keys()
+        assert [k for k, v in vars(family).items() if v is not old[k]] == ["_eigen"]
 
 
 def _off_diagonal_share(m):
@@ -688,10 +705,10 @@ def test_neither_check_forms_theta_of_the_unrotated_families(monkeypatch):
     rng = trial_rng(73, 0)
     pairs = [intertwining_pair(rng, 6, 3), (commuting_normal_family(rng, 5, 2), commuting_normal_family(rng, 4, 2))]
     for a, b in pairs:
-        assert kl.intertwiner_fixed_point_check(a, b).passed
-        assert kl.spectrum_product_check(a, b).hausdorff <= 1e-12
-        # a fresh pair of families, so the spectrum check builds theta itself
-        assert kl.spectrum_product_check(a.mats, b.mats).hausdorff <= 1e-12
+        rep = kl.product_map_check(a, b)
+        assert rep.passed and rep.hausdorff <= 1e-12
+        # a fresh pair of families, whose check builds theta again
+        assert kl.product_map_check(a.mats, b.mats).hausdorff <= 1e-12
         assert all(_off_diagonal_share(m) > 0.1 for m in (*a.mats, *b.mats))
     assert len(built) == 2 * len(pairs)
     for lefts, rights in built:
@@ -720,8 +737,8 @@ def test_theta_eigenbasis_never_reads_the_family_eigenbases(monkeypatch):
     monkeypatch.setattr(commuting, "_kron_eigenbasis", building)
     monkeypatch.setattr(kl.CommutingFamily, "_diagonalized", reading)
     a, b = intertwining_pair(trial_rng(74, 0), 6, 2)
-    assert kl.intertwiner_fixed_point_check(a, b).passed
-    assert kl.spectrum_product_check(a.mats, b.mats).hausdorff <= 1e-12
+    assert kl.product_map_check(a, b).passed
+    assert kl.product_map_check(a.mats, b.mats).hausdorff <= 1e-12
     # the joint eigenbases are read, but never while theta is diagonalized
     assert reads and not any(reads)
 
@@ -739,7 +756,7 @@ def test_intertwiner_fixed_point_check_gates_families_before_theta(monkeypatch):
     monkeypatch.setattr(opcore, "kron_entries", refused)
     for c, d in ((good, [sx, sz]), ([sx, sz], good), (single, [jordan]), ([jordan], single)):
         with pytest.raises(ValueError, match="commuting-normal gates"):
-            kl.intertwiner_fixed_point_check(c, d)
+            kl.product_map_check(c, d)
 
 
 def _repeated_tuple_pair():
@@ -790,7 +807,9 @@ def test_intertwiner_fixed_point_check_builds_no_sylvester_stack(monkeypatch):
         (commuting_normal_family(rng, 12, 3), commuting_normal_family(rng, 12, 3)),
         _repeated_tuple_pair(),
     ]
-    qr = np.linalg.qr
+    qr, svd = np.linalg.qr, np.linalg.svd
+    # joint_spectrum's norm bound: the values of a family's stacked generators
+    bounds = [np.vstack(f.mats) for pair in pairs for f in pair]
 
     def no_r_factor(x, mode="reduced"):
         assert mode != "r", "a Sylvester stack was reduced to its R factor"
@@ -799,11 +818,16 @@ def test_intertwiner_fixed_point_check_builds_no_sylvester_stack(monkeypatch):
     def refused(*args, **kwargs):
         raise AssertionError("a Sylvester stack was solved")
 
+    def bound_only(x, *args, **kwargs):
+        if kwargs != {"compute_uv": False} or not any(np.array_equal(x, m) for m in bounds):
+            refused()
+        return svd(x, *args, **kwargs)
+
     monkeypatch.setattr(opcore, "sylvester_null_space", refused)
     monkeypatch.setattr(np.linalg, "qr", no_r_factor)
-    monkeypatch.setattr(np.linalg, "svd", refused)
+    monkeypatch.setattr(np.linalg, "svd", bound_only)
     for (a, b), dim in zip(pairs, (12, 0, 10)):
-        rep = kl.intertwiner_fixed_point_check(a, b)
+        rep = kl.product_map_check(a, b)
         assert rep.passed and rep.fix_dim == rep.intertwiner_dim == dim
     # the refusals are live: the general solver runs into them
     with pytest.raises(AssertionError, match="Sylvester"):
@@ -820,8 +844,8 @@ def test_each_family_is_diagonalized_once_across_both_checks(monkeypatch):
         return eigenbasis(mats, scale)
 
     monkeypatch.setattr(commuting, "_eigenbasis", recording)
-    assert kl.intertwiner_fixed_point_check(a, b).passed
-    assert kl.spectrum_product_check(a, b).hausdorff <= 1e-12
+    rep = kl.product_map_check(a, b)
+    assert rep.passed and rep.hausdorff <= 1e-12
     stored = kl.simultaneous_diagonalize(a)
     kl.joint_spectrum(b)
     assert [m is a.mats for m in calls].count(True) == 1
@@ -839,7 +863,7 @@ def test_a_gated_incomplete_pair_still_warns():
     half = [kl.CommutingFamily([0.5 * m for m in f.mats]) for f in (a, b)]
     assert all(f.accepted for f in half)
     with pytest.warns(UserWarning) as caught:
-        kl.intertwiner_fixed_point_check(*half)
+        kl.product_map_check(*half)
     messages = [str(w.message) for w in caught]
     assert any("a is not row-complete" in m for m in messages)
     assert any("b is not column-complete" in m for m in messages)
@@ -866,7 +890,7 @@ def test_commuting_sweep_solves_only_what_each_trial_reads(monkeypatch):
     # and no np.kron runs
     trials, events = [], []
     eigh, eigvalsh, kron_entries = np.linalg.eigh, np.linalg.eigvalsh, opcore.kron_entries
-    refine, check = commuting._refine, commuting.intertwiner_fixed_point_check
+    refine, check = commuting._refine, commuting.product_map_check
     inside = [False]
 
     def recording(kind, solve):
@@ -897,7 +921,7 @@ def test_commuting_sweep_solves_only_what_each_trial_reads(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", recording("eigh", eigh))
     monkeypatch.setattr(np.linalg, "eigvalsh", recording("eigvalsh", eigvalsh))
     monkeypatch.setattr(commuting, "_refine", refining)
-    monkeypatch.setattr(commuting, "intertwiner_fixed_point_check", trial)
+    monkeypatch.setattr(commuting, "product_map_check", trial)
     monkeypatch.setattr(opcore, "kron_entries", building)
     monkeypatch.setattr(np, "kron", refused)
     rep = cli.run(cli.RunConfig(command="commuting", dim=12, ops=3, trials=20, seed=0))

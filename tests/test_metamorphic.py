@@ -7,9 +7,9 @@
   degree 2 in (x, y), and the commutant of {t a_j} is that of {a_j}, as
   are the intertwiners of {t a_j} and {t b_j} those of {a_j} and {b_j}.
 * The scaling table (SCALING): every name of opcore.__all__, commutant,
-  intertwiner_space, the two checks of theta (intertwiner and spectrum) and
-  the product of two joint spectra states its law under x -> t x, checked
-  at t = 2**e from e = -1000 to 1000; require_psd, psd_sqrt and
+  intertwiner_space, product_map_check (the check of theta), the product of
+  two joint spectra and the Hausdorff distance states its law under x -> t x,
+  checked at t = 2**e from e = -1000 to 1000; require_psd, psd_sqrt and
   positive_part also for a stack of t x beside x, exactly.  The Hermitian gate has no row of its
   own: require_psd and positive_part run it.
 """
@@ -214,6 +214,9 @@ P = (P + P.conj().T) / 2.0
 FULL = np.full((2, 2), math.ldexp(1e308, -1000))
 # distinct eigenvalues, so span{1, A} is its commutant and its intertwiners with A
 A = np.array([[1.0, 1.0], [0.0, 2.0]], dtype=complex)
+# points with real parts in +-[1.25, 1.75) * 2**23: at t = 2**1000 each is
+# finite, and every gap between the two sets is beyond the float range
+SETS = math.ldexp(1.0, 23) * (1.5 + X.ravel() / 8), math.ldexp(1.0, 23) * (-1.5 + Y.ravel() / 8)
 
 
 def projector(space) -> np.ndarray:
@@ -261,19 +264,12 @@ CA, CB = _commuting_pair()
 
 
 @quiet
-def _intertwiner_theta_eigs(t):
-    """spec(theta) as the intertwiner check of t a, t b leaves it (read back
-    through the spectrum check's cache); its cut tol is scaled with t, and
-    the check's dimensions and verdict must not move."""
-    a, b = kl.CommutingFamily(t * CA), kl.CommutingFamily(t * CB)
-    rep = kl.intertwiner_fixed_point_check(a, b, t * 1e-7)
+def _product_map_eigs(t):
+    """spec(theta) of t a, t b as product_map_check reads it; its cut tol is
+    scaled with t, the check's dimensions and verdict must not move, and
+    the product set must meet spec(theta)."""
+    rep = kl.product_map_check(t * CA, t * CB, t * 1e-7)
     assert (rep.fix_dim, rep.intertwiner_dim, rep.passed) == (0, 2, False)
-    return kl.spectrum_product_check(a, b).eigs
-
-
-def _spectrum_theta_eigs(t):
-    """spec(theta) of fresh families t a, t b; the product set must meet it."""
-    rep = kl.spectrum_product_check(t * CA, t * CB)
     assert rep.hausdorff <= 1e-12 * float(np.abs(rep.eigs).max()) + math.ldexp(1.0, -1020)
     return rep.eigs
 
@@ -331,10 +327,13 @@ SCALING = {
     "channel.commutant": Degree(0, lambda t: projector(kl.commutant([t * A]))),
     "commuting.intertwiner_space": Degree(0, quiet(lambda t: projector(kl.intertwiner_space([t * A], [t * A.T])))),
     # theta is quadratic in (a, b); theta beyond the float range is refused
-    "commuting.intertwiner_fixed_point_check": Degree(2, _intertwiner_theta_eigs, beyond="ValueError"),
-    "commuting.spectrum_product_check": Degree(2, _spectrum_theta_eigs, beyond="ValueError"),
+    "commuting.product_map_check": Degree(2, _product_map_eigs, beyond="ValueError"),
     # products of the two joint spectra; beyond the float range they are refused
     "commuting.product_spectrum": Degree(2, _product_spectrum, beyond="ValueError"),
+    # a gap beyond the float range is refused
+    "commuting.hausdorff_distance": Degree(
+        1, lambda t: commuting.hausdorff_distance(t * SETS[0], t * SETS[1]), beyond="ValueError"
+    ),
 }
 
 
@@ -343,9 +342,9 @@ def test_every_opcore_name_has_a_scaling_row():
     others = {
         "channel.commutant",
         "commuting.intertwiner_space",
-        "commuting.intertwiner_fixed_point_check",
-        "commuting.spectrum_product_check",
+        "commuting.product_map_check",
         "commuting.product_spectrum",
+        "commuting.hausdorff_distance",
         "require_psd (stack)",
         "psd_sqrt (stack)",
         "positive_part (stack)",

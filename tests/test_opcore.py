@@ -441,10 +441,13 @@ def test_tall_null_space_takes_no_tall_svd(monkeypatch):
     rng = np.random.default_rng(53)
     split = [np.kron(haar_unitary(rng, 6), np.eye(4)) for _ in range(3)]
     connected = [ginibre(rng, 6) for _ in range(3)]
-    svd = np.linalg.svd
+    svd, bounds = np.linalg.svd, []
 
     def square_only(a, *args, **kwargs):
-        assert np.shape(a)[-2] <= np.shape(a)[-1], f"tall SVD of {np.shape(a)}"
+        # the one tall SVD let through is joint_spectrum's norm bound: the
+        # values of a family's stacked generators
+        bound = kwargs == {"compute_uv": False} and any(np.array_equal(a, m) for m in bounds)
+        assert bound or np.shape(a)[-2] <= np.shape(a)[-1], f"tall SVD of {np.shape(a)}"
         return svd(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", square_only)
@@ -455,7 +458,9 @@ def test_tall_null_space_takes_no_tall_svd(monkeypatch):
     # the callers of the stacked null space reach it only through the R factor
     rng = np.random.default_rng(54)
     assert len(channel.commutant([np.kron(haar_unitary(rng, 4), np.eye(2)) for _ in range(3)])) == 4
-    rep = commuting.intertwiner_fixed_point_check(*intertwining_pair(trial_rng(55, 0), 5, 3))
+    pair = intertwining_pair(trial_rng(55, 0), 5, 3)
+    bounds.extend(np.vstack(f.mats) for f in pair)
+    rep = commuting.product_map_check(*pair)
     assert rep.passed and rep.intertwiner_dim >= 1
     monkeypatch.undo()
     _assert_solution_space(split_basis, split, split, 16)
