@@ -7,7 +7,8 @@
   degree 2 in (x, y), and the commutant of {t a_j} is that of {a_j}, as
   are the intertwiners of {t a_j} and {t b_j} those of {a_j} and {b_j}.
 * The scaling table (SCALING): every name of opcore.__all__, commutant,
-  intertwiner_space, product_map_check (the check of theta), the product of
+  intertwiner_space, the two halves of product_map_check (Fix(theta) against
+  the intertwiners, spec(theta) against the product set), the product of
   two joint spectra and the Hausdorff distance states its law under x -> t x,
   checked at t = 2**e from e = -1000 to 1000; require_psd, psd_sqrt and
   positive_part also for a stack of t x beside x, exactly.  The Hermitian gate has no row of its
@@ -264,12 +265,19 @@ CA, CB = _commuting_pair()
 
 
 @quiet
-def _product_map_eigs(t):
-    """spec(theta) of t a, t b as product_map_check reads it; its cut tol is
-    scaled with t, the check's dimensions and verdict must not move, and
-    the product set must meet spec(theta)."""
+def _intertwiner_theta_eigs(t):
+    """spec(theta) of t a, t b as product_map_check reads it, with its cut
+    tol scaled with t; the check's dimensions and verdict must not move."""
     rep = kl.product_map_check(t * CA, t * CB, t * 1e-7)
     assert (rep.fix_dim, rep.intertwiner_dim, rep.passed) == (0, 2, False)
+    return rep.eigs
+
+
+@quiet
+def _spectrum_theta_eigs(t):
+    """spec(theta) of t a, t b at the default tol; the product set must
+    meet it."""
+    rep = kl.product_map_check(t * CA, t * CB)
     assert rep.hausdorff <= 1e-12 * float(np.abs(rep.eigs).max()) + math.ldexp(1.0, -1020)
     return rep.eigs
 
@@ -326,8 +334,12 @@ SCALING = {
     "matrix_from_json": NoLaw("a codec"),
     "channel.commutant": Degree(0, lambda t: projector(kl.commutant([t * A]))),
     "commuting.intertwiner_space": Degree(0, quiet(lambda t: projector(kl.intertwiner_space([t * A], [t * A.T])))),
-    # theta is quadratic in (a, b); theta beyond the float range is refused
-    "commuting.product_map_check": Degree(2, _product_map_eigs, beyond="ValueError"),
+    # theta is quadratic in (a, b); theta beyond the float range is refused.
+    # product_map_check has two rows, named after the two checks it reports:
+    # Fix(theta) against the intertwiners, and spec(theta) against the
+    # product set
+    "commuting.intertwiner_fixed_point_check": Degree(2, _intertwiner_theta_eigs, beyond="ValueError"),
+    "commuting.spectrum_product_check": Degree(2, _spectrum_theta_eigs, beyond="ValueError"),
     # products of the two joint spectra; beyond the float range they are refused
     "commuting.product_spectrum": Degree(2, _product_spectrum, beyond="ValueError"),
     # a gap beyond the float range is refused
@@ -342,7 +354,8 @@ def test_every_opcore_name_has_a_scaling_row():
     others = {
         "channel.commutant",
         "commuting.intertwiner_space",
-        "commuting.product_map_check",
+        "commuting.intertwiner_fixed_point_check",
+        "commuting.spectrum_product_check",
         "commuting.product_spectrum",
         "commuting.hausdorff_distance",
         "require_psd (stack)",
