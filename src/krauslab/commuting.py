@@ -17,24 +17,25 @@ Frobenius norm is :func:`opcore.frobenius`, opcore's one rescale rule.
 A family is diagonalized once and keeps its eigenbasis; its joint spectrum
 is the generators' diagonals there.  Theta is diagonalized from its factor
 pairs (:func:`_kron_eigenbasis`): random combinations of {d_j.T} and of
-{c_j} give ``V`` and ``U``, theta is built in its eigenbasis from the
-rotated factors, and its diagonal there is spec(theta), certified by the
-gated off-diagonal residual.  Fix(theta) is read from that matrix: the
-columns with eigenvalue within ``tol`` of 1, corrected once to first order;
-theta - I is never factorized.  The intertwiners of a gated pair are the
-``u_i v_k*`` of the two joint eigenbases with
-``||lambda(i) - conj mu(k)|| <= tol``, corrected the same way; neither
-space is read from the other's basis.  One check of a pair diagonalizes
+{c_j} give ``V`` and ``U``, and theta in its eigenbasis is read from the
+rotated factors without being formed: its diagonal there is spec(theta),
+certified by a gated bound on its off-diagonal part, and Fix(theta) is
+formed from its columns with eigenvalue within ``tol`` of 1 alone,
+corrected once to first order; theta - I is never factorized.  The
+intertwiners of a gated pair are the ``u_i v_k*`` of the two joint
+eigenbases with ``||lambda(i) - conj mu(k)|| <= tol``, corrected the same
+way; neither space is read from the other's basis.  One check of a pair diagonalizes
 its theta once and reads both Fix(theta) and spec(theta) from it; no check
 leaves state on its arguments but a family's own eigenbasis.
 :func:`intertwiner_space` still solves the Sylvester stack for any pair.
-The positivity check reads Bendixson bounds off theta's two parts.  No
-general (non-Hermitian) eigensolver runs.
+The positivity check builds theta once, densely, and reads Bendixson
+bounds off its two parts.  No general (non-Hermitian) eigensolver runs.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -362,18 +363,22 @@ def hausdorff_distance(a, b) -> float:
 
 
 def _kron_eigenbasis(c, d) -> tuple:
-    """``(U, V, T, eigs)`` for ``theta = sum_j kron(d_j.T, c_j)`` of the
-    factor pairs ``(c_j, d_j)``, with ``T`` theta in its eigenbasis
-    ``kron(V, U)`` and ``eigs`` the diagonal of ``T``.
+    """``(U, V, (D, C), eigs)`` for ``theta = sum_j kron(d_j.T, c_j)`` of the
+    factor pairs ``(c_j, d_j)``: the rotated factors ``D_j = V* d_j.T V``
+    and ``C_j = U* c_j U`` as (m, q, q) and (m, p, p) stacks, and ``eigs``
+    the diagonal of theta in its eigenbasis ``kron(V, U)``, where theta is
+    ``T = sum_j kron(D_j, C_j)`` (Van Loan and Pitsianis).
 
     m fixed pseudorandom unit combinations (seed ``0x7E7A``) of {d_j.T} and
     of {c_j} are commuting normal whenever the families are;
     :func:`_eigenbasis` of each set at its Frobenius norm, each column
     corrected once by :func:`_first_order` against the set's m-entry
-    diagonals, gives ``V`` and ``U``.  ``T`` is built from the rotated
-    factors (Van Loan and Pitsianis), ``sum_j kron(V* d_j.T V, U* c_j U)``,
-    and its off-diagonal residual is gated at ``1e-8 * ||T||_F``: theta
-    being normal, ``eigs`` lie that close to spec(theta) (Hoffman-Wielandt).
+    diagonals, gives ``V`` and ``U``.  ``T`` itself is never formed:
+    ``eigs`` is ``sum_j diag(D_j) (x) diag(C_j)``, added in order to zeros
+    (a ``ValueError`` where it overflows), and :func:`_off_diagonal_bound`
+    of the factors, at least the Frobenius norm of T's off-diagonal part,
+    is gated at ``1e-8 * ||eigs||``, below ``1e-8 * ||T||_F``: theta being
+    normal, ``eigs`` lie that close to spec(theta) (Hoffman-Wielandt).
     """
     rng, bases = np.random.default_rng(0x7E7A), []
     for family in (np.stack([x.T for x in d]), np.stack(c)):
@@ -383,8 +388,44 @@ def _kron_eigenbasis(c, d) -> tuple:
         basis, diags = _eigenbasis(list(mats), size)
         bases.append(_first_order(basis, mats, np.stack(diags, axis=1), np.arange(len(basis)), size))
     v, u = bases
-    rotated = opcore.kron_entries([u.conj().T @ x @ u for x in c], [v.T @ x @ v.conj() for x in d]).dense()
-    return u, v, rotated, _gated_diagonal(rotated, 1e-8 * opcore.frobenius(rotated))
+    dr = np.stack([v.T @ x @ v.conj() for x in d]).transpose(0, 2, 1)
+    cr = np.stack([u.conj().T @ x @ u for x in c])
+
+    def diagonal():
+        eigs = np.zeros(len(v) * len(u), dtype=np.complex128)
+        for x, y in zip(np.diagonal(dr, axis1=1, axis2=2), np.diagonal(cr, axis1=1, axis2=2)):
+            eigs += np.multiply.outer(x, y).ravel()
+        return eigs
+
+    eigs = opcore._finite_sum(diagonal, "theta's eigenvalues overflow the float range")
+    off, limit = _off_diagonal_bound(dr, cr), 1e-8 * opcore.frobenius(eigs)
+    if off > limit:
+        raise ValueError(f"diagonalization residual {off:.3e} above tolerance {limit:.3e}")
+    return u, v, (dr, cr), eigs
+
+
+def _off_diagonal_bound(dr: np.ndarray, cr: np.ndarray) -> float:
+    """An upper bound on ``||T - diag(T)||_F`` for ``T = sum_j kron(D_j, C_j)``.
+
+    With ``delta_j``, ``gamma_j`` the diagonals and ``D~_j``, ``C~_j`` the
+    off-diagonal parts of ``D_j`` and ``C_j``, the off-diagonal part of
+    ``kron(D_j, C_j)`` is ``kron(delta_j, C~_j) + kron(D~_j, gamma_j) +
+    kron(D~_j, C~_j)`` on disjoint supports, so its norm is the ``hypot``
+    of the three products of norms; the bound sums it over j.  Each norm is
+    :func:`opcore.frobenius` and no norm is squared, so only a product
+    beyond the float range reads inf.
+    """
+    total = 0.0
+    for x, y in zip(dr, cr):
+        (dx, ox), (dy, oy) = _split_norms(x), _split_norms(y)
+        total += math.hypot(dx * oy, ox * dy, ox * oy)
+    return total
+
+
+def _split_norms(m: np.ndarray) -> tuple:
+    """Frobenius norms of the diagonal and of the off-diagonal part of ``m``."""
+    diag = np.diagonal(m)
+    return opcore.frobenius(diag), opcore.frobenius(m - np.diag(diag))
 
 
 def _warn_incomplete(am: tuple, bm: tuple) -> None:
@@ -484,15 +525,21 @@ def _theta_fixed_space(c, d, tol: float) -> tuple:
     ``c_j``, q x q ``d_j``) as a (k, p, q) stack of HS-orthonormal matrices,
     and theta's diagonal ``eigs`` in :func:`_kron_eigenbasis`.
 
-    The columns of ``T`` with ``|lambda - 1| <= tol`` are corrected once by
-    :func:`_first_order_step` against those whose eigenvalue lies more than
-    ``1e-6 * ||T||_F`` from theirs, and orthonormalized by QR to ``Q``
-    (pq x k); each column ``Q_k`` is the matrix ``U Q_k V.T``, so the
-    eigenbasis ``kron(V, U)`` is never formed.
+    Only the k columns of ``T`` with ``|lambda - 1| <= tol`` are formed,
+    column ``a * p + b`` as ``sum_j kron(D_j[:, a], C_j[:, b])`` added in
+    order to zeros.  They are corrected once by :func:`_first_order_step`
+    against the columns whose eigenvalue lies more than ``1e-6 * ||eigs||``
+    from theirs, and orthonormalized by QR to ``Q`` (pq x k); each column
+    ``Q_k`` is the matrix ``U Q_k V.T``, so the eigenbasis ``kron(V, U)`` is
+    never formed.
     """
-    u, v, rotated, eigs = _kron_eigenbasis(c, d)
+    u, v, (dr, cr), eigs = _kron_eigenbasis(c, d)
     near = np.flatnonzero(np.abs(eigs - 1.0) <= tol)
-    step = _first_order_step(rotated[:, near, None], eigs[:, None], near, opcore.frobenius(rotated))
+    a, b = np.divmod(near, len(u))
+    cols = np.zeros((len(v), len(u), near.size), dtype=np.complex128)
+    for x, y in zip(dr, cr):
+        cols += x[:, None, a] * y[None, :, b]
+    step = _first_order_step(cols.reshape(len(eigs), near.size, 1), eigs[:, None], near, opcore.frobenius(eigs))
     step[near, np.arange(near.size)] = 1.0
     q = np.linalg.qr(step)[0]
     return u @ q.T.reshape(-1, len(v), len(u)).transpose(0, 2, 1) @ v.T, eigs
@@ -578,6 +625,14 @@ class PositiveSpectrumReport:
     max_imag: float
 
 
+def _exactly_hermitian(m: np.ndarray) -> bool:
+    """Whether ``m == m*`` entry for entry, which for finite ``m`` is
+    ``m - m* == 0``: each block of rows is compared with the conjugate of
+    the matching block of columns, so no copy the size of ``m`` is formed."""
+    step = max(1, opcore._KRON_CHUNK // len(m))
+    return all(np.array_equal(m[lo : lo + step], m[:, lo : lo + step].conj().T) for lo in range(0, len(m), step))
+
+
 def positive_eigenvalue_check(c, d) -> PositiveSpectrumReport:
     """Bendixson bounds on spec(theta) when every coefficient on both sides is PSD.
 
@@ -587,20 +642,21 @@ def positive_eigenvalue_check(c, d) -> PositiveSpectrumReport:
     nonzero anti-Hermitian part K; by Bendixson's theorem the spectrum lies
     in the rectangle with real parts at least ``lambda_min(H)`` and
     imaginary parts at most ``||K||_op`` in modulus, both read off
-    ``eigvalsh``.  When ``theta - theta*`` is exactly zero, theta is H
-    bit for bit: ``eigvalsh(theta)`` is taken without forming the copy H,
-    and K's solve is skipped (``max_imag = 0.0``).  Commutativity is not
-    required.  Non-PSD inputs raise.
+    ``eigvalsh``.  Theta is built once, by :func:`opcore.kron_sum`.  When
+    theta equals theta* entry for entry (:func:`_exactly_hermitian`, which
+    forms no copy of theta), theta is H bit for bit: ``eigvalsh(theta)``
+    is taken without forming H, and K's solve is skipped
+    (``max_imag = 0.0``).  Commutativity is not required.  Non-PSD inputs
+    raise.
     """
     cm, dm = _family_pair(c, d, "cd")
     # one stacked gate per side, naming c[j] and d[j]
     opcore.require_psd(np.stack(cm), "c")
     opcore.require_psd(np.stack(dm), "d")
     theta = theta_superoperator(cm, dm)
-    diff = theta - theta.conj().T
-    if diff.any():
+    if not _exactly_hermitian(theta):
         eigs = np.linalg.eigvalsh(_hermitian_part(theta))
-        max_imag = float(np.abs(np.linalg.eigvalsh(diff / 2.0j)).max())
+        max_imag = float(np.abs(np.linalg.eigvalsh((theta - theta.conj().T) / 2.0j)).max())
     else:
         # theta is exactly H, and K = 0 has only the eigenvalue 0.0
         eigs, max_imag = np.linalg.eigvalsh(theta), 0.0

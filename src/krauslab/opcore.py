@@ -4,7 +4,8 @@ Operators are plain 2-D complex128 numpy arrays.  Vectorization is column
 stacking, so ``vec(A @ X @ B) = kron(B.T, A) @ vec(X)``.  This module is the
 one place that convention, the PSD tolerance and the validation of matrix
 families are written down: superoperators come from :func:`kron_entries`
-(densely from :func:`kron_sum`, their action from :func:`product_map`),
+(densely from :func:`kron_sum`, their action from :func:`product_map`, all
+three summing the same products in the same order),
 PSD inputs pass :func:`require_psd` and families pass :func:`square_family`
 (their defects from :func:`completeness_defects`, one Gram for a Hermitian
 family).
@@ -38,9 +39,9 @@ array whose largest part leaves ``[2**-400, 2**400]`` into ``[1/4, 1)``,
 and :func:`frobenius`, :func:`hs_inner` and the gates compute on each
 matrix at that power (:func:`_to_units`) and scale back, so a root scales
 back exactly and a gate judges in the input's units; their answer is
-finite or a ``ValueError``, never NaN.  :func:`kron_entries` and
-:func:`product_map` refuse, with a ``ValueError``, a sum of products that
-overflows the float range.
+finite or a ``ValueError``, never NaN.  :func:`kron_entries`,
+:func:`kron_sum` and :func:`product_map` refuse, with a ``ValueError``
+naming themselves, a sum of products that overflows the float range.
 """
 
 from __future__ import annotations
@@ -157,9 +158,16 @@ def _scaled_back(x: float, e: int) -> float:
 def frobenius(m) -> float:
     """``||m||_F`` of a real or complex array: ``np.linalg.norm`` (bitwise in
     the safe range) of ``m`` at :func:`_to_units`, scaled back, so no square
-    over- or underflows; inf, without a warning, only beyond the float range."""
+    over- or underflows; inf, without a warning, only beyond the float range.
+    A norm in ``[2**-300, 2**300]`` is returned as read: every part then
+    lies in ``[2**-400, 2**400]``, where the rule scales by 1."""
     m = np.asarray(m)
-    s, (e,) = _to_units(m.astype(np.result_type(m.dtype, np.float64), copy=False)[None])
+    m = m.astype(np.result_type(m.dtype, np.float64), copy=False)
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = float(np.linalg.norm(m))
+    if 2.0**-300 <= norm <= 2.0**300:
+        return norm
+    s, (e,) = _to_units(m[None])
     return _scaled_back(float(np.linalg.norm(s)), e)
 
 
@@ -736,15 +744,8 @@ class KronEntries(NamedTuple):
         s[self.i[:, None], self.k[None, :], self.j[:, None], self.m[None, :]] = self.values
         return s
 
-    def dense(self) -> np.ndarray:
-        """The whole (pq, pq) matrix, a fresh array."""
-        s = self.tensor()
-        if s.base is not None:
-            s = s.copy()
-        return s.reshape(self.p * self.q, self.p * self.q)
 
-
-_KRON_CHUNK = 1 << 12  # entries of the term buffer in kron_entries (64 KiB)
+_KRON_CHUNK = 1 << 12  # entries of the term buffer in kron_entries and kron_sum (64 KiB)
 
 
 def _finite_sum(total: Callable, what: str) -> np.ndarray:
@@ -794,9 +795,35 @@ def kron_entries(lefts, rights) -> KronEntries:
 
 
 def kron_sum(lefts, rights) -> np.ndarray:
-    """Matrix ``sum_j kron(r_j.T, l_j)`` of ``x -> sum_j l_j x r_j``: the dense
-    assembly of :func:`kron_entries`, acting on column-stacked p x q input."""
-    return kron_entries(lefts, rights).dense()
+    """Matrix ``sum_j kron(r_j.T, l_j)`` of ``x -> sum_j l_j x r_j``, acting on
+    column-stacked p x q input: a fresh (pq, pq) array, filled in place.
+
+    Row ``i * p + k`` holds the products ``r_j.T[i, :] (x) l_j[k, :]``.  The
+    rows are filled a chunk at a time: each term's products on a chunk are
+    written by one broadcast multiply into a reused buffer of at most
+    ``_KRON_CHUNK`` entries (or one row) and added in order to zeros, so
+    every entry is bitwise that of the summed ``np.kron`` products and no
+    second matrix is formed.  A ``ValueError`` where a product or sum
+    overflows the float range.
+    """
+    lefts, rights, p, q = _paired(lefts, rights)
+    n = p * q
+    i, k = np.divmod(np.arange(n), p)
+    pairs = [(np.asarray(r).T, np.asarray(l)) for l, r in zip(lefts, rights)]
+    step = max(1, _KRON_CHUNK // n)
+
+    def fill():
+        s = np.zeros((n, q, p), dtype=np.complex128)
+        term = np.empty((min(step, n), q, p), dtype=np.complex128)
+        for lo in range(0, n, step):
+            rows = s[lo : lo + step]
+            buf, at_i, at_k = term[: len(rows)], i[lo : lo + step], k[lo : lo + step]
+            for r, l in pairs:
+                np.multiply(r[at_i, :, None], l[at_k, None, :], out=buf)
+                rows += buf
+        return s.reshape(n, n)
+
+    return _finite_sum(fill, "kron_sum: the map's entries overflow the float range")
 
 
 def product_map(lefts, rights, x, name: str = "x") -> np.ndarray:

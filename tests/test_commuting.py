@@ -1,6 +1,7 @@
 """Commuting normal families, joint spectra, product maps, intertwiners."""
 
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -277,6 +278,16 @@ def _refuse_eigvals(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvals", refused)
 
 
+def _refuse(monkeypatch, module, *names):
+    """Make each of ``module``'s ``names`` raise an AssertionError naming it."""
+    for name in names:
+
+        def refused(*args, name=name):
+            raise AssertionError(f"{module.__name__}.{name} called")
+
+        monkeypatch.setattr(module, name, refused)
+
+
 def test_spectrum_product_check_takes_no_general_eigensolver(monkeypatch, capsys):
     _refuse_eigvals(monkeypatch)
     a, b = intertwining_pair(trial_rng(60, 0), 4, 2)
@@ -330,15 +341,27 @@ def test_normal_eigvals_match_the_general_eigensolver():
 
 def test_kron_eigenbasis_matches_the_general_eigensolver():
     for intertwining, dim, _, pair in _seeded_normal_thetas():
-        u, v, rotated, eigs = commuting._kron_eigenbasis(*pair)
+        u, v, (dr, cr), eigs = commuting._kron_eigenbasis(*pair)
         theta = kl.theta_superoperator(*pair)
         _assert_normal_spectrum(eigs, theta, dim, intertwining)
         basis, norm = np.kron(v, u), np.linalg.norm(theta)
         np.testing.assert_allclose(basis.conj().T @ basis, np.eye(dim * dim), atol=1e-13)
-        # theta in its eigenbasis kron(V, U), built from the rotated factors
+        # the rotated factors D_j = V* d_j.T V and C_j = U* c_j U
+        assert dr.shape == cr.shape == (len(pair[0]), dim, dim)
+        for x, y, c, d in zip(dr, cr, *pair):
+            np.testing.assert_allclose(x, v.conj().T @ d.T @ v, atol=1e-13 * np.linalg.norm(d))
+            np.testing.assert_allclose(y, u.conj().T @ c @ u, atol=1e-13 * np.linalg.norm(c))
+        # theta in its eigenbasis kron(V, U) is the sum of their products
+        rotated = np.zeros_like(theta)
+        for x, y in zip(dr, cr):
+            rotated += np.kron(x, y)
         np.testing.assert_allclose(rotated, basis.conj().T @ theta @ basis, atol=1e-13 * norm)
         np.testing.assert_allclose(rotated, np.diag(eigs), atol=1e-13 * norm)
         assert np.array_equal(np.diagonal(rotated), eigs)
+        # the gated bound holds the off-diagonal part it stands for
+        off = np.linalg.norm(rotated - np.diag(eigs))
+        bound = commuting._off_diagonal_bound(dr, cr)
+        assert off <= bound * (1 + 1e-12) and bound <= 1e-8 * np.linalg.norm(eigs)
 
 
 @spectrum_only
@@ -645,35 +668,26 @@ def test_both_checks_of_one_pair_build_and_diagonalize_theta_once(monkeypatch):
     # which leaves nothing on the families but their own eigenbases
     a, b = intertwining_pair(trial_rng(67, 0), 5, 3)
     before = [dict(vars(f)) for f in (a, b)]
-    built, shapes, diagonalized = [], [], []
-    kron_entries, eigh = opcore.kron_entries, np.linalg.eigh
-    kron_eigenbasis = commuting._kron_eigenbasis
-
-    def building(c, d):
-        built.append((c, d))
-        return kron_entries(c, d)
+    shapes, diagonalized = [], []
+    eigh, kron_eigenbasis = np.linalg.eigh, commuting._kron_eigenbasis
 
     def recording(x, *args, **kwargs):
         shapes.append(np.shape(x))
         return eigh(x, *args, **kwargs)
 
     def counting(c, d):
-        diagonalized.append((len(c[0]), len(d[0]), len(c)))
-        return kron_eigenbasis(c, d)
+        out = kron_eigenbasis(c, d)
+        diagonalized.append((len(c[0]), len(d[0]), len(c), *(f.shape for f in out[2])))
+        return out
 
-    def refused(m):
-        raise AssertionError("opcore.minus_identity called")
-
-    monkeypatch.setattr(opcore, "kron_entries", building)
     monkeypatch.setattr(np.linalg, "eigh", recording)
     monkeypatch.setattr(commuting, "_kron_eigenbasis", counting)
-    monkeypatch.setattr(opcore, "minus_identity", refused)
+    _refuse(monkeypatch, opcore, "minus_identity", "kron_entries", "kron_sum")
     rep = kl.product_map_check(a, b)
     assert rep.passed and rep.hausdorff <= 1e-12
     # theta is diagonalized once, through its 5 x 5 factors: no eigh of
-    # theta, and it is built once, from the rotated factors
-    assert len(built) == 1 and diagonalized == [(5, 5, 3)]
-    assert not any(x is y for side in built[0] for x in side for y in (*a.mats, *b.mats))
+    # theta, and theta itself is never built, only its rotated factors
+    assert diagonalized == [(5, 5, 3, (3, 5, 5), (3, 5, 5))]
     assert set(shapes) == {(5, 5)}
     # each family gains its stored eigenbasis and nothing else
     for family, old in zip((a, b), before):
@@ -688,20 +702,20 @@ def _off_diagonal_share(m):
 
 
 def test_neither_check_forms_theta_of_the_unrotated_families(monkeypatch):
-    # no np.kron anywhere, and theta is built once per pair, in its own
-    # eigenbasis: every factor handed to kron_entries is already diagonal
-    # to the gate, which the families' own generators are not
-    built, kron_entries = [], opcore.kron_entries
+    # no np.kron, kron_entries or kron_sum anywhere, and theta is read once
+    # per pair from its factors in its own eigenbasis: every rotated factor
+    # is already diagonal to the gate, which the families' own generators
+    # are not
+    built, kron_eigenbasis = [], commuting._kron_eigenbasis
 
-    def building(lefts, rights):
-        built.append((lefts, rights))
-        return kron_entries(lefts, rights)
+    def building(c, d):
+        out = kron_eigenbasis(c, d)
+        built.append(out[2])
+        return out
 
-    def refused(*args):
-        raise AssertionError("np.kron called")
-
-    monkeypatch.setattr(opcore, "kron_entries", building)
-    monkeypatch.setattr(np, "kron", refused)
+    monkeypatch.setattr(commuting, "_kron_eigenbasis", building)
+    _refuse(monkeypatch, np, "kron")
+    _refuse(monkeypatch, opcore, "kron_entries", "kron_sum")
     rng = trial_rng(73, 0)
     pairs = [intertwining_pair(rng, 6, 3), (commuting_normal_family(rng, 5, 2), commuting_normal_family(rng, 4, 2))]
     for a, b in pairs:
@@ -711,9 +725,9 @@ def test_neither_check_forms_theta_of_the_unrotated_families(monkeypatch):
         assert kl.product_map_check(a.mats, b.mats).hausdorff <= 1e-12
         assert all(_off_diagonal_share(m) > 0.1 for m in (*a.mats, *b.mats))
     assert len(built) == 2 * len(pairs)
-    for lefts, rights in built:
-        assert all(_off_diagonal_share(m) <= 1e-8 for m in (*lefts, *rights))
-    with pytest.raises(AssertionError, match="np.kron"):
+    for dr, cr in built:
+        assert all(_off_diagonal_share(m) <= 1e-8 for m in (*dr, *cr))
+    with pytest.raises(AssertionError, match="numpy.kron"):
         np.kron(np.eye(2), np.eye(2))
 
 
@@ -885,13 +899,13 @@ def test_commuting_sweep_solves_only_what_each_trial_reads(monkeypatch):
     # 144 x 144 theta, one 12 x 12 eigh per family and per factor of theta,
     # no refinement (no probe leaves a cluster), and of the 12 x 12 eigvalsh
     # only the two completeness defects that are read and one stacked PSD
-    # gate per side of coefficients; theta is built twice, in its eigenbasis
-    # from the rotated 12 x 12 factors and densely for the positivity check,
-    # and no np.kron runs
+    # gate per side of coefficients; theta is built once, densely by one
+    # kron_sum for the positivity check, the product-map check reads it from
+    # its rotated 12 x 12 factors alone, and no kron_entries or np.kron runs
     trials, events = [], []
-    eigh, eigvalsh, kron_entries = np.linalg.eigh, np.linalg.eigvalsh, opcore.kron_entries
+    eigh, eigvalsh, kron_sum = np.linalg.eigh, np.linalg.eigvalsh, opcore.kron_sum
     refine, check = commuting._refine, commuting.product_map_check
-    inside = [False]
+    inside, checking = [False], [False]
 
     def recording(kind, solve):
         def wrapped(a, *args, **kwargs):
@@ -909,21 +923,23 @@ def test_commuting_sweep_solves_only_what_each_trial_reads(monkeypatch):
 
     def trial(*args, **kwargs):
         trials.append(len(events))
-        return check(*args, **kwargs)
+        checking[0] = True
+        try:
+            return check(*args, **kwargs)
+        finally:
+            checking[0] = False
 
     def building(lefts, rights):
-        events.append(("kron_entries", (len(lefts[0]), len(rights[0])), inside[0]))
-        return kron_entries(lefts, rights)
-
-    def refused(*args):
-        raise AssertionError("np.kron called")
+        events.append(("kron_sum", (len(lefts[0]), len(rights[0])), inside[0] or checking[0]))
+        return kron_sum(lefts, rights)
 
     monkeypatch.setattr(np.linalg, "eigh", recording("eigh", eigh))
     monkeypatch.setattr(np.linalg, "eigvalsh", recording("eigvalsh", eigvalsh))
     monkeypatch.setattr(commuting, "_refine", refining)
     monkeypatch.setattr(commuting, "product_map_check", trial)
-    monkeypatch.setattr(opcore, "kron_entries", building)
-    monkeypatch.setattr(np, "kron", refused)
+    monkeypatch.setattr(opcore, "kron_sum", building)
+    _refuse(monkeypatch, opcore, "kron_entries")
+    _refuse(monkeypatch, np, "kron")
     rep = cli.run(cli.RunConfig(command="commuting", dim=12, ops=3, trials=20, seed=0))
     assert rep.results["failures"] == 0 and len(trials) == 20
     for t, (start, stop) in enumerate(zip(trials, trials[1:] + [len(events)])):
@@ -931,7 +947,7 @@ def test_commuting_sweep_solves_only_what_each_trial_reads(monkeypatch):
         assert row[-1] == 1 and row[1] == row[2] == (12 if t % 2 == 0 else 0)
         assert [event for event in seen if event[0] == "eigh"] == [("eigh", (12, 12), False)] * 4
         assert seen.count(("eigvalsh", (144, 144), False)) == 1
-        assert [event for event in seen if event[0] == "kron_entries"] == [("kron_entries", (12, 12), False)] * 2
+        assert [event for event in seen if event[0] == "kron_sum"] == [("kron_sum", (12, 12), False)]
         small = sorted(shape for kind, shape, _ in seen if kind == "eigvalsh" and shape[-2:] == (12, 12))
         assert small == [(1, 12, 12)] * 2 + [(3, 12, 12)] * 2
         assert not any(inside for *_, inside in seen)
@@ -1034,6 +1050,61 @@ def test_positive_eigenvalue_check_bounds_a_nearly_hermitian_theta(monkeypatch):
         assert rep.min_real <= eigs.real.min() + 1e-12
         assert rep.max_imag >= np.abs(eigs.imag).max() - 1e-12
         assert 0.0 < rep.max_imag <= 1e-9
+
+
+def test_exact_hermitian_test_is_theta_minus_its_adjoint_being_zero():
+    # blocks of rows against conjugated blocks of columns decide exactly what
+    # the whole difference theta - theta* would: -0.0 equals 0.0, and one
+    # ulp off anywhere, or a nonzero imaginary diagonal, is not Hermitian
+    rng = trial_rng(59, 1)
+    h = kl.theta_superoperator(random_psd_coefficients(rng, 12, 3), random_psd_coefficients(rng, 12, 3))
+    assert not (h - h.conj().T).any() and commuting._exactly_hermitian(h)
+    signed = h.copy()
+    signed[3, 5], signed[5, 3] = 0.0, complex(-0.0, -0.0)
+    signed[0, 0] = complex(signed[0, 0].real, -0.0)
+    cases = [signed, np.zeros((3, 3), dtype=complex)]
+    for row, col in ((0, 143), (143, 0), (70, 71), (27, 28)):
+        off = h.copy()
+        off[row, col] = complex(np.nextafter(off[row, col].real, np.inf), off[row, col].imag)
+        cases.append(off)
+    imaginary = h.copy()
+    imaginary[7, 7] += 1e-300j
+    cases.append(imaginary)
+    for m in cases:
+        assert commuting._exactly_hermitian(m) == (not (m - m.conj().T).any())
+    assert [commuting._exactly_hermitian(m) for m in cases] == [True, True] + [False] * 5
+
+
+def test_theta_checks_form_at_most_the_one_theta_they_solve():
+    # at d = 12 a 144 x 144 complex theta is 331 KB: the product-map check
+    # forms none (only the near-1 columns of theta in its eigenbasis), and
+    # the positivity check the one theta that eigvalsh takes, with no
+    # second theta-sized copy
+    a, b = intertwining_pair(trial_rng(60, 0), 12, 3)
+    rng = trial_rng(60, 1)
+    c, d = random_psd_coefficients(rng, 12, 3), random_psd_coefficients(rng, 12, 3)
+    theta_bytes = 144 * 144 * np.dtype(np.complex128).itemsize
+    peaks = []
+    for run in (lambda: commuting._theta_fixed_space(a.mats, b.mats, 1e-7), lambda: kl.positive_eigenvalue_check(c, d)):
+        run()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            run()
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] < theta_bytes and peaks[1] < 2 * theta_bytes
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_positive_eigenvalue_check_names_kron_sum_where_theta_overflows():
+    rng = trial_rng(59, 2)
+    t = 2.0**600
+    c = [t * m for m in random_psd_coefficients(rng, 3, 2)]
+    d = [t * m for m in random_psd_coefficients(rng, 3, 2)]
+    with pytest.raises(ValueError, match="^kron_sum: the map's entries overflow the float range"):
+        kl.positive_eigenvalue_check(c, d)
 
 
 def test_positive_eigenvalue_check_takes_no_general_eigensolver(monkeypatch):

@@ -8,8 +8,9 @@
   are the intertwiners of {t a_j} and {t b_j} those of {a_j} and {b_j}.
 * The scaling table (SCALING): every name of opcore.__all__, commutant,
   intertwiner_space, the two halves of product_map_check (Fix(theta) against
-  the intertwiners, spec(theta) against the product set), the product of
-  two joint spectra and the Hausdorff distance states its law under x -> t x,
+  the intertwiners, spec(theta) against the product set), the positivity
+  check of theta, the product of two joint spectra and the Hausdorff
+  distance states its law under x -> t x,
   checked at t = 2**e from e = -1000 to 1000; require_psd, psd_sqrt and
   positive_part also for a stack of t x beside x, exactly.  The Hermitian gate has no row of its
   own: require_psd and positive_part run it.
@@ -211,6 +212,8 @@ X, Y = bounded(_rng, 4, 4), bounded(_rng, 4, 4)
 H = X + X.conj().T
 P = X.conj().T @ X
 P = (P + P.conj().T) / 2.0
+Q = Y.conj().T @ Y
+Q = (Q + Q.conj().T) / 2.0
 # np.full((2, 2), 1e308) at t = 2**1000, whose eigenvalue 2e308 is beyond the float range
 FULL = np.full((2, 2), math.ldexp(1e308, -1000))
 # distinct eigenvalues, so span{1, A} is its commutant and its intertwiners with A
@@ -282,6 +285,11 @@ def _spectrum_theta_eigs(t):
     return rep.eigs
 
 
+def _positive_theta_eigs(t):
+    """The eigenvalues of theta's Hermitian part, PSD coefficients t P, t Q on each side."""
+    return kl.positive_eigenvalue_check([t * P, t * Q], [t * Q, t * P]).eigs
+
+
 def _product_spectrum(t):
     """The product set of the joint spectra of t a and t b."""
     return commuting.product_spectrum(kl.joint_spectrum(t * CA), kl.joint_spectrum(t * CB))
@@ -340,6 +348,9 @@ SCALING = {
     # product set
     "commuting.intertwiner_fixed_point_check": Degree(2, _intertwiner_theta_eigs, beyond="ValueError"),
     "commuting.spectrum_product_check": Degree(2, _spectrum_theta_eigs, beyond="ValueError"),
+    # theta with PSD coefficients, quadratic in them; beyond the float range
+    # theta is refused where it is built
+    "commuting.positive_eigenvalue_check": Degree(2, _positive_theta_eigs, beyond="ValueError"),
     # products of the two joint spectra; beyond the float range they are refused
     "commuting.product_spectrum": Degree(2, _product_spectrum, beyond="ValueError"),
     # a gap beyond the float range is refused
@@ -358,6 +369,7 @@ def test_every_opcore_name_has_a_scaling_row():
         "commuting.spectrum_product_check",
         "commuting.product_spectrum",
         "commuting.hausdorff_distance",
+        "commuting.positive_eigenvalue_check",
         "require_psd (stack)",
         "psd_sqrt (stack)",
         "positive_part (stack)",

@@ -375,6 +375,68 @@ def test_kron_sum_is_bitwise_the_kron_sum(p, q):
         opcore.kron_sum(lefts, rights[:2])
 
 
+def test_frobenius_is_bitwise_the_rescale_rule_at_every_size():
+    # the norm returned as read inside [2**-300, 2**300] is the one the
+    # rescale rule computes there, at exponent 0, bit for bit; outside it
+    # the rule itself runs
+    m = ginibre(np.random.default_rng(48), 12)
+    cases = [m.astype(np.complex64), m.real.astype(np.float32)]
+    for e in range(-1060, 1020, 20):
+        cases += [np.ldexp(m.real, e), np.ldexp(m.real, e) + 1j * np.ldexp(m.imag, e)]
+    for x in cases:
+        wide = x.astype(np.result_type(x.dtype, np.float64))
+        s, (k,) = opcore._to_units(wide[None])
+        assert opcore.frobenius(x) == opcore._scaled_back(float(np.linalg.norm(s)), k)
+
+
+def _sparse_factors(p, q):
+    """Three factor pairs with identity and zero blocks and -0.0 entries, as
+    Sylvester stacks and Luders generators have them."""
+    rng = np.random.default_rng(44)
+    full = ginibre(rng, p), ginibre(rng, q)
+    minus = np.triu(full[0])
+    minus[np.tril_indices(p, -1)] = complex(-0.0, -0.0)
+    block = np.zeros((q, q), dtype=complex)
+    block[: q // 2, : q // 2] = full[1][: q // 2, : q // 2]
+    block[q // 2 :, q // 2 :] = complex(-0.0, -0.0)
+    return [np.eye(p), -np.eye(p), minus], [full[1], np.eye(q), block]
+
+
+@pytest.mark.parametrize("p, q", [(3, 2), (4, 4), (1, 5), (12, 12), (17, 3)])
+def test_kron_sum_is_bitwise_the_kron_sum_on_sparse_factors(p, q):
+    lefts, rights = _sparse_factors(p, q)
+    expected = np.zeros((p * q, p * q), dtype=np.complex128)
+    for l, r in zip(lefts, rights):
+        expected += np.kron(r.T, l)
+    s = opcore.kron_sum(lefts, rights)
+    assert s.shape == expected.shape and s.flags.c_contiguous
+    # bitwise, with the signs of the zeros
+    assert np.array_equal(s.view(np.float64), expected.view(np.float64))
+    assert np.array_equal(np.signbit(s.view(np.float64)), np.signbit(expected.view(np.float64)))
+    # the Sylvester blocks l (x) I - I (x) r.T as sylvester_null_space stacks them
+    l, r = ginibre(np.random.default_rng(45), p), ginibre(np.random.default_rng(46), q)
+    block = opcore.kron_sum([l, -np.eye(p)], [np.eye(q), r])
+    assert np.array_equal(block, np.kron(np.eye(q), l) + np.kron(r.T, -np.eye(p)))
+
+
+def test_kron_sum_fills_theta_in_place():
+    # at d = 12 (144 x 144, more than one _KRON_CHUNK of rows): the matrix,
+    # one chunk buffer and numpy's constant ufunc buffers, no second matrix
+    rng = np.random.default_rng(47)
+    lefts = [ginibre(rng, 12) for _ in range(3)]
+    rights = [ginibre(rng, 12) for _ in range(3)]
+    opcore.kron_sum(lefts, rights)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        s = opcore.kron_sum(lefts, rights)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert s.size > 4 * opcore._KRON_CHUNK
+    assert peak < 2 * s.nbytes
+
+
 def test_kron_entries_sums_in_row_chunks_without_a_second_values_buffer():
     # generic d = 16: 256 x 256 entries (1 MiB), many _KRON_CHUNK row chunks;
     # one term buffer as large as the values peaked at 2.27x their bytes
@@ -392,7 +454,8 @@ def test_kron_entries_sums_in_row_chunks_without_a_second_values_buffer():
     expected = np.zeros((256, 256), dtype=np.complex128)
     for l, r in zip(fam._adjoints, fam.ops):
         expected += np.kron(r.T, l)
-    assert np.array_equal(entries.dense(), expected)
+    assert np.array_equal(entries.tensor().reshape(256, 256), expected)
+    assert np.array_equal(opcore.kron_sum(fam._adjoints, fam.ops), expected)
 
 
 def test_null_space_basis_of_a_real_symmetric_indefinite_matrix():
@@ -1022,10 +1085,10 @@ def test_kron_entries_tensor_is_the_dense_matrix(p, q, full):
     if not full:
         lefts = [np.triu(l) for l in lefts]
     e = opcore.kron_entries(lefts, rights)
-    t, s = e.tensor(), e.dense()
+    t, s = e.tensor(), opcore.kron_sum(lefts, rights)
     assert t.shape == (q, p, q, p)
     assert np.array_equal(t.reshape(p * q, p * q), s)
-    # a full pattern's tensor is a view of the values; dense is always fresh
+    # a full pattern's tensor is a view of the values; kron_sum is always fresh
     assert np.shares_memory(t, e.values) == full
     assert not np.shares_memory(s, e.values) and s.flags.c_contiguous
 
@@ -1205,6 +1268,9 @@ def test_kron_entries_refuses_entries_beyond_the_float_range():
 def test_kron_sum_refuses_entries_beyond_the_float_range():
     x = 2.0**1000 * ginibre(np.random.default_rng(62), 4)
     with pytest.raises(ValueError, match="the map's entries overflow the float range"):
+        opcore.kron_sum([x], [x])
+    # the refusal names the function that was called
+    with pytest.raises(ValueError, match="^kron_sum: "):
         opcore.kron_sum([x], [x])
 
 
