@@ -365,14 +365,14 @@ _COMMANDS = {
             Flag("--dim", 6, 1),
             Flag("--ops", 3, 1),
             Flag("--trials", 20, 0),
-            Flag("--seed", 0),
+            Flag("--seed", 0, 0),
             Flag("--tol", 1e-7),
         ),
     ),
     "fuzz": (
         _run_fuzz,
         "randomized inequality trials",
-        (Flag("--dim", 8, 2), Flag("--ops", 6, 1), Flag("--trials", 200, 0), Flag("--seed", 0)),
+        (Flag("--dim", 8, 2), Flag("--ops", 6, 1), Flag("--trials", 200, 0), Flag("--seed", 0, 0)),
     ),
     "schur": (
         _run_schur,

@@ -37,13 +37,12 @@ __all__ = [
     "random_psd_coefficients",
 ]
 
-_MASK = (1 << 64) - 1
-
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
-    """Generator for one trial, from Philox keyed by (seed, trial)."""
-    key = np.array([seed & _MASK, trial & _MASK], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    """Generator for one trial, from Philox keyed by (seed, trial), each in [0, 2**64)."""
+    if not (0 <= seed < 1 << 64 and 0 <= trial < 1 << 64):
+        raise ValueError(f"seed and trial must lie in [0, 2**64), got {seed} and {trial}")
+    return np.random.Generator(np.random.Philox(key=np.array([seed, trial], dtype=np.uint64)))
 
 
 def ginibre(rng: np.random.Generator, rows: int, cols: int | None = None) -> np.ndarray:

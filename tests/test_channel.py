@@ -7,7 +7,6 @@ fixed space strictly contains the commutant.
 
 import json
 import pathlib
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -343,20 +342,22 @@ def test_real_core_is_bitwise_the_stable_sorted_eigvalsh():
     assert np.array_equal(core.sv, absw[np.argsort(-absw, kind="stable")])
 
 
-def test_swap_pairs_share_one_stack_and_its_values(monkeypatch):
-    # n = 48: 819 blocks, 403 swap pairs and 13 blocks the swap maps to themselves
-    fam = cuntz.luders_family(48)
+def luders_split(n):
+    """S - I of the Lüders family at truncation n, as a swap-paired BlockSplit, and the swap."""
+    fam = cuntz.luders_family(n)
     d = fam.dim
     rows, cols, values = opcore.kron_entries(fam._adjoints, fam.ops).nonzero()
     swap = np.arange(d * d) % d * d + np.arange(d * d) // d
-    split = opcore.minus_identity(opcore.block_split(d * d, rows, cols, values.real, swap))
-    eigvalsh, calls = np.linalg.eigvalsh, []
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or eigvalsh(a))
+    return opcore.minus_identity(opcore.block_split(d * d, rows, cols, values.real, swap)), swap
+
+
+def test_swap_pairs_share_one_stack_and_its_values():
+    # n = 48: 819 blocks, 403 swap pairs and 13 blocks the swap maps to
+    # themselves; one eigvalsh per stack is a row of test_call_budget.py
+    split, swap = luders_split(48)
     core = opcore.factorize(split)
     assert core.blocks == 819 and core.stacks == split.stacks
-    # one eigvalsh per stack, of that stack, and one factor per stack
-    assert len(calls) == len(core.factors) == len(core.stacks) == 28
-    assert all(a is s for a, s in zip(calls, core.stacks))
+    assert len(core.factors) == len(core.stacks) == 28
     assert all(s is not t for j, s in enumerate(core.stacks) for t in core.stacks[:j])
     paired = selfswapped = 0
     for (index, _, w, _), stack in zip(core.factors, core.stacks):
@@ -399,25 +400,26 @@ def test_paired_split_cuts_each_block_of_s_minus_identity_once(make):
             assert np.array_equal(stack, a[idx[:, :, None], idx[:, None, :]])
 
 
-def test_solve_takes_only_the_blocks_the_defect_reaches(monkeypatch):
-    n = 48
+def defect_solve(n):
+    """The spectral core of the Lüders family at n, b the defect of diag(t), and fix_tol(n)."""
     fam = cuntz.luders_family(n)
-    tol = kl.fix_tol(n)
     y = np.diag(cuntz.t_sequence(n).values).astype(complex)
-    b = opcore.vectorize(y - kl.apply(fam, y))
-    eigh, solve, blocks = np.linalg.eigh, np.linalg.solve, []
-    monkeypatch.setattr(np.linalg, "eigh", lambda a: blocks.append(len(a)) or eigh(a))
-    monkeypatch.setattr(np.linalg, "solve", lambda a, x: blocks.append(len(a)) or solve(a, x))
-    z = kl.spectral_core(fam).solve(b, tol)
-    assert sum(blocks) == 11
-    # a full walk of a fresh core, its cut blind to b
+    return kl.spectral_core(fam), opcore.vectorize(y - kl.apply(fam, y)), kl.fix_tol(n)
+
+
+def blind_solve(core, b, tol):
+    """``core.solve(b, tol)`` with a cut blind to ``b``, so every held block is walked."""
     cut = opcore.SpectralCore._cut
-    monkeypatch.setattr(opcore.SpectralCore, "_cut", lambda core, tol, b=None: cut(core, tol))
-    blocks.clear()
-    core = opcore.factorize(channel._s_minus_identity(fam))
-    full = core.solve(b, tol)
-    assert sum(blocks) == sum(s.shape[0] for s in core.stacks) == 403 + 13
-    assert np.array_equal(z, full)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(opcore.SpectralCore, "_cut", lambda core, tol, b=None: cut(core, tol))
+        return core.solve(b, tol)
+
+
+def test_solve_takes_only_the_blocks_the_defect_reaches():
+    # the blocks each walk takes are rows of test_call_budget.py; skipping
+    # the blocks b does not reach leaves z bitwise the full walk's
+    core, b, tol = defect_solve(48)
+    assert np.array_equal(core.solve(b, tol), blind_solve(core, b, tol))
 
 
 def test_connected_real_core_is_bitwise_the_stable_sorted_eigvalsh():
@@ -436,38 +438,21 @@ def test_connected_real_core_is_bitwise_the_stable_sorted_eigvalsh():
     assert np.array_equal(core.sv, np.abs(w)[np.argsort(-np.abs(w), kind="stable")])
 
 
-def test_no_complex_superoperator_is_live_during_the_real_eigvalsh(monkeypatch):
-    # real symmetric generators with full patterns: S - I is exactly real
-    # symmetric and connected, one block of n = 144
+def connected_real_family():
+    """Real symmetric generators with full patterns: S - I is exactly real
+    symmetric and connected, one block of n = 144."""
     g = np.random.default_rng(16).standard_normal((2, 12, 12))
-    connected = kl.KrausFamily([(x + x.T) / 8.0 for x in g])
-    eigvalsh = np.linalg.eigvalsh
-    traced = []
+    return kl.KrausFamily([(x + x.T) / 8.0 for x in g])
 
-    def watching(a, *args, **kwargs):
-        traced.append((np.shape(a), np.asarray(a).dtype, tracemalloc.get_traced_memory()[0]))
-        return eigvalsh(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", watching)
-    for fam, split in ((cuntz.luders_family(16), True), (connected, False)):
-        n = fam.dim**2
-        traced.clear()
-        tracemalloc.start()
-        try:
-            core = kl.spectral_core(fam)
-        finally:
-            tracemalloc.stop()
-        # one stacked real eigvalsh per held stack, a swap pair's image
-        # taking none, and never a complex S (16 n^2 bytes) live while they
-        # run: split blocks hold less than a real S - I, and one block little
-        # more than the real S - I it is
-        held = core.stacks
-        assert len(traced) == len(held)
-        assert (len(traced) > 1) == split
-        assert sum(np.prod(shape[:-1]) for shape, _, _ in traced) == sum(s.shape[0] * s.shape[1] for s in held)
-        assert (sum(s.shape[0] * s.shape[1] for s in held) < n) == split
-        assert all(dtype == np.float64 for _, dtype, _ in traced)
-        assert max(mem for _, _, mem in traced) < 8 * n * n * (1.0 if split else 1.25)
+def test_no_complex_superoperator_is_live_during_the_real_eigvalsh():
+    # split blocks hold less than a real S - I, and one block is the real
+    # S - I; the real eigvalsh calls and the bytes live at them are rows of
+    # test_call_budget.py
+    for fam, split in ((cuntz.luders_family(16), True), (connected_real_family(), False)):
+        held = kl.spectral_core(fam).stacks
+        assert (len(held) > 1) == split
+        assert (sum(s.shape[0] * s.shape[1] for s in held) < fam.dim**2) == split
 
 
 @pytest.mark.parametrize(
@@ -480,47 +465,24 @@ def test_no_complex_superoperator_is_live_during_the_real_eigvalsh(monkeypatch):
     ],
     ids=["complex-svd", "real-eigh"],
 )
-def test_family_queries_build_and_factorize_once(make, path, monkeypatch):
+def test_family_queries_build_and_factorize_once(make, path):
+    # the builds, factorizations and stack reads are rows of test_call_budget.py
     fam = make()
-    n = fam.dim * fam.dim
-    calls = {"kron_entries": 0, "factorize": 0, "svd": 0}
-    held = []
+    trace = family_queries(fam)
+    if path == "svd":
+        assert fam._spectral_core.stacks is None
+    else:
+        np.testing.assert_allclose(trace.density, np.diag([0.0, 0.0, 1.0]), atol=1e-12)
 
-    def counting(name, fn):
-        # a dense factorization of S - I covers its n rows
-        def wrapper(*args, **kwargs):
-            if name != "svd" or np.prod(np.shape(args[0])[:-1]) == n:
-                calls[name] += 1
-            return fn(*args, **kwargs)
 
-        return wrapper
-
-    def recording(fn):
-        def wrapper(a, *args, **kwargs):
-            held.append(a)
-            return fn(a, *args, **kwargs)
-
-        return wrapper
-
-    monkeypatch.setattr(opcore, "kron_entries", counting("kron_entries", opcore.kron_entries))
-    monkeypatch.setattr(opcore, "factorize", counting("factorize", opcore.factorize))
-    monkeypatch.setattr(np.linalg, "svd", counting("svd", np.linalg.svd))
-    monkeypatch.setattr(np.linalg, "eigvalsh", recording(np.linalg.eigvalsh))
-    y = ginibre(trial_rng(21, 8), fam.dim)
+def family_queries(fam):
+    """fixed_space, gap_report, solve_perturbation and extract_trace of ``fam``, in order."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         kl.fixed_space(fam)
         kl.gap_report(fam)
-        kl.solve_perturbation(fam, y)
-        trace = tracelab.extract_trace(fam)
-    assert calls == {"kron_entries": 1, "factorize": 1, "svd": int(path == "svd")}
-    stacks = fam._spectral_core.stacks
-    if path == "svd":
-        assert stacks is None
-    else:
-        # every held stack's values are read once, and nothing else of S - I
-        assert all(sum(a is s for a in held) == 1 for s in stacks)
-        np.testing.assert_allclose(trace.density, np.diag([0.0, 0.0, 1.0]), atol=1e-12)
+        kl.solve_perturbation(fam, ginibre(trial_rng(21, 8), fam.dim))
+        return tracelab.extract_trace(fam)
 
 
 def test_fixed_space_pinching():
@@ -735,36 +697,6 @@ def test_hermitian_form_is_psi_in_the_hermitian_basis(kind):
     np.testing.assert_allclose(channel._hermitian_form(t), want.real, rtol=0.0, atol=1e-14)
 
 
-def test_values_only_gap_report_holds_no_complex_s_during_its_svd(monkeypatch):
-    fam = _family_of_kind("generic", 16)
-    n = fam.dim**2
-    svd, kron_entries = np.linalg.svd, opcore.kron_entries
-    traced = []
-
-    def entries_then_reset(*args):
-        out = kron_entries(*args)
-        tracemalloc.reset_peak()
-        return out
-
-    def watching(a, *args, **kwargs):
-        traced.append((np.asarray(a).dtype, *tracemalloc.get_traced_memory()))
-        return svd(a, *args, **kwargs)
-
-    monkeypatch.setattr(opcore, "kron_entries", entries_then_reset)
-    monkeypatch.setattr(np.linalg, "svd", watching)
-    tracemalloc.start()
-    try:
-        kl.gap_report(fam)
-    finally:
-        tracemalloc.stop()
-    # the real S_h - I (8 n^2 bytes) is the only matrix live in the one SVD,
-    # and while it is built from S (16 n^2 bytes) no other matrix is formed
-    # (256 kB allow for the ufuncs' fixed-size buffers)
-    ((dtype, mem, peak),) = traced
-    assert dtype == np.float64 and mem < 9 * n * n
-    assert peak < 24 * n * n + 2**18
-
-
 @pytest.mark.parametrize("kind", ["luders8", "complex", "wide"])
 def test_values_only_core_has_the_blocks_but_no_vectors(kind):
     rng = np.random.default_rng(17)
@@ -869,21 +801,11 @@ def test_fix_closed_under_square_of_the_identity_channel():
     assert rep.commutant_distance_bound == 0.0
 
 
-def test_fix_closed_under_square_takes_no_qr_and_no_svd(monkeypatch):
+def test_fix_closed_under_square_takes_no_qr_and_no_svd():
+    # that it takes no QR and no SVD is a row of test_call_budget.py
     fam = mixed_unitary_family(trial_rng(24, 0), 24, 3)
-    kl.fixed_space(fam)
-    calls = []
-    for name in ("qr", "svd"):
-        fn = getattr(np.linalg, name)
-
-        def counted(a, *args, _fn=fn, _name=name, **kwargs):
-            calls.append((_name, np.shape(a)))
-            return _fn(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, counted)
     rep = kl.fix_closed_under_square(fam)
     assert rep.closed and rep.commutant_dim == rep.fix_dim == 1
-    assert calls == []
     # L is one 576 x 576 block here, and 16 blocks of 36 for the tensor kind
     assert [s.shape for s in channel._commutator_gram(fam).stacks] == [(1, 576, 576)]
     assert [s.shape for s in channel._commutator_gram(tensor_family(24)).stacks] == [(16, 36, 36)]

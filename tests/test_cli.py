@@ -280,6 +280,18 @@ def test_out_of_range_flags_name_the_flag(argv, message, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("command", ["fuzz", "commuting"])
+def test_seeds_outside_64_bits_exit_2(command, capsys):
+    # -1 and 2**64 would alias the seeds 2**64 - 1 and 0 in the 64-bit Philox key
+    argv = [command, "--dim", "4", "--trials", "1", "--seed"]
+    for seed, message in ((-1, "--seed must be >= 0, got -1"), (2**64, "must lie in [0, 2**64)")):
+        assert cli.main(argv + [str(seed)]) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err and captured.out == ""
+    assert cli.main(argv + [str(2**64 - 1)]) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["seed"] == 2**64 - 1
+
+
 DEMO_DATA = pathlib.Path(__file__).resolve().parent.parent / "demos" / "data"
 
 
@@ -400,22 +412,10 @@ def test_scaled_inputs_exit_as_at_unit_scale_or_2(command, demo, e, tmp_path, ca
 
 
 @pytest.mark.parametrize("demo, fix_dim", [("pinching.json", 2), ("unitary_mix.json", 1), ("tensor_mix.json", 4)])
-def test_analyze_reads_values_only(demo, fix_dim, monkeypatch, capsys):
-    # analyze reads singular values and block shapes: no routine that forms
-    # vectors runs, and every SVD is of a real matrix (S_h - I, not S - I)
-    svd = np.linalg.svd
-
-    def values_only_svd(a, *args, **kwargs):
-        assert kwargs.get("compute_uv") is False
-        assert np.isrealobj(a), f"complex SVD of {np.shape(a)}"
-        return svd(a, *args, **kwargs)
-
-    def refused(*args, **kwargs):
-        raise AssertionError("analyze formed vectors")
-
-    monkeypatch.setattr(np.linalg, "svd", values_only_svd)
-    for name in ("eigh", "eig", "qr"):
-        monkeypatch.setattr(np.linalg, name, refused)
+def test_analyze_reads_values_only(demo, fix_dim, capsys):
+    # analyze reads singular values and block shapes: that it forms no
+    # vectors and takes only real SVDs (S_h - I, not S - I) is a row of
+    # test_call_budget.py
     assert cli.main(["analyze", "--input", str(DEMO_DATA / demo)]) == 0
     assert json.loads(capsys.readouterr().out)["results"]["fix_dim"] == fix_dim
 

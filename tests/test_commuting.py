@@ -1,7 +1,6 @@
 """Commuting normal families, joint spectra, product maps, intertwiners."""
 
 import json
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -271,25 +270,8 @@ def test_spectrum_product_check_random(scale):
         assert rep.hausdorff <= 1e-8 * scale**2, f"trial {trial}: {rep.hausdorff}"
 
 
-def _refuse_eigvals(monkeypatch):
-    def refused(*args, **kwargs):
-        raise AssertionError("np.linalg.eigvals called")
-
-    monkeypatch.setattr(np.linalg, "eigvals", refused)
-
-
-def _refuse(monkeypatch, module, *names):
-    """Make each of ``module``'s ``names`` raise an AssertionError naming it."""
-    for name in names:
-
-        def refused(*args, name=name):
-            raise AssertionError(f"{module.__name__}.{name} called")
-
-        monkeypatch.setattr(module, name, refused)
-
-
-def test_spectrum_product_check_takes_no_general_eigensolver(monkeypatch, capsys):
-    _refuse_eigvals(monkeypatch)
+def test_spectrum_product_check_takes_no_general_eigensolver(capsys):
+    # that neither takes eigvals is a row of test_call_budget.py
     a, b = intertwining_pair(trial_rng(60, 0), 4, 2)
     assert kl.product_map_check(a, b).hausdorff <= 1e-12
     assert cli.main(["commuting", "--dim", "4", "--trials", "4"]) == 0
@@ -459,31 +441,12 @@ def test_normal_eigvals_cluster_the_same_under_scaling(monkeypatch, scale):
         calls.clear()
 
 
-def test_theta_of_an_intertwining_pair_takes_at_most_three_eigh(monkeypatch):
+def test_theta_of_an_intertwining_pair_takes_at_most_three_eigh():
     # theta is diagonalized through its two 12 x 12 factors, one eigh of a
-    # probe each; eigenvalue 1 of multiplicity d is no cluster of either
+    # probe each (a row of test_call_budget.py); eigenvalue 1 of
+    # multiplicity d is no cluster of either
     a, b = intertwining_pair(trial_rng(65, 0), 12, 3)
-    shapes, eigh = [], np.linalg.eigh
-    diagonalized, eigenbasis = [], commuting._eigenbasis
-
-    def recording(x, *args, **kwargs):
-        shapes.append(np.shape(x))
-        return eigh(x, *args, **kwargs)
-
-    def counting(mats, scale):
-        diagonalized.append([np.shape(m) for m in mats])
-        return eigenbasis(mats, scale)
-
-    monkeypatch.setattr(np.linalg, "eigh", recording)
-    monkeypatch.setattr(commuting, "_eigenbasis", counting)
-    kl.joint_spectrum(a)
-    kl.joint_spectrum(b)
-    spectra, families = len(shapes), len(diagonalized)
     assert kl.product_map_check(a, b).hausdorff <= 1e-12
-    assert shapes[spectra:] == [(12, 12)] * 2
-    # the check reads both families' stored eigenbases: no
-    # family is diagonalized again, only theta's two factor spans
-    assert families == 2 and diagonalized[families:] == [[(12, 12)] * 3] * 2
 
 
 def test_normal_eigvals_gate_a_non_normal_input():
@@ -551,21 +514,11 @@ def test_frobenius_norm_at_any_size(scale):
     assert opcore.frobenius(np.full((4, 4), 1.5e308)) == np.inf
 
 
-def test_spectrum_product_check_gates_families_before_theta(monkeypatch):
-    sx = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-    sz = np.diag([1.0, -1.0]).astype(complex)
-    good = commuting_normal_family(trial_rng(64, 0), 2, 2)
-    shapes, eigh = [], np.linalg.eigh
-
-    def recording(a, *args, **kwargs):
-        shapes.append(np.shape(a))
-        return eigh(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigh", recording)
-    for c, d in ((good, [sx, sz]), ([sx, sz], good)):
+def test_spectrum_product_check_gates_families_before_theta():
+    # that no eigh runs first is a row of test_call_budget.py
+    for c, d in ungated_pairs()[:2]:
         with pytest.raises(ValueError, match="commuting-normal gates"):
             kl.product_map_check(c, d)
-    assert shapes == []
 
 
 def test_hausdorff_oracle():
@@ -663,33 +616,14 @@ def test_theta_fixed_space_spans_the_kernel_of_theta_minus_identity():
     assert rep.passed and rep.fix_dim == rep.intertwiner_dim == 5
 
 
-def test_both_checks_of_one_pair_build_and_diagonalize_theta_once(monkeypatch):
-    # Fix(theta) and spec(theta) of one pair come from one product_map_check,
-    # which leaves nothing on the families but their own eigenbases
+def test_both_checks_of_one_pair_build_and_diagonalize_theta_once():
+    # Fix(theta) and spec(theta) of one pair come from one product_map_check
+    # (its calls are a row of test_call_budget.py), which leaves nothing on
+    # the families but their own eigenbases
     a, b = intertwining_pair(trial_rng(67, 0), 5, 3)
     before = [dict(vars(f)) for f in (a, b)]
-    shapes, diagonalized = [], []
-    eigh, kron_eigenbasis = np.linalg.eigh, commuting._kron_eigenbasis
-
-    def recording(x, *args, **kwargs):
-        shapes.append(np.shape(x))
-        return eigh(x, *args, **kwargs)
-
-    def counting(c, d):
-        out = kron_eigenbasis(c, d)
-        diagonalized.append((len(c[0]), len(d[0]), len(c), *(f.shape for f in out[2])))
-        return out
-
-    monkeypatch.setattr(np.linalg, "eigh", recording)
-    monkeypatch.setattr(commuting, "_kron_eigenbasis", counting)
-    _refuse(monkeypatch, opcore, "minus_identity", "kron_entries", "kron_sum")
     rep = kl.product_map_check(a, b)
     assert rep.passed and rep.hausdorff <= 1e-12
-    # theta is diagonalized once, through its 5 x 5 factors: no eigh of
-    # theta, and theta itself is never built, only its rotated factors
-    assert diagonalized == [(5, 5, 3, (3, 5, 5), (3, 5, 5))]
-    assert set(shapes) == {(5, 5)}
-    # each family gains its stored eigenbasis and nothing else
     for family, old in zip((a, b), before):
         assert vars(family).keys() == old.keys()
         assert [k for k, v in vars(family).items() if v is not old[k]] == ["_eigen"]
@@ -701,34 +635,24 @@ def _off_diagonal_share(m):
     return np.linalg.norm(m - np.diag(np.diagonal(m))) / norm if norm else 0.0
 
 
-def test_neither_check_forms_theta_of_the_unrotated_families(monkeypatch):
-    # no np.kron, kron_entries or kron_sum anywhere, and theta is read once
-    # per pair from its factors in its own eigenbasis: every rotated factor
-    # is already diagonal to the gate, which the families' own generators
-    # are not
-    built, kron_eigenbasis = [], commuting._kron_eigenbasis
-
-    def building(c, d):
-        out = kron_eigenbasis(c, d)
-        built.append(out[2])
-        return out
-
-    monkeypatch.setattr(commuting, "_kron_eigenbasis", building)
-    _refuse(monkeypatch, np, "kron")
-    _refuse(monkeypatch, opcore, "kron_entries", "kron_sum")
+def fresh_pairs():
+    """An intertwining pair at d = 6 and two unrelated families at d = 5 and 4."""
     rng = trial_rng(73, 0)
-    pairs = [intertwining_pair(rng, 6, 3), (commuting_normal_family(rng, 5, 2), commuting_normal_family(rng, 4, 2))]
-    for a, b in pairs:
+    return [intertwining_pair(rng, 6, 3), (commuting_normal_family(rng, 5, 2), commuting_normal_family(rng, 4, 2))]
+
+
+def test_neither_check_forms_theta_of_the_unrotated_families():
+    # theta is read per pair from its factors in its own eigenbasis, and no
+    # np.kron, kron_entries or kron_sum runs (a row of test_call_budget.py):
+    # every rotated factor is already diagonal to the gate, which the
+    # families' own generators are not
+    for a, b in fresh_pairs():
         rep = kl.product_map_check(a, b)
         assert rep.passed and rep.hausdorff <= 1e-12
-        # a fresh pair of families, whose check builds theta again
         assert kl.product_map_check(a.mats, b.mats).hausdorff <= 1e-12
         assert all(_off_diagonal_share(m) > 0.1 for m in (*a.mats, *b.mats))
-    assert len(built) == 2 * len(pairs)
-    for dr, cr in built:
+        dr, cr = commuting._kron_eigenbasis(a.mats, b.mats)[2]
         assert all(_off_diagonal_share(m) <= 1e-8 for m in (*dr, *cr))
-    with pytest.raises(AssertionError, match="numpy.kron"):
-        np.kron(np.eye(2), np.eye(2))
 
 
 def test_theta_eigenbasis_never_reads_the_family_eigenbases(monkeypatch):
@@ -757,18 +681,20 @@ def test_theta_eigenbasis_never_reads_the_family_eigenbases(monkeypatch):
     assert reads and not any(reads)
 
 
-def test_intertwiner_fixed_point_check_gates_families_before_theta(monkeypatch):
+def ungated_pairs():
+    """Pairs with one family that fails the commuting-normal gates: Pauli
+    matrices that do not commute, and a Jordan block that is not normal."""
     sx = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
     sz = np.diag([1.0, -1.0]).astype(complex)
     jordan = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)
     good = commuting_normal_family(trial_rng(64, 0), 2, 2)
     single = commuting_normal_family(trial_rng(64, 1), 2, 1)
+    return (good, [sx, sz]), ([sx, sz], good), (single, [jordan]), ([jordan], single)
 
-    def refused(*args):
-        raise AssertionError("theta built")
 
-    monkeypatch.setattr(opcore, "kron_entries", refused)
-    for c, d in ((good, [sx, sz]), ([sx, sz], good), (single, [jordan]), ([jordan], single)):
+def test_intertwiner_fixed_point_check_gates_families_before_theta():
+    # that theta is never built is a row of test_call_budget.py
+    for c, d in ungated_pairs():
         with pytest.raises(ValueError, match="commuting-normal gates"):
             kl.product_map_check(c, d)
 
@@ -814,58 +740,30 @@ def test_joint_intertwiners_match_the_sylvester_null_space(tol):
     assert dims[-2:] == [10, 5] and max(dims[:-2]) == 12
 
 
-def test_intertwiner_fixed_point_check_builds_no_sylvester_stack(monkeypatch):
+def sylvester_free_pairs():
+    """An intertwining pair and two unrelated families at d = 12, and the repeated tuples at d = 6."""
     rng = trial_rng(70, 0)
-    pairs = [
+    return [
         intertwining_pair(rng, 12, 3),
         (commuting_normal_family(rng, 12, 3), commuting_normal_family(rng, 12, 3)),
         _repeated_tuple_pair(),
     ]
-    qr, svd = np.linalg.qr, np.linalg.svd
-    # joint_spectrum's norm bound: the values of a family's stacked generators
-    bounds = [np.vstack(f.mats) for pair in pairs for f in pair]
 
-    def no_r_factor(x, mode="reduced"):
-        assert mode != "r", "a Sylvester stack was reduced to its R factor"
-        return qr(x, mode)
 
-    def refused(*args, **kwargs):
-        raise AssertionError("a Sylvester stack was solved")
-
-    def bound_only(x, *args, **kwargs):
-        if kwargs != {"compute_uv": False} or not any(np.array_equal(x, m) for m in bounds):
-            refused()
-        return svd(x, *args, **kwargs)
-
-    monkeypatch.setattr(opcore, "sylvester_null_space", refused)
-    monkeypatch.setattr(np.linalg, "qr", no_r_factor)
-    monkeypatch.setattr(np.linalg, "svd", bound_only)
-    for (a, b), dim in zip(pairs, (12, 0, 10)):
+def test_intertwiner_fixed_point_check_builds_no_sylvester_stack():
+    # no Sylvester stack is built, reduced or solved: a row of test_call_budget.py
+    for (a, b), dim in zip(sylvester_free_pairs(), (12, 0, 10)):
         rep = kl.product_map_check(a, b)
         assert rep.passed and rep.fix_dim == rep.intertwiner_dim == dim
-    # the refusals are live: the general solver runs into them
-    with pytest.raises(AssertionError, match="Sylvester"):
-        kl.intertwiner_space(*pairs[0])
 
 
-def test_each_family_is_diagonalized_once_across_both_checks(monkeypatch):
+def test_each_family_is_diagonalized_once_across_both_checks():
+    # the diagonalizations are a row of test_call_budget.py
     a, b = intertwining_pair(trial_rng(71, 0), 6, 2)
     fresh = kl.simultaneous_diagonalize(kl.CommutingFamily(a.mats))
-    calls, eigenbasis = [], commuting._eigenbasis
-
-    def recording(mats, scale):
-        calls.append(mats)
-        return eigenbasis(mats, scale)
-
-    monkeypatch.setattr(commuting, "_eigenbasis", recording)
     rep = kl.product_map_check(a, b)
     assert rep.passed and rep.hausdorff <= 1e-12
     stored = kl.simultaneous_diagonalize(a)
-    kl.joint_spectrum(b)
-    assert [m is a.mats for m in calls].count(True) == 1
-    assert [m is b.mats for m in calls].count(True) == 1
-    # the other two are theta's factor spans, two 6 x 6 matrices each
-    assert len(calls) == 4 and [np.shape(m) for m in calls] == [(2, 6, 6)] * 4
     # the stored eigenbasis is bitwise a fresh family's, and read-only
     assert np.array_equal(stored.unitary, fresh.unitary)
     assert all(np.array_equal(x, y) for x, y in zip(stored.diags, fresh.diags))
@@ -894,63 +792,12 @@ def test_commuting_sweep_fixed_spaces_stay_at_rounding(capsys, seed):
     assert json.loads(capsys.readouterr().out)["results"]["worst_subspace_distance"] <= 2e-14
 
 
-def test_commuting_sweep_solves_only_what_each_trial_reads(monkeypatch):
-    # the benchmark's sweep: per trial no eigh and one eigvalsh of the
-    # 144 x 144 theta, one 12 x 12 eigh per family and per factor of theta,
-    # no refinement (no probe leaves a cluster), and of the 12 x 12 eigvalsh
-    # only the two completeness defects that are read and one stacked PSD
-    # gate per side of coefficients; theta is built once, densely by one
-    # kron_sum for the positivity check, the product-map check reads it from
-    # its rotated 12 x 12 factors alone, and no kron_entries or np.kron runs
-    trials, events = [], []
-    eigh, eigvalsh, kron_sum = np.linalg.eigh, np.linalg.eigvalsh, opcore.kron_sum
-    refine, check = commuting._refine, commuting.product_map_check
-    inside, checking = [False], [False]
-
-    def recording(kind, solve):
-        def wrapped(a, *args, **kwargs):
-            events.append((kind, np.shape(a), inside[0]))
-            return solve(a, *args, **kwargs)
-
-        return wrapped
-
-    def refining(basis, *args):
-        inside[0] = basis.shape
-        try:
-            return refine(basis, *args)
-        finally:
-            inside[0] = False
-
-    def trial(*args, **kwargs):
-        trials.append(len(events))
-        checking[0] = True
-        try:
-            return check(*args, **kwargs)
-        finally:
-            checking[0] = False
-
-    def building(lefts, rights):
-        events.append(("kron_sum", (len(lefts[0]), len(rights[0])), inside[0] or checking[0]))
-        return kron_sum(lefts, rights)
-
-    monkeypatch.setattr(np.linalg, "eigh", recording("eigh", eigh))
-    monkeypatch.setattr(np.linalg, "eigvalsh", recording("eigvalsh", eigvalsh))
-    monkeypatch.setattr(commuting, "_refine", refining)
-    monkeypatch.setattr(commuting, "product_map_check", trial)
-    monkeypatch.setattr(opcore, "kron_sum", building)
-    _refuse(monkeypatch, opcore, "kron_entries")
-    _refuse(monkeypatch, np, "kron")
+def test_commuting_sweep_solves_only_what_each_trial_reads():
+    # the benchmark's sweep; what each trial solves is a row of test_call_budget.py
     rep = cli.run(cli.RunConfig(command="commuting", dim=12, ops=3, trials=20, seed=0))
-    assert rep.results["failures"] == 0 and len(trials) == 20
-    for t, (start, stop) in enumerate(zip(trials, trials[1:] + [len(events)])):
-        row, seen = rep.csv_rows[t], events[start:stop]
+    assert rep.results["failures"] == 0 and len(rep.csv_rows) == 20
+    for t, row in enumerate(rep.csv_rows):
         assert row[-1] == 1 and row[1] == row[2] == (12 if t % 2 == 0 else 0)
-        assert [event for event in seen if event[0] == "eigh"] == [("eigh", (12, 12), False)] * 4
-        assert seen.count(("eigvalsh", (144, 144), False)) == 1
-        assert [event for event in seen if event[0] == "kron_sum"] == [("kron_sum", (12, 12), False)]
-        small = sorted(shape for kind, shape, _ in seen if kind == "eigvalsh" and shape[-2:] == (12, 12))
-        assert small == [(1, 12, 12)] * 2 + [(3, 12, 12)] * 2
-        assert not any(inside for *_, inside in seen)
 
 
 def _merge_loop(rows, radius):
@@ -1008,44 +855,34 @@ def _hermitian(m):
     return (m + m.conj().T) / 2.0
 
 
-def _count_eigvalsh(monkeypatch, n):
-    """Calls of ``np.linalg.eigvalsh`` on n x n matrices, in a one-item list."""
-    calls, eigvalsh = [0], np.linalg.eigvalsh
-
-    def counting(a, *args, **kwargs):
-        calls[0] += np.shape(a) == (n, n)
-        return eigvalsh(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
-    return calls
-
-
-def test_positive_eigenvalue_check_reads_exact_hermitian_theta(monkeypatch):
+def test_positive_eigenvalue_check_reads_exact_hermitian_theta():
     rng = trial_rng(57, 0)
     c = [_hermitian(p) for p in random_psd_coefficients(rng, 4, 3)]
     d = [_hermitian(p) for p in random_psd_coefficients(rng, 4, 3)]
-    calls = _count_eigvalsh(monkeypatch, 16)
     rep = kl.positive_eigenvalue_check(c, d)
     theta = kl.theta_superoperator(c, d)
-    # theta - theta* is exactly zero: only the Hermitian part is solved
-    assert calls == [1]
+    # theta - theta* is exactly zero: only the Hermitian part is solved (a
+    # row of test_call_budget.py)
     assert rep.max_imag == 0.0
     want = np.sort(np.linalg.eigvals(theta).real)
     np.testing.assert_allclose(rep.eigs, want, rtol=0, atol=1e-12 * np.linalg.norm(theta, 2))
     assert rep.min_real == rep.eigs[0]
 
 
-def test_positive_eigenvalue_check_bounds_a_nearly_hermitian_theta(monkeypatch):
-    # coefficients pass require_psd yet are not Hermitian: theta is not
-    # either, both parts are solved, and the Bendixson bounds enclose its
-    # eigenvalues
-    calls = _count_eigvalsh(monkeypatch, 16)
+def nearly_hermitian_coefficients(trial):
+    """PSD coefficients that pass require_psd yet are not Hermitian, at d = 4."""
+    rng = trial_rng(58, trial)
+    c = [p + 2e-11 * ginibre(rng, 4) for p in random_psd_coefficients(rng, 4, 3)]
+    d = [p + 2e-11 * ginibre(rng, 4) for p in random_psd_coefficients(rng, 4, 3)]
+    return c, d
+
+
+def test_positive_eigenvalue_check_bounds_a_nearly_hermitian_theta():
+    # theta is not Hermitian either, both parts are solved (a row of
+    # test_call_budget.py), and the Bendixson bounds enclose its eigenvalues
     for trial in range(5):
-        rng = trial_rng(58, trial)
-        c = [p + 2e-11 * ginibre(rng, 4) for p in random_psd_coefficients(rng, 4, 3)]
-        d = [p + 2e-11 * ginibre(rng, 4) for p in random_psd_coefficients(rng, 4, 3)]
+        c, d = nearly_hermitian_coefficients(trial)
         rep = kl.positive_eigenvalue_check(c, d)
-        assert calls == [2 * (trial + 1)]
         eigs = np.linalg.eigvals(kl.theta_superoperator(c, d))
         assert rep.min_real <= eigs.real.min() + 1e-12
         assert rep.max_imag >= np.abs(eigs.imag).max() - 1e-12
@@ -1075,28 +912,6 @@ def test_exact_hermitian_test_is_theta_minus_its_adjoint_being_zero():
     assert [commuting._exactly_hermitian(m) for m in cases] == [True, True] + [False] * 5
 
 
-def test_theta_checks_form_at_most_the_one_theta_they_solve():
-    # at d = 12 a 144 x 144 complex theta is 331 KB: the product-map check
-    # forms none (only the near-1 columns of theta in its eigenbasis), and
-    # the positivity check the one theta that eigvalsh takes, with no
-    # second theta-sized copy
-    a, b = intertwining_pair(trial_rng(60, 0), 12, 3)
-    rng = trial_rng(60, 1)
-    c, d = random_psd_coefficients(rng, 12, 3), random_psd_coefficients(rng, 12, 3)
-    theta_bytes = 144 * 144 * np.dtype(np.complex128).itemsize
-    peaks = []
-    for run in (lambda: commuting._theta_fixed_space(a.mats, b.mats, 1e-7), lambda: kl.positive_eigenvalue_check(c, d)):
-        run()
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            run()
-            peaks.append(tracemalloc.get_traced_memory()[1] - base)
-        finally:
-            tracemalloc.stop()
-    assert peaks[0] < theta_bytes and peaks[1] < 2 * theta_bytes
-
-
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_positive_eigenvalue_check_names_kron_sum_where_theta_overflows():
     rng = trial_rng(59, 2)
@@ -1107,8 +922,8 @@ def test_positive_eigenvalue_check_names_kron_sum_where_theta_overflows():
         kl.positive_eigenvalue_check(c, d)
 
 
-def test_positive_eigenvalue_check_takes_no_general_eigensolver(monkeypatch):
-    _refuse_eigvals(monkeypatch)
+def test_positive_eigenvalue_check_takes_no_general_eigensolver():
+    # that it takes no eigvals is a row of test_call_budget.py
     rng = trial_rng(59, 0)
     rep = kl.positive_eigenvalue_check(random_psd_coefficients(rng, 3, 2), random_psd_coefficients(rng, 3, 2))
     assert rep.eigs.shape == (9,) and rep.min_real >= -1e-12

@@ -3,7 +3,6 @@
 import dataclasses
 import json
 import math
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -244,82 +243,20 @@ def test_luders_a0_is_exactly_diagonal():
     assert np.array_equal(a0, np.diag(np.diag(a0)))
 
 
-def test_experiment_allocates_no_dense_superoperator():
-    # a complex S at n = 64 takes 16 n^4 bytes (268 MB)
-    n = 64
-    tracemalloc.start()
-    try:
-        cuntz.experiment(n)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 8 * n**4
-
-
-def test_experiment_factors_each_block_once(monkeypatch):
+def test_experiment_factors_each_block_once():
     # the gap report reads the full core, so each swap pair of blocks gets its
-    # values once, and only the solve takes eigenvectors, of the kernel's block
-    calls, cores = [], []
-    inside = []
-    factorize, solve = opcore.factorize, opcore.SpectralCore.solve
-
-    def tracking(fn, tag):
-        def wrapper(*args, **kwargs):
-            inside.append(tag)
-            try:
-                out = fn(*args, **kwargs)
-            finally:
-                inside.pop()
-            if tag == "core":
-                cores.append(out)
-            return out
-
-        return wrapper
-
-    def watching(name):
-        fn = getattr(np.linalg, name)
-
-        def wrapper(a, *args, **kwargs):
-            if inside:
-                calls.append((name, inside[-1], np.shape(a)))
-            return fn(a, *args, **kwargs)
-
-        return wrapper
-
-    monkeypatch.setattr(opcore, "factorize", tracking(factorize, "core"))
-    monkeypatch.setattr(opcore.SpectralCore, "solve", tracking(solve, "solve"))
-    for name in ("eigh", "eigvalsh", "svd", "solve"):
-        monkeypatch.setattr(np.linalg, name, watching(name))
-    rep = cuntz.experiment(16)
-    (core,) = cores
-    values = [c for c in calls if c[0] == "eigvalsh"]
-    assert [c for c in calls if c[0] == "svd"] == []
-    # one eigvalsh per held stack, inside factorize; a swap pair's images
-    # are listed over its stack, so fewer blocks are held than listed
-    assert len(values) == len(core.stacks) == len(core.factors) and {c[1] for c in values} == {"core"}
+    # values once, and only the solve takes eigenvectors, of the kernel's
+    # block (a row of test_call_budget.py): a swap pair's images are listed
+    # over its stack, so fewer blocks are held than listed
+    core = kl.spectral_core(cuntz.luders_family(16))
     assert sum(len(s) for s in core.stacks) < core.blocks
-    assert sum(int(np.prod(shape[:-1])) for _, _, shape in values) < 256
-    # fix_dim 1: one eigh, of the one block holding the kernel; the rest are solved directly
-    assert [(tag, shape[0]) for name, tag, shape in calls if name == "eigh"] == [("solve", 1)]
-    assert {tag for name, tag, _ in calls if name == "solve"} == {"solve"}
+    rep = cuntz.experiment(16)
     assert rep.gap.blocks == 97 and rep.gap.fix_dim == 1
 
 
-def test_experiment_builds_the_isometries_once_and_takes_no_svd(monkeypatch):
+def test_experiment_builds_the_isometries_once_and_takes_no_svd():
     # completeness and isometry defects are Hermitian, read off eigvalsh, and
-    # the commutators of diag(t) come from the isometries' index maps
-    builds = []
-    build = cuntz.build_isometries
-
-    def counting(n):
-        builds.append(n)
-        return build(n)
-
-    def refused(*args, **kwargs):
-        raise AssertionError("the experiment took an SVD")
-
-    monkeypatch.setattr(cuntz, "build_isometries", counting)
-    monkeypatch.setattr(np.linalg, "svd", refused)
+    # the commutators of diag(t) come from the isometries' index maps; the
+    # one build and the refused SVD are a row of test_call_budget.py
     rep = cuntz.experiment(16)
-    assert builds == [16]
     assert rep.commutation.v2_comm == 0.0 and rep.commutation.v1_comm_sq <= rep.commutation.tail_bound

@@ -15,8 +15,11 @@ def test_trial_rng_is_keyed_by_seed_and_trial():
     d = ensembles.trial_rng(43, 7).standard_normal(8)
     assert not np.array_equal(a, c)
     assert not np.array_equal(a, d)
-    # negative seeds wrap into the 64-bit key instead of failing
-    ensembles.trial_rng(-1, 0).standard_normal(1)
+    # the key is two 64-bit words: a seed or trial outside them would alias one inside
+    ensembles.trial_rng(2**64 - 1, 2**64 - 1).standard_normal(1)
+    for seed, trial in ((-1, 0), (2**64, 0), (0, -1), (0, 2**64)):
+        with pytest.raises(ValueError, match=r"must lie in \[0, 2\*\*64\)"):
+            ensembles.trial_rng(seed, trial)
 
 
 def test_haar_unitary_is_unitary():

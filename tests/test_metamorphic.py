@@ -13,9 +13,11 @@
   distance states its law under x -> t x,
   checked at t = 2**e from e = -1000 to 1000; require_psd, psd_sqrt and
   positive_part also for a stack of t x beside x, exactly.  The Hermitian gate has no row of its
-  own: require_psd and positive_part run it.
+  own: require_psd and positive_part run it.  Every other function of
+  krauslab.__all__ is in NO_SCALING_ROW, with its reason.
 """
 
+import inspect
 import math
 import re
 import warnings
@@ -360,6 +362,34 @@ SCALING = {
 }
 
 
+# The functions of krauslab.__all__ with no SCALING row, each with the reason.
+# A new function gets a row or an entry here; entries only leave, as rows arrive.
+NO_SCALING_ROW = {
+    "channel.apply": "psi(x) is linear in x and quadratic in the family: no row yet",
+    "channel.apply_predual": "linear in t and quadratic in the family: no row yet",
+    "channel.superoperator": "quadratic in the family, bitwise the kron_sum it is built from: no row yet",
+    "channel.spectral_core": "affine: S - I subtracts the identity",
+    "channel.fixed_space": "not homogeneous: t a_j scales psi by t^2, whose fixed space is another",
+    "channel.subspace_distance": "a distance between the spans of two orthonormal bases",
+    "channel.gap_report": "affine, as spectral_core",
+    "channel.solve_perturbation": "affine, as spectral_core",
+    "channel.fix_closed_under_square": "not homogeneous, as fixed_space",
+    "channel.fix_tol": "a tolerance of the dimension alone",
+    "channel.unital_tol": "a tolerance of the dimension alone",
+    "inequalities.defect_bounds": "degree 2 in x; the family stays unital and trace-preserving: no row yet",
+    "inequalities.powers_stormer": "degree 2, in test_square_difference_bounds_scale_quadratically",
+    "inequalities.generalized_powers_stormer": "degree 2 in (x, y), in the same test",
+    "inequalities.gamma_curve": "a scalar curve of beta and t, of degree 1 in both: no row yet",
+    "tracelab.extract_trace": "affine, as spectral_core",
+    "tracelab.near_fixed_from_trace": "affine, as spectral_core",
+    "commuting.simultaneous_diagonalize": "degree 1 in the diagonals and 0 in the eigenbasis: no row yet",
+    "commuting.joint_spectrum": "degree 1: read through the commuting.product_spectrum row",
+    "commuting.theta_superoperator": "degree 2 in (c, d), bitwise the kron_sum row",
+}
+# product_map_check's rows are named after the two checks it reports
+ROWS_OF = {"commuting.product_map_check": ("commuting.intertwiner_fixed_point_check", "commuting.spectrum_product_check")}
+
+
 def test_every_opcore_name_has_a_scaling_row():
     assert set(opcore.__all__) <= set(SCALING)
     others = {
@@ -375,6 +405,14 @@ def test_every_opcore_name_has_a_scaling_row():
         "positive_part (stack)",
     }
     assert not set(SCALING) - set(opcore.__all__) - others
+    # every function of krauslab.__all__ has its rows or an entry in NO_SCALING_ROW, not both
+    functions = {
+        f"{fn.__module__.rsplit('.', 1)[-1]}.{fn.__name__}"
+        for fn in (getattr(kl, name) for name in kl.__all__)
+        if inspect.isfunction(fn)
+    }
+    rowless = {name for name in functions if not set(ROWS_OF.get(name, (name,))) <= set(SCALING)}
+    assert sorted(rowless) == sorted(NO_SCALING_ROW)
 
 
 def _scaled(base: np.ndarray, shift: float) -> np.ndarray:

@@ -4,7 +4,6 @@ import importlib
 import math
 import pkgutil
 import re
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -327,18 +326,9 @@ def test_require_psd_gate_and_message():
         opcore.require_psd([[0.0, 1.0], [0.0, 0.0]])
 
 
-def test_psd_sqrt_gates_on_its_own_eigh(monkeypatch):
-    calls = {"eigh": 0, "eigvalsh": 0}
-    for name in calls:
-        fn = getattr(np.linalg, name)
-
-        def counted(*args, _fn=fn, _name=name, **kwargs):
-            calls[_name] += 1
-            return _fn(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, counted)
+def test_psd_sqrt_gates_on_its_own_eigh():
+    # one eigh and no eigvalsh is a row of test_call_budget.py
     np.testing.assert_allclose(opcore.psd_sqrt(np.diag([4.0, 0.0])), np.diag([2.0, 0.0]), atol=1e-15)
-    assert calls == {"eigh": 1, "eigvalsh": 0}
     with pytest.raises(ValueError, match="matrix is not PSD"):
         opcore.psd_sqrt(np.diag([1.0, -0.5]))
 
@@ -419,38 +409,12 @@ def test_kron_sum_is_bitwise_the_kron_sum_on_sparse_factors(p, q):
     assert np.array_equal(block, np.kron(np.eye(q), l) + np.kron(r.T, -np.eye(p)))
 
 
-def test_kron_sum_fills_theta_in_place():
-    # at d = 12 (144 x 144, more than one _KRON_CHUNK of rows): the matrix,
-    # one chunk buffer and numpy's constant ufunc buffers, no second matrix
-    rng = np.random.default_rng(47)
-    lefts = [ginibre(rng, 12) for _ in range(3)]
-    rights = [ginibre(rng, 12) for _ in range(3)]
-    opcore.kron_sum(lefts, rights)
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        s = opcore.kron_sum(lefts, rights)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    assert s.size > 4 * opcore._KRON_CHUNK
-    assert peak < 2 * s.nbytes
-
-
 def test_kron_entries_sums_in_row_chunks_without_a_second_values_buffer():
     # generic d = 16: 256 x 256 entries (1 MiB), many _KRON_CHUNK row chunks;
-    # one term buffer as large as the values peaked at 2.27x their bytes
+    # the bound on their buffers is a row of test_call_budget.py
     fam = mixed_unitary_family(trial_rng(0, 0), 16, 3)
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        entries = opcore.kron_entries(fam._adjoints, fam.ops)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
+    entries = opcore.kron_entries(fam._adjoints, fam.ops)
     assert entries.values.size > 4 * opcore._KRON_CHUNK
-    # the values, the chunk buffer and numpy's constant ufunc buffer
-    assert peak < 1.5 * entries.values.nbytes
     expected = np.zeros((256, 256), dtype=np.complex128)
     for l, r in zip(fam._adjoints, fam.ops):
         expected += np.kron(r.T, l)
@@ -492,42 +456,35 @@ def _tall_stacks():
         yield a, 1e-10 * float(np.linalg.norm(a)), cols - rank
 
 
-def test_tall_null_space_takes_no_tall_svd(monkeypatch):
+def tall_families():
+    """A u_j (x) I_4 family at d = 24, whose Sylvester stack splits into 16
+    components, and a Ginibre family at d = 6, whose 108 x 36 stack is one."""
+    rng = np.random.default_rng(53)
+    return [np.kron(haar_unitary(rng, 6), np.eye(4)) for _ in range(3)], [ginibre(rng, 6) for _ in range(3)]
+
+
+def commutant_family():
+    rng = np.random.default_rng(54)
+    return [np.kron(haar_unitary(rng, 4), np.eye(2)) for _ in range(3)]
+
+
+def test_tall_null_space_takes_no_tall_svd():
     # a tall matrix and the square R of its QR share their kernel, which is
-    # what lets every Sylvester stack be reduced to R before its SVD
+    # what lets every Sylvester stack be reduced to R before its SVD; that
+    # the callers of the stacked null space take no tall SVD are rows of
+    # test_call_budget.py
     for a, tol, dim in _tall_stacks():
         want = opcore.factorize(a).kernel(tol)
         got = opcore.factorize(np.linalg.qr(a, mode="r")).kernel(tol)
         assert got.shape == want.shape == (a.shape[1], dim)
         np.testing.assert_allclose(got.conj().T @ got, np.eye(dim), atol=1e-12)
         assert np.linalg.norm(got @ got.conj().T - want @ want.conj().T, 2) <= 1e-12
-    rng = np.random.default_rng(53)
-    split = [np.kron(haar_unitary(rng, 6), np.eye(4)) for _ in range(3)]
-    connected = [ginibre(rng, 6) for _ in range(3)]
-    svd, bounds = np.linalg.svd, []
-
-    def square_only(a, *args, **kwargs):
-        # the one tall SVD let through is joint_spectrum's norm bound: the
-        # values of a family's stacked generators
-        bound = kwargs == {"compute_uv": False} and any(np.array_equal(a, m) for m in bounds)
-        assert bound or np.shape(a)[-2] <= np.shape(a)[-1], f"tall SVD of {np.shape(a)}"
-        return svd(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", square_only)
-    # the first of _tall_stacks splits into 16 components; a generic
-    # family's 108 x 36 stack is one
-    split_basis = opcore.sylvester_null_space(split, split, channel.fix_tol(24))
-    connected_basis = opcore.sylvester_null_space(connected, connected, channel.fix_tol(6))
-    # the callers of the stacked null space reach it only through the R factor
-    rng = np.random.default_rng(54)
-    assert len(channel.commutant([np.kron(haar_unitary(rng, 4), np.eye(2)) for _ in range(3)])) == 4
-    pair = intertwining_pair(trial_rng(55, 0), 5, 3)
-    bounds.extend(np.vstack(f.mats) for f in pair)
-    rep = commuting.product_map_check(*pair)
+    split, connected = tall_families()
+    _assert_solution_space(opcore.sylvester_null_space(split, split, channel.fix_tol(24)), split, split, 16)
+    _assert_solution_space(opcore.sylvester_null_space(connected, connected, channel.fix_tol(6)), connected, connected, 1)
+    assert len(channel.commutant(commutant_family())) == 4
+    rep = commuting.product_map_check(*intertwining_pair(trial_rng(55, 0), 5, 3))
     assert rep.passed and rep.intertwiner_dim >= 1
-    monkeypatch.undo()
-    _assert_solution_space(split_basis, split, split, 16)
-    _assert_solution_space(connected_basis, connected, connected, 1)
 
 
 def test_square_and_wide_null_spaces_are_bitwise_the_direct_kernel():
@@ -566,29 +523,21 @@ def _assert_solution_space(got, lefts, rights, dim):
             np.testing.assert_allclose(l @ x, x @ r, atol=1e-12)
 
 
-def test_sylvester_null_space_matches_the_explicit_stack(monkeypatch):
+def commuting_pair_on_c3():
+    """A commuting pair on C^3, and b_j* acting on C^2 with two shared joint eigenvalues."""
     rng = np.random.default_rng(43)
     u = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))[0]
     lam = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
-    # commuting pair on C^3, and b_j* acting on C^2 with two shared joint eigenvalues
-    lefts = [u @ np.diag(lam[j]) @ u.conj().T for j in range(2)]
-    rights = [np.diag(lam[j, :2]) for j in range(2)]
-    svd, shapes = np.linalg.svd, []
+    return [u @ np.diag(lam[j]) @ u.conj().T for j in range(2)], [np.diag(lam[j, :2]) for j in range(2)]
 
-    def recorded(a, *args, **kwargs):
-        shapes.append(np.shape(a))
-        return svd(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", recorded)
-    # a connected stack is one component: its 18 x 9 stack is one 9 x 9 R
-    basis = opcore.sylvester_null_space(lefts, lefts, 1e-8)
-    assert shapes == [(1, 9, 9)]
-    _assert_solution_space(basis, lefts, lefts, 3)
-    # diagonal rights split the stack into one component per column of x
-    shapes.clear()
-    basis = opcore.sylvester_null_space(lefts, rights, 1e-8)
-    assert shapes == [(1, 3, 3), (1, 3, 3)]
-    _assert_solution_space(basis, lefts, rights, 2)
+def test_sylvester_null_space_matches_the_explicit_stack():
+    # a connected stack is one component (one 9 x 9 R), and diagonal rights
+    # split the stack into one component per column of x: their SVDs are
+    # rows of test_call_budget.py
+    lefts, rights = commuting_pair_on_c3()
+    _assert_solution_space(opcore.sylvester_null_space(lefts, lefts, 1e-8), lefts, lefts, 3)
+    _assert_solution_space(opcore.sylvester_null_space(lefts, rights, 1e-8), lefts, rights, 2)
 
 
 def _tensor_kind(d, seed=0, m=3):
@@ -609,16 +558,11 @@ def test_split_sylvester_stack_of_the_tensor_kind():
             assert np.linalg.norm(a @ x - x @ a) <= 1e-12
 
 
-def test_commutant_of_a_generic_family_forms_no_kron(monkeypatch):
-    # a connected stack is built per component like a split one, never
-    # from dense Kronecker products
+def test_commutant_of_a_generic_family_forms_no_kron():
+    # a connected stack is built per component like a split one, never from
+    # dense Kronecker products (a row of test_call_budget.py)
     rng = trial_rng(32, 0)
     ops = [ginibre(rng, 8) for _ in range(3)]
-
-    def refused(*args, **kwargs):
-        raise AssertionError("np.kron called")
-
-    monkeypatch.setattr(np, "kron", refused)
     com = channel.commutant(ops)
     assert len(com) == 1
     (x,) = com.basis
@@ -692,20 +636,15 @@ def test_product_map_is_the_action_of_kron_sum_on_rectangular_input():
         opcore.product_map(lefts, rights[:2], x)
 
 
-def test_completeness_defects_are_the_gram_sums(monkeypatch):
+def test_completeness_defects_are_the_gram_sums():
     rng = np.random.default_rng(59)
     mats = [0.5 * a for a in _family(rng, 5)]
     eye = np.eye(5)
     unital_ref = opcore.op_norm(sum(a.conj().T @ a for a in mats) - eye)
     counital_ref = opcore.op_norm(sum(a @ a.conj().T for a in mats) - eye)
-
-    def refused(*args, **kwargs):
-        raise AssertionError("a Hermitian defect took an SVD")
-
     # the defects are Hermitian: their norms come from eigvalsh, not an SVD
-    monkeypatch.setattr(np.linalg, "svd", refused)
+    # (a row of test_call_budget.py)
     unital, counital = opcore.completeness_defects(mats)
-    monkeypatch.undo()
     assert unital == pytest.approx(unital_ref, rel=1e-14)
     assert counital == pytest.approx(counital_ref, rel=1e-14)
     assert unital > 0.1 and counital > 0.1
@@ -922,28 +861,27 @@ def test_stacked_spectral_maps_validate_and_gate_each_matrix_alone():
         opcore.positive_part(np.stack([np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]])]))
 
 
-def test_completeness_defects_of_a_hermitian_family_take_one_gram(monkeypatch):
+def hermitian_families():
     rng = np.random.default_rng(61)
     g = rng.standard_normal((3, 5, 5)) + 1j * rng.standard_normal((3, 5, 5))
-    families = [
+    return [
         cuntz.luders_family(16).ops,
         [np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)],
         list((g + g.conj().swapaxes(1, 2)) / 6.0),
     ]
-    eigvalsh = np.linalg.eigvalsh
-    for mats in families:
+
+
+def test_completeness_defects_of_a_hermitian_family_take_one_gram():
+    # the one eigvalsh per family is a row of test_call_budget.py
+    for mats in hermitian_families():
         assert all(np.array_equal(a, a.conj().T) for a in mats)
         eye = np.eye(mats[0].shape[0])
         # the two-Gram value
         want = tuple(
-            float(np.abs(eigvalsh(sum(gram) - eye)).max())
+            float(np.abs(np.linalg.eigvalsh(sum(gram) - eye)).max())
             for gram in ((a.conj().T @ a for a in mats), (a @ a.conj().T for a in mats))
         )
-        calls = []
-        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or eigvalsh(a))
-        got = opcore.completeness_defects(mats)
-        monkeypatch.undo()
-        assert got == want and len(calls) == 1
+        assert opcore.completeness_defects(mats) == want
 
 
 def test_block_split_cuts_each_swap_pair_once():
